@@ -6,6 +6,16 @@ either base-coordinate symbols or opaque smooth-function applications
 f[alpha](a1, ..., am) carrying a formal derivative multi-index alpha.  Formal
 differentiation implements linearity, the Leibniz rule, and the chain rule on
 opaque applications; equality is syntactic equality of canonical forms.
+
+Invariants.  The canonical form is the term dict itself: monomials are tuples
+of (atom, exponent) sorted by atom key, every atom at most once, and every
+stored coefficient is a nonzero Fraction.  Operations build their result as a
+raw dict and wrap it once, so == compares term dicts directly.  Atoms hash once
+at construction; an expression computes its hash on first use and its sorted
+structural key() on first request (for App keys and print order), then caches
+both.  Expressions are immutable, so operations return an operand unchanged
+where the result is equal to it (adding zero, scaling by one, substituting
+nothing).
 """
 
 from __future__ import annotations
@@ -20,20 +30,21 @@ class UnboundSymbol(KeyError):
 class Var:
     """A base-coordinate symbol."""
 
-    __slots__ = ("name", "_key")
+    __slots__ = ("name", "_key", "_hash")
 
     def __init__(self, name):
         self.name = name
         self._key = (0, name)
+        self._hash = hash(self._key)
 
     def key(self):
         return self._key
 
     def __eq__(self, other):
-        return isinstance(other, Var) and self.name == other.name
+        return self is other or (isinstance(other, Var) and self.name == other.name)
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self):
         return "Var(%s)" % self.name
@@ -46,7 +57,7 @@ class App:
     slots; the arguments are CoeffExprs.
     """
 
-    __slots__ = ("func", "alpha", "args", "_key")
+    __slots__ = ("func", "alpha", "args", "_key", "_hash")
 
     def __init__(self, func, alpha, args):
         self.func = func
@@ -57,27 +68,28 @@ class App:
                 "derivative multi-index length %d != argument count %d"
                 % (len(self.alpha), len(self.args))
             )
-        self._key = (1, func, self.alpha, tuple(a.key() for a in self.args))
+        self._key = None
+        self._hash = hash((func, self.alpha, self.args))
 
     def key(self):
+        if self._key is None:
+            self._key = (1, self.func, self.alpha, tuple(a.key() for a in self.args))
         return self._key
 
     def __eq__(self, other):
-        return isinstance(other, App) and self._key == other._key
+        return self is other or (
+            isinstance(other, App)
+            and self._hash == other._hash
+            and self.func == other.func
+            and self.alpha == other.alpha
+            and self.args == other.args
+        )
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self):
         return "App(%s,%s,%r)" % (self.func, self.alpha, self.args)
-
-
-def _as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError("expected an exact rational, got %r" % (x,))
 
 
 class CoeffExpr:
@@ -90,41 +102,48 @@ class CoeffExpr:
 
     __slots__ = ("_terms", "_key", "_hash")
 
-    def __init__(self, terms):
-        # terms: dict mono -> Fraction; zero coefficients removed here.
-        clean = {m: c for m, c in terms.items() if c != 0}
-        self._terms = clean
-        # fully structural key: atoms are replaced by their own keys so the
-        # tuples stay totally ordered even when nested inside App arguments
-        self._key = tuple(
-            sorted((_mono_key(m), (c.numerator, c.denominator)) for m, c in clean.items())
-        )
-        self._hash = hash(self._key)
+    def __init__(self, terms, clean=False):
+        """terms: dict mono -> Fraction over canonical monomials.
+
+        Zero coefficients are dropped.  clean=True adopts a dict that already
+        holds none, without copying it.
+        """
+        if not clean:
+            terms = {m: c for m, c in terms.items() if c}
+        self._terms = terms
+        self._key = None
+        self._hash = None
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def rational(q):
         q = Fraction(q)
-        if q == 0:
+        if not q:
             return ZERO
-        return CoeffExpr({(): q})
+        return CoeffExpr({(): q}, True)
 
     @staticmethod
     def var(name):
-        return CoeffExpr({((Var(name), 1),): Fraction(1)})
+        return CoeffExpr({((Var(name), 1),): _ONE_Q}, True)
 
     @staticmethod
     def app(func, args, alpha=None):
         args = tuple(a if isinstance(a, CoeffExpr) else CoeffExpr.rational(a) for a in args)
         if alpha is None:
             alpha = (0,) * len(args)
-        atom = App(func, alpha, args)
-        return CoeffExpr({((atom, 1),): Fraction(1)})
+        return _atom_expr(App(func, alpha, args))
 
     # -- basic structure --------------------------------------------------
 
     def key(self):
+        """The fully structural sort key: atoms are replaced by their own keys
+        so the tuples stay totally ordered even when nested inside App
+        arguments.  Equal expressions have equal keys and vice versa."""
+        if self._key is None:
+            self._key = tuple(
+                sorted((_mono_key(m), (c.numerator, c.denominator)) for m, c in self._terms.items())
+            )
         return self._key
 
     def is_zero(self):
@@ -159,41 +178,76 @@ class CoeffExpr:
         return out
 
     def __eq__(self, other):
-        return isinstance(other, CoeffExpr) and self._key == other._key
+        return self is other or (isinstance(other, CoeffExpr) and self._terms == other._terms)
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(frozenset(self._terms.items()))
         return self._hash
 
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return CoeffExpr(out)
+        return self._combine(_coerce(other), False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CoeffExpr({m: -c for m, c in self._terms.items()})
+        return CoeffExpr({m: -c for m, c in self._terms.items()}, True)
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
+        return self._combine(_coerce(other), True)
 
     def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        return _coerce(other)._combine(self, True)
+
+    def _combine(self, other, negate):
+        """self + other, or self - other when negate."""
+        t2 = other._terms
+        if not t2:
+            return self
+        if not self._terms:
+            return -other if negate else other
+        out = dict(self._terms)
+        for m, c in t2.items():
+            prev = out.get(m)
+            if prev is None:
+                out[m] = -c if negate else c
+            else:
+                s = prev - c if negate else prev + c
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+        return CoeffExpr(out, True)
 
     def __mul__(self, other):
-        other = _coerce(other)
+        if isinstance(other, CoeffExpr):
+            t2 = other._terms
+        elif isinstance(other, (int, Fraction)):
+            return self._scale(other)
+        else:
+            raise TypeError("cannot coerce %r to CoeffExpr" % (other,))
+        t1 = self._terms
+        if not t1 or not t2:
+            return ZERO
+        if len(t2) == 1 and () in t2:
+            return self._scale(t2[()])
+        if len(t1) == 1 and () in t1:
+            return other._scale(t1[()])
         out = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = _mono_mul(m1, m2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
+        _mul_into(out, t1, t2, False)
         return CoeffExpr(out)
 
     __rmul__ = __mul__
+
+    def _scale(self, q):
+        """self * q for a rational q, skipping the monomial products."""
+        if q == 1:
+            return self
+        if not q or not self._terms:
+            return ZERO
+        return CoeffExpr({m: c * q for m, c in self._terms.items()}, True)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -207,18 +261,30 @@ class CoeffExpr:
 
     def diff(self, name):
         """Formal partial derivative with respect to the base coordinate `name`."""
-        out = ZERO
+        out = {}
+        datoms = {}  # atom -> its derivative, shared by the monomials of this call
         for mono, coeff in self._terms.items():
             for i, (atom, power) in enumerate(mono):
+                if isinstance(atom, Var):
+                    if atom.name != name:
+                        continue
+                    dterms = None
+                else:
+                    datom = datoms.get(atom)
+                    if datom is None:
+                        datom = datoms[atom] = _atom_diff(atom, name)
+                    if datom.is_zero():
+                        continue
+                    dterms = datom._terms
                 if power > 1:
                     rest = mono[:i] + ((atom, power - 1),) + mono[i + 1 :]
                 else:
                     rest = mono[:i] + mono[i + 1 :]
-                datom = _atom_diff(atom, name)
-                if datom.is_zero():
-                    continue
-                out = out + CoeffExpr({rest: coeff * power}) * datom
-        return out
+                if dterms is None:
+                    _add_into(out, rest, coeff * power)
+                else:
+                    _mul_into(out, {rest: coeff * power}, dterms, False)
+        return CoeffExpr(out)
 
     def evaluate(self, point, realizations=None):
         """Exact rational value at a point, with polynomial realizations for opaques.
@@ -238,14 +304,16 @@ class CoeffExpr:
         return total
 
     def substitute_vars(self, mapping):
-        """Replace base-coordinate symbols by CoeffExprs (formal composition)."""
-        out = ZERO
-        for mono, coeff in self._terms.items():
-            term = CoeffExpr.rational(coeff)
-            for atom, power in mono:
-                term = term * _atom_subst_vars(atom, mapping) ** power
-            out = out + term
-        return out
+        """Replace base-coordinate symbols by CoeffExprs (formal composition).
+
+        Entries v -> v are dropped first; when none is left, or no mapped
+        symbol occurs, the expression itself is returned.
+        """
+        mapping = {nm: _coerce(e) for nm, e in mapping.items()}
+        mapping = {nm: e for nm, e in mapping.items() if not _is_var(e, nm)}
+        if not mapping:
+            return self
+        return self._rebuild(lambda atom: _atom_subst_vars(atom, mapping))
 
     def substitute_app(self, func, handler):
         """Replace every application of the opaque symbol `func`.
@@ -253,13 +321,41 @@ class CoeffExpr:
         handler(alpha, args) -> CoeffExpr receives the derivative multi-index
         and the (already substituted) argument tuple.
         """
-        out = ZERO
+        return self._rebuild(lambda atom: _atom_subst_app(atom, func, handler))
+
+    def _rebuild(self, image):
+        """Substitute atoms: image(atom) is the atom's replacement CoeffExpr,
+        or None when it is unchanged.  Returns self when no atom changes."""
+        out = {}
+        images = {}
+        changed = False
         for mono, coeff in self._terms.items():
-            term = CoeffExpr.rational(coeff)
+            keep = []
+            parts = []
             for atom, power in mono:
-                term = term * _atom_subst_app(atom, func, handler) ** power
-            out = out + term
-        return out
+                if atom in images:
+                    img = images[atom]
+                else:
+                    img = images[atom] = image(atom)
+                if img is None:
+                    keep.append((atom, power))
+                else:
+                    parts.append((img, power))
+            if not parts:
+                _add_into(out, mono, coeff)
+                continue
+            changed = True
+            term = {tuple(keep): coeff}
+            for img, power in parts:
+                for _ in range(power):
+                    acc = {}
+                    _mul_into(acc, term, img._terms, False)
+                    term = acc
+            for m, c in term.items():
+                _add_into(out, m, c)
+        if not changed:
+            return self
+        return CoeffExpr(out)
 
     # -- printing ---------------------------------------------------------
 
@@ -272,6 +368,9 @@ class CoeffExpr:
         return "CoeffExpr(%s)" % str(self)
 
 
+_ONE_Q = Fraction(1)
+
+
 def _coerce(x):
     if isinstance(x, CoeffExpr):
         return x
@@ -280,21 +379,82 @@ def _coerce(x):
     raise TypeError("cannot coerce %r to CoeffExpr" % (x,))
 
 
+def _atom_expr(atom):
+    """The expression consisting of the single atom."""
+    return CoeffExpr({((atom, 1),): _ONE_Q}, True)
+
+
+def _is_var(e, name):
+    """True when e is exactly the coordinate symbol `name`."""
+    if len(e._terms) != 1:
+        return False
+    (mono, c), = e._terms.items()
+    if c != 1 or len(mono) != 1:
+        return False
+    atom, power = mono[0]
+    return power == 1 and isinstance(atom, Var) and atom.name == name
+
+
 def _mono_key(mono):
     return tuple((atom.key(), power) for atom, power in mono)
 
 
 def _mono_mul(m1, m2):
-    powers = {}
-    order = []
-    for atom, p in m1 + m2:
-        if atom not in powers:
-            powers[atom] = 0
-            order.append(atom)
-        powers[atom] += p
-    merged = [(atom, powers[atom]) for atom in order]
-    merged.sort(key=lambda ap: ap[0].key())
-    return tuple(merged)
+    """Product of two canonical monomials: a merge by atom key."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        a, p = m1[i]
+        b, q = m2[j]
+        ka, kb = a.key(), b.key()
+        if ka == kb:
+            out.append((a, p + q))
+            i += 1
+            j += 1
+        elif ka < kb:
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+    if i < n1:
+        out.extend(m1[i:])
+    elif j < n2:
+        out.extend(m2[j:])
+    return tuple(out)
+
+
+def _add_into(out, mono, c):
+    """out[mono] += c on a raw term dict (zero sums are kept; filter at the end)."""
+    prev = out.get(mono)
+    out[mono] = c if prev is None else prev + c
+
+
+def _mul_into(out, t1, t2, negate):
+    """Accumulate the product of the term dicts t1 and t2 (negated when
+    negate) into the raw term dict out."""
+    for m1, c1 in t1.items():
+        if negate:
+            c1 = -c1
+        for m2, c2 in t2.items():
+            m = _mono_mul(m1, m2)
+            c = c1 * c2
+            prev = out.get(m)
+            out[m] = c if prev is None else prev + c
+
+
+def sum_of_products(pairs):
+    """The canonical form of the sum of a*b (or -a*b when negate) over
+    (a, b, negate) triples of CoeffExprs, built in one pass."""
+    out = {}
+    for a, b, negate in pairs:
+        _mul_into(out, a._terms, b._terms, negate)
+    return CoeffExpr(out)
 
 
 def _atom_diff(atom, name):
@@ -308,8 +468,7 @@ def _atom_diff(atom, name):
             continue
         alpha = list(atom.alpha)
         alpha[j] += 1
-        bumped = CoeffExpr({((App(atom.func, alpha, atom.args), 1),): Fraction(1)})
-        out = out + bumped * darg
+        out = out + _atom_expr(App(atom.func, alpha, atom.args)) * darg
     return out
 
 
@@ -329,23 +488,29 @@ def _atom_eval(atom, point, realizations):
 
 
 def _atom_subst_vars(atom, mapping):
+    """The image of one atom under a variable substitution, or None if unchanged."""
     if isinstance(atom, Var):
-        return mapping.get(atom.name, CoeffExpr.var(atom.name))
+        return mapping.get(atom.name)
     args = tuple(a.substitute_vars(mapping) for a in atom.args)
-    return CoeffExpr({((App(atom.func, atom.alpha, args), 1),): Fraction(1)})
+    if all(new is old for new, old in zip(args, atom.args)):
+        return None
+    return _atom_expr(App(atom.func, atom.alpha, args))
 
 
 def _atom_subst_app(atom, func, handler):
+    """The image of one atom under an opaque-symbol substitution, or None."""
     if isinstance(atom, Var):
-        return CoeffExpr.var(atom.name)
+        return None
     args = tuple(a.substitute_app(func, handler) for a in atom.args)
     if atom.func == func:
-        return handler(atom.alpha, args)
-    return CoeffExpr({((App(atom.func, atom.alpha, args), 1),): Fraction(1)})
+        return _coerce(handler(atom.alpha, args))
+    if all(new is old for new, old in zip(args, atom.args)):
+        return None
+    return _atom_expr(App(atom.func, atom.alpha, args))
 
 
-ZERO = CoeffExpr({})
-ONE = CoeffExpr({(): Fraction(1)})
+ZERO = CoeffExpr({}, True)
+ONE = CoeffExpr({(): _ONE_Q}, True)
 
 
 def normalize_expr(e):

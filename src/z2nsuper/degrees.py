@@ -131,6 +131,17 @@ class Signature:
         self.q = [0] * len(nz)
         for nm, d in formal:
             self.q[self._nz_index[d]] += 1
+        # sign tables of the formal variables, read by the series kernel:
+        # degrees as n-bit masks (first bit most significant), self-odd flags,
+        # the q x q matrix of dot-product parities <deg a, deg b> mod 2, and
+        # the Degree of each mask (enumerate_nonzero_degrees lists mask i at i-1)
+        masks = [int(str(d), 2) for nm, d in formal]
+        self.formal_masks = tuple(masks)
+        self.formal_self_odd = tuple(bin(m).count("1") % 2 == 1 for m in masks)
+        self.formal_dot_parity = tuple(
+            tuple(bin(ma & mb).count("1") % 2 for mb in masks) for ma in masks
+        )
+        self.degree_by_mask = tuple([Degree.zero(n)] + nz)
 
     @property
     def p(self):
@@ -163,7 +174,7 @@ class Signature:
         return list(self._decl)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Signature)
             and self.n == other.n
             and self._decl == other._decl

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffexpr import CoeffExpr, normalize_expr
-from .degrees import Degree, is_self_odd, sign_factor
+from .coeffexpr import CoeffExpr, ZERO, normalize_expr, sum_of_products
+from .degrees import Degree
 
 INFINITY = float("inf")
 
@@ -31,11 +31,11 @@ def mono_order(mu):
 
 
 def mono_degree(sig, mu):
-    d = Degree.zero(sig.n)
-    for k, deg in zip(mu, sig.formal_degrees()):
-        if k % 2:
-            d = d + deg
-    return d
+    mask = 0
+    for k, m in zip(mu, sig.formal_masks):
+        if k & 1:
+            mask ^= m
+    return sig.degree_by_mask[mask]
 
 
 def mul_monomials(sig, mu, nu):
@@ -43,24 +43,26 @@ def mul_monomials(sig, mu, nu):
 
     The sign accumulates one scalar-product factor per transposition needed to
     interleave the nu-word into the mu-word; a self-odd variable appearing
-    with total exponent >= 2 kills the product.
+    with total exponent >= 2 kills the product.  Both rules read the
+    signature's precomputed self-odd flags and dot-parity matrix.
     """
-    degs = sig.formal_degrees()
+    odd = sig.formal_self_odd
     out = []
-    for a, (ka, kb) in enumerate(zip(mu, nu)):
-        total = ka + kb
-        if total >= 2 and is_self_odd(degs[a]):
+    for a, ka in enumerate(mu):
+        total = ka + nu[a]
+        if total >= 2 and odd[a]:
             return None
         out.append(total)
     swaps = 0
-    for a in range(len(mu)):
-        if not mu[a]:
+    dot = sig.formal_dot_parity
+    for a, ka in enumerate(mu):
+        if not ka:
             continue
+        row = dot[a]
         for b in range(a):
-            if nu[b]:
-                dot = sum(x * y for x, y in zip(degs[a], degs[b]))
-                swaps += mu[a] * nu[b] * dot
-    return (-1 if swaps % 2 else 1), tuple(out)
+            if nu[b] and row[b]:
+                swaps += ka * nu[b]
+    return (-1 if swaps & 1 else 1), tuple(out)
 
 
 class GSeries:
@@ -117,8 +119,6 @@ class GSeries:
 
     def epsilon(self):
         """The coefficient of the empty monomial (the augmentation)."""
-        from .coeffexpr import ZERO
-
         return self.terms.get((0,) * self.sig.nformal, ZERO)
 
     def j_order(self):
@@ -156,20 +156,19 @@ class GSeries:
         return deg if deg is not None else Degree.zero(self.sig.n)
 
     def is_homogeneous(self, d):
-        return all(mono_degree(self.sig, mu) == Degree(d) for mu in self.terms)
+        d = Degree(d)
+        return all(mono_degree(self.sig, mu) == d for mu in self.terms)
 
     def map_coeffs(self, fn):
         return GSeries(self.sig, self.order, {mu: fn(c) for mu, c in self.terms.items()})
 
     def coeff_of(self, mu):
-        from .coeffexpr import ZERO
-
         return self.terms.get(tuple(mu), ZERO)
 
     # -- ring operations --------------------------------------------------
 
     def _check_sig(self, other):
-        if self.sig != other.sig:
+        if self.sig is not other.sig and self.sig != other.sig:
             raise SignatureMismatch("series over different signatures")
 
     def __add__(self, other):
@@ -179,7 +178,8 @@ class GSeries:
         out = {mu: c for mu, c in self.terms.items() if mono_order(mu) <= order}
         for mu, c in other.terms.items():
             if mono_order(mu) <= order:
-                out[mu] = out.get(mu, CoeffExpr.rational(0)) + c
+                prev = out.get(mu)
+                out[mu] = c if prev is None else prev + c
         return GSeries(self.sig, order, out)
 
     __radd__ = __add__
@@ -197,21 +197,22 @@ class GSeries:
         other = self._coerce(other)
         self._check_sig(other)
         order = min(self.order, other.order)
-        out = {}
+        sig = self.sig
+        # collect the coefficient products of each output monomial, then
+        # canonicalise each output coefficient once
+        acc = {}
+        right = [(nu, mono_order(nu), cnu) for nu, cnu in other.terms.items()]
         for mu, cmu in self.terms.items():
             omu = mono_order(mu)
-            for nu, cnu in other.terms.items():
-                if omu + mono_order(nu) > order:
+            for nu, onu, cnu in right:
+                if omu + onu > order:
                     continue
-                hit = mul_monomials(self.sig, mu, nu)
+                hit = mul_monomials(sig, mu, nu)
                 if hit is None:
                     continue
                 sign, rho = hit
-                c = cmu * cnu
-                if sign < 0:
-                    c = -c
-                out[rho] = out.get(rho, CoeffExpr.rational(0)) + c
-        return GSeries(self.sig, order, out)
+                acc.setdefault(rho, []).append((cmu, cnu, sign < 0))
+        return GSeries(sig, order, {rho: sum_of_products(ps) for rho, ps in acc.items()})
 
     __rmul__ = __mul__
 
@@ -252,22 +253,19 @@ class GSeries:
         if self.sig.is_base(name):
             return self.map_coeffs(lambda c: c.diff(name))
         iu = self.sig.formal_index(name)
-        degs = self.sig.formal_degrees()
-        du = degs[iu]
+        row = self.sig.formal_dot_parity[iu]
+        # mu -> mu - e_u is injective, so every output term comes from exactly
+        # one input term and needs no accumulation
         out = {}
         for mu, c in self.terms.items():
-            if not mu[iu]:
+            k = mu[iu]
+            if not k:
                 continue
             swaps = 0
             for b in range(iu):
-                if mu[b]:
-                    swaps += mu[b] * sum(x * y for x, y in zip(du, degs[b]))
-            sign = -1 if swaps % 2 else 1
-            coeff = c * (sign * mu[iu])
-            rho = list(mu)
-            rho[iu] -= 1
-            rho = tuple(rho)
-            out[rho] = out.get(rho, CoeffExpr.rational(0)) + coeff
+                if mu[b] and row[b]:
+                    swaps += mu[b]
+            out[mu[:iu] + (k - 1,) + mu[iu + 1 :]] = c * (-k if swaps & 1 else k)
         return GSeries(self.sig, self.order, out)
 
     # -- printing ---------------------------------------------------------
@@ -303,19 +301,3 @@ def normal_form(word, sig, order):
         else:
             out = out * factor
     return out
-
-
-def multiply(a, b):
-    return a * b
-
-
-def epsilon(a):
-    return a.epsilon()
-
-
-def j_order(a):
-    return a.j_order()
-
-
-def truncate(a, k):
-    return a.truncate(k)
