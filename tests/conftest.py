@@ -80,6 +80,33 @@ def naive_mul_monomials(sig, mu, nu):
     return sign, tuple(out)
 
 
+def naive_left_partial(s, name):
+    """Left derivative by a formal variable as a derivation of explicit words.
+
+    d(w1 ... wm) = sum over occurrences t of the variable of
+    (prod_{r < t} sign(deg u, deg w_r)) w1 ... (w_t omitted) ... wm.
+    """
+    sig = s.sig
+    iu = sig.formal_index(name)
+    du = sig.degree_of(name)
+    degs = sig.formal_degrees()
+    out = {}
+    for mu, c in s.terms.items():
+        word = word_of(mu)
+        for t, i in enumerate(word):
+            if i != iu:
+                continue
+            sign = 1
+            for j in word[:t]:
+                sign *= sign_factor(du, degs[j])
+            rho = [0] * sig.nformal
+            for j in word[:t] + word[t + 1 :]:
+                rho[j] += 1
+            rho = tuple(rho)
+            out[rho] = out.get(rho, CoeffExpr.rational(0)) + c * sign
+    return GSeries(sig, s.order, out)
+
+
 def naive_series_mul(a, b):
     """Term-by-term product through the word oracle."""
     sig = a.sig
@@ -151,15 +178,33 @@ def rand_poly(rng, base_names, max_terms=2, max_deg=2):
     return acc
 
 
-def rand_series(rng, sig, order, max_terms=4):
-    """A random series with polynomial coefficients."""
+def rand_opaque_coeff(rng, base_names):
+    """A random coefficient over opaque atoms, some nested inside others:
+    f(x), g(x, x f(x) + 1) and h[a](g(...) - f(x))."""
+    x = CoeffExpr.var(rng.choice(base_names))
+    f = CoeffExpr.app("f", [x])
+    g = CoeffExpr.app("g", [x, x * f + 1])
+    h = CoeffExpr.app("h", [g - f], alpha=(rng.randint(0, 1),))
+    atoms = [x, f, g, h]
+    acc = CoeffExpr.rational(rand_fraction(rng))
+    for _ in range(rng.randint(1, 3)):
+        term = CoeffExpr.rational(rand_fraction(rng))
+        for _ in range(rng.randint(0, 2)):
+            term = term * rng.choice(atoms)
+        acc = acc + term
+    return acc
+
+
+def rand_series(rng, sig, order, max_terms=4, coeff=rand_poly):
+    """A random series; coeff(rng, base_names) draws each coefficient
+    (polynomial by default)."""
     from z2nsuper.morphisms import enumerate_monomials
 
     monos = enumerate_monomials(sig, order)
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         mu = rng.choice(monos)
-        terms[mu] = terms.get(mu, CoeffExpr.rational(0)) + rand_poly(rng, sig.base_names)
+        terms[mu] = terms.get(mu, CoeffExpr.rational(0)) + coeff(rng, sig.base_names)
     return GSeries(sig, order, terms)
 
 

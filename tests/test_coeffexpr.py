@@ -167,3 +167,36 @@ def test_canonical_form_is_stable_under_reassociation():
     e2 = 1 + x * y + y + x
     assert e1 == e2 and e1.key() == e2.key()
     assert hash(e1) == hash(e2)
+
+
+def _swap_xy(e):
+    return e.substitute_vars({"x": y, "y": x})
+
+
+@settings(max_examples=80, deadline=None)
+@given(exprs(depth=3), exprs(depth=3))
+def test_equality_hash_and_key_agree(a, b):
+    """== holds exactly when key()s are equal, and equal expressions hash equal,
+    for pairs built by different routes."""
+    pairs = [
+        (a * b, b * a),
+        ((a + b) - b, a),
+        (a.substitute_vars({"x": x, "y": y}), a),
+        (_swap_xy(_swap_xy(a)), a),
+        (f_of(a * b), f_of(b * a)),
+        (a, b),
+        (a * b, a + b),
+    ]
+    for i, (p, q) in enumerate(pairs):
+        assert (p == q) == (p.key() == q.key())
+        if p == q:
+            assert hash(p) == hash(q)
+        elif i < 5:
+            raise AssertionError("route %d built unequal expressions" % i)
+
+
+def test_identity_substitution_returns_the_expression():
+    e = f_of(x * y) + x
+    assert e.substitute_vars({"x": x}) is e
+    assert e.substitute_vars({"x": x, "y": y * 1}) is e
+    assert e.substitute_vars({"z": y}) is e

@@ -18,8 +18,10 @@ from z2nsuper.gseries import INFINITY
 from z2nsuper.morphisms import enumerate_monomials
 
 from conftest import (
+    naive_left_partial,
     naive_mul_monomials,
     naive_series_mul,
+    rand_opaque_coeff,
     rand_series,
     rand_signature,
     sig_n1,
@@ -124,6 +126,35 @@ def test_series_multiplication_matches_oracle_randomized():
         a = rand_series(rng, sig, order)
         b = rand_series(rng, sig, order)
         assert a * b == naive_series_mul(a, b)
+
+
+def test_series_multiplication_matches_oracle_opaque_coefficients_up_to_n4():
+    rng = random.Random(17)
+    seen_n = set()
+    for _ in range(60):
+        sig = rand_signature(rng, n_max=4, q_max=5)
+        seen_n.add(sig.n)
+        order = rng.randint(1, 4)
+        a = rand_series(rng, sig, order, coeff=rand_opaque_coeff)
+        b = rand_series(rng, sig, order, coeff=rand_opaque_coeff)
+        assert a * b == naive_series_mul(a, b)
+        assert b * a == naive_series_mul(b, a)
+    assert seen_n == {1, 2, 3, 4}
+
+
+def test_left_partial_matches_word_oracle_up_to_n4():
+    rng = random.Random(18)
+    seen_n = set()
+    for _ in range(60):
+        sig = rand_signature(rng, n_max=4, q_max=5)
+        seen_n.add(sig.n)
+        order = rng.randint(1, 4)
+        s = rand_series(rng, sig, order, max_terms=6, coeff=rand_opaque_coeff)
+        # products fill in the higher monomials the random draw rarely hits
+        s = s + s * rand_series(rng, sig, order, coeff=rand_opaque_coeff)
+        for name in sig.formal_names:
+            assert s.left_partial(name) == naive_left_partial(s, name)
+    assert seen_n == {1, 2, 3, 4}
 
 
 def test_ring_laws_randomized():
