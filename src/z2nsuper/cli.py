@@ -182,7 +182,8 @@ def cmd_split(args):
 def cmd_verify(args):
     atlas = formats.parse_atlas(_read(args.atlas))
     doc = formats.parse_result(_read(args.result))
-    report = verify_result(atlas, doc.iso, doc.order)
+    report = verify_result(atlas, doc.iso, doc.order,
+                           embedding=doc.embedding, bundle_lines=doc.bundle_lines)
     _emit(str(report), args.output)
     return 0 if report.passed else 1
 
@@ -192,8 +193,6 @@ def build_parser():
         prog="z2nsuper",
         description="Symbolic engine for Z2^n-graded commutative algebra and supergeometry",
     )
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed for randomized property-test drivers")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kw):

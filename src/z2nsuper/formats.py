@@ -347,6 +347,21 @@ class ResultDoc:
         self.report_lines = report_lines
 
 
+def print_bundle(bundle):
+    """The body of a result's bundle block: matrix and base-transition lines."""
+    lines = []
+    for (u, v) in sorted(bundle.matrices):
+        per = bundle.matrices[(u, v)]
+        for d in sorted(per):
+            mat = per[d]
+            for i, row in enumerate(mat):
+                for j, e in enumerate(row):
+                    lines.append("matrix %s %s %s %d %d = %s" % (u, v, d, i, j, print_coeff(e)))
+        for bn in bundle.signature.base_names:
+            lines.append("base %s %s %s = %s" % (u, v, bn, print_coeff(bundle.base_transitions[(u, v)][bn])))
+    return "\n".join(lines)
+
+
 def print_result(result):
     """Serialize a SplittingResult: bundle, embedding, iso, report blocks."""
     sig = result.atlas.signature
@@ -355,15 +370,7 @@ def print_result(result):
     lines.append("end")
     lines.append("charts %s" % " ".join(result.atlas.charts))
     lines.append("bundle")
-    for (u, v) in sorted(result.bundle.matrices):
-        per = result.bundle.matrices[(u, v)]
-        for d in sorted(per):
-            mat = per[d]
-            for i, row in enumerate(mat):
-                for j, e in enumerate(row):
-                    lines.append("matrix %s %s %s %d %d = %s" % (u, v, d, i, j, print_coeff(e)))
-        for bn in sig.base_names:
-            lines.append("base %s %s %s = %s" % (u, v, bn, print_coeff(result.bundle.base_transitions[(u, v)][bn])))
+    lines.extend(print_bundle(result.bundle).splitlines())
     lines.append("end")
     lines.append("embedding")
     for u in result.atlas.charts:

@@ -232,7 +232,7 @@ def invert(m, base_inverse=None):
         tvars = [nm for nm in tgt.formal_names if tgt.degree_of(nm) == d]
         svars = [nm for nm in src.formal_names if src.degree_of(nm) == d]
         if len(tvars) != len(svars):
-            raise SignatureMismatch("source and target differ in degree %s count" % d)
+            raise SignatureMismatch("source and target differ in degree %s count" % (d,))
         if tvars:
             blocks[d] = (tvars, svars)
 
@@ -247,13 +247,13 @@ def invert(m, base_inverse=None):
                 q = m.images[tv].coeff_of(mu).as_rational()
                 if q is None:
                     raise SingularBlock(
-                        "linear block of degree %s is not rational; cannot invert" % d
+                        "linear block of degree %s is not rational; cannot invert" % (d,)
                     )
                 row.append(q)
             M.append(row)
         inv = _invert_rational_matrix(M)
         if inv is None:
-            raise SingularBlock("linear block of degree %s is singular" % d)
+            raise SingularBlock("linear block of degree %s is singular" % (d,))
         Minv[d] = inv
 
     def linear_guess():

@@ -15,6 +15,7 @@ The pipeline builds, order by order up to the truncation K:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 
 from .atlas import Atlas, Report, build_split_model, extract_bundle, validate_atlas
 from .coeffexpr import CoeffExpr, normalize_expr
@@ -89,12 +90,6 @@ class EmbeddingFamily:
             for u, per in self.values.items()
         }
         return EmbeddingFamily(self.atlas, values, self.order)
-
-
-def extend_embedding_chartwise(family, chart, order):
-    """The canonical order-(k+1) extension of one chart's embedding values."""
-    sig = family.atlas.signature
-    return {bn: GSeries(sig, order, s.terms) for bn, s in family.values[chart].items()}
 
 
 # -- mismatch derivations -------------------------------------------------
@@ -460,15 +455,26 @@ def verify_iso(atlas, split_atlas, iso, order, report=None):
     return report
 
 
-def verify_result(atlas, iso, order, report=None):
+def verify_result(atlas, iso, order, report=None, embedding=None, bundle_lines=None):
     """Re-check a splitting result against its atlas from the iso data alone.
 
     The embedding family and frame lifts are read off the per-chart morphisms;
     every verification is recomputed, so a corrupted correction term surfaces
-    as a localized residual.
+    as a localized residual.  When given, the result's embedding block
+    (chart -> {base var -> GSeries}) must equal the iso base images, and its
+    bundle block lines must equal those printed for the atlas's bundle.
     """
     report = Report() if report is None else report
     sig = atlas.signature
+    if embedding is not None:
+        for u in atlas.charts:
+            got = embedding.get(u, {})
+            bad = [bn for bn in sig.base_names if got.get(bn) != iso[u].images[bn]]
+            bad += sorted(set(got) - set(sig.base_names))
+            report.add("embedding block matches iso on %s" % u, not bad,
+                       "differs on %s" % bad[0] if bad else "")
+        for u in sorted(set(embedding) - set(atlas.charts)):
+            report.add("embedding block chart %s is in the atlas" % u, False)
     family = EmbeddingFamily(
         atlas,
         {u: {bn: iso[u].images[bn] for bn in sig.base_names} for u in atlas.charts},
@@ -509,6 +515,14 @@ def verify_result(atlas, iso, order, report=None):
                 break
         report.add("frame-lift consistency on (%s, %s)" % (u, v), resid is None, resid or "")
     bundle = extract_bundle(atlas)
+    if bundle_lines is not None:
+        from .formats import print_bundle
+
+        want = print_bundle(bundle).splitlines()
+        pairs = enumerate(zip_longest(bundle_lines, want))
+        bad = next((i for i, (got, exp) in pairs if got != exp), None)
+        report.add("bundle block matches the atlas", bad is None,
+                   "" if bad is None else "first difference at bundle line %d" % (bad + 1))
     split_atlas = build_split_model(
         bundle, order, triples=atlas.triples, partition=atlas.partition
     )

@@ -17,7 +17,7 @@ from z2nsuper.formats import (
 from z2nsuper.findim import quaternion_algebra
 
 from conftest import atlas_nonsplit_base_twist, atlas_split_two_charts, sig_n2
-from test_morphisms import base_shift_morphism
+from test_morphisms import base_shift_morphism, zero_xi_block_morphism
 
 
 @pytest.fixture
@@ -72,6 +72,14 @@ def test_compose_and_invert(tmp_path, capsys):
     from z2nsuper import Morphism
 
     assert c == Morphism.identity(sig_n2(), 4)
+
+
+def test_invert_singular_n2_is_an_input_error(tmp_path, capsys):
+    mfile = write(tmp_path, "m.txt", print_morphism(zero_xi_block_morphism(sig_n2(), 3)))
+    assert main(["invert", "--morphism", mfile]) == 2
+    err = capsys.readouterr().err
+    assert "error: linear block of degree 01 is singular" in err
+    assert "Traceback" not in err
 
 
 def test_jacobian_check_blocks(tmp_path, capsys):
@@ -146,6 +154,44 @@ def test_verify_rejects_corrupted_result(tmp_path, capsys):
     rfile = write(tmp_path, "bad.txt", corrupted)
     assert main(["verify", "--atlas", afile, "--result", rfile]) == 1
     assert "[FAIL]" in capsys.readouterr().out
+
+
+def _verify_edited(tmp_path, capsys, old, new):
+    """Split, replace one line of the result file, then run verify on it."""
+    atlas = atlas_nonsplit_base_twist()
+    afile = write(tmp_path, "atlas.txt", print_atlas(atlas))
+    text = print_result(split(atlas, 3))
+    lines = text.splitlines()
+    assert lines.count(old) == 1
+    lines[lines.index(old)] = new
+    rfile = write(tmp_path, "edited.txt", "\n".join(lines))
+    code = main(["verify", "--atlas", afile, "--result", rfile])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("old, new, check", [
+    ("U x = x + (g(x) - g(x)*rho_U(x)) * xi1 xi2", "U x = x",
+     "[FAIL] embedding block matches iso on U: differs on x"),
+    ("V x = x + (-g(x)*rho_U(x)) * xi1 xi2", "V x = x + (g(x)*rho_U(x)) * xi1 xi2",
+     "[FAIL] embedding block matches iso on V: differs on x"),
+    ("matrix U V 1 0 1 = 0", "matrix U V 1 0 1 = 1",
+     "[FAIL] bundle block matches the atlas: first difference at bundle line 2"),
+    ("base V U x = x", "base V U x = 2*x",
+     "[FAIL] bundle block matches the atlas: first difference at bundle line 10"),
+], ids=["embedding-U-truncated", "embedding-V-sign", "bundle-matrix", "bundle-base"])
+def test_verify_rejects_edited_embedding_and_bundle(tmp_path, capsys, old, new, check):
+    code, out = _verify_edited(tmp_path, capsys, old, new)
+    assert code == 1
+    assert check in out.splitlines()
+    # the iso blocks are untouched, so every other check still passes
+    assert sum(ln.startswith("[FAIL]") for ln in out.splitlines()) == 1
+
+
+def test_verify_reads_every_block_of_an_unedited_result(tmp_path, capsys):
+    code, out = _verify_edited(tmp_path, capsys, "charts U V", "charts U V")
+    assert code == 0
+    assert "[pass] embedding block matches iso on U" in out.splitlines()
+    assert "[pass] bundle block matches the atlas" in out.splitlines()
 
 
 def test_input_error_exit_code(tmp_path, capsys):

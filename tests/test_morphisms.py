@@ -11,6 +11,7 @@ from z2nsuper import (
     Morphism,
     MorphismError,
     Signature,
+    SignatureMismatch,
     SingularBlock,
     compose,
     enumerate_monomials,
@@ -154,6 +155,41 @@ def test_invert_singular_block(sig1):
     }
     m = Morphism(sig1, sig1, images, 3)
     with pytest.raises(SingularBlock):
+        invert(m)
+
+
+def zero_xi_block_morphism(sig, order):
+    """An n = 2 morphism whose degree-01 linear block is zero (xi -> 0)."""
+    images = {nm: GSeries.generator(sig, nm, order) for nm, _ in sig.variables()}
+    images["xi"] = GSeries.zero(sig, order)
+    return Morphism(sig, sig, images, order)
+
+
+def test_invert_singular_block_n2(sig2):
+    # Degree is a tuple; formatting it into the message must not raise TypeError
+    with pytest.raises(SingularBlock, match="degree 01 is singular"):
+        invert(zero_xi_block_morphism(sig2, 3))
+
+
+def test_invert_symbolic_block_n2(sig2):
+    images = {nm: GSeries.generator(sig2, nm, 3) for nm, _ in sig2.variables()}
+    images["eta"] = images["eta"] * CoeffExpr.var("x")
+    m = Morphism(sig2, sig2, images, 3)
+    with pytest.raises(SingularBlock, match="degree 10 is not rational"):
+        invert(m)
+
+
+def test_invert_degree_count_mismatch_n2(sig2):
+    # the target has two degree-01 variables, the source only one
+    target = Signature(2, [("x", "00"), ("y", "11"), ("xi", "01"), ("eta", "01")])
+    images = {
+        "x": GSeries.generator(sig2, "x", 3),
+        "y": GSeries.generator(sig2, "y", 3),
+        "xi": GSeries.generator(sig2, "xi", 3),
+        "eta": GSeries.generator(sig2, "xi", 3),
+    }
+    m = Morphism(sig2, target, images, 3)
+    with pytest.raises(SignatureMismatch, match="degree 01 count"):
         invert(m)
 
 
