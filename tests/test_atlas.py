@@ -69,7 +69,7 @@ def test_validate_catches_non_inverse_pair(sig1):
     report = validate_atlas(atlas)
     assert not report.passed
     bad = [c for c in report.failures() if "inverse-condition" in c.name]
-    assert bad and "xi1" in bad[0].detail
+    assert bad and bad[0].detail == "xi1: (-1/3) * xi1"
 
 
 def test_triple_cocycle_three_charts(sig1):

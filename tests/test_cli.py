@@ -16,7 +16,12 @@ from z2nsuper.formats import (
 )
 from z2nsuper.findim import quaternion_algebra
 
-from conftest import atlas_nonsplit_base_twist, atlas_split_two_charts, sig_n2
+from conftest import (
+    atlas_nonsplit_base_twist,
+    atlas_nonsplit_frame_twist,
+    atlas_split_two_charts,
+    sig_n2,
+)
 from test_morphisms import base_shift_morphism, zero_xi_block_morphism
 
 
@@ -139,6 +144,17 @@ def test_split_then_verify_round_trip(tmp_path, capsys):
     # verify accepts the split output unmodified
     assert main(["verify", "--atlas", afile, "--result", rfile]) == 0
     assert "[pass]" in capsys.readouterr().out
+
+
+def test_split_without_partition_is_an_input_error(tmp_path, capsys):
+    atlas = atlas_nonsplit_frame_twist()
+    atlas.partition = None
+    afile = write(tmp_path, "atlas.txt", print_atlas(atlas))
+    assert "partition" not in open(afile).read()
+    assert main(["split", "--atlas", afile]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a partition of unity is required")
+    assert "Traceback" not in err
 
 
 def test_verify_rejects_corrupted_result(tmp_path, capsys):

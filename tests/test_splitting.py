@@ -71,6 +71,14 @@ def test_coboundary_requires_partition():
         solve_coboundary(atlas, omegas, 2)
 
 
+def test_frame_lift_correction_requires_partition():
+    # no embedding mismatch here, so only the frame-lift correction needs rho
+    atlas = atlas_nonsplit_frame_twist()
+    atlas.partition = None
+    with pytest.raises(MissingPartition):
+        split(atlas, 3)
+
+
 def test_split_base_twist_fixture():
     atlas = atlas_nonsplit_base_twist()
     result = split(atlas, 3)
