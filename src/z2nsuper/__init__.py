@@ -43,7 +43,6 @@ from .morphisms import (
     enumerate_monomials,
     invert,
     jacobian,
-    make_morphism,
     transformation_template,
 )
 from .findim import (
@@ -90,8 +89,7 @@ __all__ = [
     "ParseError", "parse_coeff", "print_coeff",
     "GSeries", "OrderError", "SignatureMismatch", "mul_monomials", "normal_form",
     "JacobianMatrix", "Morphism", "MorphismError", "SingularBlock", "compose",
-    "enumerate_monomials", "invert", "jacobian", "make_morphism",
-    "transformation_template",
+    "enumerate_monomials", "invert", "jacobian", "transformation_template",
     "BudgetExceeded", "FinDimAlgebra", "GradingError", "check_graded_commutative",
     "clifford_algebra", "quaternion_algebra", "search_degree_assignments",
     "Atlas", "AtlasError", "GradedBundleData", "Report", "build_split_model",

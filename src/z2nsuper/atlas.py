@@ -143,6 +143,7 @@ def validate_atlas(atlas):
     """Identity, inverse, and triple-cocycle conditions modulo J^(K+1)."""
     report = Report()
     ident = Morphism.identity(atlas.signature, atlas.order)
+    names = [nm for nm, _ in atlas.signature.variables()]
     for (u, v), m in sorted(atlas.transitions.items()):
         if u == v:
             report.add("identity-transition %s%s" % (u, v), m == ident)
@@ -159,24 +160,26 @@ def validate_atlas(atlas):
             )
             continue
         c = compose(atlas.transition(v, u), atlas.transition(u, v))
-        resid = _residual(atlas, c, ident)
+        resid = first_residual(
+            (nm, atlas.reduce_series(c.images[nm] - ident.images[nm])) for nm in names
+        )
         report.add("inverse-condition %s<->%s" % (u, v), resid is None, resid or "")
     for u, v, w in atlas.triples:
         lhs = compose(atlas.transition(v, w), atlas.transition(u, v))
         rhs = atlas.transition(u, w)
-        resid = _residual(atlas, lhs, rhs)
+        resid = first_residual(
+            (nm, atlas.reduce_series(lhs.images[nm] - rhs.images[nm])) for nm in names
+        )
         report.add("triple-cocycle %s,%s,%s" % (u, v, w), resid is None, resid or "")
     return report
 
 
-def _residual(atlas, m1, m2):
-    """None when equal after partition reduction; else the first offending image."""
-    for name, _ in atlas.signature.variables():
-        diff = atlas.reduce_series(m1.images[name] - m2.images[name])
-        if not diff.is_zero():
-            from .formats import print_series
-
-            return "%s: %s" % (name, print_series(diff))
+def first_residual(named):
+    """None when every series is zero, else "name: series" for the first
+    nonzero one; named yields (name, series) pairs and is read lazily."""
+    for name, s in named:
+        if not s.is_zero():
+            return "%s: %s" % (name, s)
     return None
 
 

@@ -186,8 +186,7 @@ def print_coeff(e):
     from .coeffexpr import _mono_key
 
     pieces = []
-    for mono in sorted(e.terms(), key=_mono_key):
-        coeff = e.terms()[mono]
+    for mono, coeff in sorted(e.terms().items(), key=lambda t: _mono_key(t[0])):
         factors = []
         for atom, power in mono:
             s = _atom_str(atom)

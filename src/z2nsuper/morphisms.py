@@ -44,6 +44,42 @@ def enumerate_monomials(sig, max_order, degree=None):
     return out
 
 
+def taylor(expr, sig, order, amap, shifts):
+    """Taylor-expand a coefficient function around shifted base coordinates.
+
+    The sum over multi-indices a of (d^a expr)(amap) * shifts^a / a!, where
+    shifts maps base coordinate names to GSeries over sig with j_order >= 1
+    (so the sum is finite) and amap substitutes the differentiated
+    coordinates ({} keeps them).
+    """
+    base = list(shifts)
+    result = GSeries.zero(sig, order)
+
+    def rec(i, deriv, prod, fact):
+        nonlocal result
+        if deriv.is_zero() or prod.is_zero():
+            return
+        if i == len(base):
+            coeff = deriv.substitute_vars(amap) * Fraction(1, fact)
+            result = result + prod * coeff
+            return
+        bn = base[i]
+        k = 0
+        while True:
+            rec(i + 1, deriv, prod, fact)
+            k += 1
+            prod = prod * shifts[bn]
+            if prod.is_zero():
+                break
+            deriv = deriv.diff(bn)
+            if deriv.is_zero():
+                break
+            fact = fact * k
+
+    rec(0, normalize_expr(expr), GSeries.one(sig, order), 1)
+    return result
+
+
 class Morphism:
     """A degree-preserving superdomain morphism given by target-variable images."""
 
@@ -120,7 +156,6 @@ class Morphism:
         Substitutes the base map and Taylor-expands in the j_order >= 1 part
         of the degree-0 images; finite because of truncation.
         """
-        c = normalize_expr(c)
         order = self.order if order is None else min(order, self.order)
         base = self.target.base_names
         amap = {bn: self.images[bn].epsilon() for bn in base}
@@ -128,30 +163,7 @@ class Morphism:
             bn: (self.images[bn] - GSeries.from_coeff(self.source, self.order, amap[bn])).truncate(order)
             for bn in base
         }
-        result = [GSeries.zero(self.source, order)]
-
-        def rec(i, deriv, prod, fact):
-            if deriv.is_zero() or prod.is_zero():
-                return
-            if i == len(base):
-                coeff = deriv.substitute_vars(amap) * Fraction(1, fact)
-                result[0] = result[0] + prod * coeff
-                return
-            bn = base[i]
-            k = 0
-            while True:
-                rec(i + 1, deriv, prod, fact)
-                k += 1
-                prod = prod * nil[bn]
-                if prod.is_zero():
-                    break
-                deriv = deriv.diff(bn)
-                if deriv.is_zero():
-                    break
-                fact = fact * k
-
-        rec(0, c, GSeries.one(self.source, order), 1)
-        return result[0]
+        return taylor(c, self.source, order, amap, nil)
 
     def pullback(self, f):
         """Pull back a series over the target to a series over the source."""
@@ -172,10 +184,6 @@ class Morphism:
                 part = part * powers[key]
             out = out + part
         return out
-
-
-def make_morphism(source, target, images, order):
-    return Morphism(source, target, images, order)
 
 
 def compose(m2, m1):
@@ -292,7 +300,7 @@ def invert(m, base_inverse=None):
         # base coordinates: b_i evaluated at (x' - psi*(n_i)) via Taylor shift
         shift = {tn: -psi.pullback(h_base[tn]) for tn in tgt.base_names}
         for sn in src.base_names:
-            images[sn] = _taylor_shift(base_inverse[sn], tgt, shift, K)
+            images[sn] = taylor(base_inverse[sn], tgt, K, {}, shift)
         for d, (tvars, svars) in blocks.items():
             inv = Minv[d]
             rhs = {}
@@ -309,37 +317,6 @@ def invert(m, base_inverse=None):
             break
         psi = new_psi
     return psi
-
-
-def _taylor_shift(expr, sig, shifts, order):
-    """Evaluate a coefficient expression at identity-plus-shift arguments.
-
-    shifts: base coordinate name -> GSeries over sig with j_order >= 1.
-    """
-    base = list(shifts)
-    result = [GSeries.zero(sig, order)]
-
-    def rec(i, deriv, prod, fact):
-        if deriv.is_zero() or prod.is_zero():
-            return
-        if i == len(base):
-            result[0] = result[0] + prod * (deriv * Fraction(1, fact))
-            return
-        bn = base[i]
-        k = 0
-        while True:
-            rec(i + 1, deriv, prod, fact)
-            k += 1
-            prod = prod * shifts[bn]
-            if prod.is_zero():
-                break
-            deriv = deriv.diff(bn)
-            if deriv.is_zero():
-                break
-            fact = fact * k
-
-    rec(0, normalize_expr(expr), GSeries.one(sig, order), 1)
-    return result[0]
 
 
 # -- Jacobian -------------------------------------------------------------

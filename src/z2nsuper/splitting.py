@@ -3,13 +3,18 @@
 The pipeline builds, order by order up to the truncation K:
 
   1. an embedding of the smooth functions into the structure algebra,
-     chartwise, repairing overlap mismatches (which are derivations of pure
-     order k+1) by a Cech coboundary correction with the partition of unity;
+     chartwise;
   2. a lift of the degree-shifted frame (a right inverse of J -> J/J^2 as
-     modules over the embedded smooth functions), by the same order-raising
-     scheme;
+     modules over the embedded smooth functions);
   3. the per-chart isomorphism onto the split model assembled from the two,
      together with a verification report.
+
+Stages 1 and 2 run one order-raising Cech step, `_raise_order`, with their
+own overlap mismatch (`cocycle_mismatch`, `lift_mismatch`).  At order k the
+chart values, truncated to order k, agree on overlaps below order k, so the
+mismatch on each ordered pair is pure order k: a Cech 1-cocycle, which the
+partition of unity makes a coboundary (eta_U = -sum_W rho_W omega_UW).
+Adding eta to the values makes them agree on overlaps up to order k.
 """
 
 from __future__ import annotations
@@ -17,9 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 
-from .atlas import Atlas, Report, build_split_model, extract_bundle, validate_atlas
+from .atlas import Report, build_split_model, extract_bundle, first_residual, validate_atlas
 from .coeffexpr import CoeffExpr, normalize_expr
-from .degrees import enumerate_nonzero_degrees
 from .gseries import GSeries, mono_order
 from .morphisms import Morphism, compose
 
@@ -76,62 +80,61 @@ class EmbeddingFamily:
         Raising the order is the canonical extension of the underlying
         morphisms (values are reused verbatim); lowering truncates.
         """
-        sig = self.atlas.signature
-        values = {
-            u: {bn: GSeries(sig, order, s.terms) for bn, s in per.items()}
-            for u, per in self.values.items()
-        }
-        return EmbeddingFamily(self.atlas, values, order)
+        return EmbeddingFamily(self.atlas, _at_order(self.atlas, self.values, order), order)
 
-    def corrected(self, eta):
-        """Add a 0-cochain of pure-order derivation values to the chart values."""
-        values = {
-            u: {bn: s + eta[u][bn] if u in eta else s for bn, s in per.items()}
-            for u, per in self.values.items()
-        }
-        return EmbeddingFamily(self.atlas, values, self.order)
+
+def _at_order(atlas, values, order):
+    """Chart values chart -> {var -> GSeries} reinterpreted at `order`."""
+    return {
+        u: {nm: GSeries(atlas.signature, order, s.terms) for nm, s in per.items()}
+        for u, per in values.items()
+    }
 
 
 # -- mismatch derivations -------------------------------------------------
 
 
-def mismatch_on(family, pair, expr, order=None):
-    """phi_U(f) minus the transported phi_V(f) on an overlap, for a
-    coefficient function f written in U coordinates."""
+def embedding_mismatch(family, pair):
+    """phi_U(x) minus the transported phi_V(x) on an overlap, per base
+    coordinate x of U, at the family's order.
+
+    Returns {base var -> GSeries over chart U}, the values of the degree-0
+    derivation omega_UV.
+    """
     atlas = family.atlas
+    order = family.order
     u, v = pair
-    order = family.order if order is None else order
     t_uv = atlas.transition(u, v)
-    t_vu = atlas.transition(v, u)
-    base_vu = t_vu.base_map()  # U base coordinates as functions of V
-    expr = normalize_expr(expr)
-    in_v = expr.substitute_vars(base_vu)
-    left = family.apply(u, expr).truncate(order)
-    right = t_uv.pullback(family.apply(v, in_v)).truncate(order)
-    return atlas.reduce_series(left - right)
+    base_vu = atlas.transition(v, u).base_map()  # U base coordinates as functions of V
+    out = {}
+    for bn in atlas.signature.base_names:
+        left = family.apply(u, CoeffExpr.var(bn)).truncate(order)
+        right = t_uv.pullback(family.apply(v, base_vu[bn])).truncate(order)
+        out[bn] = atlas.reduce_series(left - right)
+    return out
+
+
+def _pure_order(mismatch, sig, pair, order, what):
+    """The mismatch itself, after checking that each variable's value is pure
+    order `order` and homogeneous of the variable's degree."""
+    for name, d in mismatch.items():
+        if any(mono_order(mu) < order for mu in d.terms):
+            raise SplittingError(
+                "%s mismatch on %s for pair %s has terms below order %d; "
+                "input is inconsistent" % (what, name, pair, order)
+            )
+        if not d.is_homogeneous(sig.degree_of(name)):
+            raise SplittingError(
+                "%s mismatch on %s for pair %s is not of degree %s"
+                % (what, name, pair, sig.degree_of(name))
+            )
+    return mismatch
 
 
 def cocycle_mismatch(family, pair, order):
-    """The overlap mismatch on the base coordinates; must be pure order k+1.
-
-    Returns {base var -> GSeries over chart U}, the values of the degree-0
-    derivation omega_{k+1,UV}.
-    """
-    atlas = family.atlas
-    sig = atlas.signature
-    out = {}
-    for bn in sig.base_names:
-        d = mismatch_on(family, pair, CoeffExpr.var(bn), order)
-        low = GSeries(sig, order, {mu: c for mu, c in d.terms.items() if mono_order(mu) < order})
-        if not low.is_zero():
-            raise SplittingError(
-                "mismatch on %s for pair %s has terms below order %d; "
-                "input family is inconsistent" % (bn, pair, order)
-            )
-        if not d.is_homogeneous(sig.degree_of(bn)):
-            raise SplittingError("mismatch on %s for pair %s is not degree 0" % (bn, pair))
-        out[bn] = d
-    return out
+    """The embedding mismatch on an overlap; must be pure order `order`."""
+    return _pure_order(embedding_mismatch(family, pair), family.atlas.signature,
+                       pair, order, "embedding")
 
 
 def transport_derivation(atlas, u, v, omega_v, order):
@@ -160,17 +163,19 @@ def transport_derivation(atlas, u, v, omega_v, order):
 def solve_coboundary(atlas, omegas, order):
     """A 0-cochain eta with (delta eta) = omega, via the partition of unity.
 
-    omegas: ordered pair -> {base var -> GSeries}, expressed on the first
-    chart of each pair.  eta_U = -sum_W rho_W omega_UW.
+    omegas: ordered pair -> {var -> GSeries}, expressed on the first chart of
+    each pair, with the same variables for every pair.
+    eta_U = -sum_W rho_W omega_UW.
     """
     if not atlas.partition:
         raise MissingPartition(
             "a partition of unity is required to trivialize the overlap cocycle"
         )
     sig = atlas.signature
+    names = list(next(iter(omegas.values()), {}))
     etas = {}
     for u in atlas.charts:
-        acc = {bn: GSeries.zero(sig, order) for bn in sig.base_names}
+        acc = {nm: GSeries.zero(sig, order) for nm in names}
         for w in atlas.charts:
             if w == u:
                 continue
@@ -181,9 +186,9 @@ def solve_coboundary(atlas, omegas, order):
                     "or a zero cocycle for it" % (u, w)
                 )
             om = omegas[(u, w)]
-            for bn in sig.base_names:
-                acc[bn] = acc[bn] - om[bn] * rho
-        etas[u] = {bn: atlas.reduce_series(s) for bn, s in acc.items()}
+            for nm in names:
+                acc[nm] = acc[nm] - om[nm] * rho
+        etas[u] = {nm: atlas.reduce_series(s) for nm, s in acc.items()}
     return etas
 
 
@@ -226,35 +231,71 @@ def check_coboundary(atlas, omegas, etas, order, report, tag):
         report.add("%s coboundary %s%s" % (tag, u, v), ok)
 
 
+# -- the order-raising Cech step ------------------------------------------
+
+
+def _vanishes(cochain):
+    return all(s.is_zero() for per in cochain.values() for s in per.values())
+
+
+def _raise_order(atlas, values, order, mismatch, report, tag, check=None):
+    """One order-raising Cech step.
+
+    values: chart -> {var -> GSeries}, consistent on overlaps below `order`;
+    they are re-truncated to `order`.  mismatch(values, pair) gives the
+    overlap mismatch {var -> GSeries}, pure order `order`.  Returns the values
+    corrected by the coboundary of the mismatch cocycle.  check(omegas, etas),
+    when given, records further checks on the cocycle and its coboundary.
+    """
+    values = _at_order(atlas, values, order)
+    pairs = [(u, v) for (u, v) in atlas.transitions if u != v]
+    if not pairs:
+        return values
+    omegas = {pair: mismatch(values, pair) for pair in pairs}
+    if _vanishes(omegas):
+        report.add("%s: no mismatch" % tag, True)
+        return values
+    etas = solve_coboundary(atlas, omegas, order)
+    if check is not None:
+        check(omegas, etas)
+    values = {
+        u: {nm: s + etas[u][nm] for nm, s in per.items()} for u, per in values.items()
+    }
+    residual = {pair: mismatch(values, pair) for pair in pairs}
+    report.add("%s: consistency after correction" % tag, _vanishes(residual))
+    return values
+
+
+def _check_augmentation(family, report):
+    """epsilon o phi = id on every chart."""
+    for u in family.atlas.charts:
+        ok = all(
+            family.values[u][bn].epsilon() == CoeffExpr.var(bn)
+            for bn in family.atlas.signature.base_names
+        )
+        report.add("epsilon o phi = id on %s" % u, ok)
+
+
 # -- stage 1: the base embedding ------------------------------------------
 
 
 def build_base_embedding(atlas, order, report=None):
-    """Iterate extend -> mismatch -> coboundary correction up to the order."""
+    """The embedding family, raised order by order with the Cech step."""
     report = Report() if report is None else report
     family = EmbeddingFamily.identity(atlas, 1)
-    pairs = [(u, v) for (u, v) in atlas.transitions if u != v]
-    for k in range(1, order):
-        family = family.at_order(k + 1)
-        if not pairs:
-            continue
-        omegas = {pair: cocycle_mismatch(family, pair, k + 1) for pair in pairs}
-        if all(all(s.is_zero() for s in om.values()) for om in omegas.values()):
-            report.add("embedding order %d: no mismatch" % (k + 1), True)
-            continue
-        check_cocycle(atlas, omegas, k + 1, report, "embedding order %d" % (k + 1))
-        etas = solve_coboundary(atlas, omegas, k + 1)
-        check_coboundary(atlas, omegas, etas, k + 1, report, "embedding order %d" % (k + 1))
-        family = family.corrected(etas)
-        residual = {pair: cocycle_mismatch(family, pair, k + 1) for pair in pairs}
-        ok = all(all(s.is_zero() for s in om.values()) for om in residual.values())
-        report.add("embedding order %d: consistency after correction" % (k + 1), ok)
-    for u in atlas.charts:
-        sig = atlas.signature
-        ok = all(
-            family.values[u][bn].epsilon() == CoeffExpr.var(bn) for bn in sig.base_names
-        )
-        report.add("epsilon o phi = id on %s" % u, ok)
+    for k in range(2, order + 1):
+        tag = "embedding order %d" % k
+
+        def mismatch(values, pair):
+            return cocycle_mismatch(EmbeddingFamily(atlas, values, k), pair, k)
+
+        def check(omegas, etas):
+            check_cocycle(atlas, omegas, k, report, tag)
+            check_coboundary(atlas, omegas, etas, k, report, tag)
+
+        values = _raise_order(atlas, family.values, k, mismatch, report, tag, check)
+        family = EmbeddingFamily(atlas, values, k)
+    _check_augmentation(family, report)
     return family, report
 
 
@@ -282,69 +323,46 @@ def frame_matrix(atlas, u, v):
     return out
 
 
-def lift_mismatch(atlas, family, lifts, pair, order):
+def frame_mismatch(family, lifts, pair):
     """Per U formal variable: lift_U(xi_a) minus the transported V-side lift
-    of the same frame section; pure order `order`, homogeneous."""
+    of the same frame section, at the family's order."""
+    atlas = family.atlas
     sig = atlas.signature
+    order = family.order
     u, v = pair
     t_uv = atlas.transition(u, v)
     rows = frame_matrix(atlas, u, v)
     out = {}
     for fa in sig.formal_names:
-        acc = GSeries.zero(sig, family.order)
+        acc = GSeries.zero(sig, order)
         for fb, h in rows[fa]:
             acc = acc + lifts[v][fb] * family.apply(v, h)
-        transported = t_uv.pullback(acc).truncate(family.order)
-        d = atlas.reduce_series(lifts[u][fa] - transported)
-        low = GSeries(sig, family.order,
-                      {mu: c for mu, c in d.terms.items() if mono_order(mu) < order})
-        if not low.is_zero():
-            raise SplittingError(
-                "frame-lift mismatch on %s for pair %s below order %d" % (fa, pair, order)
-            )
-        out[fa] = d.slice_order(order)
+        out[fa] = atlas.reduce_series(lifts[u][fa] - t_uv.pullback(acc).truncate(order))
     return out
 
 
+def lift_mismatch(family, lifts, pair, order):
+    """The frame-lift mismatch on an overlap; must be pure order `order`."""
+    return _pure_order(frame_mismatch(family, lifts, pair), family.atlas.signature,
+                       pair, order, "frame-lift")
+
+
 def build_module_splitting(atlas, family, order, report=None):
-    """A right inverse of J -> J/J^2 on the chart frames, corrected order by
-    order with the partition of unity."""
+    """A right inverse of J -> J/J^2 on the chart frames, raised order by
+    order with the Cech step."""
     report = Report() if report is None else report
     sig = atlas.signature
     lifts = {
         u: {fa: GSeries.generator(sig, fa, order) for fa in sig.formal_names}
         for u in atlas.charts
     }
-    pairs = [(u, v) for (u, v) in atlas.transitions if u != v]
-    for k in range(1, order):
-        if not pairs:
-            break
-        mism = {pair: lift_mismatch(atlas, family, lifts, pair, k + 1) for pair in pairs}
-        if all(all(s.is_zero() for s in mm.values()) for mm in mism.values()):
-            report.add("frame lift order %d: no mismatch" % (k + 1), True)
-            continue
-        if not atlas.partition:
-            raise MissingPartition(
-                "a partition of unity is required to correct the frame lift"
-            )
-        for u in atlas.charts:
-            for w in atlas.charts:
-                if w == u:
-                    continue
-                if (u, w) not in mism:
-                    raise SplittingError(
-                        "no frame-lift mismatch data for pair (%s, %s)" % (u, w)
-                    )
-                rho = atlas.partition[w]
-                for fa in sig.formal_names:
-                    lifts[u][fa] = lifts[u][fa] - mism[(u, w)][fa] * rho
-        lifts = {
-            u: {fa: atlas.reduce_series(s) for fa, s in per.items()}
-            for u, per in lifts.items()
-        }
-        resid = {pair: lift_mismatch(atlas, family, lifts, pair, k + 1) for pair in pairs}
-        ok = all(all(s.is_zero() for s in mm.values()) for mm in resid.values())
-        report.add("frame lift order %d: consistency after correction" % (k + 1), ok)
+    for k in range(2, order + 1):
+        family_k = family.at_order(k)
+
+        def mismatch(values, pair):
+            return lift_mismatch(family_k, values, pair, k)
+
+        lifts = _raise_order(atlas, lifts, k, mismatch, report, "frame lift order %d" % k)
     for u in atlas.charts:
         ok = True
         for fa in sig.formal_names:
@@ -430,14 +448,10 @@ def verify_iso(atlas, split_atlas, iso, order, report=None):
         # the overlap square must agree
         lhs = compose(split_atlas.transition(u, v), iso[u])
         rhs = compose(iso[v], atlas.transition(u, v))
-        resid = None
-        for nm, _ in sig.variables():
-            d = atlas.reduce_series(lhs.images[nm] - rhs.images[nm])
-            if not d.is_zero():
-                from .formats import print_series
-
-                resid = "%s: %s" % (nm, print_series(d))
-                break
+        resid = first_residual(
+            (nm, atlas.reduce_series(lhs.images[nm] - rhs.images[nm]))
+            for nm, _ in sig.variables()
+        )
         report.add("iso intertwines transitions on (%s, %s)" % (u, v),
                    resid is None, resid or "")
     # the split side is in block-diagonal normal form by construction; assert
@@ -483,36 +497,13 @@ def verify_result(atlas, iso, order, report=None, embedding=None, bundle_lines=N
     lifts = {
         u: {fa: iso[u].images[fa] for fa in sig.formal_names} for u in atlas.charts
     }
-    for u in atlas.charts:
-        ok = all(
-            family.values[u][bn].epsilon() == CoeffExpr.var(bn) for bn in sig.base_names
-        )
-        report.add("epsilon o phi = id on %s" % u, ok)
+    _check_augmentation(family, report)
     for (u, v) in atlas.transitions:
         if u == v:
             continue
-        resid = None
-        for bn in sig.base_names:
-            d = mismatch_on(family, (u, v), CoeffExpr.var(bn))
-            if not d.is_zero():
-                from .formats import print_series
-
-                resid = "%s: %s" % (bn, print_series(d))
-                break
+        resid = first_residual(embedding_mismatch(family, (u, v)).items())
         report.add("embedding consistency on (%s, %s)" % (u, v), resid is None, resid or "")
-        rows = frame_matrix(atlas, u, v)
-        t_uv = atlas.transition(u, v)
-        resid = None
-        for fa in sig.formal_names:
-            acc = GSeries.zero(sig, order)
-            for fb, h in rows[fa]:
-                acc = acc + lifts[v][fb] * family.apply(v, h)
-            d = atlas.reduce_series(lifts[u][fa] - t_uv.pullback(acc).truncate(order))
-            if not d.is_zero():
-                from .formats import print_series
-
-                resid = "%s: %s" % (fa, print_series(d))
-                break
+        resid = first_residual(frame_mismatch(family, lifts, (u, v)).items())
         report.add("frame-lift consistency on (%s, %s)" % (u, v), resid is None, resid or "")
     bundle = extract_bundle(atlas)
     if bundle_lines is not None:

@@ -1,7 +1,9 @@
 """Byte-level golden outputs of `split` and `verify` on the splitting fixtures.
 
 The files under tests/golden were written by the CLI itself; any change to a
-result file or to a report line (names, order, residual text) shows here.
+result file or to a report line (names, order, residual text) shows here.  An
+intended output change rewrites them from `run_split_verify` and
+`verify_corrupted`.
 """
 
 from pathlib import Path

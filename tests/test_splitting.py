@@ -56,7 +56,10 @@ def test_coboundary_solves_the_base_twist():
     pairs = [("U", "V"), ("V", "U")]
     omegas = {p: cocycle_mismatch(family, p, 2) for p in pairs}
     etas = solve_coboundary(atlas, omegas, 2)
-    corrected = family.corrected(etas)
+    corrected = EmbeddingFamily(atlas, {
+        u: {bn: s + etas[u][bn] for bn, s in per.items()}
+        for u, per in family.values.items()
+    }, 2)
     for p in pairs:
         resid = cocycle_mismatch(corrected, p, 2)
         assert all(s.is_zero() for s in resid.values())
