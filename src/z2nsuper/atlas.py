@@ -11,11 +11,9 @@ declared to be 1 and enforced by eagerly rewriting one chosen symbol.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .coeffexpr import CoeffExpr, normalize_expr
-from .degrees import Degree, Signature, enumerate_nonzero_degrees
-from .gseries import GSeries, mono_order
+from .degrees import enumerate_nonzero_degrees
+from .gseries import GSeries
 from .morphisms import Morphism, compose
 
 

@@ -117,13 +117,7 @@ def cmd_template(args):
     lines = []
     for name, _ in sig.variables():
         for mu in shapes[name]:
-            factors = []
-            for fn, k in zip(sig.formal_names, mu):
-                if k == 1:
-                    factors.append(fn)
-                elif k > 1:
-                    factors.append("%s^%d" % (fn, k))
-            lines.append("shape %s = %s" % (name, " ".join(factors) if factors else "1"))
+            lines.append("shape %s = %s" % (name, formats.print_monomial(sig, mu)))
     lines.append("")
     lines.append(formats.print_morphism(m))
     _emit("\n".join(lines), args.output)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .coeffexpr import App, CoeffExpr, Var
+from .coeffexpr import CoeffExpr, Var
 
 
 class ParseError(ValueError):
@@ -30,7 +30,6 @@ class Tokenizer:
 
     def __init__(self, text):
         self.text = text
-        self.pos = 0
         self.tokens = []
         pos = 0
         while pos < len(text):
@@ -48,9 +47,9 @@ class Tokenizer:
             pos = m.end()
         self.i = 0
 
-    def peek(self):
-        if self.i < len(self.tokens):
-            return self.tokens[self.i]
+    def peek(self, ahead=0):
+        if self.i + ahead < len(self.tokens):
+            return self.tokens[self.i + ahead]
         return ("eof", "", len(self.text))
 
     def next(self):
@@ -73,39 +72,41 @@ class Tokenizer:
 
 
 def parse_coeff(text):
+    return _parse_all(text, _parse_factor)
+
+
+def _parse_all(text, factor):
+    """Parse all of `text` as sums of products of `factor(tz)` values."""
     tz = Tokenizer(text)
-    e = _parse_expr(tz)
+    e = _parse_expr(tz, factor)
     if not tz.done():
         tok = tz.peek()
         raise ParseError("trailing input %r" % tok[1], tok[2])
     return e
 
 
-def _parse_expr(tz):
-    e = _parse_term(tz)
+def _parse_expr(tz, factor):
+    e = _parse_term(tz, factor)
     while tz.at_sym("+") or tz.at_sym("-"):
         op = tz.next()[1]
-        t = _parse_term(tz)
+        t = _parse_term(tz, factor)
         e = e + t if op == "+" else e - t
     return e
 
 
-def _parse_term(tz):
+def _parse_term(tz, factor):
     sign = 1
     while tz.at_sym("-"):
         tz.next()
         sign = -sign
-    e = _parse_factor(tz)
+    e = factor(tz)
     while True:
+        tok = tz.peek()
         if tz.at_sym("*"):
             tz.next()
-            e = e * _parse_factor(tz)
-        else:
-            tok = tz.peek()
-            if tok[0] in ("num", "name") or (tok[0] == "sym" and tok[1] == "("):
-                e = e * _parse_factor(tz)
-            else:
-                break
+        elif not (tok[0] in ("num", "name") or (tok[0] == "sym" and tok[1] == "(")):
+            break
+        e = e * factor(tz)
     return e * sign
 
 
@@ -125,6 +126,8 @@ def _parse_atom(tz):
         if tz.at_sym("/"):
             tz.next()
             den = int(tz.expect("num")[1])
+            if den == 0:
+                raise ParseError("zero denominator in %d/0" % num, tok[2])
             return CoeffExpr.rational(Fraction(num, den))
         return CoeffExpr.rational(num)
     if tok[0] == "name":
@@ -138,10 +141,10 @@ def _parse_atom(tz):
             tz.expect("sym", "]")
         if tz.at_sym("("):
             tz.next()
-            args = [_parse_expr(tz)]
+            args = [_parse_expr(tz, _parse_factor)]
             while tz.at_sym(","):
                 tz.next()
-                args.append(_parse_expr(tz))
+                args.append(_parse_expr(tz, _parse_factor))
             tz.expect("sym", ")")
             if alpha is not None and len(alpha) != len(args):
                 raise ParseError(
@@ -154,7 +157,7 @@ def _parse_atom(tz):
             raise ParseError("derivative index without argument list", tok[2])
         return CoeffExpr.var(tok[1])
     if tok[0] == "sym" and tok[1] == "(":
-        e = _parse_expr(tz)
+        e = _parse_expr(tz, _parse_factor)
         tz.expect("sym", ")")
         return e
     raise ParseError("unexpected token %r" % tok[1], tok[2])

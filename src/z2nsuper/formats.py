@@ -3,6 +3,26 @@
 All formats are line oriented, print canonically, and round-trip bit-exactly
 on canonical forms.  Degrees appear verbatim as bit strings ("011"); series
 terms are `coeff * var^k var^k ...` joined by `+`.
+
+Every format is read by one grammar (`_sections`).  A file is a sequence of
+header lines: a keyword and a fixed number of whitespace-separated fields.
+
+    n N            var NAME DEGREE    order K           pair U V
+    triple U V W   unit LABEL         c A B C Q         basis LABEL ...
+    charts U ...
+
+A block header opens a block that runs to a line reading `end`:
+
+    source, target, signature   `n` and `var` lines
+    images, transition U V,     rows `name = series`
+      iso U
+    partition                   rows `chart = coefficient`
+    embedding                   rows `chart name = series`
+    bundle, report              data lines, kept as written
+
+Blank lines and lines starting with `#` are ignored everywhere, inside
+blocks too.  Unknown keywords, wrong field counts, blocks with no `end`,
+rows without their `=` and repeated rows raise `ParseError`.
 """
 
 from __future__ import annotations
@@ -12,37 +32,102 @@ from fractions import Fraction
 from . import exprio
 from .coeffexpr import CoeffExpr
 from .degrees import Degree, Signature
-from .exprio import ParseError, Tokenizer, parse_coeff, print_coeff
+from .exprio import ParseError, _frac_str, parse_coeff, print_coeff
 from .gseries import GSeries, mono_order
 from .morphisms import Morphism
+
+# keyword -> (number of fields, opens a block); None takes any number
+_HEADERS = {
+    "n": (1, False),
+    "var": (2, False),
+    "order": (1, False),
+    "pair": (2, False),
+    "triple": (3, False),
+    "unit": (1, False),
+    "c": (4, False),
+    "basis": (None, False),
+    "charts": (None, False),
+    "source": (0, True),
+    "target": (0, True),
+    "signature": (0, True),
+    "images": (0, True),
+    "transition": (2, True),
+    "iso": (1, True),
+    "partition": (0, True),
+    "embedding": (0, True),
+    "bundle": (0, True),
+    "report": (0, True),
+}
+
+
+def _sections(lines, allowed, what):
+    """Yield (keyword, fields, body) for each header line of a `what` file.
+
+    `allowed` holds the keywords of the format.  The body of a block is its
+    list of stripped lines up to `end`; a one-line header has an empty body.
+    """
+    rows = iter([ln for ln in map(str.strip, lines) if ln and not ln.startswith("#")])
+    for ln in rows:
+        kw, *fields = ln.split()
+        if kw not in allowed:
+            raise ParseError("unexpected %s line: %r" % (what, ln), 0)
+        count, opens_block = _HEADERS[kw]
+        if count is not None and len(fields) != count:
+            raise ParseError("`%s` takes %d field%s, got %r"
+                             % (kw, count, "" if count == 1 else "s", ln), 0)
+        body = []
+        if opens_block:
+            for row in rows:
+                if row == "end":
+                    break
+                body.append(row)
+            else:
+                raise ParseError("%s block `%s` has no `end`" % (what, ln), 0)
+        yield kw, fields, body
+
+
+def _rows(body, form):
+    """(left-hand names, right-hand text) of each `form = ...` row of a block;
+    no two rows of a block have the same left-hand side."""
+    seen = set()
+    for row in body:
+        lhs, eq, rhs = row.partition("=")
+        names = tuple(lhs.split())
+        if not eq or len(names) != len(form.split()) or names in seen:
+            raise ParseError("expected a `%s = ...` row for a new %s, got %r" % (form, form, row), 0)
+        seen.add(names)
+        yield names, rhs.strip()
+
+
+def _block(header, rows):
+    """A block as printed: its header line, its rows and `end`."""
+    return [header, *rows, "end"]
+
+
+def _after(kw, *header):
+    """A `kw` block is parsed over header values that must come before it."""
+    if any(value is None for value in header):
+        raise ParseError("%s block before the header lines it needs" % kw, 0)
 
 
 # -- signatures -----------------------------------------------------------
 
 
-def print_signature(sig, indent=""):
-    lines = ["%sn %d" % (indent, sig.n)]
+def print_signature(sig):
+    lines = ["n %d" % sig.n]
     for name, deg in sig.variables():
-        lines.append("%svar %s %s" % (indent, name, deg))
+        lines.append("var %s %s" % (name, deg))
     return "\n".join(lines)
 
 
 def parse_signature_lines(lines):
     n = None
     variables = []
-    for ln in lines:
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        parts = ln.split()
-        if parts[0] == "n":
-            n = int(parts[1])
-        elif parts[0] == "var":
-            if len(parts) != 3:
-                raise ParseError("bad var line: %r" % ln, 0)
-            variables.append((parts[1], Degree.parse(parts[2])))
+    for kw, fields, _ in _sections(lines, ("n", "var"), "signature"):
+        if kw == "n":
+            n = int(fields[0])
         else:
-            raise ParseError("unexpected signature line: %r" % ln, 0)
+            variables.append((fields[0], Degree.parse(fields[1])))
     if n is None:
         raise ParseError("signature is missing its `n` line", 0)
     return Signature(n, variables)
@@ -57,45 +142,13 @@ def parse_signature(text):
 
 def parse_series(text, sig, order):
     """Parse the series literal syntax over a known signature."""
-    tz = Tokenizer(text)
-    out = _parse_series_expr(tz, sig, order)
-    if not tz.done():
-        tok = tz.peek()
-        raise ParseError("trailing input %r" % tok[1], tok[2])
-    return out
-
-
-def _parse_series_expr(tz, sig, order):
-    acc = _parse_series_term(tz, sig, order)
-    while tz.at_sym("+") or tz.at_sym("-"):
-        op = tz.next()[1]
-        t = _parse_series_term(tz, sig, order)
-        acc = acc + t if op == "+" else acc - t
-    return acc
-
-
-def _parse_series_term(tz, sig, order):
-    sign = 1
-    while tz.at_sym("-"):
-        tz.next()
-        sign = -sign
-    acc = _parse_series_factor(tz, sig, order)
-    while True:
-        if tz.at_sym("*"):
-            tz.next()
-            acc = acc * _parse_series_factor(tz, sig, order)
-            continue
-        tok = tz.peek()
-        if tok[0] in ("num", "name") or (tok[0] == "sym" and tok[1] == "("):
-            acc = acc * _parse_series_factor(tz, sig, order)
-            continue
-        break
-    return acc * sign
+    return exprio._parse_all(text, lambda tz: _parse_series_factor(tz, sig, order))
 
 
 def _parse_series_factor(tz, sig, order):
     tok = tz.peek()
-    if tok[0] == "name" and tok[1] in sig.formal_names and not _looks_like_app(tz):
+    # a formal variable, unless the name opens an application `f(...)`, `f[1](...)`
+    if tok[0] == "name" and tok[1] in sig.formal_names and tz.peek(1)[1] not in ("(", "["):
         tz.next()
         k = 1
         if tz.at_sym("^"):
@@ -106,9 +159,15 @@ def _parse_series_factor(tz, sig, order):
     return GSeries.from_coeff(sig, order, e)
 
 
-def _looks_like_app(tz):
-    nxt = tz.tokens[tz.i + 1] if tz.i + 1 < len(tz.tokens) else None
-    return nxt is not None and nxt[0] == "sym" and nxt[1] in ("(", "[")
+def print_monomial(sig, mu):
+    """The formal-variable product `xi eta^2` of an exponent vector; `1` if empty."""
+    factors = []
+    for name, k in zip(sig.formal_names, mu):
+        if k == 1:
+            factors.append(name)
+        elif k > 1:
+            factors.append("%s^%d" % (name, k))
+    return " ".join(factors) or "1"
 
 
 def print_series(s):
@@ -121,75 +180,50 @@ def print_series(s):
         cs = print_coeff(coeff)
         if (" + " in cs) or (" - " in cs) or cs.startswith("-"):
             cs = "(%s)" % cs
-        factors = []
-        for name, k in zip(sig.formal_names, mu):
-            if k == 1:
-                factors.append(name)
-            elif k > 1:
-                factors.append("%s^%d" % (name, k))
-        if not factors:
+        if not any(mu):
             pieces.append(cs)
         elif coeff == CoeffExpr.rational(1):
-            pieces.append(" ".join(factors))
+            pieces.append(print_monomial(sig, mu))
         else:
-            pieces.append("%s * %s" % (cs, " ".join(factors)))
+            pieces.append("%s * %s" % (cs, print_monomial(sig, mu)))
     return " + ".join(pieces)
+
+
+def _parse_images(body, sig, order):
+    """The `name = series` rows of an images, transition or iso block."""
+    return {name: parse_series(rhs, sig, order) for (name,), rhs in _rows(body, "name")}
+
+
+def _image_lines(sig, images):
+    """The `name = series` rows for the variables of `sig`, in its order."""
+    return ["%s = %s" % (name, print_series(images[name])) for name, _ in sig.variables()]
 
 
 # -- morphisms ------------------------------------------------------------
 
 
 def print_morphism(m):
-    lines = ["order %d" % m.order, "source"]
-    lines.append(print_signature(m.source))
-    lines.append("end")
-    lines.append("target")
-    lines.append(print_signature(m.target))
-    lines.append("end")
-    lines.append("images")
-    for name, _ in m.target.variables():
-        lines.append("%s = %s" % (name, print_series(m.images[name])))
-    lines.append("end")
+    lines = ["order %d" % m.order]
+    lines += _block("source", [print_signature(m.source)])
+    lines += _block("target", [print_signature(m.target)])
+    lines += _block("images", _image_lines(m.target, m.images))
     return "\n".join(lines)
 
 
 def parse_morphism(text):
-    lines = text.splitlines()
-    order = None
-    source = target = None
+    order = source = target = None
     images = {}
-    i = 0
-    while i < len(lines):
-        ln = lines[i].strip()
-        i += 1
-        if not ln or ln.startswith("#"):
-            continue
-        if ln.startswith("order"):
-            order = int(ln.split()[1])
-        elif ln in ("source", "target"):
-            block = []
-            while i < len(lines) and lines[i].strip() != "end":
-                block.append(lines[i])
-                i += 1
-            i += 1
-            sig = parse_signature_lines(block)
-            if ln == "source":
-                source = sig
-            else:
-                target = sig
-        elif ln == "images":
-            if source is None or target is None or order is None:
-                raise ParseError("images block before header", 0)
-            while i < len(lines) and lines[i].strip() != "end":
-                row = lines[i].strip()
-                i += 1
-                if not row or row.startswith("#"):
-                    continue
-                name, _, rhs = row.partition("=")
-                images[name.strip()] = parse_series(rhs.strip(), source, order)
-            i += 1
+    keywords = ("order", "source", "target", "images")
+    for kw, fields, body in _sections(text.splitlines(), keywords, "morphism"):
+        if kw == "order":
+            order = int(fields[0])
+        elif kw == "source":
+            source = parse_signature_lines(body)
+        elif kw == "target":
+            target = parse_signature_lines(body)
         else:
-            raise ParseError("unexpected morphism line: %r" % ln, 0)
+            _after(kw, order, source, target)
+            images = _parse_images(body, source, order)
     if order is None or source is None or target is None:
         raise ParseError("morphism file is missing header data", 0)
     return Morphism(source, target, images, order)
@@ -204,14 +238,9 @@ def print_algebra(A):
         for k, c in sorted(row.items()):
             lines.append(
                 "c %s %s %s %s"
-                % (A.labels[i], A.labels[j], A.labels[k], _frac(c))
+                % (A.labels[i], A.labels[j], A.labels[k], _frac_str(c))
             )
     return "\n".join(lines)
-
-
-def _frac(q):
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
 
 
 def parse_algebra(text):
@@ -220,19 +249,17 @@ def parse_algebra(text):
     labels = None
     unit = None
     consts = []
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        parts = ln.split()
-        if parts[0] == "basis":
-            labels = parts[1:]
-        elif parts[0] == "unit":
-            unit = parts[1]
-        elif parts[0] == "c":
-            consts.append((parts[1], parts[2], parts[3], Fraction(parts[4])))
+    for kw, fields, _ in _sections(text.splitlines(), ("basis", "unit", "c"), "algebra"):
+        if kw == "basis":
+            labels = fields
+        elif kw == "unit":
+            unit = fields[0]
         else:
-            raise ParseError("unexpected algebra line: %r" % ln, 0)
+            try:
+                q = Fraction(fields[3])
+            except ZeroDivisionError:
+                raise ParseError("zero denominator in %r" % fields[3], 0) from None
+            consts.append((fields[0], fields[1], fields[2], q))
     if labels is None or unit is None:
         raise ParseError("algebra file is missing basis or unit", 0)
     idx = {lb: i for i, lb in enumerate(labels)}
@@ -246,31 +273,24 @@ def parse_algebra(text):
 
 
 def print_atlas(atlas):
-    lines = ["order %d" % atlas.order, "signature"]
-    lines.append(print_signature(atlas.signature))
-    lines.append("end")
+    lines = ["order %d" % atlas.order]
+    lines += _block("signature", [print_signature(atlas.signature)])
     lines.append("charts %s" % " ".join(atlas.charts))
     for u, v in atlas.pairs:
         lines.append("pair %s %s" % (u, v))
     for u, v, w in atlas.triples:
         lines.append("triple %s %s %s" % (u, v, w))
     for (u, v), m in sorted(atlas.transitions.items()):
-        lines.append("transition %s %s" % (u, v))
-        for name, _ in atlas.signature.variables():
-            lines.append("%s = %s" % (name, print_series(m.images[name])))
-        lines.append("end")
+        lines += _block("transition %s %s" % (u, v), _image_lines(atlas.signature, m.images))
     if atlas.partition:
-        lines.append("partition")
-        for u in atlas.charts:
-            lines.append("%s = %s" % (u, print_coeff(atlas.partition[u])))
-        lines.append("end")
+        rows = ["%s = %s" % (u, print_coeff(atlas.partition[u])) for u in atlas.charts]
+        lines += _block("partition", rows)
     return "\n".join(lines)
 
 
 def parse_atlas(text):
     from .atlas import Atlas
 
-    lines = text.splitlines()
     order = None
     sig = None
     charts = []
@@ -278,54 +298,24 @@ def parse_atlas(text):
     triples = []
     transitions = {}
     partition = None
-    i = 0
-    while i < len(lines):
-        ln = lines[i].strip()
-        i += 1
-        if not ln or ln.startswith("#"):
-            continue
-        parts = ln.split()
-        if parts[0] == "order":
-            order = int(parts[1])
-        elif parts[0] == "signature":
-            block = []
-            while i < len(lines) and lines[i].strip() != "end":
-                block.append(lines[i])
-                i += 1
-            i += 1
-            sig = parse_signature_lines(block)
-        elif parts[0] == "charts":
-            charts = parts[1:]
-        elif parts[0] == "pair":
-            pairs.append((parts[1], parts[2]))
-        elif parts[0] == "triple":
-            triples.append((parts[1], parts[2], parts[3]))
-        elif parts[0] == "transition":
-            if sig is None or order is None:
-                raise ParseError("transition block before signature/order", 0)
-            u, v = parts[1], parts[2]
-            images = {}
-            while i < len(lines) and lines[i].strip() != "end":
-                row = lines[i].strip()
-                i += 1
-                if not row or row.startswith("#"):
-                    continue
-                name, _, rhs = row.partition("=")
-                images[name.strip()] = parse_series(rhs.strip(), sig, order)
-            i += 1
-            transitions[(u, v)] = Morphism(sig, sig, images, order)
-        elif parts[0] == "partition":
-            partition = {}
-            while i < len(lines) and lines[i].strip() != "end":
-                row = lines[i].strip()
-                i += 1
-                if not row or row.startswith("#"):
-                    continue
-                name, _, rhs = row.partition("=")
-                partition[name.strip()] = parse_coeff(rhs.strip())
-            i += 1
+    keywords = ("order", "signature", "charts", "pair", "triple", "transition", "partition")
+    for kw, fields, body in _sections(text.splitlines(), keywords, "atlas"):
+        if kw == "order":
+            order = int(fields[0])
+        elif kw == "signature":
+            sig = parse_signature_lines(body)
+        elif kw == "charts":
+            charts = fields
+        elif kw == "pair":
+            pairs.append(tuple(fields))
+        elif kw == "triple":
+            triples.append(tuple(fields))
+        elif kw == "transition":
+            _after(kw, sig, order)
+            images = _parse_images(body, sig, order)
+            transitions[tuple(fields)] = Morphism(sig, sig, images, order)
         else:
-            raise ParseError("unexpected atlas line: %r" % ln, 0)
+            partition = {u: parse_coeff(rhs) for (u,), rhs in _rows(body, "chart")}
     if order is None or sig is None or not charts:
         raise ParseError("atlas file is missing header data", 0)
     return Atlas(sig, order, charts, pairs, triples, transitions, partition)
@@ -365,35 +355,23 @@ def print_bundle(bundle):
 def print_result(result):
     """Serialize a SplittingResult: bundle, embedding, iso, report blocks."""
     sig = result.atlas.signature
-    lines = ["order %d" % result.atlas.order, "signature"]
-    lines.append(print_signature(sig))
-    lines.append("end")
-    lines.append("charts %s" % " ".join(result.atlas.charts))
-    lines.append("bundle")
-    lines.extend(print_bundle(result.bundle).splitlines())
-    lines.append("end")
-    lines.append("embedding")
-    for u in result.atlas.charts:
-        for bn in sig.base_names:
-            lines.append("%s %s = %s" % (u, bn, print_series(result.family.values[u][bn])))
-    lines.append("end")
-    for u in result.atlas.charts:
-        lines.append("iso %s" % u)
-        for name, _ in sig.variables():
-            lines.append("%s = %s" % (name, print_series(result.iso[u].images[name])))
-        lines.append("end")
-    lines.append("report")
-    for c in result.report.checks:
-        if c.passed:
-            lines.append("pass %s" % c.name)
-        else:
-            lines.append("fail %s :: %s" % (c.name, c.detail))
-    lines.append("end")
+    charts = result.atlas.charts
+    lines = ["order %d" % result.atlas.order]
+    lines += _block("signature", [print_signature(sig)])
+    lines.append("charts %s" % " ".join(charts))
+    lines += _block("bundle", print_bundle(result.bundle).splitlines())
+    rows = ["%s %s = %s" % (u, bn, print_series(result.family.values[u][bn]))
+            for u in charts for bn in sig.base_names]
+    lines += _block("embedding", rows)
+    for u in charts:
+        lines += _block("iso %s" % u, _image_lines(sig, result.iso[u].images))
+    rows = ["pass %s" % c.name if c.passed else "fail %s :: %s" % (c.name, c.detail)
+            for c in result.report.checks]
+    lines += _block("report", rows)
     return "\n".join(lines)
 
 
 def parse_result(text):
-    lines = text.splitlines()
     order = None
     sig = None
     charts = []
@@ -401,58 +379,25 @@ def parse_result(text):
     embedding = {}
     iso = {}
     report_lines = []
-    i = 0
-    while i < len(lines):
-        ln = lines[i].strip()
-        i += 1
-        if not ln or ln.startswith("#"):
-            continue
-        parts = ln.split()
-        if parts[0] == "order":
-            order = int(parts[1])
-        elif parts[0] == "signature":
-            block = []
-            while i < len(lines) and lines[i].strip() != "end":
-                block.append(lines[i])
-                i += 1
-            i += 1
-            sig = parse_signature_lines(block)
-        elif parts[0] == "charts":
-            charts = parts[1:]
-        elif parts[0] == "bundle":
-            while i < len(lines) and lines[i].strip() != "end":
-                bundle_lines.append(lines[i].strip())
-                i += 1
-            i += 1
-        elif parts[0] == "embedding":
-            while i < len(lines) and lines[i].strip() != "end":
-                row = lines[i].strip()
-                i += 1
-                if not row:
-                    continue
-                head, _, rhs = row.partition("=")
-                chart, name = head.split()
-                embedding.setdefault(chart, {})[name] = parse_series(rhs.strip(), sig, order)
-            i += 1
-        elif parts[0] == "iso":
-            chart = parts[1]
-            images = {}
-            while i < len(lines) and lines[i].strip() != "end":
-                row = lines[i].strip()
-                i += 1
-                if not row:
-                    continue
-                name, _, rhs = row.partition("=")
-                images[name.strip()] = parse_series(rhs.strip(), sig, order)
-            i += 1
-            iso[chart] = Morphism(sig, sig, images, order)
-        elif parts[0] == "report":
-            while i < len(lines) and lines[i].strip() != "end":
-                report_lines.append(lines[i].strip())
-                i += 1
-            i += 1
+    keywords = ("order", "signature", "charts", "bundle", "embedding", "iso", "report")
+    for kw, fields, body in _sections(text.splitlines(), keywords, "result"):
+        if kw == "order":
+            order = int(fields[0])
+        elif kw == "signature":
+            sig = parse_signature_lines(body)
+        elif kw == "charts":
+            charts = fields
+        elif kw == "bundle":
+            bundle_lines += body
+        elif kw == "report":
+            report_lines += body
+        elif kw == "embedding":
+            _after(kw, sig, order)
+            for (chart, name), rhs in _rows(body, "chart name"):
+                embedding.setdefault(chart, {})[name] = parse_series(rhs, sig, order)
         else:
-            raise ParseError("unexpected result line: %r" % ln, 0)
+            _after(kw, sig, order)
+            iso[fields[0]] = Morphism(sig, sig, _parse_images(body, sig, order), order)
     if order is None or sig is None or not charts or not iso:
         raise ParseError("result file is missing header or iso data", 0)
     return ResultDoc(order, sig, charts, bundle_lines, embedding, iso, report_lines)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coeffexpr import CoeffExpr, normalize_expr
-from .degrees import Degree, enumerate_nonzero_degrees, is_self_odd, sign_factor
+from .degrees import Degree, enumerate_nonzero_degrees, is_self_odd
 from .gseries import GSeries, SignatureMismatch, mono_degree, mono_order
 
 

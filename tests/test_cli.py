@@ -217,3 +217,79 @@ def test_input_error_exit_code(tmp_path, capsys):
     assert main(["normalize", "--sig", garbled, "--series", garbled, "--order", "2"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def _drop_from(text, line):
+    """Cut the file just before `line`'s block ends: the block has no `end`."""
+    lines = text.splitlines()
+    return "\n".join(lines[:lines.index("end", lines.index(line))])
+
+
+def _drop_block(text, header):
+    """Remove the block that `header` opens, through its `end` line."""
+    lines = text.splitlines()
+    start = lines.index(header)
+    return "\n".join(lines[:start] + lines[lines.index("end", start) + 1:])
+
+
+@pytest.mark.parametrize("kind, edit, message", [
+    ("atlas", lambda t: t.replace("order 3\n", "order\n", 1), "`order` takes 1 field"),
+    ("morphism", lambda t: t.replace("order 3\n", "order\n", 1), "`order` takes 1 field"),
+    ("signature", lambda t: t.replace("n 2\n", "n\n", 1), "`n` takes 1 field"),
+    ("atlas", lambda t: t.replace("pair U V\n", "pair U\n", 1), "`pair` takes 2 fields"),
+    ("atlas", lambda t: t.replace("transition U V\n", "transition U\n", 1),
+     "`transition` takes 2 fields"),
+    ("result", lambda t: t.replace("iso U\n", "iso\n", 1), "`iso` takes 1 field"),
+    ("algebra", lambda t: t.replace("c one one one 1\n", "c one one\n", 1), "`c` takes 4 fields"),
+    ("algebra", lambda t: t.replace("c one one one 1\n", "c one one one 1/0\n", 1),
+     "zero denominator in '1/0'"),
+    ("atlas", lambda t: _drop_from(t, "transition U V"), "`transition U V` has no `end`"),
+    ("morphism", lambda t: t.replace("xi = xi\n", "xi xi\n", 1), "for a new name, got 'xi xi'"),
+    ("result", lambda t: t.replace("iso U\n", "iso U\nx = 0\n", 1),
+     "expected a `name = ...` row for a new name, got 'x = x"),
+    ("result", lambda t: _drop_block(t, "signature"),
+     "embedding block before the header lines it needs"),
+], ids=["atlas-order", "morphism-order", "signature-n", "atlas-pair", "atlas-transition",
+        "result-iso", "algebra-c", "algebra-c-zero-denominator", "transition-no-end",
+        "image-row-no-equals", "image-row-repeated", "result-no-signature"])
+def test_malformed_file_is_an_input_error(tmp_path, capsys, kind, edit, message):
+    atlas = atlas_nonsplit_base_twist()
+    texts = {
+        "atlas": print_atlas(atlas),
+        "morphism": print_morphism(base_shift_morphism(sig_n2(), 3)),
+        "signature": print_signature(sig_n2()),
+        "result": print_result(split(atlas, 3)),
+        "algebra": print_algebra(quaternion_algebra()),
+    }
+    afile = write(tmp_path, "atlas.txt", texts["atlas"])
+    edited = edit(texts[kind])
+    assert edited != texts[kind]
+    bad = write(tmp_path, "bad.txt", edited)
+    series = write(tmp_path, "s.txt", "x")
+    assign = write(tmp_path, "asg.txt", "one 000\ni 011\nj 101\nk 110")
+    argv = {
+        "atlas": ["atlas-check", "--atlas", bad],
+        "morphism": ["invert", "--morphism", bad],
+        "signature": ["normalize", "--sig", bad, "--series", series, "--order", "2"],
+        "result": ["verify", "--atlas", afile, "--result", bad],
+        "algebra": ["check-findim", "--algebra", bad, "--assign", assign],
+    }[kind]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_blank_and_comment_lines_are_ignored_inside_blocks(tmp_path, capsys):
+    atlas = atlas_nonsplit_base_twist()
+    text = print_result(split(atlas, 3))
+    padded = "\n".join("%s\n\n  # note" % ln for ln in text.splitlines())
+    afile = write(tmp_path, "atlas.txt", print_atlas(atlas))
+    reports = []
+    for name, body in (("plain.txt", text), ("padded.txt", padded)):
+        rfile = write(tmp_path, name, body)
+        assert main(["verify", "--atlas", afile, "--result", rfile]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert "[pass] bundle block matches the atlas" in reports[1].splitlines()

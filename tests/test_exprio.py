@@ -50,6 +50,6 @@ def test_printing_is_canonical():
 
 
 def test_parse_errors_carry_position():
-    for bad in ["x +", "f[1,2](x)", "(x", "3/", "x ^ y", "@"]:
+    for bad in ["x +", "f[1,2](x)", "(x", "3/", "3/0", "x ^ y", "@"]:
         with pytest.raises(ParseError):
             parse_coeff(bad)
