@@ -12,7 +12,6 @@ declared to be 1 and enforced by eagerly rewriting one chosen symbol.
 from __future__ import annotations
 
 from .coeffexpr import CoeffExpr, normalize_expr
-from .degrees import enumerate_nonzero_degrees
 from .gseries import GSeries
 from .morphisms import Morphism, compose
 
@@ -207,15 +206,6 @@ class GradedBundleData:
                 for bn in signature.base_names
             }
 
-    def degrees_present(self):
-        sig = self.signature
-        return [d for d in enumerate_nonzero_degrees(sig.n, "lex")
-                if any(sig.degree_of(nm) == d for nm in sig.formal_names)]
-
-    def block_vars(self, d):
-        sig = self.signature
-        return [nm for nm in sig.formal_names if sig.degree_of(nm) == d]
-
     def __eq__(self, other):
         return (
             isinstance(other, GradedBundleData)
@@ -246,8 +236,7 @@ def build_split_model(bundle, order, triples=(), partition=None):
                 images[bn] = GSeries.from_coeff(sig, order, base[bn])
             else:
                 images[bn] = GSeries.generator(sig, bn, order)
-        for d in bundle.degrees_present():
-            vars_d = bundle.block_vars(d)
+        for d, vars_d in sig.formal_blocks.items():
             mat = bundle.matrices[(u, v)][d]
             for i, tv in enumerate(vars_d):
                 acc = GSeries.zero(sig, order)
@@ -273,10 +262,7 @@ def extract_bundle(atlas):
         if u == v:
             continue
         per_degree = {}
-        for d in enumerate_nonzero_degrees(sig.n, "lex"):
-            vars_d = [nm for nm in sig.formal_names if sig.degree_of(nm) == d]
-            if not vars_d:
-                continue
+        for d, vars_d in sig.formal_blocks.items():
             mat = []
             for tv in vars_d:
                 row = []

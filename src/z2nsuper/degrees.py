@@ -1,82 +1,89 @@
-"""Z2^n degree lattice: bit-vector degrees, parity, and the scalar-product sign rule."""
+"""Z2^n degree lattice: n-bit mask degrees, parity, and the scalar-product sign rule."""
 
 from __future__ import annotations
-
-import itertools
 
 
 class DimensionMismatch(ValueError):
     """Raised when degrees of different ambient n are combined."""
 
 
-class Degree(tuple):
-    """An element of Z2^n as an immutable bit vector.
+class Degree(int):
+    """An element of Z2^n: an n-bit mask that knows its n.
 
-    Addition is componentwise mod 2; the pairwise sign of two degrees is
-    (-1)^<a,b> with <.,.> the integer dot product.
+    Two degrees are equal when both their masks and their n agree; they hash
+    and order as their masks.
     """
 
     def __new__(cls, bits):
-        bits = tuple(int(b) for b in bits)
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("degree bits must be 0 or 1: %r" % (bits,))
-        return super().__new__(cls, bits)
+        """From a bit string ("011"), an iterable of 0/1 values or a Degree."""
+        if isinstance(bits, Degree):
+            return bits
+        text = bits if isinstance(bits, str) else "".join(str(int(b)) for b in bits)
+        if not text or text.strip("01"):
+            raise ValueError("not a degree bit string: %r" % (bits,))
+        return cls.from_mask(int(text, 2), len(text))
 
-    @property
-    def n(self):
-        return len(self)
+    @classmethod
+    def from_mask(cls, mask, n):
+        d = int.__new__(cls, mask)
+        d.n = n
+        return d
 
     def __add__(self, other):
         other = Degree(other)
-        if len(self) != len(other):
+        if self.n != other.n:
             raise DimensionMismatch(
-                "cannot add degrees of length %d and %d" % (len(self), len(other))
+                "cannot add degrees of length %d and %d" % (self.n, other.n)
             )
-        return Degree((a + b) % 2 for a, b in zip(self, other))
+        return Degree.from_mask(self ^ other, self.n)
 
     __radd__ = __add__
 
+    def __eq__(self, other):
+        return isinstance(other, Degree) and self.n == other.n and int.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = int.__hash__
+
     def is_zero(self):
-        return not any(self)
+        return not self
 
     def __str__(self):
-        return "".join(str(b) for b in self)
+        return format(int(self), "0%db" % self.n)
 
     def __repr__(self):
-        return "Degree(%s)" % str(self)
+        return "Degree(%s)" % self
 
     @classmethod
     def parse(cls, text):
         """Parse the bit-string form, e.g. "011"."""
-        if not text or any(c not in "01" for c in text):
-            raise ValueError("not a degree bit string: %r" % text)
-        return cls(int(c) for c in text)
+        return cls(text)
 
     @classmethod
     def zero(cls, n):
-        return cls((0,) * n)
+        return cls.from_mask(0, n)
 
 
 def sign_factor(a, b):
     """The commutation sign (-1)^<a,b> between homogeneous elements of degrees a, b."""
     a, b = Degree(a), Degree(b)
-    if len(a) != len(b):
+    if a.n != b.n:
         raise DimensionMismatch(
-            "sign_factor of degrees with lengths %d and %d" % (len(a), len(b))
+            "sign_factor of degrees with lengths %d and %d" % (a.n, b.n)
         )
-    dot = sum(x * y for x, y in zip(a, b))
-    return -1 if dot % 2 else 1
+    return -1 if (a & b).bit_count() & 1 else 1
 
 
 def parity(a):
     """'even' or 'odd' according to the bit-weight of a."""
-    a = Degree(a)
-    return "odd" if sum(a) % 2 else "even"
+    return "odd" if is_self_odd(a) else "even"
 
 
 def is_self_odd(a):
     """True when a generator of degree a squares to zero (sign_factor(a, a) == -1)."""
-    return sign_factor(a, a) == -1
+    return Degree(a).bit_count() & 1 == 1
 
 
 def enumerate_nonzero_degrees(n, order="lex"):
@@ -85,14 +92,11 @@ def enumerate_nonzero_degrees(n, order="lex"):
     order="lex" is the canonical index used for signatures; order="parity"
     lists the even degrees first, then the odd ones, each block lexicographic.
     """
-    degs = [Degree(bits) for bits in itertools.product((0, 1), repeat=n)]
-    degs = [d for d in degs if not d.is_zero()]
+    degs = [Degree.from_mask(mask, n) for mask in range(1, 1 << n)]
     if order == "lex":
         return degs
     if order == "parity":
-        evens = [d for d in degs if parity(d) == "even"]
-        odds = [d for d in degs if parity(d) == "odd"]
-        return evens + odds
+        return sorted(degs, key=is_self_odd)
     raise ValueError("unknown order %r" % order)
 
 
@@ -121,27 +125,25 @@ class Signature:
             seen.add(name)
             self._decl.append((name, deg))
         self.base_names = [nm for nm, d in self._decl if d.is_zero()]
-        nz = enumerate_nonzero_degrees(n, "lex")
-        self._nz_index = {d: i for i, d in enumerate(nz)}
-        formal = [(nm, d) for nm, d in self._decl if not d.is_zero()]
-        formal.sort(key=lambda nd: self._nz_index[nd[1]])
+        # a stable sort by mask keeps declaration order within a degree
+        formal = sorted(((nm, d) for nm, d in self._decl if not d.is_zero()),
+                        key=lambda nd: nd[1])
         self.formal_names = [nm for nm, d in formal]
         self._degree = dict(self._decl)
         self._formal_index = {nm: i for i, nm in enumerate(self.formal_names)}
-        self.q = [0] * len(nz)
+        # {degree: its formal variable names}, over the degrees present
+        self.formal_blocks = {}
         for nm, d in formal:
-            self.q[self._nz_index[d]] += 1
+            self.formal_blocks.setdefault(d, []).append(nm)
+        self.q = [len(self.formal_blocks.get(d, ())) for d in enumerate_nonzero_degrees(n)]
         # sign tables of the formal variables, read by the series kernel:
-        # degrees as n-bit masks (first bit most significant), self-odd flags,
-        # the q x q matrix of dot-product parities <deg a, deg b> mod 2, and
-        # the Degree of each mask (enumerate_nonzero_degrees lists mask i at i-1)
-        masks = [int(str(d), 2) for nm, d in formal]
-        self.formal_masks = tuple(masks)
-        self.formal_self_odd = tuple(bin(m).count("1") % 2 == 1 for m in masks)
+        # their degrees, self-odd flags and the q x q matrix of dot-product
+        # parities <deg a, deg b> mod 2
+        degs = self._formal_degrees = tuple(d for nm, d in formal)
+        self.formal_self_odd = tuple(is_self_odd(d) for d in degs)
         self.formal_dot_parity = tuple(
-            tuple(bin(ma & mb).count("1") % 2 for mb in masks) for ma in masks
+            tuple((a & b).bit_count() & 1 for b in degs) for a in degs
         )
-        self.degree_by_mask = tuple([Degree.zero(n)] + nz)
 
     @property
     def p(self):
@@ -167,7 +169,8 @@ class Signature:
             raise KeyError("%r is not a formal variable of this signature" % name) from None
 
     def formal_degrees(self):
-        return [self._degree[nm] for nm in self.formal_names]
+        """The degrees of the formal variables, in canonical order."""
+        return self._formal_degrees
 
     def variables(self):
         """(name, degree) pairs in declaration order."""

@@ -8,7 +8,6 @@ commutation rule.  Assignments can also be found by exhaustive search.
 
 from __future__ import annotations
 
-import itertools
 import os
 from fractions import Fraction
 
@@ -122,16 +121,16 @@ def check_graded_commutative(A, assignment):
 def search_degree_assignments(A, n, budget=None):
     """All assignments (unit fixed to 0) that certify, canonically ordered.
 
-    Exhaustive over (2^n)^(dim-1) candidates with homogeneity pruning; an
-    explicit budget guard refuses infeasible searches.
+    Exhaustive over the (2^n)^(dim-1) tuples of n-bit masks with homogeneity
+    pruning (a product has mask a ^ b); an explicit budget guard refuses
+    infeasible searches.
     """
     budget = search_budget() if budget is None else budget
-    space = (2 ** n) ** (A.dim - 1)
+    space = (1 << n) ** (A.dim - 1)
     if space > budget:
         raise BudgetExceeded(
             "search space %d exceeds budget %d (set Z2N_SEARCH_BUDGET)" % (space, budget)
         )
-    all_degs = [Degree(bits) for bits in itertools.product((0, 1), repeat=n)]
     others = [i for i in range(A.dim) if i != A.unit]
     found = []
 
@@ -139,29 +138,27 @@ def search_degree_assignments(A, n, budget=None):
         # homogeneity and sign checks restricted to fully assigned pairs
         for (i, j), row in A.table.items():
             if i in partial and j in partial:
-                want = partial[i] + partial[j]
+                want = partial[i] ^ partial[j]
                 for k in row:
                     if k in partial and partial[k] != want:
                         return False
-                s = sign_factor(partial[i], partial[j])
-                pji = A.product(j, i)
-                pij = A.product(i, j)
-                if pij != {k: s * c for k, c in pji.items()}:
+                s = -1 if (partial[i] & partial[j]).bit_count() & 1 else 1
+                if row != {k: s * c for k, c in A.product(j, i).items()}:
                     return False
         return True
 
     def rec(pos, partial):
         if pos == len(others):
-            found.append({A.labels[i]: partial[i] for i in range(A.dim)})
+            found.append({A.labels[i]: Degree.from_mask(partial[i], n) for i in range(A.dim)})
             return
         i = others[pos]
-        for d in all_degs:
-            partial[i] = d
+        for mask in range(1 << n):
+            partial[i] = mask
             if consistent(partial):
                 rec(pos + 1, partial)
             del partial[i]
 
-    rec(0, {A.unit: Degree.zero(n)})
+    rec(0, {A.unit: 0})
     # full certification round-trip, and canonical ordering
     out = []
     for asg in found:
@@ -171,7 +168,7 @@ def search_degree_assignments(A, n, budget=None):
             continue
         if ok:
             out.append(asg)
-    out.sort(key=lambda asg: tuple(tuple(asg[lb]) for lb in A.labels))
+    out.sort(key=lambda asg: [asg[lb] for lb in A.labels])
     return out
 
 

@@ -32,10 +32,10 @@ def mono_order(mu):
 
 def mono_degree(sig, mu):
     mask = 0
-    for k, m in zip(mu, sig.formal_masks):
+    for k, d in zip(mu, sig.formal_degrees()):
         if k & 1:
-            mask ^= m
-    return sig.degree_by_mask[mask]
+            mask ^= d
+    return Degree.from_mask(mask, sig.n)
 
 
 def mul_monomials(sig, mu, nu):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coeffexpr import CoeffExpr, normalize_expr
-from .degrees import Degree, enumerate_nonzero_degrees, is_self_odd
+from .degrees import Degree
 from .gseries import GSeries, SignatureMismatch, mono_degree, mono_order
 
 
@@ -26,12 +26,11 @@ class SingularBlock(MorphismError):
 def enumerate_monomials(sig, max_order, degree=None):
     """All canonical exponent vectors of order <= max_order, optionally of a
     fixed total Z2^n degree.  Self-odd variables are capped at exponent 1."""
-    degs = sig.formal_degrees()
-    caps = [1 if is_self_odd(d) else max_order for d in degs]
+    caps = [1 if odd else max_order for odd in sig.formal_self_odd]
     out = []
 
     def rec(i, acc, budget):
-        if i == len(degs):
+        if i == len(caps):
             out.append(tuple(acc))
             return
         for k in range(0, min(caps[i], budget) + 1):
@@ -236,13 +235,12 @@ def invert(m, base_inverse=None):
 
     # positional matching of formal variables per degree block
     blocks = {}
-    for d in enumerate_nonzero_degrees(src.n, "lex"):
-        tvars = [nm for nm in tgt.formal_names if tgt.degree_of(nm) == d]
-        svars = [nm for nm in src.formal_names if src.degree_of(nm) == d]
+    tblocks, sblocks = tgt.formal_blocks, src.formal_blocks
+    for d in sorted(tblocks.keys() | sblocks.keys()):
+        tvars, svars = tblocks.get(d, []), sblocks.get(d, [])
         if len(tvars) != len(svars):
-            raise SignatureMismatch("source and target differ in degree %s count" % (d,))
-        if tvars:
-            blocks[d] = (tvars, svars)
+            raise SignatureMismatch("source and target differ in degree %s count" % d)
+        blocks[d] = (tvars, svars)
 
     Minv = {}
     for d, (tvars, svars) in blocks.items():
@@ -255,13 +253,13 @@ def invert(m, base_inverse=None):
                 q = m.images[tv].coeff_of(mu).as_rational()
                 if q is None:
                     raise SingularBlock(
-                        "linear block of degree %s is not rational; cannot invert" % (d,)
+                        "linear block of degree %s is not rational; cannot invert" % d
                     )
                 row.append(q)
             M.append(row)
         inv = _invert_rational_matrix(M)
         if inv is None:
-            raise SingularBlock("linear block of degree %s is singular" % (d,))
+            raise SingularBlock("linear block of degree %s is singular" % d)
         Minv[d] = inv
 
     def linear_guess():

@@ -19,6 +19,11 @@ def all_degrees(n):
     return [Degree(bits) for bits in itertools.product((0, 1), repeat=n)]
 
 
+def bits(d):
+    """The coordinates of a degree, read from its printed form."""
+    return [int(c) for c in str(d)]
+
+
 def test_parse_and_str_round_trip():
     for n in range(1, 5):
         for d in all_degrees(n):
@@ -37,7 +42,7 @@ def test_addition_is_componentwise_mod_two():
         for a in all_degrees(n):
             for b in all_degrees(n):
                 s = a + b
-                assert all(s[i] == (a[i] + b[i]) % 2 for i in range(n))
+                assert bits(s) == [(x + y) % 2 for x, y in zip(bits(a), bits(b))]
                 assert a + b == b + a
                 assert (a + a).is_zero()
 
@@ -45,13 +50,32 @@ def test_addition_is_componentwise_mod_two():
 def test_addition_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         Degree.parse("01") + Degree.parse("011")
+    with pytest.raises(DimensionMismatch):
+        sign_factor(Degree.parse("01"), Degree.parse("011"))
+
+
+def test_constructor_forms_and_mask_order():
+    for n in range(1, 5):
+        degs = all_degrees(n)
+        # the first bit is the most significant: mask order is lexicographic
+        assert sorted(degs) == sorted(degs, key=str)
+        for d in degs:
+            assert Degree(str(d)) == Degree(bits(d)) == Degree(d) == d
+            assert d.n == n and repr(d) == "Degree(%s)" % d
+    assert Degree.zero(3) == Degree("000") and Degree.zero(3).is_zero()
+    # equal masks of different n are different degrees
+    assert Degree("01") != Degree("001")
+    assert len({Degree("01"), Degree("001")}) == 2
+    for bad in ([0, 2], "01 ", (), [1, -1]):
+        with pytest.raises(ValueError):
+            Degree(bad)
 
 
 def test_sign_factor_matches_dot_product_exhaustively():
     for n in range(1, 5):
         for a in all_degrees(n):
             for b in all_degrees(n):
-                dot = sum(x * y for x, y in zip(a, b))
+                dot = sum(x * y for x, y in zip(bits(a), bits(b)))
                 assert sign_factor(a, b) == (-1) ** dot
                 assert sign_factor(a, b) == sign_factor(b, a)
 
@@ -70,7 +94,7 @@ def test_parity_and_self_oddness():
     # a degree squares to zero iff its bit-weight is odd
     for n in range(1, 5):
         for d in all_degrees(n):
-            assert is_self_odd(d) == (sum(d) % 2 == 1)
+            assert is_self_odd(d) == (sum(bits(d)) % 2 == 1)
             assert is_self_odd(d) == (parity(d) == "odd")
 
 

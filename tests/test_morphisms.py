@@ -166,7 +166,6 @@ def zero_xi_block_morphism(sig, order):
 
 
 def test_invert_singular_block_n2(sig2):
-    # Degree is a tuple; formatting it into the message must not raise TypeError
     with pytest.raises(SingularBlock, match="degree 01 is singular"):
         invert(zero_xi_block_morphism(sig2, 3))
 
