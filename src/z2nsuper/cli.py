@@ -11,7 +11,6 @@ import sys
 
 from . import formats
 from .atlas import validate_atlas
-from .degrees import Degree
 from .exprio import ParseError
 from .findim import (
     BudgetExceeded,
@@ -126,13 +125,7 @@ def cmd_template(args):
 
 def cmd_check_findim(args):
     A = formats.parse_algebra(_read(args.algebra))
-    assignment = {}
-    for ln in _read(args.assign).splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        label, bits = ln.split()
-        assignment[label] = Degree.parse(bits)
+    assignment = formats.parse_assignment(_read(args.assign), A.labels)
     try:
         ok, violations = check_graded_commutative(A, assignment)
     except GradingError as exc:

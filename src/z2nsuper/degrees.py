@@ -1,4 +1,11 @@
-"""Z2^n degree lattice: n-bit mask degrees, parity, and the scalar-product sign rule."""
+"""Z2^n degree lattice: n-bit mask degrees, parity, and the scalar-product sign rule.
+
+A degree is an int whose n bits are its coordinates, the first bit the most
+significant, so masks of one n order as their bit strings ("011" is 3).  The
+group law is XOR and the sign (-1)^<a,b> is the parity of popcount(a & b),
+as for the bitmap basis blades of Dorst, Fontijne & Mann, Geometric Algebra
+for Computer Science (2007), ch. 19.
+"""
 
 from __future__ import annotations
 

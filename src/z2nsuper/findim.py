@@ -125,6 +125,8 @@ def search_degree_assignments(A, n, budget=None):
     pruning (a product has mask a ^ b); an explicit budget guard refuses
     infeasible searches.
     """
+    if n < 1:
+        raise ValueError("degree search needs n >= 1, got n = %d" % n)
     budget = search_budget() if budget is None else budget
     space = (1 << n) ** (A.dim - 1)
     if space > budget:

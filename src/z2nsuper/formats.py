@@ -22,7 +22,10 @@ A block header opens a block that runs to a line reading `end`:
 
 Blank lines and lines starting with `#` are ignored everywhere, inside
 blocks too.  Unknown keywords, wrong field counts, blocks with no `end`,
-rows without their `=` and repeated rows raise `ParseError`.
+rows without their `=`, repeated rows and repeated header lines raise
+`ParseError`.  A header line is named by its keyword and, for `var`, `pair`,
+`triple`, `c`, `transition` and `iso`, by the fields that say what it is
+about (`iso U`, `c A B C`); every other keyword may appear once per file.
 """
 
 from __future__ import annotations
@@ -36,27 +39,29 @@ from .exprio import ParseError, _frac_str, parse_coeff, print_coeff
 from .gseries import GSeries, mono_order
 from .morphisms import Morphism
 
-# keyword -> (number of fields, opens a block); None takes any number
+# keyword -> (number of fields, number of leading fields that name the line,
+# opens a block); None takes any number.  No two header lines of one file
+# have the same keyword and name, so a line named by 0 fields is once-only.
 _HEADERS = {
-    "n": (1, False),
-    "var": (2, False),
-    "order": (1, False),
-    "pair": (2, False),
-    "triple": (3, False),
-    "unit": (1, False),
-    "c": (4, False),
-    "basis": (None, False),
-    "charts": (None, False),
-    "source": (0, True),
-    "target": (0, True),
-    "signature": (0, True),
-    "images": (0, True),
-    "transition": (2, True),
-    "iso": (1, True),
-    "partition": (0, True),
-    "embedding": (0, True),
-    "bundle": (0, True),
-    "report": (0, True),
+    "n": (1, 0, False),
+    "var": (2, 1, False),
+    "order": (1, 0, False),
+    "pair": (2, 2, False),
+    "triple": (3, 3, False),
+    "unit": (1, 0, False),
+    "c": (4, 3, False),
+    "basis": (None, 0, False),
+    "charts": (None, 0, False),
+    "source": (0, 0, True),
+    "target": (0, 0, True),
+    "signature": (0, 0, True),
+    "images": (0, 0, True),
+    "transition": (2, 2, True),
+    "iso": (1, 1, True),
+    "partition": (0, 0, True),
+    "embedding": (0, 0, True),
+    "bundle": (0, 0, True),
+    "report": (0, 0, True),
 }
 
 
@@ -67,14 +72,19 @@ def _sections(lines, allowed, what):
     list of stripped lines up to `end`; a one-line header has an empty body.
     """
     rows = iter([ln for ln in map(str.strip, lines) if ln and not ln.startswith("#")])
+    seen = set()
     for ln in rows:
         kw, *fields = ln.split()
         if kw not in allowed:
             raise ParseError("unexpected %s line: %r" % (what, ln), 0)
-        count, opens_block = _HEADERS[kw]
+        count, named_by, opens_block = _HEADERS[kw]
         if count is not None and len(fields) != count:
             raise ParseError("`%s` takes %d field%s, got %r"
                              % (kw, count, "" if count == 1 else "s", ln), 0)
+        name = " ".join([kw, *fields[:named_by]])
+        if name in seen:
+            raise ParseError("%s file repeats `%s`" % (what, name), 0)
+        seen.add(name)
         body = []
         if opens_block:
             for row in rows:
@@ -259,14 +269,42 @@ def parse_algebra(text):
                 q = Fraction(fields[3])
             except ZeroDivisionError:
                 raise ParseError("zero denominator in %r" % fields[3], 0) from None
-            consts.append((fields[0], fields[1], fields[2], q))
+            consts.append((fields, q))
     if labels is None or unit is None:
         raise ParseError("algebra file is missing basis or unit", 0)
     idx = {lb: i for i, lb in enumerate(labels)}
+
+    def index(label, line):
+        if label not in idx:
+            raise ParseError("algebra line `%s` names %r, not a basis label" % (line, label), 0)
+        return idx[label]
+
     table = {}
-    for a, b, c, q in consts:
-        table.setdefault((idx[a], idx[b]), {})[idx[c]] = q
-    return FinDimAlgebra(labels, idx[unit], table)
+    for fields, q in consts:
+        a, b, c = (index(lb, "c " + " ".join(fields)) for lb in fields[:3])
+        table.setdefault((a, b), {})[c] = q
+    return FinDimAlgebra(labels, index(unit, "unit " + unit), table)
+
+
+def parse_assignment(text, labels):
+    """A degree assignment: exactly one `LABEL BITS` row per basis label."""
+    assignment = {}
+    for ln in map(str.strip, text.splitlines()):
+        if not ln or ln.startswith("#"):
+            continue
+        fields = ln.split()
+        if len(fields) != 2:
+            raise ParseError("expected a `LABEL BITS` row, got %r" % ln, 0)
+        label, bits = fields
+        if label not in labels:
+            raise ParseError("assignment row %r names %r, not a basis label" % (ln, label), 0)
+        if label in assignment:
+            raise ParseError("assignment repeats label %r in row %r" % (label, ln), 0)
+        assignment[label] = Degree.parse(bits)
+    for label in labels:
+        if label not in assignment:
+            raise ParseError("assignment has no row for label %r" % label, 0)
+    return assignment
 
 
 # -- atlases --------------------------------------------------------------
@@ -388,9 +426,9 @@ def parse_result(text):
         elif kw == "charts":
             charts = fields
         elif kw == "bundle":
-            bundle_lines += body
+            bundle_lines = body
         elif kw == "report":
-            report_lines += body
+            report_lines = body
         elif kw == "embedding":
             _after(kw, sig, order)
             for (chart, name), rhs in _rows(body, "chart name"):
@@ -400,4 +438,12 @@ def parse_result(text):
             iso[fields[0]] = Morphism(sig, sig, _parse_images(body, sig, order), order)
     if order is None or sig is None or not charts or not iso:
         raise ParseError("result file is missing header or iso data", 0)
+    for u in iso:
+        if u not in charts:
+            raise ParseError("result block `iso %s` names a chart not in `charts %s`"
+                             % (u, " ".join(charts)), 0)
+    for u in charts:
+        if u not in iso:
+            raise ParseError("result `charts %s` lists %s, which has no `iso %s` block"
+                             % (" ".join(charts), u, u), 0)
     return ResultDoc(order, sig, charts, bundle_lines, embedding, iso, report_lines)

@@ -142,11 +142,6 @@ class Morphism:
             and self.images == other.images
         )
 
-    def map_images(self, fn):
-        return Morphism(
-            self.source, self.target, {v: fn(s) for v, s in self.images.items()}, self.order
-        )
-
     # -- pullback ---------------------------------------------------------
 
     def pullback_coeff(self, c, order=None):

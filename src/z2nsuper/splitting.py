@@ -480,6 +480,9 @@ def verify_result(atlas, iso, order, report=None, embedding=None, bundle_lines=N
     """
     report = Report() if report is None else report
     sig = atlas.signature
+    missing = [u for u in atlas.charts if u not in iso]
+    if missing:
+        raise SplittingError("the result has no iso for atlas chart %s" % missing[0])
     if embedding is not None:
         for u in atlas.charts:
             got = embedding.get(u, {})

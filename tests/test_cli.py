@@ -124,6 +124,32 @@ def test_search_degrees(tmp_path, capsys):
     assert "count 0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("one 000\ni 011\nj 101\nk 110\nq 101", "assignment row 'q 101' names 'q', not a basis label"),
+    ("one 000\ni 011\ni 011\nj 101\nk 110", "assignment repeats label 'i' in row 'i 011'"),
+    ("one 000\ni 011\nj 101", "assignment has no row for label 'k'"),
+    ("one 000\ni 011 x\nj 101\nk 110", "expected a `LABEL BITS` row, got 'i 011 x'"),
+    ("one 000\ni 011\nj 10\nk 110", "cannot add degrees of length"),
+], ids=["unknown-label", "repeated-label", "missing-label", "three-fields", "mixed-length"])
+def test_check_findim_rejects_a_malformed_assignment(tmp_path, capsys, rows, message):
+    afile = write(tmp_path, "alg.txt", print_algebra(quaternion_algebra()))
+    assign = write(tmp_path, "asg.txt", rows)
+    assert main(["check-findim", "--algebra", afile, "--assign", assign]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_search_degrees_rejects_n_below_one(tmp_path, capsys, n):
+    afile = write(tmp_path, "alg.txt", print_algebra(quaternion_algebra()))
+    assert main(["search-degrees", "--algebra", afile, "--n", n]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: degree search needs n >= 1, got n = %s" % n)
+    assert "Traceback" not in err
+
+
 def test_atlas_check(tmp_path, capsys):
     atlas = atlas_split_two_charts()
     afile = write(tmp_path, "atlas.txt", print_atlas(atlas))
@@ -232,6 +258,15 @@ def _drop_block(text, header):
     return "\n".join(lines[:start] + lines[lines.index("end", start) + 1:])
 
 
+def _zeroed_copy_before(text, header):
+    """Put a copy of the block `header` opens, with every row set to 0, in front of it."""
+    lines = text.splitlines()
+    start = lines.index(header)
+    rows = lines[start + 1:lines.index("end", start)]
+    copy = [header, *(row.partition("=")[0] + "= 0" for row in rows), "end"]
+    return "\n".join(lines[:start] + copy + lines[start:])
+
+
 @pytest.mark.parametrize("kind, edit, message", [
     ("atlas", lambda t: t.replace("order 3\n", "order\n", 1), "`order` takes 1 field"),
     ("morphism", lambda t: t.replace("order 3\n", "order\n", 1), "`order` takes 1 field"),
@@ -249,9 +284,21 @@ def _drop_block(text, header):
      "expected a `name = ...` row for a new name, got 'x = x"),
     ("result", lambda t: _drop_block(t, "signature"),
      "embedding block before the header lines it needs"),
+    ("result", lambda t: _zeroed_copy_before(t, "iso U"), "result file repeats `iso U`"),
+    ("atlas", lambda t: _zeroed_copy_before(t, "transition U V"),
+     "atlas file repeats `transition U V`"),
+    ("atlas", lambda t: t.replace("order 3\n", "order 3\norder 2\n", 1), "atlas file repeats `order`"),
+    ("result", lambda t: t.replace("iso V\n", "iso W\n", 1),
+     "result block `iso W` names a chart not in `charts U V`"),
+    ("result", lambda t: _drop_block(t, "iso V").replace("charts U V\n", "charts U\n", 1),
+     "the result has no iso for atlas chart V"),
+    ("algebra", lambda t: t.replace("c one one one 1\n", "c one q one 1\n", 1),
+     "algebra line `c one q one 1` names 'q', not a basis label"),
 ], ids=["atlas-order", "morphism-order", "signature-n", "atlas-pair", "atlas-transition",
         "result-iso", "algebra-c", "algebra-c-zero-denominator", "transition-no-end",
-        "image-row-no-equals", "image-row-repeated", "result-no-signature"])
+        "image-row-no-equals", "image-row-repeated", "result-no-signature",
+        "result-iso-repeated", "atlas-transition-repeated", "atlas-order-repeated",
+        "result-iso-unknown-chart", "result-iso-missing-atlas-chart", "algebra-c-unknown-label"])
 def test_malformed_file_is_an_input_error(tmp_path, capsys, kind, edit, message):
     atlas = atlas_nonsplit_base_twist()
     texts = {
