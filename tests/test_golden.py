@@ -1,11 +1,16 @@
-"""Byte-level golden outputs of `split` and `verify` on the splitting fixtures.
+"""Byte-level golden outputs of `split` and `verify` on the splitting
+fixtures, and of every demo script.
 
 The files under tests/golden were written by the CLI itself; any change to a
 result file or to a report line (names, order, residual text) shows here.  An
 intended output change rewrites them from `run_split_verify` and
-`verify_corrupted`.
+`verify_corrupted`.  tests/golden/demos/<name>.txt is the stdout of
+demos/<name>.py.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +24,7 @@ from conftest import (
     atlas_split_two_charts,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = {
     "split_two_charts": atlas_split_two_charts,
@@ -71,3 +77,11 @@ def verify_corrupted(tmp_path, name):
 def test_verify_residuals_match_golden_bytes(tmp_path, name):
     report = verify_corrupted(tmp_path, name)
     assert report == (GOLDEN / ("corrupt_%s.verify.txt" % name)).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in (ROOT / "demos").glob("*.py")))
+def test_demo_output_matches_golden_bytes(name):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, str(ROOT / "demos" / (name + ".py"))],
+                         env=env, capture_output=True, check=True).stdout
+    assert out == (GOLDEN / "demos" / (name + ".txt")).read_bytes()
