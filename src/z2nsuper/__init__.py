@@ -24,7 +24,6 @@ from .coeffexpr import (
     Var,
     differentiate,
     evaluate,
-    normalize_expr,
 )
 from .exprio import ParseError, parse_coeff, print_coeff
 from .gseries import (
@@ -85,7 +84,6 @@ __all__ = [
     "Degree", "DimensionMismatch", "Signature", "enumerate_nonzero_degrees",
     "is_self_odd", "parity", "sign_factor",
     "App", "CoeffExpr", "UnboundSymbol", "Var", "differentiate", "evaluate",
-    "normalize_expr",
     "ParseError", "parse_coeff", "print_coeff",
     "GSeries", "OrderError", "SignatureMismatch", "mul_monomials", "normal_form",
     "JacobianMatrix", "Morphism", "MorphismError", "SingularBlock", "compose",

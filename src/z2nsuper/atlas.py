@@ -11,7 +11,7 @@ declared to be 1 and enforced by eagerly rewriting one chosen symbol.
 
 from __future__ import annotations
 
-from .coeffexpr import CoeffExpr, normalize_expr
+from .coeffexpr import CoeffExpr
 from .gseries import GSeries
 from .morphisms import Morphism, compose
 
@@ -93,20 +93,20 @@ class Atlas:
         the base coordinates; other coefficient data is left untouched.
         """
         if not self.partition:
-            return normalize_expr(expr)
+            return expr
         last = self.charts[-1]
         target = self.partition[last]
         tterms = target.terms()
         if len(tterms) != 1:
-            return normalize_expr(expr)
+            return expr
         (mono, c0), = tterms.items()
         if c0 != 1 or len(mono) != 1 or mono[0][1] != 1:
-            return normalize_expr(expr)
+            return expr
         atom = mono[0][0]
         from .coeffexpr import App, Var
 
         if not isinstance(atom, App) or any(atom.alpha):
-            return normalize_expr(expr)
+            return expr
         argnames = []
         for a in atom.args:
             t = a.terms()
@@ -115,7 +115,7 @@ class Atlas:
                 if c == 1 and len(m) == 1 and m[0][1] == 1 and isinstance(m[0][0], Var):
                     argnames.append(m[0][0].name)
                     continue
-            return normalize_expr(expr)
+            return expr
         replacement = CoeffExpr.rational(1)
         for u in self.charts[:-1]:
             replacement = replacement - self.partition[u]
@@ -127,7 +127,7 @@ class Atlas:
                     out = out.diff(argnames[j])
             return out.substitute_vars(dict(zip(argnames, args)))
 
-        return normalize_expr(expr).substitute_app(atom.func, handler)
+        return expr.substitute_app(atom.func, handler)
 
     def reduce_series(self, s):
         return s.map_coeffs(self.partition_reduce)
@@ -194,7 +194,7 @@ class GradedBundleData:
         self.pairs = [tuple(p) for p in pairs]
         # matrices: (u, v) -> {degree: [[CoeffExpr]]}
         self.matrices = {
-            pair: {d: [[normalize_expr(e) for e in row] for row in mat] for d, mat in per.items()}
+            pair: {d: [list(row) for row in mat] for d, mat in per.items()}
             for pair, per in matrices.items()
         }
         # missing base transitions default to the coordinate identity
@@ -202,7 +202,7 @@ class GradedBundleData:
         for pair in self.matrices:
             given = (base_transitions or {}).get(pair, {})
             self.base_transitions[pair] = {
-                bn: normalize_expr(given[bn]) if bn in given else CoeffExpr.var(bn)
+                bn: given[bn] if bn in given else CoeffExpr.var(bn)
                 for bn in signature.base_names
             }
 
@@ -241,7 +241,7 @@ def build_split_model(bundle, order, triples=(), partition=None):
             for i, tv in enumerate(vars_d):
                 acc = GSeries.zero(sig, order)
                 for j, sv in enumerate(vars_d):
-                    g = normalize_expr(mat[i][j])
+                    g = mat[i][j]
                     if not g.is_zero():
                         acc = acc + GSeries.generator(sig, sv, order) * g
                 if acc.is_zero():

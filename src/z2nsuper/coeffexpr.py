@@ -513,11 +513,6 @@ ZERO = CoeffExpr({}, True)
 ONE = CoeffExpr({(): _ONE_Q}, True)
 
 
-def normalize_expr(e):
-    """Identity on the canonical representation; kept as the public entry point."""
-    return _coerce(e)
-
-
 def differentiate(e, name):
     return _coerce(e).diff(name)
 

@@ -6,13 +6,19 @@ signature's canonical order, and multiplication follows the scalar-product
 sign rule.  Self-odd variables (sign_factor(d, d) == -1) are nilpotent and
 carry exponent 0 or 1; self-even nonzero-degree variables are not nilpotent
 and are bounded only by the truncation order K.
+
+Invariants.  A series is its canonical term dict: keys are exponent tuples of
+length nformal, of order <= K, with self-odd exponents at most 1, and every
+stored coefficient is a nonzero CoeffExpr.  Outside values enter only through
+`GSeries.monomial`, which coerces the coefficient and drops a monomial that
+is zero in the truncated ring; every other operation builds a canonical dict
+from canonical parts, and the constructor stores it, dropping only zero
+coefficients.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .coeffexpr import CoeffExpr, ZERO, normalize_expr, sum_of_products
+from .coeffexpr import CoeffExpr, ZERO, _coerce, sum_of_products
 from .degrees import Degree
 
 INFINITY = float("inf")
@@ -70,18 +76,12 @@ class GSeries:
 
     __slots__ = ("sig", "order", "terms")
 
-    def __init__(self, sig, order, terms=None):
+    def __init__(self, sig, order, terms):
+        """Store a canonical term dict: tuple keys of order <= `order` and
+        CoeffExpr values.  Zero coefficients are dropped."""
         self.sig = sig
         self.order = order
-        clean = {}
-        for mu, c in (terms or {}).items():
-            c = normalize_expr(c)
-            if c.is_zero():
-                continue
-            if mono_order(mu) > order:
-                continue
-            clean[tuple(mu)] = c
-        self.terms = clean
+        self.terms = {mu: c for mu, c in terms.items() if not c.is_zero()}
 
     # -- constructors -----------------------------------------------------
 
@@ -91,9 +91,7 @@ class GSeries:
 
     @classmethod
     def from_coeff(cls, sig, order, c):
-        c = _as_coeff(c)
-        mu = (0,) * sig.nformal
-        return cls(sig, order, {mu: c})
+        return cls.monomial(sig, order, (0,) * sig.nformal, c)
 
     @classmethod
     def one(cls, sig, order):
@@ -106,11 +104,17 @@ class GSeries:
             return cls.from_coeff(sig, order, CoeffExpr.var(name))
         mu = [0] * sig.nformal
         mu[sig.formal_index(name)] = 1
-        return cls(sig, order, {tuple(mu): CoeffExpr.rational(1)})
+        return cls.monomial(sig, order, mu)
 
     @classmethod
     def monomial(cls, sig, order, mu, coeff=1):
-        return cls(sig, order, {tuple(mu): _as_coeff(coeff)})
+        """coeff * mu from outside values; zero when mu is above the order
+        or squares a self-odd variable."""
+        mu, c = tuple(mu), _coerce(coeff)
+        k = mono_order(mu)
+        if k > order or (k > 1 and any(e > 1 and odd for e, odd in zip(mu, sig.formal_self_odd))):
+            return cls(sig, order, {})
+        return cls(sig, order, {mu: c})
 
     # -- structure --------------------------------------------------------
 
@@ -225,11 +229,7 @@ class GSeries:
         return out
 
     def _coerce(self, x):
-        if isinstance(x, GSeries):
-            return x
-        if isinstance(x, (int, Fraction, CoeffExpr)):
-            return GSeries.from_coeff(self.sig, self.order, x)
-        raise TypeError("cannot coerce %r to GSeries" % (x,))
+        return x if isinstance(x, GSeries) else GSeries.from_coeff(self.sig, self.order, x)
 
     def __eq__(self, other):
         return (
@@ -277,14 +277,6 @@ class GSeries:
 
     def __repr__(self):
         return "GSeries(%s; K=%d)" % (str(self), self.order)
-
-
-def _as_coeff(c):
-    if isinstance(c, CoeffExpr):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return CoeffExpr.rational(c)
-    raise TypeError("not a coefficient: %r" % (c,))
 
 
 def normal_form(word, sig, order):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffexpr import CoeffExpr, normalize_expr
+from .coeffexpr import CoeffExpr
 from .degrees import Degree
 from .gseries import GSeries, SignatureMismatch, mono_degree, mono_order
 
@@ -75,7 +75,7 @@ def taylor(expr, sig, order, amap, shifts):
                 break
             fact = fact * k
 
-    rec(0, normalize_expr(expr), GSeries.one(sig, order), 1)
+    rec(0, expr, GSeries.one(sig, order), 1)
     return result
 
 

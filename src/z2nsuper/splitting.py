@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .atlas import Report, build_split_model, extract_bundle, first_residual, validate_atlas
-from .coeffexpr import CoeffExpr, normalize_expr
+from .coeffexpr import CoeffExpr
 from .gseries import GSeries, mono_order
 from .morphisms import Morphism, compose
 
@@ -72,7 +72,7 @@ class EmbeddingFamily:
 
     def apply(self, chart, expr):
         """The embedding of a coefficient function into the chart algebra."""
-        return self.as_morphism(chart).pullback_coeff(normalize_expr(expr))
+        return self.as_morphism(chart).pullback_coeff(expr)
 
     def at_order(self, order):
         """Reinterpret the family at a different truncation order.
@@ -84,9 +84,13 @@ class EmbeddingFamily:
 
 
 def _at_order(atlas, values, order):
-    """Chart values chart -> {var -> GSeries} reinterpreted at `order`."""
+    """Chart values chart -> {var -> GSeries} reinterpreted at `order`:
+    truncated when it lowers the order, the same terms when it raises it."""
     return {
-        u: {nm: GSeries(atlas.signature, order, s.terms) for nm, s in per.items()}
+        u: {
+            nm: s.truncate(order) if order <= s.order else GSeries(atlas.signature, order, s.terms)
+            for nm, s in per.items()
+        }
         for u, per in values.items()
     }
 
