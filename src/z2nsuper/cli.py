@@ -48,6 +48,11 @@ def _read(path):
         return fh.read()
 
 
+def _order(args):
+    """The `--order` value, read like an `order` line; None when not given."""
+    return None if args.order is None else formats.parse_order(args.order)
+
+
 def _emit(text, out):
     if out:
         with open(out, "w") as fh:
@@ -58,22 +63,23 @@ def _emit(text, out):
 
 def cmd_normalize(args):
     sig = formats.parse_signature(_read(args.sig))
-    s = formats.parse_series(_read(args.series).strip(), sig, args.order)
+    s = formats.parse_series(_read(args.series).strip(), sig, _order(args))
     _emit(formats.print_series(s), args.output)
     return 0
 
 
 def cmd_mul(args):
     sig = formats.parse_signature(_read(args.sig))
-    a = formats.parse_series(_read(args.series[0]).strip(), sig, args.order)
-    b = formats.parse_series(_read(args.series[1]).strip(), sig, args.order)
+    order = _order(args)
+    a = formats.parse_series(_read(args.series[0]).strip(), sig, order)
+    b = formats.parse_series(_read(args.series[1]).strip(), sig, order)
     _emit(formats.print_series(a * b), args.output)
     return 0
 
 
 def cmd_pullback(args):
     m = formats.parse_morphism(_read(args.morphism))
-    order = args.order if args.order is not None else m.order
+    order = _order(args) or m.order
     f = formats.parse_series(_read(args.series).strip(), m.target, order)
     _emit(formats.print_series(m.pullback(f)), args.output)
     return 0
@@ -112,7 +118,7 @@ def cmd_jacobian(args):
 
 def cmd_template(args):
     sig = formats.parse_signature(_read(args.sig))
-    shapes, m = transformation_template(sig, args.order)
+    shapes, m = transformation_template(sig, _order(args))
     lines = []
     for name, _ in sig.variables():
         for mu in shapes[name]:
@@ -159,8 +165,9 @@ def cmd_atlas_check(args):
 
 def cmd_split(args):
     atlas = formats.parse_atlas(_read(args.atlas))
-    if args.order is not None and args.order != atlas.order:
-        atlas.order = min(atlas.order, args.order)
+    order = _order(args)
+    if order is not None:
+        atlas.order = min(atlas.order, order)
     result = split(atlas, atlas.order)
     _emit(formats.print_result(result), args.output)
     return 0 if result.report.passed else 1
@@ -191,17 +198,17 @@ def build_parser():
     sp = add("normalize", cmd_normalize, help="canonical form of a series")
     sp.add_argument("--sig", required=True)
     sp.add_argument("--series", required=True)
-    sp.add_argument("--order", type=int, required=True)
+    sp.add_argument("--order", required=True)
 
     sp = add("mul", cmd_mul, help="product of two series")
     sp.add_argument("--sig", required=True)
-    sp.add_argument("--order", type=int, required=True)
+    sp.add_argument("--order", required=True)
     sp.add_argument("series", nargs=2)
 
     sp = add("pullback", cmd_pullback, help="pull a series back through a morphism")
     sp.add_argument("--morphism", required=True)
     sp.add_argument("--series", required=True)
-    sp.add_argument("--order", type=int, default=None)
+    sp.add_argument("--order", default=None)
 
     sp = add("compose", cmd_compose, help="compose two morphisms (second after first)")
     sp.add_argument("--first", required=True, help="applied first (its target feeds the second)")
@@ -216,7 +223,7 @@ def build_parser():
 
     sp = add("template", cmd_template, help="most general coordinate transformation")
     sp.add_argument("--sig", required=True)
-    sp.add_argument("--order", type=int, required=True)
+    sp.add_argument("--order", required=True)
 
     sp = add("check-findim", cmd_check_findim, help="certify a degree assignment")
     sp.add_argument("--algebra", required=True)
@@ -231,7 +238,7 @@ def build_parser():
 
     sp = add("split", cmd_split, help="run the full splitting pipeline")
     sp.add_argument("--atlas", required=True)
-    sp.add_argument("--order", type=int, default=None)
+    sp.add_argument("--order", default=None)
 
     sp = add("verify", cmd_verify, help="re-check a splitting result against its atlas")
     sp.add_argument("--result", required=True)

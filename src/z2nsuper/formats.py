@@ -22,8 +22,8 @@ A block header opens a block that runs to a line reading `end`:
 
 Blank lines and lines starting with `#` are ignored everywhere, inside
 blocks too.  Unknown keywords, wrong field counts, blocks with no `end`,
-rows without their `=`, repeated rows and repeated header lines raise
-`ParseError`.  A header line is named by its keyword and, for `var`, `pair`,
+rows without their `=`, repeated rows, repeated header lines and an
+`order` that is not an integer K >= 1 raise `ParseError`.  A header line is named by its keyword and, for `var`, `pair`,
 `triple`, `c`, `transition` and `iso`, by the fields that say what it is
 about (`iso U`, `c A B C`); every other keyword may appear once per file.
 """
@@ -118,6 +118,17 @@ def _after(kw, *header):
     """A `kw` block is parsed over header values that must come before it."""
     if any(value is None for value in header):
         raise ParseError("%s block before the header lines it needs" % kw, 0)
+
+
+def parse_order(text):
+    """A truncation order K from an `order` line or `--order`: an integer >= 1."""
+    try:
+        order = int(text)
+    except ValueError:
+        order = None
+    if order is None or order < 1:
+        raise ParseError("the truncation order must be an integer >= 1, got %r" % text, 0)
+    return order
 
 
 # -- signatures -----------------------------------------------------------
@@ -226,7 +237,7 @@ def parse_morphism(text):
     keywords = ("order", "source", "target", "images")
     for kw, fields, body in _sections(text.splitlines(), keywords, "morphism"):
         if kw == "order":
-            order = int(fields[0])
+            order = parse_order(fields[0])
         elif kw == "source":
             source = parse_signature_lines(body)
         elif kw == "target":
@@ -273,6 +284,9 @@ def parse_algebra(text):
     if labels is None or unit is None:
         raise ParseError("algebra file is missing basis or unit", 0)
     idx = {lb: i for i, lb in enumerate(labels)}
+    if len(idx) < len(labels):
+        repeated = next(lb for i, lb in enumerate(labels) if lb in labels[:i])
+        raise ParseError("algebra `basis` repeats the label %r" % repeated, 0)
 
     def index(label, line):
         if label not in idx:
@@ -339,7 +353,7 @@ def parse_atlas(text):
     keywords = ("order", "signature", "charts", "pair", "triple", "transition", "partition")
     for kw, fields, body in _sections(text.splitlines(), keywords, "atlas"):
         if kw == "order":
-            order = int(fields[0])
+            order = parse_order(fields[0])
         elif kw == "signature":
             sig = parse_signature_lines(body)
         elif kw == "charts":
@@ -420,7 +434,7 @@ def parse_result(text):
     keywords = ("order", "signature", "charts", "bundle", "embedding", "iso", "report")
     for kw, fields, body in _sections(text.splitlines(), keywords, "result"):
         if kw == "order":
-            order = int(fields[0])
+            order = parse_order(fields[0])
         elif kw == "signature":
             sig = parse_signature_lines(body)
         elif kw == "charts":

@@ -294,11 +294,25 @@ def _zeroed_copy_before(text, header):
      "the result has no iso for atlas chart V"),
     ("algebra", lambda t: t.replace("c one one one 1\n", "c one q one 1\n", 1),
      "algebra line `c one q one 1` names 'q', not a basis label"),
+    ("atlas", lambda t: t.replace("order 3\n", "order -2\n", 1),
+     "the truncation order must be an integer >= 1, got '-2'"),
+    ("atlas", lambda t: t.replace("order 3\n", "order x\n", 1),
+     "the truncation order must be an integer >= 1, got 'x'"),
+    ("morphism", lambda t: t.replace("order 3\n", "order 0\n", 1),
+     "the truncation order must be an integer >= 1, got '0'"),
+    ("morphism", lambda t: t.replace("order 3\n", "order -1\n", 1),
+     "the truncation order must be an integer >= 1, got '-1'"),
+    ("result", lambda t: t.replace("order 3\n", "order 0\n", 1),
+     "the truncation order must be an integer >= 1, got '0'"),
+    ("algebra", lambda t: t.replace("basis one i j k\n", "basis one i i k\n", 1),
+     "algebra `basis` repeats the label 'i'"),
 ], ids=["atlas-order", "morphism-order", "signature-n", "atlas-pair", "atlas-transition",
         "result-iso", "algebra-c", "algebra-c-zero-denominator", "transition-no-end",
         "image-row-no-equals", "image-row-repeated", "result-no-signature",
         "result-iso-repeated", "atlas-transition-repeated", "atlas-order-repeated",
-        "result-iso-unknown-chart", "result-iso-missing-atlas-chart", "algebra-c-unknown-label"])
+        "result-iso-unknown-chart", "result-iso-missing-atlas-chart", "algebra-c-unknown-label",
+        "atlas-order-negative", "atlas-order-not-an-integer", "morphism-order-zero",
+        "morphism-order-negative", "result-order-zero", "algebra-basis-repeated"])
 def test_malformed_file_is_an_input_error(tmp_path, capsys, kind, edit, message):
     atlas = atlas_nonsplit_base_twist()
     texts = {
@@ -325,6 +339,20 @@ def test_malformed_file_is_an_input_error(tmp_path, capsys, kind, edit, message)
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, order", [("split", "0"), ("normalize", "-1")])
+def test_order_option_below_one_is_an_input_error(tmp_path, sig_file, capsys, command, order):
+    afile = write(tmp_path, "atlas.txt", print_atlas(atlas_nonsplit_base_twist(3)))
+    series = write(tmp_path, "s.txt", "x")
+    argv = {
+        "split": ["split", "--atlas", afile],
+        "normalize": ["normalize", "--sig", sig_file, "--series", series],
+    }[command]
+    assert main(argv + ["--order", order]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the truncation order must be an integer >= 1, got %r" % order)
     assert "Traceback" not in err
 
 
