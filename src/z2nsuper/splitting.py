@@ -112,7 +112,7 @@ def embedding_mismatch(family, pair):
     base_vu = atlas.transition(v, u).base_map()  # U base coordinates as functions of V
     out = {}
     for bn in atlas.signature.base_names:
-        left = family.apply(u, CoeffExpr.var(bn)).truncate(order)
+        left = family.values[u][bn].truncate(order)
         right = t_uv.pullback(family.apply(v, base_vu[bn])).truncate(order)
         out[bn] = atlas.reduce_series(left - right)
     return out
