@@ -257,21 +257,6 @@ def invert(m, base_inverse=None):
             raise SingularBlock("linear block of degree %s is singular" % d)
         Minv[d] = inv
 
-    def linear_guess():
-        images = {}
-        for sn, tn in zip(src.base_names, tgt.base_names):
-            images[sn] = GSeries.from_coeff(tgt, K, base_inverse[sn])
-        for d, (tvars, svars) in blocks.items():
-            inv = Minv[d]
-            for i, sv in enumerate(svars):
-                acc = GSeries.zero(tgt, K)
-                for j, tv in enumerate(tvars):
-                    if inv[i][j] != 0:
-                        acc = acc + GSeries.generator(tgt, tv, K) * inv[i][j]
-                images[sv] = acc
-        return Morphism(tgt, src, images, K)
-
-    psi = linear_guess()
     # nonlinear parts of the forward images
     h_base = {}
     for sn, tn in zip(src.base_names, tgt.base_names):
@@ -288,24 +273,29 @@ def invert(m, base_inverse=None):
                 lin = lin + GSeries.monomial(src, K, mu, img.coeff_of(mu))
             h_formal[tv] = img - lin
 
-    for _ in range(K):
+    def sweep(pull):
+        """The next inverse, given pull, the pullback of the current one."""
         images = {}
         # base coordinates: b_i evaluated at (x' - psi*(n_i)) via Taylor shift
-        shift = {tn: -psi.pullback(h_base[tn]) for tn in tgt.base_names}
+        shift = {tn: -pull(h_base[tn]) for tn in tgt.base_names}
         for sn in src.base_names:
             images[sn] = taylor(base_inverse[sn], tgt, K, {}, shift)
         for d, (tvars, svars) in blocks.items():
             inv = Minv[d]
-            rhs = {}
-            for tv in tvars:
-                rhs[tv] = GSeries.generator(tgt, tv, K) - psi.pullback(h_formal[tv])
+            rhs = {tv: GSeries.generator(tgt, tv, K) - pull(h_formal[tv]) for tv in tvars}
             for i, sv in enumerate(svars):
                 acc = GSeries.zero(tgt, K)
                 for j, tv in enumerate(tvars):
                     if inv[i][j] != 0:
                         acc = acc + rhs[tv] * inv[i][j]
                 images[sv] = acc
-        new_psi = Morphism(tgt, src, images, K)
+        return Morphism(tgt, src, images, K)
+
+    # the linear guess: the sweep with the nonlinear parts pulled back to zero
+    zero = GSeries.zero(tgt, K)
+    psi = sweep(lambda h: zero)
+    for _ in range(K):
+        new_psi = sweep(psi.pullback)
         if new_psi == psi:
             break
         psi = new_psi
