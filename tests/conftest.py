@@ -220,14 +220,18 @@ def rand_signature(rng, n_max=3, q_max=4):
     return Signature(n, variables)
 
 
-def rand_morphism(rng, sig, order, max_terms=2):
-    """A random valid degree-preserving endomorphism with identity base map."""
+def rand_morphism(rng, sig, order, max_terms=2, min_order=1):
+    """A random valid degree-preserving endomorphism with identity base map.
+
+    Its added terms have order >= min_order; with min_order 2 the linear part
+    is the identity, so the morphism is invertible."""
     from z2nsuper.morphisms import enumerate_monomials
 
     images = {}
     for name, deg in sig.variables():
         img = GSeries.generator(sig, name, order)
-        monos = [mu for mu in enumerate_monomials(sig, order, degree=deg) if sum(mu) >= 1]
+        monos = [mu for mu in enumerate_monomials(sig, order, degree=deg)
+                 if sum(mu) >= min_order]
         for _ in range(rng.randint(0, max_terms)):
             if not monos:
                 break

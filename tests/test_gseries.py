@@ -15,12 +15,15 @@ from z2nsuper import (
     normal_form,
 )
 from z2nsuper.gseries import INFINITY
-from z2nsuper.morphisms import enumerate_monomials
+from z2nsuper.morphisms import compose, enumerate_monomials, invert
+from z2nsuper.splitting import build_base_embedding
 
 from conftest import (
+    atlas_nonsplit_base_twist,
     naive_left_partial,
     naive_mul_monomials,
     naive_series_mul,
+    rand_morphism,
     rand_opaque_coeff,
     rand_series,
     rand_signature,
@@ -229,3 +232,58 @@ def test_left_partial_graded_leibniz_randomized():
             # derivatives lower the filtration, so the identity is only
             # guaranteed one order below the truncation
             assert lhs.truncate(order - 1) == rhs.truncate(order - 1)
+
+
+def assert_canonical(s):
+    """The invariant GSeries keeps by construction: tuple keys of length
+    nformal and order <= K, self-odd exponents <= 1, nonzero CoeffExprs."""
+    sig = s.sig
+    for mu, c in s.terms.items():
+        assert type(mu) is tuple and len(mu) == sig.nformal
+        assert sum(mu) <= s.order
+        assert all(k <= 1 for k, odd in zip(mu, sig.formal_self_odd) if odd)
+        assert isinstance(c, CoeffExpr) and not c.is_zero()
+
+
+def test_every_operation_returns_a_canonical_series_up_to_n4():
+    rng = random.Random(31)
+    for _ in range(60):
+        sig = rand_signature(rng, n_max=4, q_max=5)
+        order = rng.randint(1, 4)
+        a, b = (rand_series(rng, sig, order) for _ in range(2))
+        names = [nm for nm, _ in sig.variables()]
+        mu = rng.choice(enumerate_monomials(sig, order))
+        above = [0] * sig.nformal
+        above[rng.randrange(sig.nformal)] = order + 1
+        m = rand_morphism(rng, sig, order, min_order=2)
+        made = [
+            a + b, a - b, a - a, 1 - a, -a, a * b, a * Fraction(1, 2), a ** 2,
+            a.truncate(rng.randint(0, order)), a.slice_order(rng.randint(0, order)),
+            a.map_coeffs(lambda c: c.diff("x")),
+            GSeries.from_coeff(sig, order, Fraction(2, 3)), GSeries.from_coeff(sig, order, 0),
+            GSeries.monomial(sig, order, list(mu), 3), GSeries.monomial(sig, order, above, 1),
+            m.pullback(a),
+        ]
+        made += [a.left_partial(nm) for nm in names]
+        made += [GSeries.generator(sig, nm, order) for nm in names]
+        made += list(compose(m, rand_morphism(rng, sig, order)).images.values())
+        made += list(invert(m).images.values())
+        for s in made:
+            assert_canonical(s)
+        assert GSeries.monomial(sig, order, above, 1).is_zero()
+        assert (a - a).is_zero()
+        odd = [i for i, f in enumerate(sig.formal_self_odd) if f]
+        if odd and order >= 2:
+            square = [0] * sig.nformal
+            square[odd[0]] = 2
+            assert GSeries.monomial(sig, order, square).is_zero()
+
+
+def test_lowering_chart_values_truncates_them():
+    family, _ = build_base_embedding(atlas_nonsplit_base_twist(4), 4)
+    lowered = family.at_order(1)
+    for per in lowered.values.values():
+        for s in per.values():
+            assert s.order == 1
+            assert_canonical(s)
+    assert lowered.values["U"]["x"] == family.values["U"]["x"].truncate(1)
