@@ -23,9 +23,10 @@ A block header opens a block that runs to a line reading `end`:
 Blank lines and lines starting with `#` are ignored everywhere, inside
 blocks too.  Unknown keywords, wrong field counts, blocks with no `end`,
 rows without their `=`, repeated rows, repeated header lines and an
-`order` that is not an integer K >= 1 raise `ParseError`.  A header line is named by its keyword and, for `var`, `pair`,
-`triple`, `c`, `transition` and `iso`, by the fields that say what it is
-about (`iso U`, `c A B C`); every other keyword may appear once per file.
+`order` that is not an integer K >= 1 raise `ParseError`.  A header line is
+named by its keyword and, for `var`, `pair`, `triple`, `c`, `transition`
+and `iso`, by the fields that say what it is about (`iso U`, `c A B C`);
+every other keyword may appear once per file.
 """
 
 from __future__ import annotations
