@@ -198,7 +198,10 @@ class GSeries:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        if not isinstance(other, GSeries):
+            # a scalar is a degree-0 constant: scale the coefficients
+            x = _coerce(other)
+            return GSeries(self.sig, self.order, {mu: c * x for mu, c in self.terms.items()})
         self._check_sig(other)
         order = min(self.order, other.order)
         sig = self.sig
