@@ -277,11 +277,16 @@ def parse_algebra(text):
         elif kw == "unit":
             unit = fields[0]
         else:
+            line = "c " + " ".join(fields)
             try:
                 q = Fraction(fields[3])
             except ZeroDivisionError:
-                raise ParseError("zero denominator in %r" % fields[3], 0) from None
-            consts.append((fields, q))
+                raise ParseError("algebra line `%s`: zero denominator in %r"
+                                 % (line, fields[3]), 0) from None
+            except ValueError:
+                raise ParseError("algebra line `%s`: %r is not a rational constant"
+                                 % (line, fields[3]), 0) from None
+            consts.append((line, fields, q))
     if labels is None or unit is None:
         raise ParseError("algebra file is missing basis or unit", 0)
     idx = {lb: i for i, lb in enumerate(labels)}
@@ -295,8 +300,8 @@ def parse_algebra(text):
         return idx[label]
 
     table = {}
-    for fields, q in consts:
-        a, b, c = (index(lb, "c " + " ".join(fields)) for lb in fields[:3])
+    for line, fields, q in consts:
+        a, b, c = (index(lb, line) for lb in fields[:3])
         table.setdefault((a, b), {})[c] = q
     return FinDimAlgebra(labels, index(unit, "unit " + unit), table)
 

@@ -306,13 +306,16 @@ def _zeroed_copy_before(text, header):
      "the truncation order must be an integer >= 1, got '0'"),
     ("algebra", lambda t: t.replace("basis one i j k\n", "basis one i i k\n", 1),
      "algebra `basis` repeats the label 'i'"),
+    ("algebra", lambda t: t.replace("c one one one 1\n", "c one one one x\n", 1),
+     "algebra line `c one one one x`: 'x' is not a rational constant"),
 ], ids=["atlas-order", "morphism-order", "signature-n", "atlas-pair", "atlas-transition",
         "result-iso", "algebra-c", "algebra-c-zero-denominator", "transition-no-end",
         "image-row-no-equals", "image-row-repeated", "result-no-signature",
         "result-iso-repeated", "atlas-transition-repeated", "atlas-order-repeated",
         "result-iso-unknown-chart", "result-iso-missing-atlas-chart", "algebra-c-unknown-label",
         "atlas-order-negative", "atlas-order-not-an-integer", "morphism-order-zero",
-        "morphism-order-negative", "result-order-zero", "algebra-basis-repeated"])
+        "morphism-order-negative", "result-order-zero", "algebra-basis-repeated",
+        "algebra-c-not-rational"])
 def test_malformed_file_is_an_input_error(tmp_path, capsys, kind, edit, message):
     atlas = atlas_nonsplit_base_twist()
     texts = {
