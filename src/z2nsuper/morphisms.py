@@ -4,6 +4,13 @@ A Morphism is stored contravariantly: it maps each target variable to its
 image series over the source.  Pulling back a coefficient function composes
 it with the base map and Taylor-expands in the higher-order part of the
 degree-0 images; pulling back a formal variable substitutes its image.
+
+`Morphism.pullbacks` pulls a list of series back at once.  The work the
+series share (the shifts, their Taylor products, the images of formal
+monomials) lives in dicts local to that call, one set per truncation order,
+so a morphism holds no cache.  Regrouping the products this way cannot change
+a result: the arithmetic is exact and canonical, truncation is a ring
+homomorphism, and pulled-back coefficients have degree 0.
 """
 
 from __future__ import annotations
@@ -43,18 +50,21 @@ def enumerate_monomials(sig, max_order, degree=None):
     return out
 
 
-def taylor(expr, sig, order, amap, shifts):
+def taylor(expr, sig, order, amap, shifts, powers=None):
     """Taylor-expand a coefficient function around shifted base coordinates.
 
     The sum over multi-indices a of (d^a expr)(amap) * shifts^a / a!, where
     shifts maps base coordinate names to GSeries over sig with j_order >= 1
     (so the sum is finite) and amap substitutes the differentiated
-    coordinates ({} keeps them).
+    coordinates ({} keeps them).  powers memoises the products shifts^a by
+    multi-index prefix; expansions with the same shifts and order may share
+    one dict.
     """
     base = list(shifts)
+    powers = {} if powers is None else powers
     result = GSeries.zero(sig, order)
 
-    def rec(i, deriv, prod, fact):
+    def rec(i, deriv, key, prod, fact):
         nonlocal result
         if deriv.is_zero() or prod.is_zero():
             return
@@ -65,9 +75,12 @@ def taylor(expr, sig, order, amap, shifts):
         bn = base[i]
         k = 0
         while True:
-            rec(i + 1, deriv, prod, fact)
+            rec(i + 1, deriv, key + (k,), prod, fact)
             k += 1
-            prod = prod * shifts[bn]
+            nxt = key + (k,)
+            if nxt not in powers:
+                powers[nxt] = prod * shifts[bn]
+            prod = powers[nxt]
             if prod.is_zero():
                 break
             deriv = deriv.diff(bn)
@@ -75,8 +88,21 @@ def taylor(expr, sig, order, amap, shifts):
                 break
             fact = fact * k
 
-    rec(0, expr, GSeries.one(sig, order), 1)
+    rec(0, expr, (), GSeries.one(sig, order), 1)
     return result
+
+
+def _monomial_image(cache, formal, mu):
+    """The product of formal[a] ** mu[a] in canonical variable order, for a
+    nonzero exponent vector: image(mu - e_last) * formal[last], memoised in
+    cache."""
+    img = cache.get(mu)
+    if img is None:
+        last = max(a for a, k in enumerate(mu) if k)
+        rest = mu[:last] + (mu[last] - 1,) + mu[last + 1 :]
+        img = formal[last] if not any(rest) else _monomial_image(cache, formal, rest) * formal[last]
+        cache[mu] = img
+    return img
 
 
 class Morphism:
@@ -144,6 +170,16 @@ class Morphism:
 
     # -- pullback ---------------------------------------------------------
 
+    def _shifts(self, order):
+        """The base map, and per target base coordinate the nilpotent shift:
+        its image minus the constant term, truncated to `order`."""
+        amap = self.base_map()
+        nil = {
+            bn: (self.images[bn] - GSeries.from_coeff(self.source, self.order, amap[bn])).truncate(order)
+            for bn in self.target.base_names
+        }
+        return amap, nil
+
     def pullback_coeff(self, c, order=None):
         """Pull back a coefficient function of the target base coordinates.
 
@@ -151,32 +187,40 @@ class Morphism:
         of the degree-0 images; finite because of truncation.
         """
         order = self.order if order is None else min(order, self.order)
-        base = self.target.base_names
-        amap = {bn: self.images[bn].epsilon() for bn in base}
-        nil = {
-            bn: (self.images[bn] - GSeries.from_coeff(self.source, self.order, amap[bn])).truncate(order)
-            for bn in base
-        }
-        return taylor(c, self.source, order, amap, nil)
+        return taylor(c, self.source, order, *self._shifts(order))
 
     def pullback(self, f):
         """Pull back a series over the target to a series over the source."""
-        if f.sig != self.target:
+        return self.pullbacks([f])[0]
+
+    def pullbacks(self, fs):
+        """Pull back a list of series over the target, sharing the work.
+
+        Per truncation order, and only for the length of this call, the base
+        map and the shifts are computed once, the Taylor expansions share
+        their shift products, and the image of each formal monomial is built
+        once from the image of a shorter one.  Pulled-back coefficients have
+        degree 0, so each term is its coefficient's expansion times the
+        monomial's image.
+        """
+        if any(f.sig != self.target for f in fs):
             raise SignatureMismatch("series is not over the morphism target")
-        order = min(self.order, f.order)
-        out = GSeries.zero(self.source, order)
         fvars = self.target.formal_names
-        powers = {}
-        for mu, c in f.terms.items():
-            part = self.pullback_coeff(c, order)
-            for a, k in enumerate(mu):
-                if not k:
-                    continue
-                key = (a, k)
-                if key not in powers:
-                    powers[key] = self.images[fvars[a]].truncate(order) ** k
-                part = part * powers[key]
-            out = out + part
+        shared = {}
+        out = []
+        for f in fs:
+            order = min(self.order, f.order)
+            if order not in shared:
+                formal = [self.images[v].truncate(order) for v in fvars]
+                shared[order] = self._shifts(order) + ({}, {}, formal)
+            amap, nil, powers, monos, formal = shared[order]
+            acc = GSeries.zero(self.source, order)
+            for mu, c in f.terms.items():
+                part = taylor(c, self.source, order, amap, nil, powers)
+                if any(mu) and not part.is_zero():
+                    part = part * _monomial_image(monos, formal, mu)
+                acc = acc + part
+            out.append(acc)
         return out
 
 
@@ -185,7 +229,7 @@ def compose(m2, m1):
     if m1.target != m2.source:
         raise SignatureMismatch("compose: target of first != source of second")
     order = min(m1.order, m2.order)
-    images = {v: m1.pullback(img) for v, img in m2.images.items()}
+    images = dict(zip(m2.images, m1.pullbacks(list(m2.images.values()))))
     return Morphism(m1.source, m2.target, images, order)
 
 
@@ -217,6 +261,18 @@ def invert(m, base_inverse=None):
     block.  When the base map is not the identity, a symbolic inverse must be
     supplied as base_inverse: source base coordinate -> CoeffExpr over the
     target base coordinates.
+
+    Write each forward image as its base or linear part plus a nonlinear part
+    h.  A sweep sets psi(x) = base_inverse(x' - psi*(h_x)) and
+    psi(xi) = M^-1 (xi' - psi*(h_xi)), with M the linear blocks.  Every h
+    has order >= 2, so each sweep is correct to one more order than the one
+    before, and by the K-th sweep the input comes back unchanged: a fixed
+    point.  At a fixed point, pulling m's images back through psi gives
+    base_map(base_inverse(x' - psi*(h_x))) + psi*(h_x) = x' and
+    M M^-1 (xi' - psi*(h_xi)) + psi*(h_xi) = xi', that is
+    compose(m, psi) == id, provided base_map(base_inverse(x')) = x'.  Both
+    conditions are checked: MorphismError if base_inverse does not invert the
+    base map symbolically, or if K sweeps end without a fixed point.
     """
     src, tgt, K = m.source, m.target, m.order
     if base_inverse is None:
@@ -227,6 +283,13 @@ def invert(m, base_inverse=None):
         base_inverse = {
             sn: CoeffExpr.var(tn) for sn, tn in zip(src.base_names, tgt.base_names)
         }
+
+    missing = [sn for sn in src.base_names if sn not in base_inverse]
+    if missing:
+        raise MorphismError("base_inverse has no entry for %r" % missing[0])
+    for tn, phi in m.base_map().items():
+        if phi.substitute_vars(base_inverse) != CoeffExpr.var(tn):
+            raise MorphismError("base_inverse does not invert the base map at %r" % tn)
 
     # positional matching of formal variables per degree block
     blocks = {}
@@ -257,12 +320,11 @@ def invert(m, base_inverse=None):
             raise SingularBlock("linear block of degree %s is singular" % d)
         Minv[d] = inv
 
-    # nonlinear parts of the forward images
-    h_base = {}
+    # nonlinear parts of the forward images, by target variable
+    h = {}
     for sn, tn in zip(src.base_names, tgt.base_names):
         img = m.images[tn]
-        h_base[tn] = img - GSeries.from_coeff(src, K, img.epsilon())
-    h_formal = {}
+        h[tn] = img - GSeries.from_coeff(src, K, img.epsilon())
     for d, (tvars, svars) in blocks.items():
         for tv in tvars:
             img = m.images[tv]
@@ -271,18 +333,19 @@ def invert(m, base_inverse=None):
                 mu = [0] * src.nformal
                 mu[src.formal_index(sv)] = 1
                 lin = lin + GSeries.monomial(src, K, mu, img.coeff_of(mu))
-            h_formal[tv] = img - lin
+            h[tv] = img - lin
 
-    def sweep(pull):
-        """The next inverse, given pull, the pullback of the current one."""
+    def sweep(pulled):
+        """The next inverse, given the nonlinear parts pulled back through
+        the current one."""
         images = {}
         # base coordinates: b_i evaluated at (x' - psi*(n_i)) via Taylor shift
-        shift = {tn: -pull(h_base[tn]) for tn in tgt.base_names}
+        shift = {tn: -pulled[tn] for tn in tgt.base_names}
         for sn in src.base_names:
             images[sn] = taylor(base_inverse[sn], tgt, K, {}, shift)
         for d, (tvars, svars) in blocks.items():
             inv = Minv[d]
-            rhs = {tv: GSeries.generator(tgt, tv, K) - pull(h_formal[tv]) for tv in tvars}
+            rhs = {tv: GSeries.generator(tgt, tv, K) - pulled[tv] for tv in tvars}
             for i, sv in enumerate(svars):
                 acc = GSeries.zero(tgt, K)
                 for j, tv in enumerate(tvars):
@@ -292,14 +355,13 @@ def invert(m, base_inverse=None):
         return Morphism(tgt, src, images, K)
 
     # the linear guess: the sweep with the nonlinear parts pulled back to zero
-    zero = GSeries.zero(tgt, K)
-    psi = sweep(lambda h: zero)
+    psi = sweep(dict.fromkeys(h, GSeries.zero(tgt, K)))
     for _ in range(K):
-        new_psi = sweep(psi.pullback)
+        new_psi = sweep(dict(zip(h, psi.pullbacks(list(h.values())))))
         if new_psi == psi:
-            break
+            return psi
         psi = new_psi
-    return psi
+    raise MorphismError("no fixed point after %d sweeps; the inverse did not converge" % K)
 
 
 # -- Jacobian -------------------------------------------------------------

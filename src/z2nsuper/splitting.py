@@ -110,11 +110,12 @@ def embedding_mismatch(family, pair):
     u, v = pair
     t_uv = atlas.transition(u, v)
     base_vu = atlas.transition(v, u).base_map()  # U base coordinates as functions of V
+    names = atlas.signature.base_names
+    rights = t_uv.pullbacks([family.apply(v, base_vu[bn]) for bn in names])
     out = {}
-    for bn in atlas.signature.base_names:
+    for bn, right in zip(names, rights):
         left = family.values[u][bn].truncate(order)
-        right = t_uv.pullback(family.apply(v, base_vu[bn])).truncate(order)
-        out[bn] = atlas.reduce_series(left - right)
+        out[bn] = atlas.reduce_series(left - right.truncate(order))
     return out
 
 
@@ -151,7 +152,7 @@ def transport_derivation(atlas, u, v, omega_v, order):
     t_uv = atlas.transition(u, v)
     t_vu = atlas.transition(v, u)
     base_vu = t_vu.base_map()  # U base coordinates as functions of the V chart
-    out = {}
+    accs = []
     for bn in sig.base_names:
         expr_v = base_vu[bn]
         acc = GSeries.zero(sig, order)
@@ -160,8 +161,11 @@ def transport_derivation(atlas, u, v, omega_v, order):
             if d.is_zero():
                 continue
             acc = acc + omega_v[bv].truncate(order) * d
-        out[bn] = atlas.reduce_series(t_uv.pullback(acc).truncate(order))
-    return out
+        accs.append(acc)
+    return {
+        bn: atlas.reduce_series(s.truncate(order))
+        for bn, s in zip(sig.base_names, t_uv.pullbacks(accs))
+    }
 
 
 def solve_coboundary(atlas, omegas, order):
@@ -336,13 +340,16 @@ def frame_mismatch(family, lifts, pair):
     u, v = pair
     t_uv = atlas.transition(u, v)
     rows = frame_matrix(atlas, u, v)
-    out = {}
+    accs = []
     for fa in sig.formal_names:
         acc = GSeries.zero(sig, order)
         for fb, h in rows[fa]:
             acc = acc + lifts[v][fb] * family.apply(v, h)
-        out[fa] = atlas.reduce_series(lifts[u][fa] - t_uv.pullback(acc).truncate(order))
-    return out
+        accs.append(acc)
+    return {
+        fa: atlas.reduce_series(lifts[u][fa] - s.truncate(order))
+        for fa, s in zip(sig.formal_names, t_uv.pullbacks(accs))
+    }
 
 
 def lift_mismatch(family, lifts, pair, order):
@@ -422,19 +429,21 @@ def verify_iso(atlas, split_atlas, iso, order, report=None):
     for u in atlas.charts:
         m = iso[u]
         one = GSeries.one(sig, order)
-        report.add("iso %s: unital" % u, m.pullback(one) == one)
+        gens = [GSeries.generator(sig, nm, order) for nm, _ in sig.variables()]
+        pairs = [(i, j) for i in range(len(gens)) for j in range(i, len(gens))]
+        pulled_one, *pulled = m.pullbacks(
+            [one] + gens + [gens[i] * gens[j] for i, j in pairs]
+        )
+        pulled, lhs = pulled[:len(gens)], pulled[len(gens):]
+        report.add("iso %s: unital" % u, pulled_one == one)
         ok = all(
             m.images[nm].is_homogeneous(d) for nm, d in sig.variables()
         )
         report.add("iso %s: degree-preserving" % u, ok)
-        gens = [GSeries.generator(sig, nm, order) for nm, _ in sig.variables()]
-        pulled = [m.pullback(g) for g in gens]
-        mult_ok = True
-        for i in range(len(gens)):
-            for j in range(i, len(gens)):
-                lhs = m.pullback(gens[i] * gens[j])
-                if not atlas.reduce_series(lhs - pulled[i] * pulled[j]).is_zero():
-                    mult_ok = False
+        mult_ok = all(
+            atlas.reduce_series(prod - pulled[i] * pulled[j]).is_zero()
+            for (i, j), prod in zip(pairs, lhs)
+        )
         report.add("iso %s: multiplicative on generators" % u, mult_ok)
         inv_ok = True
         for fa in sig.formal_names:

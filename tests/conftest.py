@@ -208,13 +208,14 @@ def rand_series(rng, sig, order, max_terms=4, coeff=rand_poly):
     return GSeries(sig, order, terms)
 
 
-def rand_signature(rng, n_max=3, q_max=4):
-    """A random signature with one base coordinate and a few formal variables."""
+def rand_signature(rng, n_max=3, q_max=4, nbase=1):
+    """A random signature with nbase base coordinates (x, x1, ..) and a few
+    formal variables."""
     from z2nsuper.degrees import enumerate_nonzero_degrees
 
     n = rng.randint(1, n_max)
     nz = enumerate_nonzero_degrees(n, "lex")
-    variables = [("x", Degree.zero(n))]
+    variables = [("x%d" % i if i else "x", Degree.zero(n)) for i in range(nbase)]
     for i in range(rng.randint(1, q_max)):
         variables.append(("w%d" % i, rng.choice(nz)))
     return Signature(n, variables)

@@ -20,7 +20,15 @@ from z2nsuper import (
     transformation_template,
 )
 
-from conftest import naive_pullback, rand_morphism, rand_series, sig_n1, sig_n2
+from conftest import (
+    naive_pullback,
+    rand_morphism,
+    rand_opaque_coeff,
+    rand_series,
+    rand_signature,
+    sig_n1,
+    sig_n2,
+)
 
 
 def base_shift_morphism(sig, order):
@@ -96,6 +104,46 @@ def test_pullback_matches_substitution_oracle_on_polynomials():
         assert m.pullback(f) == naive_pullback(m, f)
 
 
+def test_pullbacks_match_the_oracle_across_orders_up_to_n4():
+    rng = random.Random(41)
+    for _ in range(30):
+        sig = rand_signature(rng, n_max=4, q_max=4, nbase=rng.randint(1, 2))
+        order = rng.randint(1, 4)
+        m = rand_morphism(rng, sig, order)
+        # one batch mixes orders below, at and above the morphism's
+        orders = [order, max(1, order - 1), order + 1, rng.randint(1, order + 1)]
+        fs = [rand_series(rng, sig, k) for k in orders]
+        assert m.pullbacks(fs) == [naive_pullback(m, f) for f in fs]
+
+
+def test_pullbacks_of_opaque_coefficients_match_one_series_batches():
+    rng = random.Random(42)
+    for _ in range(20):
+        sig = rand_signature(rng, n_max=4, q_max=4, nbase=rng.randint(1, 2))
+        order = rng.randint(1, 4)
+        m = rand_morphism(rng, sig, order)
+        fs = [rand_series(rng, sig, rng.randint(1, order + 1), coeff=rand_opaque_coeff)
+              for _ in range(4)]
+        assert m.pullbacks(fs) == [m.pullbacks([f])[0] for f in fs]
+
+
+def test_pullbacks_leave_the_morphism_unchanged():
+    rng = random.Random(43)
+    for _ in range(10):
+        sig = rand_signature(rng, n_max=4, q_max=4)
+        order = rng.randint(1, 4)
+        m = rand_morphism(rng, sig, order)
+        before = dict(vars(m))
+        images = dict(m.images)
+        fs = [rand_series(rng, sig, order) for _ in range(3)]
+        m.pullback(fs[0])
+        m.pullbacks(fs)
+        compose(rand_morphism(rng, sig, order), m)
+        compose(m, rand_morphism(rng, sig, order))
+        assert vars(m) == before
+        assert m.images == images
+
+
 def test_compose_is_contravariant():
     rng = random.Random(23)
     for _ in range(15):
@@ -141,6 +189,18 @@ def test_invert_randomized_round_trip():
                 img = img + GSeries.monomial(sig, order, mu, Fraction(rng.randint(-3, 3)))
             images[name] = img
         m = Morphism(sig, sig, images, order)
+        minv = invert(m)
+        ident = Morphism.identity(sig, order)
+        assert compose(m, minv) == ident
+        assert compose(minv, m) == ident
+
+
+def test_invert_round_trip_up_to_n4():
+    rng = random.Random(44)
+    for _ in range(15):
+        sig = rand_signature(rng, n_max=4, q_max=4)
+        order = rng.randint(1, 4)
+        m = rand_morphism(rng, sig, order, min_order=2)
         minv = invert(m)
         ident = Morphism.identity(sig, order)
         assert compose(m, minv) == ident
@@ -203,6 +263,32 @@ def test_invert_requires_base_inverse_for_nonidentity_base(sig1):
         invert(m)
     minv = invert(m, base_inverse={"x": CoeffExpr.var("x") * Fraction(1, 2)})
     assert compose(m, minv) == Morphism.identity(sig1, 3)
+
+
+def test_invert_rejects_a_base_inverse_that_does_not_invert(sig1):
+    xi12 = GSeries.generator(sig1, "xi1", 3) * GSeries.generator(sig1, "xi2", 3)
+    images = {
+        "x": GSeries.generator(sig1, "x", 3) * 2 + xi12,
+        "xi1": GSeries.generator(sig1, "xi1", 3),
+        "xi2": GSeries.generator(sig1, "xi2", 3),
+    }
+    m = Morphism(sig1, sig1, images, 3)
+    with pytest.raises(MorphismError, match="does not invert the base map at 'x'"):
+        invert(m, base_inverse={"x": CoeffExpr.var("x")})
+    with pytest.raises(MorphismError, match="no entry for 'x'"):
+        invert(m, base_inverse={})
+    minv = invert(m, base_inverse={"x": CoeffExpr.var("x") * Fraction(1, 2)})
+    ident = Morphism.identity(sig1, 3)
+    assert compose(m, minv) == ident
+    assert compose(minv, m) == ident
+
+
+def test_invert_raises_when_the_sweeps_find_no_fixed_point(sig2, monkeypatch):
+    m = base_shift_morphism(sig2, 3)
+    # no two sweeps compare equal, so the iteration never settles
+    monkeypatch.setattr(Morphism, "__eq__", lambda self, other: False)
+    with pytest.raises(MorphismError, match="no fixed point after 3 sweeps"):
+        invert(m)
 
 
 def test_jacobian_entries_and_blocks(sig2):
