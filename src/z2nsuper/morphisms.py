@@ -6,11 +6,10 @@ it with the base map and Taylor-expands in the higher-order part of the
 degree-0 images; pulling back a formal variable substitutes its image.
 
 `Morphism.pullbacks` pulls a list of series back at once.  The work the
-series share (the shifts, their Taylor products, the images of formal
-monomials) lives in dicts local to that call, one set per truncation order,
-so a morphism holds no cache.  Regrouping the products this way cannot change
-a result: the arithmetic is exact and canonical, truncation is a ring
-homomorphism, and pulled-back coefficients have degree 0.
+series share lives in dicts local to that call, so a morphism holds no cache.
+Regrouping the products this way cannot change a result: the arithmetic is
+exact and canonical, truncation is a ring homomorphism, and pulled-back
+coefficients have degree 0, so they commute with everything.
 """
 
 from __future__ import annotations
@@ -194,14 +193,12 @@ class Morphism:
         return self.pullbacks([f])[0]
 
     def pullbacks(self, fs):
-        """Pull back a list of series over the target, sharing the work.
+        """Pull back a list of series over the target, in order.
 
-        Per truncation order, and only for the length of this call, the base
-        map and the shifts are computed once, the Taylor expansions share
-        their shift products, and the image of each formal monomial is built
-        once from the image of a shorter one.  Pulled-back coefficients have
-        degree 0, so each term is its coefficient's expansion times the
-        monomial's image.
+        Per truncation order the shifts are computed once, the Taylor
+        expansions share their shift products, and each formal monomial's
+        image is built once from a shorter one's.  Each term pulls back to
+        its coefficient's expansion times its monomial's image.
         """
         if any(f.sig != self.target for f in fs):
             raise SignatureMismatch("series is not over the morphism target")
