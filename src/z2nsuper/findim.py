@@ -1,21 +1,25 @@
 """Graded-commutativity certification of finite-dimensional algebras.
 
 Algebras are given by structure constants over the rationals.  A degree
-assignment maps basis labels to Z2^n degrees; certification checks that each
-product of basis elements is homogeneous and satisfies the scalar-product
-commutation rule.  Assignments can also be found by exhaustive search.
+assignment maps basis labels to Z2^n degrees; it certifies when each product
+of basis elements is homogeneous and each pair obeys the scalar-product rule
+e_i e_j = (-1)^<deg i, deg j> e_j e_i.  The table alone decides which parities
+of <deg i, deg j> each pair admits (`FinDimAlgebra.pair_parities`); the
+certification and the exhaustive search both read that one derivation, and
+the search checks each condition once, when its last label is assigned.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
+from itertools import product
 
-from .degrees import Degree, sign_factor
+from .degrees import Degree
 
 
 class GradingError(ValueError):
-    """A structure-constant product is not homogeneous for the assignment."""
+    """A product is not homogeneous for the assignment, or its degrees mix n."""
 
 
 class BudgetExceeded(RuntimeError):
@@ -29,6 +33,11 @@ def search_budget():
     return int(os.environ.get("Z2N_SEARCH_BUDGET", DEFAULT_BUDGET))
 
 
+def _pairing(a, b):
+    """The parity of the scalar product <a, b> of two degree masks."""
+    return (a & b).bit_count() & 1
+
+
 class FinDimAlgebra:
     """A finite-dimensional unital algebra by structure constants.
 
@@ -40,11 +49,8 @@ class FinDimAlgebra:
     def __init__(self, labels, unit, table, check=True):
         self.labels = list(labels)
         self.unit = unit
-        self.table = {
-            ij: {k: Fraction(c) for k, c in row.items() if c != 0}
-            for ij, row in table.items()
-        }
-        self.table = {ij: row for ij, row in self.table.items() if row}
+        self.table = {ij: row for ij, r in table.items()
+                      if (row := {k: Fraction(c) for k, c in r.items() if c != 0})}
         if check:
             self._check_unit()
             if len(self.labels) <= 64:
@@ -57,73 +63,79 @@ class FinDimAlgebra:
     def product(self, i, j):
         return dict(self.table.get((i, j), {}))
 
-    def _vec_product(self, v, j):
+    def pair_parities(self):
+        """{(i, j): the parities p of <deg i, deg j> with e_i e_j = (-1)^p e_j e_i}.
+
+        Both parities when both products vanish, neither when they are not
+        +- each other; symmetric in i and j.
+        """
         out = {}
-        for i, c in v.items():
-            for k, d in self.product(i, j).items():
-                out[k] = out.get(k, Fraction(0)) + c * d
-        return {k: c for k, c in out.items() if c != 0}
+        for i in range(self.dim):
+            for j in range(i + 1):
+                ij, ji = self.table.get((i, j), {}), self.table.get((j, i), {})
+                signed = ((0, ji), (1, {k: -c for k, c in ji.items()}))
+                out[i, j] = out[j, i] = {p for p, rhs in signed if ij == rhs}
+        return out
 
     def _check_unit(self):
         e = self.unit
         for i in range(self.dim):
-            if self.product(e, i) != {i: Fraction(1)} or self.product(i, e) != {i: Fraction(1)}:
+            if self.table.get((e, i)) != {i: 1} or self.table.get((i, e)) != {i: 1}:
                 raise ValueError("label %r is not a two-sided unit" % self.labels[e])
 
     def _check_associativity(self):
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = self.product(i, j)
-                for k in range(self.dim):
-                    left = self._vec_product(ij, k)
-                    right = {}
-                    for m, c in self.product(j, k).items():
-                        for l, d in self.product(i, m).items():
-                            right[l] = right.get(l, Fraction(0)) + c * d
-                    right = {l: c for l, c in right.items() if c != 0}
-                    if left != right:
-                        raise ValueError(
-                            "not associative at (%s, %s, %s)"
-                            % (self.labels[i], self.labels[j], self.labels[k])
-                        )
+        # (e_i e_j) e_k - e_i (e_j e_k), accumulated in one dict, must vanish
+        t = self.table
+        for i, j, k in product(range(self.dim), repeat=3):
+            terms = [(c, t.get((m, k), {})) for m, c in t.get((i, j), {}).items()]
+            terms += [(-c, t.get((i, m), {})) for m, c in t.get((j, k), {}).items()]
+            diff = {}
+            for c, row in terms:
+                for l, d in row.items():
+                    diff[l] = diff[l] + c * d if l in diff else c * d
+            if any(diff.values()):
+                raise ValueError("not associative at (%s, %s, %s)"
+                                 % tuple(self.labels[x] for x in (i, j, k)))
 
 
 def check_graded_commutative(A, assignment):
     """Certify an assignment; returns (passed, violations).
 
-    Homogeneity of every product is checked first and reported as a
-    GradingError; sign violations are returned as
-    (label_i, label_j, product_ij, product_ji) tuples.
+    Degrees of different n, a nonzero unit degree and an inhomogeneous
+    product raise GradingError; sign violations are returned as
+    (label_i, label_j, product_ij, product_ji) tuples, i then j in basis order.
     """
     degs = [Degree(assignment[lb]) for lb in A.labels]
-    if not degs[A.unit].is_zero():
+    zero = degs[A.unit]
+    for lb, d in zip(A.labels, degs):
+        if d.n != zero.n:
+            raise GradingError("label %r has degree %s of length %d, but the unit %r has %s"
+                               % (lb, d, d.n, A.labels[A.unit], zero))
+    if not zero.is_zero():
         raise GradingError("the unit must carry the zero degree")
     for (i, j), row in A.table.items():
         want = degs[i] + degs[j]
         for k in row:
             if degs[k] != want:
-                raise GradingError(
-                    "product %s*%s hits %s of degree %s, expected %s"
-                    % (A.labels[i], A.labels[j], A.labels[k], degs[k], want)
-                )
-    violations = []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            pij = A.product(i, j)
-            pji = A.product(j, i)
-            s = sign_factor(degs[i], degs[j])
-            scaled = {k: s * c for k, c in pji.items()}
-            if pij != scaled:
-                violations.append((A.labels[i], A.labels[j], pij, pji))
+                raise GradingError("product %s*%s hits %s of degree %s, expected %s"
+                                   % (A.labels[i], A.labels[j], A.labels[k], degs[k], want))
+    parities = A.pair_parities()
+    violations = [(A.labels[i], A.labels[j], A.product(i, j), A.product(j, i))
+                  for i, j in product(range(A.dim), repeat=2)
+                  if _pairing(degs[i], degs[j]) not in parities[i, j]]
     return (not violations, violations)
 
 
 def search_degree_assignments(A, n, budget=None):
     """All assignments (unit fixed to 0) that certify, canonically ordered.
 
-    Exhaustive over the (2^n)^(dim-1) tuples of n-bit masks with homogeneity
-    pruning (a product has mask a ^ b); an explicit budget guard refuses
-    infeasible searches.
+    Depth first over the unit, then the other labels in basis order, each
+    taking the n-bit masks in ascending order, which is the canonical order.
+    Each homogeneity triple (i, j, k) of the table and each pair condition
+    of `pair_parities` is filed under whichever of its labels comes last, so
+    a candidate mask checks only the conditions it completes.  Searches of
+    more than `budget` assignments are refused; every assignment found is
+    certified again by check_graded_commutative.
     """
     if n < 1:
         raise ValueError("degree search needs n >= 1, got n = %d" % n)
@@ -133,45 +145,34 @@ def search_degree_assignments(A, n, budget=None):
         raise BudgetExceeded(
             "search space %d exceeds budget %d (set Z2N_SEARCH_BUDGET)" % (space, budget)
         )
-    others = [i for i in range(A.dim) if i != A.unit]
+    order = [A.unit] + [i for i in range(A.dim) if i != A.unit]
+    pos = {i: p for p, i in enumerate(order)}
+    triples, pairs = [[] for _ in order], [[] for _ in order]
+    for (i, j), row in A.table.items():
+        for k in row:
+            triples[max(pos[i], pos[j], pos[k])].append((i, j, k))
+    for (i, j), ps in A.pair_parities().items():
+        if i <= j and len(ps) < 2:
+            pairs[max(pos[i], pos[j])].append((i, j, ps))
+    mask = [0] * A.dim
     found = []
 
-    def consistent(partial):
-        # homogeneity and sign checks restricted to fully assigned pairs
-        for (i, j), row in A.table.items():
-            if i in partial and j in partial:
-                want = partial[i] ^ partial[j]
-                for k in row:
-                    if k in partial and partial[k] != want:
-                        return False
-                s = -1 if (partial[i] & partial[j]).bit_count() & 1 else 1
-                if row != {k: s * c for k, c in A.product(j, i).items()}:
-                    return False
-        return True
-
-    def rec(pos, partial):
-        if pos == len(others):
-            found.append({A.labels[i]: Degree.from_mask(partial[i], n) for i in range(A.dim)})
+    def rec(p):
+        if p == len(order):
+            asg = {lb: Degree.from_mask(m, n) for lb, m in zip(A.labels, mask)}
+            if check_graded_commutative(A, asg)[0]:
+                found.append(asg)
             return
-        i = others[pos]
-        for mask in range(1 << n):
-            partial[i] = mask
-            if consistent(partial):
-                rec(pos + 1, partial)
-            del partial[i]
+        i = order[p]
+        for m in range(1 << n) if p else (0,):
+            mask[i] = m
+            if all(mask[a] ^ mask[b] == mask[c] for a, b, c in triples[p]) and all(
+                _pairing(mask[a], mask[b]) in ps for a, b, ps in pairs[p]
+            ):
+                rec(p + 1)
 
-    rec(0, {A.unit: 0})
-    # full certification round-trip, and canonical ordering
-    out = []
-    for asg in found:
-        try:
-            ok, _ = check_graded_commutative(A, asg)
-        except GradingError:
-            continue
-        if ok:
-            out.append(asg)
-    out.sort(key=lambda asg: [asg[lb] for lb in A.labels])
-    return out
+    rec(0)
+    return found
 
 
 # -- builtin generators ---------------------------------------------------
@@ -188,17 +189,11 @@ def quaternion_algebra():
 
     for t in range(4):
         put(one, t, t, 1)
-        if t != one:
-            put(t, one, t, 1)
-    put(i, i, one, -1)
-    put(j, j, one, -1)
-    put(k, k, one, -1)
-    put(i, j, k, 1)
-    put(j, i, k, -1)
-    put(j, k, i, 1)
-    put(k, j, i, -1)
-    put(k, i, j, 1)
-    put(i, k, j, -1)
+        put(t, one, t, 1)
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        put(a, a, one, -1)
+        put(a, b, c, 1)
+        put(b, a, c, -1)
     return FinDimAlgebra(labels, one, table)
 
 

@@ -309,6 +309,7 @@ def parse_algebra(text):
 def parse_assignment(text, labels):
     """A degree assignment: exactly one `LABEL BITS` row per basis label."""
     assignment = {}
+    first = None
     for ln in map(str.strip, text.splitlines()):
         if not ln or ln.startswith("#"):
             continue
@@ -320,7 +321,11 @@ def parse_assignment(text, labels):
             raise ParseError("assignment row %r names %r, not a basis label" % (ln, label), 0)
         if label in assignment:
             raise ParseError("assignment repeats label %r in row %r" % (label, ln), 0)
-        assignment[label] = Degree.parse(bits)
+        d = assignment[label] = Degree.parse(bits)
+        first = first or (ln, d.n)
+        if d.n != first[1]:
+            raise ParseError("assignment row %r has %d bits, but row %r has %d"
+                             % (ln, d.n, *first), 0)
     for label in labels:
         if label not in assignment:
             raise ParseError("assignment has no row for label %r" % label, 0)

@@ -129,8 +129,10 @@ def test_search_degrees(tmp_path, capsys):
     ("one 000\ni 011\ni 011\nj 101\nk 110", "assignment repeats label 'i' in row 'i 011'"),
     ("one 000\ni 011\nj 101", "assignment has no row for label 'k'"),
     ("one 000\ni 011 x\nj 101\nk 110", "expected a `LABEL BITS` row, got 'i 011 x'"),
-    ("one 000\ni 011\nj 10\nk 110", "cannot add degrees of length"),
-], ids=["unknown-label", "repeated-label", "missing-label", "three-fields", "mixed-length"])
+    ("one 000\ni 011\nj 10\nk 110", "assignment row 'j 10' has 2 bits, but row 'one 000' has 3"),
+    ("one 00\ni 011\nj 101\nk 110", "assignment row 'i 011' has 3 bits, but row 'one 00' has 2"),
+], ids=["unknown-label", "repeated-label", "missing-label", "three-fields", "mixed-length",
+        "mixed-length-unit"])
 def test_check_findim_rejects_a_malformed_assignment(tmp_path, capsys, rows, message):
     afile = write(tmp_path, "alg.txt", print_algebra(quaternion_algebra()))
     assign = write(tmp_path, "asg.txt", rows)
