@@ -137,9 +137,13 @@ def cmd_check_findim(args):
     except GradingError as exc:
         _emit("grading-error %s" % exc, args.output)
         return 1
+    def element(vec):
+        # `Q LABEL` terms in basis order, `0` for the zero product
+        return " + ".join("%s %s" % (vec[k], A.labels[k]) for k in sorted(vec)) or "0"
+
     lines = []
     for i, j, pij, pji in violations:
-        lines.append("violation %s %s : %s vs %s" % (i, j, pij, pji))
+        lines.append("violation %s %s : %s vs %s" % (i, j, element(pij), element(pji)))
     lines.append("result %s" % ("pass" if ok else "fail"))
     _emit("\n".join(lines), args.output)
     return 0 if ok else 1

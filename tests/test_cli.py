@@ -115,6 +115,38 @@ def test_check_findim_pass_and_fail(tmp_path, capsys):
     assert "result fail" in out and "violation" in out
 
 
+# 2x2 upper triangular matrices over the basis I, E11, E12, then over I, E11, I + E12
+UNIT_ROWS = ["one one one 1", "one p p 1", "one q q 1", "p one p 1", "q one q 1"]
+TRIANGULAR = "basis one p q\nunit one\n" + "\n".join(
+    "c " + row for row in UNIT_ROWS + ["p p p 1", "p q q 1"])
+TRIANGULAR_SHIFTED = "basis one p q\nunit one\n" + "\n".join(
+    "c " + row for row in UNIT_ROWS + ["p p p 1", "p q one -1", "p q p 1", "p q q 1",
+                                       "q p p 1", "q q one -1", "q q q 2"])
+
+
+@pytest.mark.parametrize("algebra, rows, expected", [
+    (print_algebra(quaternion_algebra()), "one 000\ni 100\nj 010\nk 110", [
+        "violation i i : -1 one vs -1 one",
+        "violation i j : 1 k vs -1 k",
+        "violation j i : -1 k vs 1 k",
+        "violation j j : -1 one vs -1 one",
+    ]),
+    (TRIANGULAR, "one 0\np 0\nq 1", [
+        "violation p q : 1 q vs 0",
+        "violation q p : 0 vs 1 q",
+    ]),
+    (TRIANGULAR_SHIFTED, "one 0\np 0\nq 0", [
+        "violation p q : -1 one + 1 p + 1 q vs 1 p",
+        "violation q p : 1 p vs -1 one + 1 p + 1 q",
+    ]),
+], ids=["quaternions", "zero-product", "multi-term"])
+def test_check_findim_prints_violations_as_basis_terms(tmp_path, capsys, algebra, rows, expected):
+    afile = write(tmp_path, "alg.txt", algebra)
+    assign = write(tmp_path, "asg.txt", rows)
+    assert main(["check-findim", "--algebra", afile, "--assign", assign]) == 1
+    assert capsys.readouterr().out.splitlines() == expected + ["result fail"]
+
+
 def test_search_degrees(tmp_path, capsys):
     afile = write(tmp_path, "alg.txt", print_algebra(quaternion_algebra()))
     assert main(["search-degrees", "--algebra", afile, "--n", "3"]) == 0
