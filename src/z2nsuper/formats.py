@@ -176,7 +176,9 @@ def _parse_series_factor(tz, sig, order):
         if tz.at_sym("^"):
             tz.next()
             k = int(tz.expect("num")[1])
-        return GSeries.generator(sig, tok[1], order) ** k
+        mu = [0] * sig.nformal
+        mu[sig.formal_index(tok[1])] = k
+        return GSeries.monomial(sig, order, mu)
     e = exprio._parse_factor(tz)
     return GSeries.from_coeff(sig, order, e)
 

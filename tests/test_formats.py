@@ -25,6 +25,7 @@ from conftest import (
     atlas_nonsplit_base_twist,
     atlas_nonsplit_frame_twist,
     atlas_split_two_charts,
+    rand_signature,
     sig_n1,
     sig_n2,
 )
@@ -69,6 +70,16 @@ def test_series_literal_syntax():
     expected = xi * eta * f + y ** 2 * Fraction(3, 2) \
         - GSeries.from_coeff(sig, 4, CoeffExpr.var("x"))
     assert s == expected
+
+
+def test_series_powers_parse_as_generator_powers_up_to_n4(rng):
+    for _ in range(30):
+        sig = rand_signature(rng, n_max=4)
+        order = rng.randint(1, 4)
+        for name in sig.formal_names:
+            v = GSeries.generator(sig, name, order)
+            for k in range(order + 2):
+                assert parse_series("%s^%d" % (name, k), sig, order) == v ** k, (name, k)
 
 
 def test_series_parse_respects_noncommutativity():
