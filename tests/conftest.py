@@ -157,6 +157,125 @@ def naive_pullback(m, f):
     return out
 
 
+# -- naive certification of finite-dimensional algebras -----------------------
+#
+# A table maps (i, j) to {k: c} for e_i e_j = sum_k c e_k, possibly with zero
+# coefficients; degrees are tuples of 0/1 bits.
+
+
+def naive_product(table, i, j):
+    """e_i e_j with the zero coefficients dropped."""
+    return {k: Fraction(c) for k, c in table.get((i, j), {}).items() if c != 0}
+
+
+def naive_violations(table, degs):
+    """The pairs (i, j), i then j ascending, where e_i e_j differs from
+    (-1)^<d_i, d_j> e_j e_i."""
+    dim = len(degs)
+    out = []
+    for i in range(dim):
+        for j in range(dim):
+            s = (-1) ** sum(a * b for a, b in zip(degs[i], degs[j]))
+            if naive_product(table, i, j) != {k: s * c for k, c in naive_product(table, j, i).items()}:
+                out.append((i, j))
+    return out
+
+
+def naive_homogeneous(table, degs):
+    """Every term of every e_i e_j has degree d_i + d_j."""
+    dim = len(degs)
+    return all(
+        degs[k] == tuple((a + b) % 2 for a, b in zip(degs[i], degs[j]))
+        for i in range(dim) for j in range(dim) for k in naive_product(table, i, j)
+    )
+
+
+def naive_certifies(table, unit, degs):
+    return not any(degs[unit]) and naive_homogeneous(table, degs) and not naive_violations(table, degs)
+
+
+def naive_mul(table, v, w):
+    """The product of two vectors {basis index: coefficient}, expanded bilinearly."""
+    out = {}
+    for i, a in v.items():
+        for j, b in w.items():
+            for k, c in table.get((i, j), {}).items():
+                out[k] = out.get(k, 0) + a * b * c
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def naive_first_nonassociative(table, dim):
+    """The first (i, j, k) in lexicographic order with (e_i e_j) e_k != e_i (e_j e_k)."""
+    e = [{i: Fraction(1)} for i in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                left = naive_mul(table, naive_mul(table, e[i], e[j]), e[k])
+                if left != naive_mul(table, e[i], naive_mul(table, e[j], e[k])):
+                    return i, j, k
+    return None
+
+
+def rand_unital_table(rng, dim, n):
+    """A random unital table on dim basis elements: (unit, table).
+
+    Each pair {i, j} of non-unit elements draws e_i e_j and e_j e_i as
+    equal, opposite, unrelated, zero on one side only or both zero.  A
+    product has one to three terms, some with a zero coefficient, and most
+    aim at the elements that a hidden Z2^n grading allows, so that searches
+    find assignments.
+    """
+    unit = rng.randrange(dim)
+    hidden = [0 if i == unit else rng.randrange(1 << n) for i in range(dim)]
+
+    def vec(i, j):
+        hit = [k for k in range(dim) if hidden[k] == hidden[i] ^ hidden[j]]
+        pool = hit if hit and rng.random() < 0.8 else range(dim)
+        return {rng.choice(pool): rand_fraction(rng) for _ in range(rng.randint(1, 3))}
+
+    table = {}
+    for i in range(dim):
+        table[unit, i] = table[i, unit] = {i: 1}
+    others = [i for i in range(dim) if i != unit]
+    for a, i in enumerate(others):
+        for j in others[a:]:
+            kind = rng.choice(["equal", "opposite", "unrelated", "one-sided", "zero"])
+            v = vec(i, j)
+            if kind == "equal":
+                table[i, j], table[j, i] = v, dict(v)
+            elif kind == "opposite":
+                table[j, i], table[i, j] = v, {k: -c for k, c in v.items()}
+            elif kind == "unrelated":
+                table[i, j], table[j, i] = v, vec(j, i)
+            elif kind == "one-sided":
+                table[rng.choice([(i, j), (j, i)])] = v
+    return unit, table
+
+
+def rand_associative_table(rng, dim):
+    """A random associative unital table with unit 0: a twisted group algebra
+    of Z2^m (dim = 2^m, e_a e_b = (-1)^beta(a, b) e_(a+b) for a random
+    bilinear beta) or Q[t]/t^dim, with a random rescaled basis."""
+    m = dim.bit_length() - 1
+    if dim == 1 << m and rng.random() < 0.6:
+        beta = [[rng.randint(0, 1) for _ in range(m)] for _ in range(m)]
+
+        def mul(a, b):
+            s = sum(beta[p][q] * (a >> p & 1) * (b >> q & 1) for p in range(m) for q in range(m))
+            return a ^ b, (-1) ** s
+    else:
+        def mul(a, b):
+            return (a + b, 1) if a + b < dim else (None, 0)
+    scale = [Fraction(1)] + [rand_fraction(rng) or Fraction(1) for _ in range(dim - 1)]
+    table = {}
+    for a in range(dim):
+        for b in range(dim):
+            k, s = mul(a, b)
+            if k is not None:
+                table[a, b] = {k: s * scale[a] * scale[b] / scale[k]}
+    return table
+
+
 # -- random generators -----------------------------------------------------
 
 

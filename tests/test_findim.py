@@ -1,6 +1,9 @@
 """Finite-dimensional algebras: certification and degree-assignment search."""
 
+import random
+import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -14,6 +17,19 @@ from z2nsuper import (
     quaternion_algebra,
     search_degree_assignments,
 )
+
+from conftest import (
+    naive_certifies,
+    naive_first_nonassociative,
+    naive_homogeneous,
+    naive_product,
+    naive_violations,
+    rand_associative_table,
+    rand_fraction,
+    rand_unital_table,
+)
+
+LABELS = ["e0", "e1", "e2", "e3"]
 
 
 def dual_numbers():
@@ -139,3 +155,98 @@ def test_dual_numbers_search():
     # the table as an absent entry, so both assignments certify
     degs = sorted(str(asg["t"]) for asg in found)
     assert degs == ["0", "1"]
+
+
+def test_pair_parities_cover_both_none_and_one():
+    A = quaternion_algebra()
+    parities = A.pair_parities()
+    assert parities[1, 2] == parities[2, 1] == {1}  # i j = -j i
+    assert parities[1, 1] == {0}  # i i = -1 is not zero
+    assert dual_numbers().pair_parities()[1, 1] == {0, 1}  # t t = 0
+    # 2x2 upper triangular matrices, a = E11 and b = E12: a b = b, b a = 0
+    tri = FinDimAlgebra(["one", "a", "b"], 0, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
+                                               (0, 2): {2: 1}, (2, 0): {2: 1},
+                                               (1, 1): {1: 1}, (1, 2): {2: 1}})
+    assert tri.pair_parities()[1, 2] == tri.pair_parities()[2, 1] == set()
+
+
+def test_mixed_length_degrees_raise_a_grading_error_naming_the_label():
+    A = quaternion_algebra()
+    asg = {"one": Degree.parse("00"), "i": Degree.parse("011"),
+           "j": Degree.parse("101"), "k": Degree.parse("110")}
+    with pytest.raises(GradingError, match="label 'i' has degree 011 of length 3"):
+        check_graded_commutative(A, asg)
+
+
+def assignments(dim, unit, n):
+    """Every degree assignment as 0/1 tuples, unit at zero, lexicographic in
+    basis order."""
+    bits = list(product((0, 1), repeat=n))
+    return product(*([bits[0]] if i == unit else bits for i in range(dim)))
+
+
+def as_degrees(labels, degs):
+    return {lb: Degree(d) for lb, d in zip(labels, degs)}
+
+
+def test_search_equals_brute_force_under_the_naive_oracle():
+    rng = random.Random(20261018)
+    nonempty = 0
+    for _ in range(300):
+        dim, n = rng.randint(1, 4), rng.randint(1, 3)
+        unit, table = rand_unital_table(rng, dim, n)
+        A = FinDimAlgebra(LABELS[:dim], unit, table, check=False)
+        want = [as_degrees(A.labels, degs) for degs in assignments(dim, unit, n)
+                if naive_certifies(table, unit, degs)]
+        assert search_degree_assignments(A, n) == want, table
+        nonempty += bool(want)
+    assert nonempty >= 60
+
+
+def test_certification_reports_the_naive_violations_in_order():
+    rng = random.Random(20261019)
+    passed = failed = raised = 0
+    for _ in range(300):
+        dim, n = rng.randint(1, 4), rng.randint(1, 3)
+        unit, table = rand_unital_table(rng, dim, n)
+        A = FinDimAlgebra(LABELS[:dim], unit, table, check=False)
+        homogeneous = [d for d in assignments(dim, unit, n) if naive_homogeneous(table, d)]
+        drawn = rng.sample(homogeneous, min(3, len(homogeneous)))
+        drawn.append([tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(dim)])
+        for degs in drawn:
+            asg = as_degrees(A.labels, degs)
+            if any(degs[unit]) or not naive_homogeneous(table, degs):
+                with pytest.raises(GradingError):
+                    check_graded_commutative(A, asg)
+                raised += 1
+                continue
+            want = [(A.labels[i], A.labels[j], naive_product(table, i, j), naive_product(table, j, i))
+                    for i, j in naive_violations(table, degs)]
+            assert check_graded_commutative(A, asg) == (not want, want), (table, degs)
+            passed += not want
+            failed += bool(want)
+    assert min(passed, failed, raised) >= 60
+
+
+def test_construction_raises_exactly_at_the_first_nonassociative_triple():
+    rng = random.Random(20261020)
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        dim = rng.randint(1, 4)
+        if rng.random() < 0.6:
+            unit, table = 0, rand_associative_table(rng, dim)
+            if dim > 1 and rng.random() < 0.4:
+                a, b = rng.randint(1, dim - 1), rng.randint(1, dim - 1)
+                table[a, b] = {rng.randrange(dim): rand_fraction(rng)}
+        else:
+            unit, table = rand_unital_table(rng, dim, 3)
+        first = naive_first_nonassociative(table, dim)
+        labels = LABELS[:dim]
+        if first is None:
+            FinDimAlgebra(labels, unit, table)
+        else:
+            message = "not associative at (%s, %s, %s)" % tuple(labels[x] for x in first)
+            with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+                FinDimAlgebra(labels, unit, table)
+        outcomes[first is None] += 1
+    assert min(outcomes.values()) >= 60
