@@ -11,9 +11,9 @@ the search checks each condition once, when its last label is assigned.
 
 from __future__ import annotations
 
+import itertools
 import os
 from fractions import Fraction
-from itertools import product
 
 from .degrees import Degree
 
@@ -86,7 +86,7 @@ class FinDimAlgebra:
     def _check_associativity(self):
         # (e_i e_j) e_k - e_i (e_j e_k), accumulated in one dict, must vanish
         t = self.table
-        for i, j, k in product(range(self.dim), repeat=3):
+        for i, j, k in itertools.product(range(self.dim), repeat=3):
             terms = [(c, t.get((m, k), {})) for m, c in t.get((i, j), {}).items()]
             terms += [(-c, t.get((i, m), {})) for m, c in t.get((j, k), {}).items()]
             diff = {}
@@ -121,7 +121,7 @@ def check_graded_commutative(A, assignment):
                                    % (A.labels[i], A.labels[j], A.labels[k], degs[k], want))
     parities = A.pair_parities()
     violations = [(A.labels[i], A.labels[j], A.product(i, j), A.product(j, i))
-                  for i, j in product(range(A.dim), repeat=2)
+                  for i, j in itertools.product(range(A.dim), repeat=2)
                   if _pairing(degs[i], degs[j]) not in parities[i, j]]
     return (not violations, violations)
 
@@ -132,7 +132,7 @@ def search_degree_assignments(A, n, budget=None):
     Depth first over the unit, then the other labels in basis order, each
     taking the n-bit masks in ascending order, which is the canonical order.
     Each homogeneity triple (i, j, k) of the table and each pair condition
-    of `pair_parities` is filed under whichever of its labels comes last, so
+    of `pair_parities` is checked once, when its last label is assigned, so
     a candidate mask checks only the conditions it completes.  Searches of
     more than `budget` assignments are refused; every assignment found is
     certified again by check_graded_commutative.
