@@ -137,6 +137,7 @@ def cmd_check_findim(args):
     except GradingError as exc:
         _emit("grading-error %s" % exc, args.output)
         return 1
+
     def element(vec):
         # `Q LABEL` terms in basis order, `0` for the zero product
         return " + ".join("%s %s" % (vec[k], A.labels[k]) for k in sorted(vec)) or "0"

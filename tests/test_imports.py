@@ -34,9 +34,9 @@ def test_no_unused_top_level_imports(path):
 
 
 def orphaned_private_functions(sources):
-    """(name, line) of each private `_name` function or method defined in
-    sources ({name: text}) whose name appears nowhere else in them, as a
-    name or an attribute."""
+    """(source name, line) of each private `_name` function or method defined
+    in sources ({source name: text}) whose name appears nowhere else in them,
+    as a name or an attribute."""
     defined, referenced = {}, set()
     for name, text in sorted(sources.items()):
         for node in ast.walk(ast.parse(text)):
