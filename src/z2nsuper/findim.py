@@ -43,7 +43,7 @@ class FinDimAlgebra:
 
     table[(i, j)] maps k -> c with e_i e_j = sum_k c e_k; absent pairs
     multiply to zero.  Associativity and the two-sided unit are checked on
-    construction (dimensions up to 64).
+    construction.
     """
 
     def __init__(self, labels, unit, table, check=True):
@@ -53,8 +53,7 @@ class FinDimAlgebra:
                       if (row := {k: Fraction(c) for k, c in r.items() if c != 0})}
         if check:
             self._check_unit()
-            if len(self.labels) <= 64:
-                self._check_associativity()
+            self._check_associativity()
 
     @property
     def dim(self):
@@ -105,6 +104,11 @@ def check_graded_commutative(A, assignment):
     product raise GradingError; sign violations are returned as
     (label_i, label_j, product_ij, product_ji) tuples, i then j in basis order.
     """
+    return _certify(A, assignment, A.pair_parities())
+
+
+def _certify(A, assignment, parities):
+    """check_graded_commutative, reading the table's `pair_parities`."""
     degs = [Degree(assignment[lb]) for lb in A.labels]
     zero = degs[A.unit]
     for lb, d in zip(A.labels, degs):
@@ -119,7 +123,6 @@ def check_graded_commutative(A, assignment):
             if degs[k] != want:
                 raise GradingError("product %s*%s hits %s of degree %s, expected %s"
                                    % (A.labels[i], A.labels[j], A.labels[k], degs[k], want))
-    parities = A.pair_parities()
     violations = [(A.labels[i], A.labels[j], A.product(i, j), A.product(j, i))
                   for i, j in itertools.product(range(A.dim), repeat=2)
                   if _pairing(degs[i], degs[j]) not in parities[i, j]]
@@ -135,7 +138,8 @@ def search_degree_assignments(A, n, budget=None):
     of `pair_parities` is checked once, when its last label is assigned, so
     a candidate mask checks only the conditions it completes.  Searches of
     more than `budget` assignments are refused; every assignment found is
-    certified again by check_graded_commutative.
+    certified again as check_graded_commutative does, from the same pair
+    parities.
     """
     if n < 1:
         raise ValueError("degree search needs n >= 1, got n = %d" % n)
@@ -151,7 +155,8 @@ def search_degree_assignments(A, n, budget=None):
     for (i, j), row in A.table.items():
         for k in row:
             triples[max(pos[i], pos[j], pos[k])].append((i, j, k))
-    for (i, j), ps in A.pair_parities().items():
+    parities = A.pair_parities()
+    for (i, j), ps in parities.items():
         if i <= j and len(ps) < 2:
             pairs[max(pos[i], pos[j])].append((i, j, ps))
     mask = [0] * A.dim
@@ -160,7 +165,7 @@ def search_degree_assignments(A, n, budget=None):
     def rec(p):
         if p == len(order):
             asg = {lb: Degree.from_mask(m, n) for lb, m in zip(A.labels, mask)}
-            if check_graded_commutative(A, asg)[0]:
+            if _certify(A, asg, parities)[0]:
                 found.append(asg)
             return
         i = order[p]
@@ -202,7 +207,7 @@ def clifford_algebra(p, q):
 
     Basis elements are products of generators indexed by subsets, labelled
     e.g. "e13"; the empty product is "one".  p + q <= 4 keeps the dimension
-    within the associativity-check bound.
+    at most 16.
     """
     m = p + q
     if m > 4:

@@ -9,12 +9,17 @@ The pipeline builds, order by order up to the truncation K:
   3. the per-chart isomorphism onto the split model assembled from the two,
      together with a verification report.
 
-Stages 1 and 2 run one order-raising Cech step, `_raise_order`, with their
-own overlap mismatch (`cocycle_mismatch`, `lift_mismatch`).  At order k the
-chart values, truncated to order k, agree on overlaps below order k, so the
-mismatch on each ordered pair is pure order k: a Cech 1-cocycle, which the
-partition of unity makes a coboundary (eta_U = -sum_W rho_W omega_UW).
-Adding eta to the values makes them agree on overlaps up to order k.
+Stages 1 and 2 measure one overlap mismatch, `overlap_mismatch`:
+Phi_U(y) - T_UV^* Phi_V^*(T_VU(y) mod J^2), with Phi the chart morphisms
+(chart values on the base coordinates, frame lifts on the formal variables)
+and T_VU mod J^2 the split-model transition.  Stage 1 reads it on the base
+coordinates (`cocycle_mismatch`), stage 2 on the formal variables
+(`lift_mismatch`), `verify_result` on both through the result's isos.  Each
+stage is a loop over one order-raising Cech step, `_raise_order`.  At order
+k the chart values agree on overlaps below order k, so the mismatch on each
+ordered pair is pure order k: a Cech 1-cocycle, which the partition of
+unity makes a coboundary (eta_U = -sum_W rho_W omega_UW).  Adding eta to
+the values makes them agree on overlaps up to order k.
 """
 
 from __future__ import annotations
@@ -57,22 +62,18 @@ class EmbeddingFamily:
         }
         return cls(atlas, values, order)
 
-    def as_morphism(self, chart):
-        """The canonical extension of the chart values to a full morphism.
-
-        Reinterprets x^i -> x^i + (higher) as a coordinate substitution that
-        fixes the formal variables; applying its pullback to a coefficient
-        function is the embedding itself.
-        """
+    def as_morphism(self, chart, lifts):
+        """The chart morphism Phi_U: the chart values on the base coordinates,
+        the frame lifts {formal var -> GSeries} on the formal variables.  With
+        the identity frame its pullback of a coefficient function is the
+        embedding itself."""
         sig = self.atlas.signature
-        images = dict(self.values[chart])
-        for fn in sig.formal_names:
-            images[fn] = GSeries.generator(sig, fn, self.order)
-        return Morphism(sig, sig, images, self.order)
+        return Morphism(sig, sig, {**self.values[chart], **lifts}, self.order)
 
     def apply(self, chart, expr):
         """The embedding of a coefficient function into the chart algebra."""
-        return self.as_morphism(chart).pullback_coeff(expr)
+        frame = _identity_frame(self.atlas.signature, self.order)
+        return self.as_morphism(chart, frame).pullback_coeff(expr)
 
     def at_order(self, order):
         """Reinterpret the family at a different truncation order.
@@ -95,28 +96,33 @@ def _at_order(atlas, values, order):
     }
 
 
-# -- mismatch derivations -------------------------------------------------
+def _identity_frame(sig, order):
+    """The frame lifts xi_a -> xi_a."""
+    return {fa: GSeries.generator(sig, fa, order) for fa in sig.formal_names}
 
 
-def embedding_mismatch(family, pair):
-    """phi_U(x) minus the transported phi_V(x) on an overlap, per base
-    coordinate x of U, at the family's order.
+# -- the overlap mismatch -------------------------------------------------
 
-    Returns {base var -> GSeries over chart U}, the values of the degree-0
-    derivation omega_UV.
+
+def overlap_mismatch(atlas, phi_u, phi_v, pair, names):
+    """Phi_U(y) - T_UV^* Phi_V^*(T_VU(y) mod J^2), per variable y in names.
+
+    phi_u and phi_v are the chart morphisms of the pair (chart values on the
+    base coordinates, frame lifts on the formal variables).  T_VU mod J^2 is
+    the split-model transition: a base image keeps its base map, a formal
+    image its linear rows.  Returns {name -> GSeries over chart U} at the
+    chart order, reduced by the partition relation.
     """
-    atlas = family.atlas
-    order = family.order
+    sig = atlas.signature
     u, v = pair
-    t_uv = atlas.transition(u, v)
-    base_vu = atlas.transition(v, u).base_map()  # U base coordinates as functions of V
-    names = atlas.signature.base_names
-    rights = t_uv.pullbacks([family.apply(v, base_vu[bn]) for bn in names])
-    out = {}
-    for bn, right in zip(names, rights):
-        left = family.values[u][bn].truncate(order)
-        out[bn] = atlas.reduce_series(left - right.truncate(order))
-    return out
+    order = phi_v.order
+    t_vu = atlas.transition(v, u)
+    linear = [GSeries(sig, order, t_vu.images[y].truncate(1).terms) for y in names]
+    rights = atlas.transition(u, v).pullbacks(phi_v.pullbacks(linear))
+    return {
+        y: atlas.reduce_series(phi_u.images[y] - right.truncate(order))
+        for y, right in zip(names, rights)
+    }
 
 
 def _pure_order(mismatch, sig, pair, order, what):
@@ -137,9 +143,22 @@ def _pure_order(mismatch, sig, pair, order, what):
 
 
 def cocycle_mismatch(family, pair, order):
-    """The embedding mismatch on an overlap; must be pure order `order`."""
-    return _pure_order(embedding_mismatch(family, pair), family.atlas.signature,
-                       pair, order, "embedding")
+    """The overlap mismatch of the base coordinates, with the identity frame;
+    must be pure order `order`."""
+    sig = family.atlas.signature
+    frame = _identity_frame(sig, family.order)
+    phi_u, phi_v = (family.as_morphism(c, frame) for c in pair)
+    mismatch = overlap_mismatch(family.atlas, phi_u, phi_v, pair, sig.base_names)
+    return _pure_order(mismatch, sig, pair, order, "embedding")
+
+
+def lift_mismatch(family, lifts, pair, order):
+    """The overlap mismatch of the formal variables, with the frame lifts
+    {chart -> {formal var -> GSeries}}; must be pure order `order`."""
+    sig = family.atlas.signature
+    phi_u, phi_v = (family.as_morphism(c, lifts[c]) for c in pair)
+    mismatch = overlap_mismatch(family.atlas, phi_u, phi_v, pair, sig.formal_names)
+    return _pure_order(mismatch, sig, pair, order, "frame-lift")
 
 
 def transport_derivation(atlas, u, v, omega_v, order):
@@ -274,12 +293,12 @@ def _raise_order(atlas, values, order, mismatch, report, tag, check=None):
     return values
 
 
-def _check_augmentation(family, report):
-    """epsilon o phi = id on every chart."""
-    for u in family.atlas.charts:
+def _check_augmentation(atlas, images, report):
+    """epsilon o phi = id on every chart; images: chart -> {var -> GSeries}."""
+    for u in atlas.charts:
         ok = all(
-            family.values[u][bn].epsilon() == CoeffExpr.var(bn)
-            for bn in family.atlas.signature.base_names
+            images[u][bn].epsilon() == CoeffExpr.var(bn)
+            for bn in atlas.signature.base_names
         )
         report.add("epsilon o phi = id on %s" % u, ok)
 
@@ -303,59 +322,11 @@ def build_base_embedding(atlas, order, report=None):
 
         values = _raise_order(atlas, family.values, k, mismatch, report, tag, check)
         family = EmbeddingFamily(atlas, values, k)
-    _check_augmentation(family, report)
+    _check_augmentation(atlas, family.values, report)
     return family, report
 
 
 # -- stage 2: the module splitting ----------------------------------------
-
-
-def frame_matrix(atlas, u, v):
-    """[xi^U_a] in the V frame: the linear block rows of T_VU, per formal var.
-
-    Returns {U formal var -> [(V formal var, CoeffExpr over V)]}.
-    """
-    sig = atlas.signature
-    t_vu = atlas.transition(v, u)
-    out = {}
-    for fa in sig.formal_names:
-        img = t_vu.images[fa]
-        row = []
-        for fb in sig.formal_names:
-            mu = [0] * sig.nformal
-            mu[sig.formal_index(fb)] = 1
-            c = img.coeff_of(mu)
-            if not c.is_zero():
-                row.append((fb, c))
-        out[fa] = row
-    return out
-
-
-def frame_mismatch(family, lifts, pair):
-    """Per U formal variable: lift_U(xi_a) minus the transported V-side lift
-    of the same frame section, at the family's order."""
-    atlas = family.atlas
-    sig = atlas.signature
-    order = family.order
-    u, v = pair
-    t_uv = atlas.transition(u, v)
-    rows = frame_matrix(atlas, u, v)
-    accs = []
-    for fa in sig.formal_names:
-        acc = GSeries.zero(sig, order)
-        for fb, h in rows[fa]:
-            acc = acc + lifts[v][fb] * family.apply(v, h)
-        accs.append(acc)
-    return {
-        fa: atlas.reduce_series(lifts[u][fa] - s.truncate(order))
-        for fa, s in zip(sig.formal_names, t_uv.pullbacks(accs))
-    }
-
-
-def lift_mismatch(family, lifts, pair, order):
-    """The frame-lift mismatch on an overlap; must be pure order `order`."""
-    return _pure_order(frame_mismatch(family, lifts, pair), family.atlas.signature,
-                       pair, order, "frame-lift")
 
 
 def build_module_splitting(atlas, family, order, report=None):
@@ -363,10 +334,7 @@ def build_module_splitting(atlas, family, order, report=None):
     order with the Cech step."""
     report = Report() if report is None else report
     sig = atlas.signature
-    lifts = {
-        u: {fa: GSeries.generator(sig, fa, order) for fa in sig.formal_names}
-        for u in atlas.charts
-    }
+    lifts = {u: _identity_frame(sig, order) for u in atlas.charts}
     for k in range(2, order + 1):
         family_k = family.at_order(k)
 
@@ -407,17 +375,11 @@ def assemble_iso(atlas, family, lifts, order):
     formal-variable images; multiplicativity on symmetric powers is then the
     pullback of the assembled coordinate morphism.
     """
-    sig = atlas.signature
     bundle = extract_bundle(atlas)
     split_atlas = build_split_model(
         bundle, order, triples=atlas.triples, partition=atlas.partition
     )
-    iso = {}
-    for u in atlas.charts:
-        images = dict(family.values[u])
-        for fa in sig.formal_names:
-            images[fa] = lifts[u][fa]
-        iso[u] = Morphism(sig, sig, images, order)
+    iso = {u: family.as_morphism(u, lifts[u]) for u in atlas.charts}
     return bundle, split_atlas, iso
 
 
@@ -483,11 +445,12 @@ def verify_iso(atlas, split_atlas, iso, order, report=None):
 def verify_result(atlas, iso, order, report=None, embedding=None, bundle_lines=None):
     """Re-check a splitting result against its atlas from the iso data alone.
 
-    The embedding family and frame lifts are read off the per-chart morphisms;
-    every verification is recomputed, so a corrupted correction term surfaces
-    as a localized residual.  When given, the result's embedding block
-    (chart -> {base var -> GSeries}) must equal the iso base images, and its
-    bundle block lines must equal those printed for the atlas's bundle.
+    The overlap mismatch is measured through the per-chart morphisms
+    themselves; every verification is recomputed, so a corrupted correction
+    term surfaces as a localized residual.  When given, the result's
+    embedding block (chart -> {base var -> GSeries}) must equal the iso base
+    images, and its bundle block lines must equal those printed for the
+    atlas's bundle.
     """
     report = Report() if report is None else report
     sig = atlas.signature
@@ -503,22 +466,15 @@ def verify_result(atlas, iso, order, report=None, embedding=None, bundle_lines=N
                        "differs on %s" % bad[0] if bad else "")
         for u in sorted(set(embedding) - set(atlas.charts)):
             report.add("embedding block chart %s is in the atlas" % u, False)
-    family = EmbeddingFamily(
-        atlas,
-        {u: {bn: iso[u].images[bn] for bn in sig.base_names} for u in atlas.charts},
-        order,
-    )
-    lifts = {
-        u: {fa: iso[u].images[fa] for fa in sig.formal_names} for u in atlas.charts
-    }
-    _check_augmentation(family, report)
+    _check_augmentation(atlas, {u: iso[u].images for u in atlas.charts}, report)
     for (u, v) in atlas.transitions:
         if u == v:
             continue
-        resid = first_residual(embedding_mismatch(family, (u, v)).items())
-        report.add("embedding consistency on (%s, %s)" % (u, v), resid is None, resid or "")
-        resid = first_residual(frame_mismatch(family, lifts, (u, v)).items())
-        report.add("frame-lift consistency on (%s, %s)" % (u, v), resid is None, resid or "")
+        mismatch = overlap_mismatch(atlas, iso[u], iso[v], (u, v),
+                                    sig.base_names + sig.formal_names)
+        for what, names in (("embedding", sig.base_names), ("frame-lift", sig.formal_names)):
+            resid = first_residual((y, mismatch[y]) for y in names)
+            report.add("%s consistency on (%s, %s)" % (what, u, v), resid is None, resid or "")
     bundle = extract_bundle(atlas)
     if bundle_lines is not None:
         from .formats import print_bundle

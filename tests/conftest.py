@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -16,6 +17,7 @@ from z2nsuper import (
     Signature,
     sign_factor,
 )
+from z2nsuper.coeffexpr import App
 
 
 # -- standard signatures ---------------------------------------------------
@@ -125,24 +127,46 @@ def naive_series_mul(a, b):
     return GSeries(sig, order, out)
 
 
-def poly_to_series(c, images, sig, order):
-    """Substitute base-coordinate symbols of a polynomial CoeffExpr by series.
+def naive_shift(c, images, sig, order):
+    """A coefficient function at base images a + n (a their constant terms,
+    n nilpotent): the sum over k of D^k c / k! at a, D = sum_b n_b d/dx^b.
 
-    Only valid for polynomial coefficients (no opaque applications); expands
-    with ordinary series multiplication, so it is independent of the Taylor
+    D^k runs over ordered k-tuples of base coordinates, so this shares no
+    code with the multi-index Taylor routine it checks.
+    """
+    amap = {bn: s.epsilon() for bn, s in images.items()}
+    nil = {bn: s - GSeries.from_coeff(sig, order, amap[bn]) for bn, s in images.items()}
+    out = GSeries.zero(sig, order)
+    layer = [(c, GSeries.one(sig, order))]
+    for k in range(order + 1):
+        for d, prod in layer:
+            out = out + prod * (d.substitute_vars(amap) * Fraction(1, factorial(k)))
+        layer = [(d.diff(bn), prod * n) for d, prod in layer for bn, n in nil.items()]
+    return out
+
+
+def poly_to_series(c, images, sig, order):
+    """Substitute base-coordinate symbols of a CoeffExpr by series.
+
+    Polynomial parts expand with ordinary series multiplication and opaque
+    applications with `naive_shift`, so it is independent of the Taylor
     pullback machinery.
     """
     out = GSeries.zero(sig, order)
     for mono, q in c.terms().items():
         term = GSeries.from_coeff(sig, order, q)
         for atom, power in mono:
-            term = term * images[atom.name] ** power
+            if isinstance(atom, App):
+                app = CoeffExpr.app(atom.func, atom.args, atom.alpha)
+                term = term * naive_shift(app, images, sig, order) ** power
+            else:
+                term = term * images[atom.name] ** power
         out = out + term
     return out
 
 
 def naive_pullback(m, f):
-    """Substitute-and-expand oracle for the pullback of a polynomial series."""
+    """Substitute-and-expand oracle for the pullback of a series."""
     sig = m.source
     order = min(m.order, f.order)
     base_images = {bn: m.images[bn].truncate(order) for bn in m.target.base_names}
@@ -155,6 +179,36 @@ def naive_pullback(m, f):
                 part = part * m.images[fvars[a]].truncate(order)
         out = out + part
     return out
+
+
+def naive_overlap_mismatch(atlas, values, lifts, pair, order):
+    """The overlap mismatch on (U, V) at `order`, entry by entry through
+    naive pullbacks; values and lifts map chart -> {var -> GSeries}.
+
+    Per base coordinate x: phi_U(x) - T_UV^* phi_V(x as a function on V).
+    Per formal variable xi_a: lift_U(xi_a) - T_UV^* sum_b lift_V(xi_b)
+    phi_V(h_ab), with h the linear block of T_VU.  phi_V is the pullback
+    through the V chart values and lifts.
+    """
+    sig = atlas.signature
+    u, v = pair
+    t_uv, t_vu = atlas.transition(u, v), atlas.transition(v, u)
+    phi_v = Morphism(sig, sig, {**values[v], **lifts[v]}, order)
+
+    def phi_v_of(c):
+        return naive_pullback(phi_v, GSeries.from_coeff(sig, order, c))
+
+    out = {}
+    for bn in sig.base_names:
+        right = phi_v_of(t_vu.images[bn].epsilon())
+        out[bn] = values[u][bn].truncate(order) - naive_pullback(t_uv, right)
+    for fa in sig.formal_names:
+        acc = GSeries.zero(sig, order)
+        for b, fb in enumerate(sig.formal_names):
+            mu = tuple(int(i == b) for i in range(sig.nformal))
+            acc = acc + lifts[v][fb].truncate(order) * phi_v_of(t_vu.images[fa].coeff_of(mu))
+        out[fa] = lifts[u][fa].truncate(order) - naive_pullback(t_uv, acc)
+    return {y: atlas.reduce_series(s) for y, s in out.items()}
 
 
 # -- naive certification of finite-dimensional algebras -----------------------
@@ -435,6 +489,28 @@ def atlas_nonsplit_frame_twist(order=3):
     partition = {"U": rho("U"), "V": rho("V")}
     return Atlas(sig, order, ["U", "V"], [("U", "V"), ("V", "U")], [],
                  transitions, partition)
+
+
+def atlas_scaled_frame_twist(order=3):
+    """Two charts glued by x -> 2x and xi -> xi + h(x) y eta (n = 2): a frame
+    twist over a base transition that is not the identity."""
+    sig = sig_n2()
+    x = CoeffExpr.var("x")
+    h, h_half = CoeffExpr.app("h", [x]), CoeffExpr.app("h", [x * Fraction(1, 2)])
+    yeta = GSeries.generator(sig, "y", order) * GSeries.generator(sig, "eta", order)
+
+    def imgs(scale, twist):
+        return {
+            "x": GSeries.generator(sig, "x", order) * scale,
+            "y": GSeries.generator(sig, "y", order),
+            "xi": GSeries.generator(sig, "xi", order) + yeta * twist,
+            "eta": GSeries.generator(sig, "eta", order),
+        }
+    transitions = {
+        ("U", "V"): Morphism(sig, sig, imgs(2, h), order),
+        ("V", "U"): Morphism(sig, sig, imgs(Fraction(1, 2), -h_half), order),
+    }
+    return Atlas(sig, order, ["U", "V"], [("U", "V"), ("V", "U")], [], transitions)
 
 
 @pytest.fixture

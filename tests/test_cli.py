@@ -1,5 +1,7 @@
 """CLI subcommands, file plumbing, and exit codes (0 pass, 1 fail, 2 input error)."""
 
+from pathlib import Path
+
 import pytest
 
 from z2nsuper import split
@@ -60,7 +62,7 @@ def test_pullback_and_output_file(tmp_path, capsys):
     sfile = write(tmp_path, "f.txt", "F(x)")
     out = str(tmp_path / "out.txt")
     assert main(["pullback", "--morphism", mfile, "--series", sfile, "-o", out]) == 0
-    text = open(out).read().strip()
+    text = Path(out).read_text().strip()
     got = parse_series(text, sig_n2(), 4)
     expected = parse_series("F(x) + F[1](x) * y^2 + 1/2 * F[2](x) * y^4", sig_n2(), 4)
     assert got == expected
@@ -73,7 +75,7 @@ def test_compose_and_invert(tmp_path, capsys):
     assert main(["invert", "--morphism", mfile, "-o", inv]) == 0
     out = str(tmp_path / "c.txt")
     assert main(["compose", "--first", mfile, "--second", inv, "-o", out]) == 0
-    c = parse_morphism(open(out).read())
+    c = parse_morphism(Path(out).read_text())
     from z2nsuper import Morphism
 
     assert c == Morphism.identity(sig_n2(), 4)
@@ -206,11 +208,22 @@ def test_split_then_verify_round_trip(tmp_path, capsys):
     assert "[pass]" in capsys.readouterr().out
 
 
+def test_verify_of_a_result_above_the_atlas_order_is_an_input_error(tmp_path, capsys):
+    atlas = atlas_nonsplit_base_twist()
+    afile = write(tmp_path, "atlas.txt", print_atlas(atlas))
+    text = print_result(split(atlas, 3)).replace("order 3\n", "order 4\n", 1)
+    rfile = write(tmp_path, "result.txt", text)
+    assert main(["verify", "--atlas", afile, "--result", rfile]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot raise truncation order from 3 to 4")
+    assert "Traceback" not in err
+
+
 def test_split_without_partition_is_an_input_error(tmp_path, capsys):
     atlas = atlas_nonsplit_frame_twist()
     atlas.partition = None
     afile = write(tmp_path, "atlas.txt", print_atlas(atlas))
-    assert "partition" not in open(afile).read()
+    assert "partition" not in Path(afile).read_text()
     assert main(["split", "--atlas", afile]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: a partition of unity is required")

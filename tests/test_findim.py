@@ -50,6 +50,17 @@ def test_construction_checks_unit_and_associativity():
         FinDimAlgebra(["one", "a", "b"], 0, bad)
 
 
+def test_associativity_is_checked_above_64_labels():
+    # one, e1..e64 with e1 e1 = e2 and e2 e1 = e3: (e1 e1) e1 = e3, but
+    # e1 (e1 e1) = e1 e2 = 0
+    labels = ["one"] + ["e%d" % i for i in range(1, 65)]
+    table = {(0, i): {i: 1} for i in range(65)}
+    table.update({(i, 0): {i: 1} for i in range(65)})
+    table[1, 1], table[2, 1] = {2: 1}, {3: 1}
+    with pytest.raises(ValueError, match=r"^not associative at \(e1, e1, e1\)$"):
+        FinDimAlgebra(labels, 0, table)
+
+
 def test_check_rejects_inhomogeneous_assignment():
     A = quaternion_algebra()
     # i*j = k but 100 + 010 != 000
@@ -146,6 +157,15 @@ def test_budget_guard():
     A = clifford_algebra(2, 2)
     with pytest.raises(BudgetExceeded):
         search_degree_assignments(A, 5, budget=1000)
+
+
+def test_search_derives_the_pair_parities_once(monkeypatch):
+    calls = []
+    derive = FinDimAlgebra.pair_parities
+    monkeypatch.setattr(FinDimAlgebra, "pair_parities",
+                        lambda A: calls.append(A) or derive(A))
+    assert len(search_degree_assignments(quaternion_algebra(), 3)) > 1
+    assert len(calls) == 1
 
 
 def test_dual_numbers_search():

@@ -15,15 +15,26 @@ from z2nsuper import (
 from z2nsuper.splitting import (
     build_base_embedding,
     build_module_splitting,
+    lift_mismatch,
     solve_coboundary,
 )
 
 from conftest import (
     atlas_nonsplit_base_twist,
     atlas_nonsplit_frame_twist,
+    atlas_scaled_frame_twist,
     atlas_split_two_charts,
+    naive_overlap_mismatch,
     rho,
 )
+
+FIXTURES = (atlas_split_two_charts, atlas_nonsplit_base_twist, atlas_nonsplit_frame_twist)
+
+
+def identity_lifts(atlas, order):
+    sig = atlas.signature
+    return {u: {fa: GSeries.generator(sig, fa, order) for fa in sig.formal_names}
+            for u in atlas.charts}
 
 
 def test_split_model_atlas_splits_trivially():
@@ -48,6 +59,51 @@ def test_base_twist_mismatch_is_a_pure_order_two_derivation():
     assert om["x"] == -(xi12 * g)
     assert om["x"].j_order() == 2
     assert om["x"].is_homogeneous("0")
+
+
+def test_frame_twist_lift_mismatch_at_order_two():
+    atlas = atlas_nonsplit_frame_twist()
+    family = EmbeddingFamily.identity(atlas, 2)
+    lifts = identity_lifts(atlas, 2)
+    got = {p: {fa: str(s) for fa, s in lift_mismatch(family, lifts, p, 2).items()}
+           for p in [("U", "V"), ("V", "U")]}
+    assert got == {
+        ("U", "V"): {"xi": "h(x) * eta y", "eta": "0", "y": "0"},
+        ("V", "U"): {"xi": "(-h(x)) * eta y", "eta": "0", "y": "0"},
+    }
+
+
+@pytest.mark.parametrize("make", FIXTURES)
+def test_mismatches_agree_with_the_per_entry_oracle(make):
+    atlas = make()
+    result = split(atlas, 3)
+    data = [
+        (EmbeddingFamily.identity(atlas, 2), identity_lifts(atlas, 2), 2),
+        (result.family.at_order(2), identity_lifts(atlas, 2), 2),
+        (result.family, result.lifts, 3),
+    ]
+    pairs = [p for p in atlas.transitions if p[0] != p[1]]
+    assert pairs
+    for family, lifts, k in data:
+        for pair in pairs:
+            got = {**cocycle_mismatch(family, pair, k), **lift_mismatch(family, lifts, pair, k)}
+            assert got == naive_overlap_mismatch(atlas, family.values, lifts, pair, k), pair
+
+
+def test_mismatches_agree_with_the_oracle_over_a_scaled_base_map():
+    # pure order-2 chart data that depends on x, over x -> 2x: the two
+    # pullbacks do not commute, so their order shows
+    atlas = atlas_scaled_frame_twist()
+    sig = atlas.signature
+    x, y, xi, eta = (GSeries.generator(sig, nm, 2) for nm in ("x", "y", "xi", "eta"))
+    f = {u: CoeffExpr.app("f_" + u, [CoeffExpr.var("x")]) for u in atlas.charts}
+    values = {u: {"x": x + y * y * f[u]} for u in atlas.charts}
+    lifts = {u: {"xi": xi + y * eta * f[u], "eta": eta, "y": y} for u in atlas.charts}
+    family = EmbeddingFamily(atlas, values, 2)
+    for pair in [("U", "V"), ("V", "U")]:
+        got = {**cocycle_mismatch(family, pair, 2), **lift_mismatch(family, lifts, pair, 2)}
+        assert got == naive_overlap_mismatch(atlas, values, lifts, pair, 2)
+        assert not got["x"].is_zero() and not got["xi"].is_zero()
 
 
 def test_coboundary_solves_the_base_twist():
@@ -108,8 +164,7 @@ def test_split_frame_twist_fixture():
 
 
 def test_iso_images_stay_homogeneous_and_augmented():
-    for make in (atlas_split_two_charts, atlas_nonsplit_base_twist,
-                 atlas_nonsplit_frame_twist):
+    for make in FIXTURES:
         atlas = make()
         result = split(atlas, 3)
         sig = atlas.signature
@@ -121,8 +176,7 @@ def test_iso_images_stay_homogeneous_and_augmented():
 
 
 def test_verify_result_accepts_split_output():
-    for make in (atlas_split_two_charts, atlas_nonsplit_base_twist,
-                 atlas_nonsplit_frame_twist):
+    for make in FIXTURES:
         atlas = make()
         result = split(atlas, 3)
         report = verify_result(atlas, result.iso, 3)
