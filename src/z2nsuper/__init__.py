@@ -21,7 +21,6 @@ from .coeffexpr import (
     App,
     CoeffExpr,
     UnboundSymbol,
-    Var,
     differentiate,
     evaluate,
 )
@@ -34,7 +33,6 @@ from .gseries import (
     normal_form,
 )
 from .morphisms import (
-    JacobianMatrix,
     Morphism,
     MorphismError,
     SingularBlock,
@@ -57,7 +55,6 @@ from .atlas import (
     Atlas,
     AtlasError,
     GradedBundleData,
-    Report,
     build_split_model,
     extract_bundle,
     validate_atlas,
@@ -66,14 +63,11 @@ from .splitting import (
     EmbeddingFamily,
     MissingPartition,
     SplittingError,
-    SplittingResult,
-    assemble_iso,
     build_base_embedding,
     build_module_splitting,
     cocycle_mismatch,
     solve_coboundary,
     split,
-    verify_iso,
     verify_result,
 )
 from . import formats
@@ -83,18 +77,17 @@ __version__ = "1.0.0"
 __all__ = [
     "Degree", "DimensionMismatch", "Signature", "enumerate_nonzero_degrees",
     "is_self_odd", "parity", "sign_factor",
-    "App", "CoeffExpr", "UnboundSymbol", "Var", "differentiate", "evaluate",
+    "App", "CoeffExpr", "UnboundSymbol", "differentiate", "evaluate",
     "ParseError", "parse_coeff", "print_coeff",
     "GSeries", "OrderError", "SignatureMismatch", "mul_monomials", "normal_form",
-    "JacobianMatrix", "Morphism", "MorphismError", "SingularBlock", "compose",
+    "Morphism", "MorphismError", "SingularBlock", "compose",
     "enumerate_monomials", "invert", "jacobian", "transformation_template",
     "BudgetExceeded", "FinDimAlgebra", "GradingError", "check_graded_commutative",
     "clifford_algebra", "quaternion_algebra", "search_degree_assignments",
-    "Atlas", "AtlasError", "GradedBundleData", "Report", "build_split_model",
+    "Atlas", "AtlasError", "GradedBundleData", "build_split_model",
     "extract_bundle", "validate_atlas",
-    "EmbeddingFamily", "MissingPartition", "SplittingError", "SplittingResult",
-    "assemble_iso", "build_base_embedding", "build_module_splitting",
-    "cocycle_mismatch", "solve_coboundary", "split", "verify_iso",
-    "verify_result",
+    "EmbeddingFamily", "MissingPartition", "SplittingError",
+    "build_base_embedding", "build_module_splitting",
+    "cocycle_mismatch", "solve_coboundary", "split", "verify_result",
     "formats",
 ]

@@ -40,6 +40,13 @@ class Report:
     def add(self, name, passed, detail=""):
         self.checks.append(CheckResult(name, passed, detail))
 
+    def residual(self, name, named):
+        """A check that every value is zero.  named yields (label, value)
+        pairs and is read lazily, up to the first nonzero value, which the
+        failing check names as "label: value"."""
+        detail = next(("%s: %s" % (label, v) for label, v in named if not v.is_zero()), "")
+        self.add(name, not detail, detail)
+
     def extend(self, other):
         self.checks.extend(other.checks)
 
@@ -141,9 +148,14 @@ def validate_atlas(atlas):
     report = Report()
     ident = Morphism.identity(atlas.signature, atlas.order)
     names = [nm for nm, _ in atlas.signature.variables()]
+
+    def differences(lhs, rhs):
+        return ((nm, atlas.reduce_series(lhs.images[nm] - rhs.images[nm])) for nm in names)
+
     for (u, v), m in sorted(atlas.transitions.items()):
         if u == v:
-            report.add("identity-transition %s%s" % (u, v), m == ident)
+            report.residual("identity-transition %s%s" % (u, v),
+                            ((nm, m.images[nm] - ident.images[nm]) for nm in names))
     done = set()
     for (u, v) in sorted(atlas.transitions):
         if u == v or (v, u) in done:
@@ -157,27 +169,12 @@ def validate_atlas(atlas):
             )
             continue
         c = compose(atlas.transition(v, u), atlas.transition(u, v))
-        resid = first_residual(
-            (nm, atlas.reduce_series(c.images[nm] - ident.images[nm])) for nm in names
-        )
-        report.add("inverse-condition %s<->%s" % (u, v), resid is None, resid or "")
+        report.residual("inverse-condition %s<->%s" % (u, v), differences(c, ident))
     for u, v, w in atlas.triples:
         lhs = compose(atlas.transition(v, w), atlas.transition(u, v))
-        rhs = atlas.transition(u, w)
-        resid = first_residual(
-            (nm, atlas.reduce_series(lhs.images[nm] - rhs.images[nm])) for nm in names
-        )
-        report.add("triple-cocycle %s,%s,%s" % (u, v, w), resid is None, resid or "")
+        report.residual("triple-cocycle %s,%s,%s" % (u, v, w),
+                        differences(lhs, atlas.transition(u, w)))
     return report
-
-
-def first_residual(named):
-    """None when every series is zero, else "name: series" for the first
-    nonzero one; named yields (name, series) pairs and is read lazily."""
-    for name, s in named:
-        if not s.is_zero():
-            return "%s: %s" % (name, s)
-    return None
 
 
 class GradedBundleData:

@@ -181,6 +181,9 @@ def cmd_split(args):
 def cmd_verify(args):
     atlas = formats.parse_atlas(_read(args.atlas))
     doc = formats.parse_result(_read(args.result))
+    if doc.order > atlas.order:
+        raise SplittingError("result %s has `order %d`, above `order %d` of atlas %s"
+                             % (args.result, doc.order, atlas.order, args.atlas))
     report = verify_result(atlas, doc.iso, doc.order,
                            embedding=doc.embedding, bundle_lines=doc.bundle_lines)
     _emit(str(report), args.output)

@@ -72,41 +72,50 @@ class Tokenizer:
 
 
 def parse_coeff(text):
-    return _parse_all(text, _parse_factor)
+    return _parse_all(text, _parse_term)
 
 
-def _parse_all(text, factor):
-    """Parse all of `text` as sums of products of `factor(tz)` values."""
+def _parse_all(text, term):
+    """Parse all of `text` as a sum of `term(tz)` values."""
     tz = Tokenizer(text)
-    e = _parse_expr(tz, factor)
+    e = _parse_expr(tz, term)
     if not tz.done():
         tok = tz.peek()
         raise ParseError("trailing input %r" % tok[1], tok[2])
     return e
 
 
-def _parse_expr(tz, factor):
-    e = _parse_term(tz, factor)
+def _parse_expr(tz, term):
+    e = term(tz)
     while tz.at_sym("+") or tz.at_sym("-"):
         op = tz.next()[1]
-        t = _parse_term(tz, factor)
+        t = term(tz)
         e = e + t if op == "+" else e - t
     return e
 
 
-def _parse_term(tz, factor):
+def _term_factors(tz, factor):
+    """The sign of a product term and its `factor(tz)` values, in order."""
     sign = 1
     while tz.at_sym("-"):
         tz.next()
         sign = -sign
-    e = factor(tz)
+    factors = [factor(tz)]
     while True:
         tok = tz.peek()
         if tz.at_sym("*"):
             tz.next()
         elif not (tok[0] in ("num", "name") or (tok[0] == "sym" and tok[1] == "(")):
             break
-        e = e * factor(tz)
+        factors.append(factor(tz))
+    return sign, factors
+
+
+def _parse_term(tz):
+    sign, factors = _term_factors(tz, _parse_factor)
+    e = factors[0]
+    for f in factors[1:]:
+        e = e * f
     return e * sign
 
 
@@ -141,10 +150,10 @@ def _parse_atom(tz):
             tz.expect("sym", "]")
         if tz.at_sym("("):
             tz.next()
-            args = [_parse_expr(tz, _parse_factor)]
+            args = [_parse_expr(tz, _parse_term)]
             while tz.at_sym(","):
                 tz.next()
-                args.append(_parse_expr(tz, _parse_factor))
+                args.append(_parse_expr(tz, _parse_term))
             tz.expect("sym", ")")
             if alpha is not None and len(alpha) != len(args):
                 raise ParseError(
@@ -157,7 +166,7 @@ def _parse_atom(tz):
             raise ParseError("derivative index without argument list", tok[2])
         return CoeffExpr.var(tok[1])
     if tok[0] == "sym" and tok[1] == "(":
-        e = _parse_expr(tz, _parse_factor)
+        e = _parse_expr(tz, _parse_term)
         tz.expect("sym", ")")
         return e
     raise ParseError("unexpected token %r" % tok[1], tok[2])

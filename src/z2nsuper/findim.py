@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import os
 from fractions import Fraction
+from math import prod
 
 from .degrees import Degree
 
@@ -212,36 +213,20 @@ def clifford_algebra(p, q):
     m = p + q
     if m > 4:
         raise ValueError("clifford_algebra supports p + q <= 4")
-    squares = [Fraction(1)] * p + [Fraction(-1)] * q
-    subsets = []
-    for mask in range(2 ** m):
-        subsets.append(tuple(i for i in range(m) if mask >> i & 1))
-    subsets.sort(key=lambda s: (len(s), s))
-    index = {s: i for i, s in enumerate(subsets)}
-    labels = ["one" if not s else "e" + "".join(str(i + 1) for i in s) for s in subsets]
-
-    def mul(s1, s2):
-        # concatenate and bubble into sorted order, tracking the sign
-        word = list(s1) + list(s2)
-        sign = Fraction(1)
-        changed = True
-        while changed:
-            changed = False
-            for t in range(len(word) - 1):
-                if word[t] > word[t + 1]:
-                    word[t], word[t + 1] = word[t + 1], word[t]
-                    sign = -sign
-                    changed = True
-                elif word[t] == word[t + 1]:
-                    sign = sign * squares[word[t]]
-                    del word[t + 1], word[t]
-                    changed = True
-                    break
-        return tuple(word), sign
+    squares = [1] * p + [-1] * q
+    # blades are subsets of generators as bit masks, in (size, subset) order
+    bits = [[i for i in range(m) if a >> i & 1] for a in range(1 << m)]
+    blades = sorted(range(1 << m), key=lambda a: (len(bits[a]), bits[a]))
+    index = {a: i for i, a in enumerate(blades)}
+    labels = ["e" + "".join(str(i + 1) for i in bits[a]) if a else "one" for a in blades]
 
     table = {}
-    for s1 in subsets:
-        for s2 in subsets:
-            s, c = mul(s1, s2)
-            table.setdefault((index[s1], index[s2]), {})[index[s]] = c
-    return FinDimAlgebra(labels, index[()], table)
+    for a in blades:
+        for b in blades:
+            # the bitmap blade product (Dorst, Fontijne & Mann, ch. 19): the
+            # reordering sign is the parity of the pairs i in a, j in b with
+            # j < i, and each shared generator contributes its square
+            swaps = sum(((a >> s) & b).bit_count() for s in range(1, m))
+            sign = (-1) ** swaps * prod(squares[i] for i in bits[a & b])
+            table[index[a], index[b]] = {index[a ^ b]: Fraction(sign)}
+    return FinDimAlgebra(labels, index[0], table)

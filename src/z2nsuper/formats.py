@@ -37,7 +37,7 @@ from . import exprio
 from .coeffexpr import CoeffExpr
 from .degrees import Degree, Signature
 from .exprio import ParseError, _frac_str, parse_coeff, print_coeff
-from .gseries import GSeries, mono_order
+from .gseries import GSeries, mono_order, mul_monomials
 from .morphisms import Morphism
 
 # keyword -> (number of fields, number of leading fields that name the line,
@@ -164,10 +164,29 @@ def parse_signature(text):
 
 def parse_series(text, sig, order):
     """Parse the series literal syntax over a known signature."""
-    return exprio._parse_all(text, lambda tz: _parse_series_factor(tz, sig, order))
+    return exprio._parse_all(text, lambda tz: _parse_series_term(tz, sig, order))
 
 
-def _parse_series_factor(tz, sig, order):
+def _parse_series_term(tz, sig, order):
+    """One term as one monomial: the product of its coefficient factors
+    times its formal powers folded left to right, with the sign of their
+    reordering; a square of a self-odd variable kills the term."""
+    sign, factors = exprio._term_factors(tz, lambda tz: _parse_series_factor(tz, sig))
+    coeff, mu = CoeffExpr.rational(1), (0,) * sig.nformal
+    for f in factors:
+        if isinstance(f, CoeffExpr):
+            coeff = coeff * f
+            continue
+        hit = mul_monomials(sig, mu, f)
+        if hit is None:
+            return GSeries.zero(sig, order)
+        s, mu = hit
+        sign *= s
+    return GSeries.monomial(sig, order, mu, coeff * sign)
+
+
+def _parse_series_factor(tz, sig):
+    """A coefficient factor, or a formal power as its exponent vector."""
     tok = tz.peek()
     # a formal variable, unless the name opens an application `f(...)`, `f[1](...)`
     if tok[0] == "name" and tok[1] in sig.formal_names and tz.peek(1)[1] not in ("(", "["):
@@ -178,9 +197,8 @@ def _parse_series_factor(tz, sig, order):
             k = int(tz.expect("num")[1])
         mu = [0] * sig.nformal
         mu[sig.formal_index(tok[1])] = k
-        return GSeries.monomial(sig, order, mu)
-    e = exprio._parse_factor(tz)
-    return GSeries.from_coeff(sig, order, e)
+        return tuple(mu)
+    return exprio._parse_factor(tz)
 
 
 def print_monomial(sig, mu):

@@ -233,6 +233,22 @@ def compose(m2, m1):
 # -- inversion ------------------------------------------------------------
 
 
+def _linear_block(m, tvars, svars):
+    """The matrix of m's linear part from svars to tvars, one row per target
+    variable, as Fractions; None when an entry is not rational."""
+    rows = []
+    for tv in tvars:
+        row = []
+        for sv in svars:
+            mu = [0] * m.source.nformal
+            mu[m.source.formal_index(sv)] = 1
+            row.append(m.images[tv].coeff_of(mu).as_rational())
+        if None in row:
+            return None
+        rows.append(row)
+    return rows
+
+
 def _invert_rational_matrix(M):
     """Invert a matrix of Fractions by Gaussian elimination; None if singular."""
     nn = len(M)
@@ -299,19 +315,9 @@ def invert(m, base_inverse=None):
 
     Minv = {}
     for d, (tvars, svars) in blocks.items():
-        M = []
-        for tv in tvars:
-            row = []
-            for sv in svars:
-                mu = [0] * src.nformal
-                mu[src.formal_index(sv)] = 1
-                q = m.images[tv].coeff_of(mu).as_rational()
-                if q is None:
-                    raise SingularBlock(
-                        "linear block of degree %s is not rational; cannot invert" % d
-                    )
-                row.append(q)
-            M.append(row)
+        M = _linear_block(m, tvars, svars)
+        if M is None:
+            raise SingularBlock("linear block of degree %s is not rational; cannot invert" % d)
         inv = _invert_rational_matrix(M)
         if inv is None:
             raise SingularBlock("linear block of degree %s is singular" % d)

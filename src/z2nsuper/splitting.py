@@ -24,13 +24,12 @@ the values makes them agree on overlaps up to order k.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import zip_longest
 
-from .atlas import Report, build_split_model, extract_bundle, first_residual, validate_atlas
+from .atlas import Report, build_split_model, extract_bundle, validate_atlas
 from .coeffexpr import CoeffExpr
 from .gseries import GSeries, mono_order
-from .morphisms import Morphism, compose
+from .morphisms import Morphism, _invert_rational_matrix, _linear_block, compose
 
 
 class SplittingError(RuntimeError):
@@ -221,48 +220,35 @@ def solve_coboundary(atlas, omegas, order):
 
 def check_cocycle(atlas, omegas, order, report, tag):
     """Antisymmetry on pairs and the triple identity on the declared nerve."""
-    sig = atlas.signature
+    names = atlas.signature.base_names
     for (u, v) in omegas:
         if (v, u) not in omegas:
             continue
         back = transport_derivation(atlas, u, v, omegas[(v, u)], order)
-        ok = all(
-            atlas.reduce_series(omegas[(u, v)][bn] + back[bn]).is_zero()
-            for bn in sig.base_names
-        )
-        report.add("%s antisymmetry %s%s" % (tag, u, v), ok)
+        report.residual("%s antisymmetry %s%s" % (tag, u, v), (
+            (bn, atlas.reduce_series(omegas[(u, v)][bn] + back[bn])) for bn in names
+        ))
     for (u, v, w) in atlas.triples:
         if (u, v) not in omegas or (v, w) not in omegas or (u, w) not in omegas:
             continue
         t_vw = transport_derivation(atlas, u, v, omegas[(v, w)], order)
-        ok = all(
-            atlas.reduce_series(
-                omegas[(u, v)][bn] + t_vw[bn] - omegas[(u, w)][bn]
-            ).is_zero()
-            for bn in sig.base_names
-        )
-        report.add("%s triple-cocycle %s,%s,%s" % (tag, u, v, w), ok)
+        report.residual("%s triple-cocycle %s,%s,%s" % (tag, u, v, w), (
+            (bn, atlas.reduce_series(omegas[(u, v)][bn] + t_vw[bn] - omegas[(u, w)][bn]))
+            for bn in names
+        ))
 
 
 def check_coboundary(atlas, omegas, etas, order, report, tag):
     """delta eta = omega symbolically under the partition relation."""
-    sig = atlas.signature
     for (u, v) in omegas:
         eta_v_on_u = transport_derivation(atlas, u, v, etas[v], order)
-        ok = all(
-            atlas.reduce_series(
-                omegas[(u, v)][bn] - (eta_v_on_u[bn] - etas[u][bn])
-            ).is_zero()
-            for bn in sig.base_names
-        )
-        report.add("%s coboundary %s%s" % (tag, u, v), ok)
+        report.residual("%s coboundary %s%s" % (tag, u, v), (
+            (bn, atlas.reduce_series(omegas[(u, v)][bn] - (eta_v_on_u[bn] - etas[u][bn])))
+            for bn in atlas.signature.base_names
+        ))
 
 
 # -- the order-raising Cech step ------------------------------------------
-
-
-def _vanishes(cochain):
-    return all(s.is_zero() for per in cochain.values() for s in per.values())
 
 
 def _raise_order(atlas, values, order, mismatch, report, tag, check=None):
@@ -279,7 +265,7 @@ def _raise_order(atlas, values, order, mismatch, report, tag, check=None):
     if not pairs:
         return values
     omegas = {pair: mismatch(values, pair) for pair in pairs}
-    if _vanishes(omegas):
+    if all(s.is_zero() for per in omegas.values() for s in per.values()):
         report.add("%s: no mismatch" % tag, True)
         return values
     etas = solve_coboundary(atlas, omegas, order)
@@ -288,19 +274,19 @@ def _raise_order(atlas, values, order, mismatch, report, tag, check=None):
     values = {
         u: {nm: s + etas[u][nm] for nm, s in per.items()} for u, per in values.items()
     }
-    residual = {pair: mismatch(values, pair) for pair in pairs}
-    report.add("%s: consistency after correction" % tag, _vanishes(residual))
+    report.residual("%s: consistency after correction" % tag, (
+        ("(%s, %s) %s" % (u, v, nm), s)
+        for u, v in pairs for nm, s in mismatch(values, (u, v)).items()
+    ))
     return values
 
 
 def _check_augmentation(atlas, images, report):
     """epsilon o phi = id on every chart; images: chart -> {var -> GSeries}."""
     for u in atlas.charts:
-        ok = all(
-            images[u][bn].epsilon() == CoeffExpr.var(bn)
-            for bn in atlas.signature.base_names
-        )
-        report.add("epsilon o phi = id on %s" % u, ok)
+        report.residual("epsilon o phi = id on %s" % u, (
+            (bn, images[u][bn].epsilon() - CoeffExpr.var(bn)) for bn in atlas.signature.base_names
+        ))
 
 
 # -- stage 1: the base embedding ------------------------------------------
@@ -388,30 +374,25 @@ def verify_iso(atlas, split_atlas, iso, order, report=None):
     intertwining of the two atlases, and invertibility modulo J^(K+1)."""
     report = Report() if report is None else report
     sig = atlas.signature
+    one = GSeries.one(sig, order)
+    names = [nm for nm, _ in sig.variables()]
+    gens = [GSeries.generator(sig, nm, order) for nm in names]
+    pairs = [(i, j) for i in range(len(gens)) for j in range(i, len(gens))]
     for u in atlas.charts:
         m = iso[u]
-        one = GSeries.one(sig, order)
-        gens = [GSeries.generator(sig, nm, order) for nm, _ in sig.variables()]
-        pairs = [(i, j) for i in range(len(gens)) for j in range(i, len(gens))]
         out = m.pullbacks([one] + gens + [gens[i] * gens[j] for i, j in pairs])
         pulled, lhs = out[1:len(gens) + 1], out[len(gens) + 1:]
-        report.add("iso %s: unital" % u, out[0] == one)
+        report.residual("iso %s: unital" % u, [("1", out[0] - one)])
         ok = all(
             m.images[nm].is_homogeneous(d) for nm, d in sig.variables()
         )
         report.add("iso %s: degree-preserving" % u, ok)
-        mult_ok = all(
-            atlas.reduce_series(prod - pulled[i] * pulled[j]).is_zero()
+        report.residual("iso %s: multiplicative on generators" % u, (
+            ("(%s, %s)" % (names[i], names[j]), atlas.reduce_series(prod - pulled[i] * pulled[j]))
             for (i, j), prod in zip(pairs, lhs)
-        )
-        report.add("iso %s: multiplicative on generators" % u, mult_ok)
-        inv_ok = True
-        for fa in sig.formal_names:
-            mu = [0] * sig.nformal
-            mu[sig.formal_index(fa)] = 1
-            diag = m.images[fa].coeff_of(mu)
-            if diag.as_rational() in (None, Fraction(0)):
-                inv_ok = False
+        ))
+        blocks = (_linear_block(m, vs, vs) for vs in sig.formal_blocks.values())
+        inv_ok = all(M is not None and _invert_rational_matrix(M) is not None for M in blocks)
         report.add("iso %s: invertible modulo J^%d" % (u, order + 1), inv_ok)
     for (u, v) in atlas.transitions:
         if u == v:
@@ -421,12 +402,10 @@ def verify_iso(atlas, split_atlas, iso, order, report=None):
         # the overlap square must agree
         lhs = compose(split_atlas.transition(u, v), iso[u])
         rhs = compose(iso[v], atlas.transition(u, v))
-        resid = first_residual(
+        report.residual("iso intertwines transitions on (%s, %s)" % (u, v), (
             (nm, atlas.reduce_series(lhs.images[nm] - rhs.images[nm]))
             for nm, _ in sig.variables()
-        )
-        report.add("iso intertwines transitions on (%s, %s)" % (u, v),
-                   resid is None, resid or "")
+        ))
     # the split side is in block-diagonal normal form by construction; assert
     bd_ok = True
     for (u, v), m in split_atlas.transitions.items():
@@ -473,8 +452,8 @@ def verify_result(atlas, iso, order, report=None, embedding=None, bundle_lines=N
         mismatch = overlap_mismatch(atlas, iso[u], iso[v], (u, v),
                                     sig.base_names + sig.formal_names)
         for what, names in (("embedding", sig.base_names), ("frame-lift", sig.formal_names)):
-            resid = first_residual((y, mismatch[y]) for y in names)
-            report.add("%s consistency on (%s, %s)" % (what, u, v), resid is None, resid or "")
+            report.residual("%s consistency on (%s, %s)" % (what, u, v),
+                            ((y, mismatch[y]) for y in names))
     bundle = extract_bundle(atlas)
     if bundle_lines is not None:
         from .formats import print_bundle

@@ -270,6 +270,44 @@ def naive_first_nonassociative(table, dim):
     return None
 
 
+def naive_clifford(p, q):
+    """Cl_{p,q} as (labels, unit, table) by word bubbling: a blade is a sorted
+    tuple of generator indices, a product concatenates the two words and
+    bubbles them into increasing order, one sign flip per adjacent
+    transposition, a repeated generator replaced by its square."""
+    m = p + q
+    squares = [Fraction(1)] * p + [Fraction(-1)] * q
+    subsets = sorted((tuple(i for i in range(m) if mask >> i & 1) for mask in range(2 ** m)),
+                     key=lambda s: (len(s), s))
+    index = {s: i for i, s in enumerate(subsets)}
+    labels = ["one" if not s else "e" + "".join(str(i + 1) for i in s) for s in subsets]
+
+    def mul(s1, s2):
+        word = list(s1) + list(s2)
+        sign = Fraction(1)
+        changed = True
+        while changed:
+            changed = False
+            for t in range(len(word) - 1):
+                if word[t] > word[t + 1]:
+                    word[t], word[t + 1] = word[t + 1], word[t]
+                    sign = -sign
+                    changed = True
+                elif word[t] == word[t + 1]:
+                    sign = sign * squares[word[t]]
+                    del word[t + 1], word[t]
+                    changed = True
+                    break
+        return tuple(word), sign
+
+    table = {}
+    for s1 in subsets:
+        for s2 in subsets:
+            s, c = mul(s1, s2)
+            table[index[s1], index[s2]] = {index[s]: c}
+    return labels, index[()], table
+
+
 def rand_unital_table(rng, dim, n):
     """A random unital table on dim basis elements: (unit, table).
 

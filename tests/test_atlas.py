@@ -16,6 +16,7 @@ from z2nsuper import (
     extract_bundle,
     validate_atlas,
 )
+from z2nsuper.atlas import Report
 
 from conftest import (
     atlas_nonsplit_base_twist,
@@ -162,3 +163,20 @@ def test_extract_bundle_reads_linear_blocks():
                                               [zero_, CoeffExpr.rational(1)]]
     # the base twist lives above the linear level, so the base map is identity
     assert bundle.base_transitions[("U", "V")]["x"] == CoeffExpr.var("x")
+
+
+def test_residual_reads_up_to_the_first_nonzero_value():
+    sig = sig_n1()
+
+    def named():
+        yield "a", GSeries.zero(sig, 2)
+        yield "b", GSeries.generator(sig, "xi1", 2) * 3
+        raise AssertionError("read past the first nonzero value")
+
+    report = Report()
+    report.residual("zeros", [("a", GSeries.zero(sig, 2))])
+    report.residual("family", named())
+    assert [(c.name, c.passed, c.detail) for c in report.checks] == [
+        ("zeros", True, ""),
+        ("family", False, "b: 3 * xi1"),
+    ]

@@ -215,8 +215,20 @@ def test_verify_of_a_result_above_the_atlas_order_is_an_input_error(tmp_path, ca
     rfile = write(tmp_path, "result.txt", text)
     assert main(["verify", "--atlas", afile, "--result", rfile]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: cannot raise truncation order from 3 to 4")
+    assert err.startswith("error: result %s has `order 4`, above `order 3` of atlas %s"
+                          % (rfile, afile))
     assert "Traceback" not in err
+
+
+def test_verify_names_the_residual_of_a_shifted_base_image(tmp_path):
+    atlas = atlas_nonsplit_base_twist()
+    afile = write(tmp_path, "atlas.txt", print_atlas(atlas))
+    text = print_result(split(atlas, 3))
+    assert "\niso U\nx = x + " in text
+    rfile = write(tmp_path, "result.txt", text.replace("\niso U\nx = ", "\niso U\nx = 1 + ", 1))
+    out = str(tmp_path / "report.txt")
+    assert main(["verify", "--atlas", afile, "--result", rfile, "-o", out]) == 1
+    assert "[FAIL] epsilon o phi = id on U: x: 1" in Path(out).read_text().splitlines()
 
 
 def test_split_without_partition_is_an_input_error(tmp_path, capsys):

@@ -20,6 +20,7 @@ from z2nsuper import (
 
 from conftest import (
     naive_certifies,
+    naive_clifford,
     naive_first_nonassociative,
     naive_homogeneous,
     naive_product,
@@ -270,3 +271,10 @@ def test_construction_raises_exactly_at_the_first_nonassociative_triple():
                 FinDimAlgebra(labels, unit, table)
         outcomes[first is None] += 1
     assert min(outcomes.values()) >= 60
+
+
+def test_clifford_tables_match_the_word_bubbling_oracle():
+    for m in range(5):
+        for p in range(m + 1):
+            A = clifford_algebra(p, m - p)
+            assert (A.labels, A.unit, A.table) == naive_clifford(p, m - p), (p, m - p)

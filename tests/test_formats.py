@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from z2nsuper import CoeffExpr, GSeries, ParseError, Signature, split
+from z2nsuper import CoeffExpr, GSeries, ParseError, Signature, print_coeff, split
 from z2nsuper.formats import (
     parse_algebra,
     parse_atlas,
@@ -25,6 +25,8 @@ from conftest import (
     atlas_nonsplit_base_twist,
     atlas_nonsplit_frame_twist,
     atlas_split_two_charts,
+    rand_opaque_coeff,
+    rand_series,
     rand_signature,
     sig_n1,
     sig_n2,
@@ -80,6 +82,40 @@ def test_series_powers_parse_as_generator_powers_up_to_n4(rng):
             v = GSeries.generator(sig, name, order)
             for k in range(order + 2):
                 assert parse_series("%s^%d" % (name, k), sig, order) == v ** k, (name, k)
+
+
+def test_random_series_round_trip_up_to_n4(rng):
+    for _ in range(40):
+        sig = rand_signature(rng, n_max=4)
+        order = rng.randint(1, 4)
+        s = rand_series(rng, sig, order, max_terms=5, coeff=rand_opaque_coeff)
+        assert parse_series(print_series(s), sig, order) == s
+
+
+def test_series_term_is_the_product_of_its_factors_in_order(rng):
+    """A term of shuffled formal powers and coefficient factors parses to
+    the product of the factors' series in the written order.  Factors are
+    juxtaposed or joined by `*`; a parenthesised factor always takes `*`,
+    since `name (...)` reads as an application."""
+    for _ in range(80):
+        sig = rand_signature(rng, n_max=4)
+        order = rng.randint(1, 4)
+        text, expected = rng.choice(["", "-"]), GSeries.one(sig, order)
+        for i in range(rng.randint(1, 5)):
+            if rng.random() < 0.6:
+                name, k = rng.choice(sig.formal_names), rng.randint(0, 2)
+                word = name if k == 1 else "%s^%d" % (name, k)
+                expected = expected * GSeries.generator(sig, name, order) ** k
+            else:
+                c = rand_opaque_coeff(rng, sig.base_names)
+                word = "(%s)" % print_coeff(c)
+                expected = expected * GSeries.from_coeff(sig, order, c)
+            if i:
+                text += " * " if word.startswith("(") else rng.choice([" ", " * "])
+            text += word
+        if text.startswith("-"):
+            expected = -expected
+        assert parse_series(text, sig, order) == expected, text
 
 
 def test_series_parse_respects_noncommutativity():

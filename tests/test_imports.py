@@ -1,12 +1,14 @@
 """Every top-level import in the package modules is used (`__init__` re-exports),
-and every private function or method is referenced somewhere in the package."""
+every private function or method is referenced somewhere in the package, and
+every name the package exports is used by a demo, a test or the CLI."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "z2nsuper"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "z2nsuper"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -66,3 +68,34 @@ def test_scanner_flags_an_orphaned_private_function():
 def test_no_orphaned_private_functions():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert orphaned_private_functions(sources) == []
+
+
+def unused_exports(exports, sources):
+    """The names in exports that no source imports from a z2nsuper module
+    (or, inside the package, from a relative one) or reads as `z2nsuper.X`."""
+    used = set()
+    for text in sources:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "z2nsuper"
+            ):
+                used.update(alias.name for alias in node.names)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "z2nsuper"):
+                used.add(node.attr)
+    return sorted(set(exports) - used)
+
+
+def test_scanner_flags_an_unused_export():
+    sources = [
+        "from z2nsuper import a as z\nimport z2nsuper\nz2nsuper.b\n",
+        "from .formats import c\nfrom other import d\ntext.e()\n",
+    ]
+    assert unused_exports(["e", "d", "c", "b", "a"], sources) == ["d", "e"]
+
+
+def test_every_export_is_used_by_a_demo_a_test_or_the_cli():
+    import z2nsuper
+
+    users = [*ROOT.glob("demos/*.py"), *ROOT.glob("tests/*.py"), PACKAGE / "cli.py"]
+    assert unused_exports(z2nsuper.__all__, [p.read_text() for p in users]) == []

@@ -3,20 +3,26 @@
 import pytest
 
 from z2nsuper import (
+    Atlas,
     CoeffExpr,
     EmbeddingFamily,
     GSeries,
     MissingPartition,
     Morphism,
+    Signature,
     cocycle_mismatch,
     split,
     verify_result,
 )
+from z2nsuper.atlas import Report
+from z2nsuper.formats import parse_series
 from z2nsuper.splitting import (
     build_base_embedding,
     build_module_splitting,
+    check_coboundary,
     lift_mismatch,
     solve_coboundary,
+    verify_iso,
 )
 
 from conftest import (
@@ -233,3 +239,34 @@ def test_stagewise_builders_agree_with_pipeline():
             assert family.values[u][bn] == result.family.values[u][bn]
         for fa in atlas.signature.formal_names:
             assert lifts[u][fa] == result.lifts[u][fa]
+
+
+def test_failing_coboundary_check_names_its_residual():
+    atlas = atlas_nonsplit_base_twist(order=2)
+    family = EmbeddingFamily.identity(atlas, 2)
+    omegas = {pair: cocycle_mismatch(family, pair, 2) for pair in [("U", "V"), ("V", "U")]}
+    etas = solve_coboundary(atlas, omegas, 2)
+    report = Report()
+    check_coboundary(atlas, omegas, etas, 2, report, "t")
+    assert report.passed
+    sig = atlas.signature
+    xi12 = GSeries.generator(sig, "xi1", 2) * GSeries.generator(sig, "xi2", 2)
+    etas["U"]["x"] = etas["U"]["x"] + xi12
+    report = Report()
+    check_coboundary(atlas, omegas, etas, 2, report, "t")
+    check = {c.name: c for c in report.checks}["t coboundary UV"]
+    assert not check.passed
+    assert check.detail.startswith("x: ")
+
+
+@pytest.mark.parametrize("a, b, invertible", [
+    ("a + b", "a + b", False),  # singular, with ones on the diagonal
+    ("b", "a", True),           # the swap, with zeros on the diagonal
+])
+def test_iso_invertibility_reads_the_whole_linear_block(a, b, invertible):
+    sig = Signature(1, [("x", "0"), ("a", "1"), ("b", "1")])
+    atlas = Atlas(sig, 2, ["U"], [], [], {})
+    images = {nm: parse_series(text, sig, 2) for nm, text in (("x", "x"), ("a", a), ("b", b))}
+    report = verify_iso(atlas, atlas, {"U": Morphism(sig, sig, images, 2)}, 2)
+    check = {c.name: c for c in report.checks}["iso U: invertible modulo J^3"]
+    assert check.passed is invertible
