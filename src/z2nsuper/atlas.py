@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .coeffexpr import CoeffExpr
 from .gseries import GSeries
-from .morphisms import Morphism, compose
+from .morphisms import Morphism, _linear_block, compose
 
 
 class AtlasError(ValueError):
@@ -226,13 +226,8 @@ def build_split_model(bundle, order, triples=(), partition=None):
     for (u, v) in bundle.pairs:
         if u == v:
             continue
-        images = {}
-        base = bundle.base_transitions.get((u, v))
-        for bn in sig.base_names:
-            if base and bn in base:
-                images[bn] = GSeries.from_coeff(sig, order, base[bn])
-            else:
-                images[bn] = GSeries.generator(sig, bn, order)
+        base = bundle.base_transitions[(u, v)]
+        images = {bn: GSeries.from_coeff(sig, order, base[bn]) for bn in sig.base_names}
         for d, vars_d in sig.formal_blocks.items():
             mat = bundle.matrices[(u, v)][d]
             for i, tv in enumerate(vars_d):
@@ -258,22 +253,9 @@ def extract_bundle(atlas):
     for (u, v), m in atlas.transitions.items():
         if u == v:
             continue
-        per_degree = {}
-        for d, vars_d in sig.formal_blocks.items():
-            mat = []
-            for tv in vars_d:
-                row = []
-                img = m.images[tv]
-                for sv in vars_d:
-                    mu = [0] * sig.nformal
-                    mu[sig.formal_index(sv)] = 1
-                    row.append(img.coeff_of(mu))
-                mat.append(row)
-            per_degree[d] = mat
-        matrices[(u, v)] = per_degree
+        matrices[(u, v)] = {d: _linear_block(m, vs, vs) for d, vs in sig.formal_blocks.items()}
         base_transitions[(u, v)] = m.base_map()
-    bundle = GradedBundleData(
+    return GradedBundleData(
         sig, atlas.charts, [p for p in atlas.pairs if p[0] != p[1] and p in atlas.transitions],
         matrices, base_transitions,
     )
-    return bundle

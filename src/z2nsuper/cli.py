@@ -11,36 +11,18 @@ import sys
 
 from . import formats
 from .atlas import validate_atlas
-from .exprio import ParseError
 from .findim import (
     BudgetExceeded,
     GradingError,
     check_graded_commutative,
     search_degree_assignments,
 )
-from .gseries import OrderError, SignatureMismatch
-from .morphisms import (
-    MorphismError,
-    compose,
-    invert,
-    jacobian,
-    transformation_template,
-)
-from .splitting import MissingPartition, SplittingError, split, verify_result
+from .morphisms import compose, invert, jacobian, transformation_template
+from .splitting import SplittingError, split, verify_result
 
-INPUT_ERRORS = (
-    ParseError,
-    MorphismError,
-    SignatureMismatch,
-    OrderError,
-    GradingError,
-    BudgetExceeded,
-    MissingPartition,
-    SplittingError,
-    OSError,
-    ValueError,
-    KeyError,
-)
+# ParseError, MorphismError, SignatureMismatch, OrderError and GradingError
+# are ValueErrors; MissingPartition is a SplittingError
+INPUT_ERRORS = (ValueError, KeyError, OSError, BudgetExceeded, SplittingError)
 
 
 def _read(path):

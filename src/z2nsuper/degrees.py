@@ -175,6 +175,12 @@ class Signature:
         except KeyError:
             raise KeyError("%r is not a formal variable of this signature" % name) from None
 
+    def formal_unit(self, name, k=1):
+        """The exponent vector of name^k, for a formal variable name."""
+        mu = [0] * self.nformal
+        mu[self.formal_index(name)] = k
+        return tuple(mu)
+
     def formal_degrees(self):
         """The degrees of the formal variables, in canonical order."""
         return self._formal_degrees

@@ -186,7 +186,9 @@ def _parse_series_term(tz, sig, order):
 
 
 def _parse_series_factor(tz, sig):
-    """A coefficient factor, or a formal power as its exponent vector."""
+    """A coefficient factor, or a formal power as its exponent vector.  A
+    coefficient is a function of the base coordinates, so a formal name
+    inside one (`xi(x)`, `f(xi)`, `(xi + 1)`) is an error."""
     tok = tz.peek()
     # a formal variable, unless the name opens an application `f(...)`, `f[1](...)`
     if tok[0] == "name" and tok[1] in sig.formal_names and tz.peek(1)[1] not in ("(", "["):
@@ -195,10 +197,13 @@ def _parse_series_factor(tz, sig):
         if tz.at_sym("^"):
             tz.next()
             k = int(tz.expect("num")[1])
-        mu = [0] * sig.nformal
-        mu[sig.formal_index(tok[1])] = k
-        return tuple(mu)
-    return exprio._parse_factor(tz)
+        return sig.formal_unit(tok[1], k)
+    start = tz.i
+    factor = exprio._parse_factor(tz)
+    for kind, text, pos in tz.tokens[start:tz.i]:
+        if kind == "name" and text in sig.formal_names:
+            raise ParseError("formal variable %r cannot appear inside a coefficient" % text, pos)
+    return factor
 
 
 def print_monomial(sig, mu):

@@ -102,9 +102,7 @@ class GSeries:
         """The series of a single variable (base or formal)."""
         if sig.is_base(name):
             return cls.from_coeff(sig, order, CoeffExpr.var(name))
-        mu = [0] * sig.nformal
-        mu[sig.formal_index(name)] = 1
-        return cls.monomial(sig, order, mu)
+        return cls.monomial(sig, order, sig.formal_unit(name))
 
     @classmethod
     def monomial(cls, sig, order, mu, coeff=1):
@@ -137,6 +135,11 @@ class GSeries:
                 "cannot raise truncation order from %d to %d" % (self.order, k)
             )
         return GSeries(self.sig, k, {mu: c for mu, c in self.terms.items() if mono_order(mu) <= k})
+
+    def at_order(self, k):
+        """The same series at truncation order k: truncated when k is lower,
+        the same terms when it is higher."""
+        return self.truncate(k) if k <= self.order else GSeries(self.sig, k, self.terms)
 
     def slice_order(self, k):
         """The pure order-k part, at the same truncation order."""

@@ -235,18 +235,15 @@ def compose(m2, m1):
 
 def _linear_block(m, tvars, svars):
     """The matrix of m's linear part from svars to tvars, one row per target
-    variable, as Fractions; None when an entry is not rational."""
-    rows = []
-    for tv in tvars:
-        row = []
-        for sv in svars:
-            mu = [0] * m.source.nformal
-            mu[m.source.formal_index(sv)] = 1
-            row.append(m.images[tv].coeff_of(mu).as_rational())
-        if None in row:
-            return None
-        rows.append(row)
-    return rows
+    variable, as CoeffExprs."""
+    units = [m.source.formal_unit(sv) for sv in svars]
+    return [[m.images[tv].coeff_of(mu) for mu in units] for tv in tvars]
+
+
+def _rational(M):
+    """A matrix of CoeffExprs as Fractions; None when an entry is not rational."""
+    Q = [[e.as_rational() for e in row] for row in M]
+    return None if any(None in row for row in Q) else Q
 
 
 def _invert_rational_matrix(M):
@@ -315,7 +312,7 @@ def invert(m, base_inverse=None):
 
     Minv = {}
     for d, (tvars, svars) in blocks.items():
-        M = _linear_block(m, tvars, svars)
+        M = _rational(_linear_block(m, tvars, svars))
         if M is None:
             raise SingularBlock("linear block of degree %s is not rational; cannot invert" % d)
         inv = _invert_rational_matrix(M)
@@ -323,20 +320,10 @@ def invert(m, base_inverse=None):
             raise SingularBlock("linear block of degree %s is singular" % d)
         Minv[d] = inv
 
-    # nonlinear parts of the forward images, by target variable
-    h = {}
-    for sn, tn in zip(src.base_names, tgt.base_names):
-        img = m.images[tn]
-        h[tn] = img - GSeries.from_coeff(src, K, img.epsilon())
-    for d, (tvars, svars) in blocks.items():
-        for tv in tvars:
-            img = m.images[tv]
-            lin = GSeries.zero(src, K)
-            for sv in svars:
-                mu = [0] * src.nformal
-                mu[src.formal_index(sv)] = 1
-                lin = lin + GSeries.monomial(src, K, mu, img.coeff_of(mu))
-            h[tv] = img - lin
+    # nonlinear parts of the forward images, by target variable: every
+    # formal variable has a nonzero degree, so the terms of order <= 1 are the
+    # base map of a base image and the linear row of a formal one
+    h = {nm: img - img.truncate(1).at_order(K) for nm, img in m.images.items()}
 
     def sweep(pulled):
         """The next inverse, given the nonlinear parts pulled back through

@@ -211,6 +211,26 @@ def naive_overlap_mismatch(atlas, values, lifts, pair, order):
     return {y: atlas.reduce_series(s) for y, s in out.items()}
 
 
+def naive_linear_blocks(m):
+    """Per degree, the matrix of m's coefficients on the single formal
+    variables of that degree, entry by entry: row tv, column sv holds the
+    coefficient of sv in the image of tv."""
+    sig = m.source
+    per_degree = {}
+    for d, vars_d in sig.formal_blocks.items():
+        mat = []
+        for tv in vars_d:
+            row = []
+            img = m.images[tv]
+            for sv in vars_d:
+                mu = [0] * sig.nformal
+                mu[sig.formal_index(sv)] = 1
+                row.append(img.coeff_of(mu))
+            mat.append(row)
+        per_degree[d] = mat
+    return per_degree
+
+
 # -- naive certification of finite-dimensional algebras -----------------------
 #
 # A table maps (i, j) to {k: c} for e_i e_j = sum_k c e_k, possibly with zero

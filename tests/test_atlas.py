@@ -17,10 +17,14 @@ from z2nsuper import (
     validate_atlas,
 )
 from z2nsuper.atlas import Report
+from z2nsuper.morphisms import _linear_block
 
 from conftest import (
     atlas_nonsplit_base_twist,
     atlas_split_two_charts,
+    naive_linear_blocks,
+    rand_morphism,
+    rand_signature,
     rho,
     sig_n1,
 )
@@ -163,6 +167,24 @@ def test_extract_bundle_reads_linear_blocks():
                                               [zero_, CoeffExpr.rational(1)]]
     # the base twist lives above the linear level, so the base map is identity
     assert bundle.base_transitions[("U", "V")]["x"] == CoeffExpr.var("x")
+
+
+def test_linear_blocks_match_the_per_entry_oracle_up_to_n4(rng):
+    offdiagonal = 0
+    for _ in range(40):
+        sig = rand_signature(rng, n_max=4, q_max=6)
+        order = rng.randint(1, 3)
+        m = rand_morphism(rng, sig, order, max_terms=3)
+        atlas = Atlas(sig, order, ["U", "V"], [("U", "V")], [], {("U", "V"): m})
+        want = naive_linear_blocks(m)
+        bundle = extract_bundle(atlas)
+        assert bundle.matrices == {("U", "V"): want}
+        assert bundle.base_transitions == {("U", "V"): m.base_map()}
+        for d, vs in sig.formal_blocks.items():
+            assert _linear_block(m, vs, vs) == want[d]
+            offdiagonal += sum(not e.is_zero() for i, row in enumerate(want[d])
+                               for j, e in enumerate(row) if i != j)
+    assert offdiagonal  # the draws reach entries off the diagonal
 
 
 def test_residual_reads_up_to_the_first_nonzero_value():

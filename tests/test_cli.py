@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from z2nsuper import split
-from z2nsuper.cli import main
+from z2nsuper.cli import INPUT_ERRORS, main
 from z2nsuper.formats import (
     parse_morphism,
     parse_result,
@@ -46,6 +46,17 @@ def test_normalize(tmp_path, sig_file, capsys):
     assert main(["normalize", "--sig", sig_file, "--series", series, "--order", "3"]) == 0
     out = capsys.readouterr().out.strip()
     assert parse_series(out, sig_n2(), 3) == parse_series("x + 2 * xi y", sig_n2(), 3)
+
+
+def test_normalize_rejects_a_formal_name_inside_a_coefficient(tmp_path, sig_file, capsys):
+    series = write(tmp_path, "s.txt", "f(xi) * eta")
+    assert main(["normalize", "--sig", sig_file, "--series", series, "--order", "3"]) == 2
+    assert "formal variable 'xi'" in capsys.readouterr().err
+
+
+def test_input_errors_lists_each_error_once():
+    assert not [(a, b) for a in INPUT_ERRORS for b in INPUT_ERRORS
+                if a is not b and issubclass(a, b)]
 
 
 def test_mul(tmp_path, sig_file, capsys):

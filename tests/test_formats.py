@@ -96,7 +96,7 @@ def test_series_term_is_the_product_of_its_factors_in_order(rng):
     """A term of shuffled formal powers and coefficient factors parses to
     the product of the factors' series in the written order.  Factors are
     juxtaposed or joined by `*`; a parenthesised factor always takes `*`,
-    since `name (...)` reads as an application."""
+    since `name (...)` reads as an application, an error for a formal name."""
     for _ in range(80):
         sig = rand_signature(rng, n_max=4)
         order = rng.randint(1, 4)
@@ -116,6 +116,20 @@ def test_series_term_is_the_product_of_its_factors_in_order(rng):
         if text.startswith("-"):
             expected = -expected
         assert parse_series(text, sig, order) == expected, text
+
+
+@pytest.mark.parametrize("text, pos", [
+    ("xi (x + 1)", 0), ("xi(x)", 0), ("f(xi)", 2), ("(xi + 1) * eta", 1),
+])
+def test_formal_names_inside_a_coefficient_are_parse_errors(text, pos):
+    sig = sig_n2()
+    xi = GSeries.generator(sig, "xi", 3)
+    # a coefficient factor before a formal variable is fine, as printed
+    s = xi * (CoeffExpr.var("x") + 1)
+    assert print_series(s) == "(1 + x) * xi"
+    assert parse_series("(x + 1) * xi", sig, 3) == s
+    with pytest.raises(ParseError, match=r"formal variable 'xi' .* \(at position %d\)" % pos):
+        parse_series(text, sig, 3)
 
 
 def test_series_parse_respects_noncommutativity():

@@ -279,6 +279,26 @@ def test_every_operation_returns_a_canonical_series_up_to_n4():
             assert GSeries.monomial(sig, order, square).is_zero()
 
 
+def test_at_order_truncates_down_and_keeps_the_terms_up_to_n4(rng):
+    for _ in range(40):
+        sig = rand_signature(rng, n_max=4)
+        order = rng.randint(1, 4)
+        s = rand_series(rng, sig, order, max_terms=5)
+        for k in range(1, order + 3):
+            t = s.at_order(k)
+            assert t.order == k
+            assert_canonical(t)
+            # lowering keeps the terms of order <= k, raising keeps them all
+            assert t.terms == {mu: c for mu, c in s.terms.items() if sum(mu) <= k}
+            if k <= order:
+                assert t == s.truncate(k)
+            else:
+                back = t.at_order(order)
+                assert (back.order, back.terms) == (order, s.terms)
+                # arithmetic runs at the raised order
+                assert (t * t).order == k and (t * t).truncate(order) == s * s
+
+
 def test_lowering_chart_values_truncates_them():
     family, _ = build_base_embedding(atlas_nonsplit_base_twist(4), 4)
     lowered = family.at_order(1)

@@ -99,3 +99,56 @@ def test_every_export_is_used_by_a_demo_a_test_or_the_cli():
 
     users = [*ROOT.glob("demos/*.py"), *ROOT.glob("tests/*.py"), PACKAGE / "cli.py"]
     assert unused_exports(z2nsuper.__all__, [p.read_text() for p in users]) == []
+
+
+def hand_built_exponent_vectors(source):
+    """Lines of each `v = [0] * ... .nformal` in source whose list v the same
+    function then stores into by index (`v[i] = ...`, `v[i] += ...`): an
+    exponent vector built by hand instead of by `Signature.formal_unit`."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        made, stored = {}, []
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign):
+                value, targets = node.value, node.targets
+                if (len(targets) == 1 and isinstance(targets[0], ast.Name)
+                        and isinstance(value, ast.BinOp) and isinstance(value.op, ast.Mult)
+                        and isinstance(value.left, ast.List)
+                        and isinstance(value.right, ast.Attribute)
+                        and value.right.attr == "nformal"):
+                    made.setdefault(targets[0].id, node.lineno)
+            elif isinstance(node, ast.AugAssign):
+                targets = [node.target]
+            else:
+                continue
+            stored += [(t.value.id, node.lineno) for t in targets
+                       if isinstance(t, ast.Subscript) and isinstance(t.value, ast.Name)]
+        found |= {made[v] for v, line in stored if v in made and line > made[v]}
+    return sorted(found)
+
+
+def test_scanner_flags_a_hand_built_exponent_vector():
+    source = (
+        "def unit(sig, name):\n"
+        "    mu = [0] * sig.nformal\n"
+        "    mu[sig.formal_index(name)] = 1\n"
+        "    return tuple(mu)\n"
+        "def count(self, word):\n"
+        "    out = [0] * self.nformal\n"
+        "    for i in word:\n"
+        "        out[i] += 1\n"
+        "def zeros(sig):\n"
+        "    zero = [0] * sig.nformal\n"
+        "    other = [0, 0]\n"
+        "    other[0] = 1\n"
+        "    return zero, other\n"
+    )
+    assert hand_built_exponent_vectors(source) == [2, 6]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "degrees.py"],
+                         ids=lambda p: p.name)
+def test_exponent_vectors_come_from_formal_unit(path):
+    assert hand_built_exponent_vectors(path.read_text()) == []

@@ -10,10 +10,12 @@ from z2nsuper import (
     MissingPartition,
     Morphism,
     Signature,
+    SplittingError,
     cocycle_mismatch,
     split,
     verify_result,
 )
+from z2nsuper import splitting
 from z2nsuper.atlas import Report
 from z2nsuper.formats import parse_series
 from z2nsuper.splitting import (
@@ -270,3 +272,46 @@ def test_iso_invertibility_reads_the_whole_linear_block(a, b, invertible):
     report = verify_iso(atlas, atlas, {"U": Morphism(sig, sig, images, 2)}, 2)
     check = {c.name: c for c in report.checks}["iso U: invertible modulo J^3"]
     assert check.passed is invertible
+
+
+def test_block_diagonal_check_fails_on_an_order_two_formal_term():
+    atlas = atlas_nonsplit_frame_twist()
+    result = split(atlas, 3)
+    sig = atlas.signature
+    name = "split-model transitions are block diagonal"
+    assert {c.name: c.passed for c in result.report.checks}[name]
+    # xi -> xi + y eta keeps the degree of xi but is no longer linear
+    yeta = GSeries.generator(sig, "y", 3) * GSeries.generator(sig, "eta", 3)
+    bent = dict(result.split_atlas.transitions)
+    m = bent[("U", "V")]
+    bent[("U", "V")] = Morphism(sig, sig, {**m.images, "xi": m.images["xi"] + yeta}, 3)
+    split_atlas = Atlas(sig, 3, atlas.charts, atlas.pairs, [], bent, atlas.partition)
+    report = verify_iso(atlas, split_atlas, result.iso, 3)
+    assert {c.name: c.passed for c in report.checks}[name] is False
+
+
+def test_frame_lift_check_fails_on_a_wrong_linear_row(monkeypatch):
+    atlas = atlas_split_two_charts(order=2)
+    family, _ = build_base_embedding(atlas, 2)
+    sig = atlas.signature
+    raise_order = splitting._raise_order
+
+    def bent(*args, **kwargs):
+        # the correction returns xi1 -> xi1 + xi2 on U: the right degree,
+        # the wrong linear row
+        lifts = raise_order(*args, **kwargs)
+        lifts["U"]["xi1"] = lifts["U"]["xi1"] + GSeries.generator(sig, "xi2", 2)
+        return lifts
+
+    monkeypatch.setattr(splitting, "_raise_order", bent)
+    _, report = build_module_splitting(atlas, family, 2)
+    checks = {c.name: c.passed for c in report.checks}
+    assert checks["frame lift on U projects to the identity on J/J^2"] is False
+    assert checks["frame lift on V projects to the identity on J/J^2"] is True
+
+
+@pytest.mark.parametrize("order", [0, 4])
+def test_split_checks_its_order_against_the_atlas(order):
+    atlas = atlas_nonsplit_base_twist(3)
+    with pytest.raises(SplittingError, match=r"split order %d is outside 1\.\.3" % order):
+        split(atlas, order)
