@@ -16,11 +16,18 @@ structural key() on first request (for App keys and print order), then caches
 both.  Expressions are immutable, so operations return an operand unchanged
 where the result is equal to it (adding zero, scaling by one, substituting
 nothing).
+
+Products.  Every product of two non-constant expressions goes through
+sum_of_products, which works on a cached integer view of each factor (its
+terms as integer numerators over their least common denominator, the
+representation of FLINT's fmpq_poly): it multiplies and adds plain ints over
+one common denominator and builds one Fraction per output term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 class UnboundSymbol(KeyError):
@@ -100,7 +107,7 @@ class CoeffExpr:
     keep this representation canonical, so == is the engine's equality test.
     """
 
-    __slots__ = ("_terms", "_key", "_hash")
+    __slots__ = ("_terms", "_key", "_hash", "_ints")
 
     def __init__(self, terms, clean=False):
         """terms: dict mono -> Fraction over canonical monomials.
@@ -113,6 +120,7 @@ class CoeffExpr:
         self._terms = terms
         self._key = None
         self._hash = None
+        self._ints = None
 
     # -- constructors -----------------------------------------------------
 
@@ -185,6 +193,17 @@ class CoeffExpr:
             self._hash = hash(frozenset(self._terms.items()))
         return self._hash
 
+    def _int_view(self):
+        """(d, ((mono, n), ...)): the terms as integer numerators n over their
+        least common denominator d, computed on first use and cached."""
+        if self._ints is None:
+            d = 1
+            for c in self._terms.values():
+                d = _lcm(d, c.denominator)
+            self._ints = (d, tuple((m, c.numerator * (d // c.denominator))
+                                   for m, c in self._terms.items()))
+        return self._ints
+
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
@@ -235,9 +254,7 @@ class CoeffExpr:
             return self._scale(t2[()])
         if len(t1) == 1 and () in t1:
             return other._scale(t1[()])
-        out = {}
-        _mul_into(out, t1, t2, False)
-        return CoeffExpr(out)
+        return sum_of_products(((self, other, False),))
 
     __rmul__ = __mul__
 
@@ -261,30 +278,26 @@ class CoeffExpr:
 
     def diff(self, name):
         """Formal partial derivative with respect to the base coordinate `name`."""
-        out = {}
-        datoms = {}  # atom -> its derivative, shared by the monomials of this call
+        # per atom: its derivative and the terms it multiplies, {rest: c}, where
+        # rest is a monomial of self with one power of the atom taken off
+        # (distinct monomials give distinct rests, so no entry is summed)
+        parts = {}
         for mono, coeff in self._terms.items():
             for i, (atom, power) in enumerate(mono):
-                if isinstance(atom, Var):
-                    if atom.name != name:
-                        continue
-                    dterms = None
-                else:
-                    datom = datoms.get(atom)
-                    if datom is None:
-                        datom = datoms[atom] = _atom_diff(atom, name)
-                    if datom.is_zero():
-                        continue
-                    dterms = datom._terms
+                part = parts.get(atom)
+                if part is None:
+                    part = parts[atom] = (_atom_diff(atom, name), {})
+                if part[0].is_zero():
+                    continue
                 if power > 1:
                     rest = mono[:i] + ((atom, power - 1),) + mono[i + 1 :]
                 else:
                     rest = mono[:i] + mono[i + 1 :]
-                if dterms is None:
-                    _add_into(out, rest, coeff * power)
-                else:
-                    _mul_into(out, {rest: coeff * power}, dterms, False)
-        return CoeffExpr(out)
+                part[1][rest] = coeff * power
+        pairs = [(CoeffExpr(rests, True), d, False) for d, rests in parts.values() if rests]
+        if len(pairs) == 1 and pairs[0][1] is ONE:
+            return pairs[0][0]  # only the coordinate itself: no product to take
+        return sum_of_products(pairs) if pairs else ZERO
 
     def evaluate(self, point, realizations=None):
         """Exact rational value at a point, with polynomial realizations for opaques.
@@ -326,36 +339,30 @@ class CoeffExpr:
     def _rebuild(self, image):
         """Substitute atoms: image(atom) is the atom's replacement CoeffExpr,
         or None when it is unchanged.  Returns self when no atom changes."""
-        out = {}
+        # the monomials grouped by their substituted factors, each group as
+        # {the kept factors: coefficient}; distinct monomials of one group keep
+        # distinct factors, so no entry is summed
+        groups = {}
         images = {}
-        changed = False
         for mono, coeff in self._terms.items():
             keep = []
-            parts = []
-            for atom, power in mono:
-                if atom in images:
-                    img = images[atom]
-                else:
-                    img = images[atom] = image(atom)
-                if img is None:
-                    keep.append((atom, power))
-                else:
-                    parts.append((img, power))
-            if not parts:
-                _add_into(out, mono, coeff)
-                continue
-            changed = True
-            term = {tuple(keep): coeff}
-            for img, power in parts:
-                for _ in range(power):
-                    acc = {}
-                    _mul_into(acc, term, img._terms, False)
-                    term = acc
-            for m, c in term.items():
-                _add_into(out, m, c)
-        if not changed:
+            subst = []
+            for item in mono:
+                atom = item[0]
+                if atom not in images:
+                    images[atom] = image(atom)
+                (keep if images[atom] is None else subst).append(item)
+            groups.setdefault(tuple(subst), {})[tuple(keep)] = coeff
+        if not any(groups):
             return self
-        return CoeffExpr(out)
+        pairs = []
+        for subst, kept in groups.items():
+            img = ONE
+            for atom, power in subst:
+                for _ in range(power):
+                    img = img * images[atom]
+            pairs.append((CoeffExpr(kept, True), img, False))
+        return sum_of_products(pairs)
 
     # -- printing ---------------------------------------------------------
 
@@ -429,32 +436,34 @@ def _mono_mul(m1, m2):
     return tuple(out)
 
 
-def _add_into(out, mono, c):
-    """out[mono] += c on a raw term dict (zero sums are kept; filter at the end)."""
-    prev = out.get(mono)
-    out[mono] = c if prev is None else prev + c
-
-
-def _mul_into(out, t1, t2, negate):
-    """Accumulate the product of the term dicts t1 and t2 (negated when
-    negate) into the raw term dict out."""
-    for m1, c1 in t1.items():
-        if negate:
-            c1 = -c1
-        for m2, c2 in t2.items():
-            m = _mono_mul(m1, m2)
-            c = c1 * c2
-            prev = out.get(m)
-            out[m] = c if prev is None else prev + c
+def _lcm(a, b):
+    return a if a % b == 0 else a // gcd(a, b) * b
 
 
 def sum_of_products(pairs):
     """The canonical form of the sum of a*b (or -a*b when negate) over
-    (a, b, negate) triples of CoeffExprs, built in one pass."""
+    (a, b, negate) triples of CoeffExprs, built in one pass.
+
+    Each product a*b is an integer polynomial over da*db (the denominators of
+    the factors' integer views); the sum is accumulated in ints over the lcm
+    D of those, and each nonzero output term becomes one Fraction(n, D).
+    """
+    views = [(a._int_view(), b._int_view(), negate) for a, b, negate in pairs]
+    den = 1
+    for (da, _), (db, _), _ in views:
+        den = _lcm(den, da * db)
     out = {}
-    for a, b, negate in pairs:
-        _mul_into(out, a._terms, b._terms, negate)
-    return CoeffExpr(out)
+    for (da, ta), (db, tb), negate in views:
+        s = den // (da * db)
+        if negate:
+            s = -s
+        for m1, n1 in ta:
+            n1 *= s
+            for m2, n2 in tb:
+                m = _mono_mul(m1, m2)
+                prev = out.get(m)
+                out[m] = n1 * n2 if prev is None else prev + n1 * n2
+    return CoeffExpr({m: Fraction(n, den) for m, n in out.items() if n}, True)
 
 
 def _atom_diff(atom, name):

@@ -403,10 +403,25 @@ def parse_atlas(text):
             images = _parse_images(body, sig, order)
             transitions[tuple(fields)] = Morphism(sig, sig, images, order)
         else:
-            partition = {u: parse_coeff(rhs) for (u,), rhs in _rows(body, "chart")}
+            _after(kw, sig)
+            partition = {u: _parse_partition_row(u, rhs, sig) for (u,), rhs in _rows(body, "chart")}
     if order is None or sig is None or not charts:
         raise ParseError("atlas file is missing header data", 0)
     return Atlas(sig, order, charts, pairs, triples, transitions, partition)
+
+
+def _parse_partition_row(chart, text, sig):
+    """A chart's partition function: a coefficient of the base coordinates, so
+    a formal name, or a coordinate the signature does not declare, is an
+    error.  A name that opens an application `f(...)`, `f[1](...)` is a
+    function symbol, unless it is a formal name."""
+    tokens = exprio.Tokenizer(text).tokens
+    for (kind, name, pos), after in zip(tokens, tokens[1:] + [("eof", "", len(text))]):
+        if kind == "name" and name not in sig.base_names and (
+                name in sig.formal_names or after[1] not in ("(", "[")):
+            raise ParseError("partition row of chart %s names %r, which is not a base coordinate"
+                             % (chart, name), pos)
+    return parse_coeff(text)
 
 
 # -- splitting results ----------------------------------------------------

@@ -17,7 +17,7 @@ from z2nsuper import (
     Signature,
     sign_factor,
 )
-from z2nsuper.coeffexpr import App
+from z2nsuper.coeffexpr import App, Var
 
 
 # -- standard signatures ---------------------------------------------------
@@ -42,6 +42,66 @@ def sig1():
 @pytest.fixture
 def sig2():
     return sig_n2()
+
+
+# -- naive coefficient products ---------------------------------------------
+
+
+def naive_sum_of_products(pairs):
+    """The sum of a*b (or -a*b when negate) over (a, b, negate) triples of
+    CoeffExprs, one Fraction product and one Fraction sum per pair of terms.
+    A monomial product merges the two power maps and sorts by atom key."""
+    out = {}
+    for a, b, negate in pairs:
+        for m1, c1 in a.terms().items():
+            if negate:
+                c1 = -c1
+            for m2, c2 in b.terms().items():
+                powers = dict(m1)
+                for atom, p in m2:
+                    powers[atom] = powers.get(atom, 0) + p
+                m = tuple(sorted(powers.items(), key=lambda t: t[0].key()))
+                out[m] = out.get(m, 0) + c1 * c2
+    return CoeffExpr(out)
+
+
+def naive_diff(e, name):
+    """d e / d name term by term: the Leibniz and chain rules with every
+    product taken by naive_sum_of_products."""
+    pairs = []
+    for mono, c in e.terms().items():
+        for i, (atom, power) in enumerate(mono):
+            lowered = ((atom, power - 1),) if power > 1 else ()
+            rest = CoeffExpr({mono[:i] + lowered + mono[i + 1:]: c * power})
+            if isinstance(atom, Var):
+                if atom.name == name:
+                    pairs.append((rest, CoeffExpr.rational(1), False))
+                continue
+            for j, arg in enumerate(atom.args):
+                alpha = list(atom.alpha)
+                alpha[j] += 1
+                outer = naive_sum_of_products(
+                    [(rest, CoeffExpr.app(atom.func, atom.args, alpha), False)])
+                pairs.append((outer, naive_diff(arg, name), False))
+    return naive_sum_of_products(pairs)
+
+
+def naive_substitute_vars(e, mapping):
+    """e with each coordinate in mapping replaced by its image, inside opaque
+    arguments too, expanded term by term with naive_sum_of_products."""
+    pairs = []
+    for mono, c in e.terms().items():
+        term = CoeffExpr.rational(c)
+        for atom, power in mono:
+            if isinstance(atom, Var):
+                img = mapping.get(atom.name, CoeffExpr.var(atom.name))
+            else:
+                args = [naive_substitute_vars(a, mapping) for a in atom.args]
+                img = CoeffExpr.app(atom.func, args, atom.alpha)
+            for _ in range(power):
+                term = naive_sum_of_products([(term, img, False)])
+        pairs.append((term, CoeffExpr.rational(1), False))
+    return naive_sum_of_products(pairs)
 
 
 # -- naive word oracle for multiplication ----------------------------------
@@ -395,6 +455,20 @@ def rand_fraction(rng):
     num = rng.randint(-4, 4)
     den = rng.choice([1, 1, 2, 3])
     return Fraction(num, den)
+
+
+def rand_wide_fraction(rng):
+    """A rational with a denominator in {1, 2, 3, 7, 11, 2**61 - 1} and a
+    numerator that is small or above 2**64."""
+    num = rng.choice([rng.randint(-9, 9), rng.choice([-1, 1]) * rng.randint(2 ** 64, 2 ** 66)])
+    return Fraction(num, rng.choice([1, 2, 3, 7, 11, 2 ** 61 - 1]))
+
+
+def rand_wide_coeff(rng, base_names):
+    """A random polynomial or opaque coefficient whose coefficients are each
+    rescaled by a rand_wide_fraction (a zero one drops the term)."""
+    e = rng.choice([rand_poly, rand_opaque_coeff])(rng, base_names)
+    return CoeffExpr({m: c * rand_wide_fraction(rng) for m, c in e.terms().items()})
 
 
 def rand_poly(rng, base_names, max_terms=2, max_deg=2):

@@ -306,6 +306,34 @@ def test_verify_reads_every_block_of_an_unedited_result(tmp_path, capsys):
     assert "[pass] bundle block matches the atlas" in out.splitlines()
 
 
+@pytest.mark.parametrize("command", ["atlas-check", "split", "verify"])
+@pytest.mark.parametrize("row, name", [
+    ("V = rho_V(xi1)", "xi1"),
+    ("V = rho_V(y)", "y"),
+    ("V = xi1", "xi1"),
+    ("V = xi1(x)", "xi1"),
+    ("V = 1 - y * rho_U(x)", "y"),
+], ids=["formal-argument", "undeclared-argument", "formal-row", "formal-function",
+        "undeclared-factor"])
+def test_partition_row_over_a_non_base_name_is_an_input_error(tmp_path, capsys, command, row,
+                                                               name):
+    atlas = atlas_nonsplit_base_twist()
+    text = print_atlas(atlas)
+    edited = text.replace("V = rho_V(x)\n", row + "\n", 1)
+    assert edited != text
+    afile = write(tmp_path, "atlas.txt", edited)
+    rfile = write(tmp_path, "result.txt", print_result(split(atlas, 3)))
+    argv = {
+        "atlas-check": ["atlas-check", "--atlas", afile],
+        "split": ["split", "--atlas", afile],
+        "verify": ["verify", "--atlas", afile, "--result", rfile],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: partition row of chart V names %r" % name)
+    assert "Traceback" not in err
+
+
 def test_input_error_exit_code(tmp_path, capsys):
     missing = str(tmp_path / "nope.txt")
     assert main(["normalize", "--sig", missing, "--series", missing, "--order", "2"]) == 2
@@ -378,6 +406,8 @@ def _zeroed_copy_before(text, header):
      "algebra `basis` repeats the label 'i'"),
     ("algebra", lambda t: t.replace("c one one one 1\n", "c one one one x\n", 1),
      "algebra line `c one one one x`: 'x' is not a rational constant"),
+    ("atlas", lambda t: "partition\nU = rho_U(x)\nV = rho_V(x)\nend\n" + _drop_block(t, "partition"),
+     "partition block before the header lines it needs"),
 ], ids=["atlas-order", "morphism-order", "signature-n", "atlas-pair", "atlas-transition",
         "result-iso", "algebra-c", "algebra-c-zero-denominator", "transition-no-end",
         "image-row-no-equals", "image-row-repeated", "result-no-signature",
@@ -385,7 +415,7 @@ def _zeroed_copy_before(text, header):
         "result-iso-unknown-chart", "result-iso-missing-atlas-chart", "algebra-c-unknown-label",
         "atlas-order-negative", "atlas-order-not-an-integer", "morphism-order-zero",
         "morphism-order-negative", "result-order-zero", "algebra-basis-repeated",
-        "algebra-c-not-rational"])
+        "algebra-c-not-rational", "atlas-partition-before-signature"])
 def test_malformed_file_is_an_input_error(tmp_path, capsys, kind, edit, message):
     atlas = atlas_nonsplit_base_twist()
     texts = {

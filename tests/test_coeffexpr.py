@@ -1,11 +1,20 @@
 """Canonical coefficient expressions: ring laws, calculus, substitution."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from z2nsuper import CoeffExpr, UnboundSymbol, differentiate, evaluate
+from z2nsuper.coeffexpr import ZERO, sum_of_products
+
+from conftest import (
+    naive_diff,
+    naive_substitute_vars,
+    naive_sum_of_products,
+    rand_wide_coeff,
+)
 
 x = CoeffExpr.var("x")
 y = CoeffExpr.var("y")
@@ -200,3 +209,70 @@ def test_identity_substitution_returns_the_expression():
     assert e.substitute_vars({"x": x}) is e
     assert e.substitute_vars({"x": x, "y": y * 1}) is e
     assert e.substitute_vars({"z": y}) is e
+
+
+# -- the integer product kernel against the pairwise-Fraction oracle ---------
+
+BASE = ["x", "y"]
+
+
+def assert_canonical(e):
+    """Every stored coefficient is a nonzero Fraction (never an int)."""
+    assert all(type(c) is Fraction and c != 0 for c in e.terms().values())
+
+
+def rand_pairs(rng):
+    """One to four random (a, b, negate) triples, sometimes followed by a
+    pair that cancels an earlier one exactly."""
+    pairs = [(rand_wide_coeff(rng, BASE), rand_wide_coeff(rng, BASE), rng.random() < 0.5)
+             for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.3:
+        a, b, negate = rng.choice(pairs)
+        pairs.append((b, a, not negate))
+    return pairs
+
+
+def test_sum_of_products_matches_the_fraction_oracle(rng):
+    for _ in range(150):
+        pairs = rand_pairs(rng)
+        got = sum_of_products(pairs)
+        assert got == naive_sum_of_products(pairs)
+        assert_canonical(got)
+        a, b = pairs[0][0], pairs[0][1]
+        assert a * b == naive_sum_of_products([(a, b, False)])
+        assert_canonical(a * b)
+
+
+def test_sums_that_cancel_exactly_are_zero(rng):
+    for _ in range(60):
+        pairs = rand_pairs(rng)
+        cancelled = sum_of_products(pairs + [(b, a, not negate) for a, b, negate in pairs])
+        assert cancelled == ZERO and cancelled.terms() == {}
+        a, b, c = (rand_wide_coeff(rng, BASE) for _ in range(3))
+        assert ((a + b) * c - a * c - b * c).terms() == {}
+
+
+def test_diff_and_substitution_match_the_fraction_oracle(rng):
+    for _ in range(60):
+        e = rand_wide_coeff(rng, BASE) * rand_wide_coeff(rng, BASE)
+        for name in BASE:
+            d = e.diff(name)
+            assert d == naive_diff(e, name)
+            assert_canonical(d)
+        mapping = {"x": rand_wide_coeff(rng, BASE)}
+        if rng.random() < 0.5:
+            mapping["y"] = rand_wide_coeff(rng, ["x"])
+        sub = e.substitute_vars(mapping)
+        assert sub == naive_substitute_vars(e, mapping)
+        assert_canonical(sub)
+
+
+def test_the_integer_view_leaves_equality_and_hash_alone(rng):
+    for _ in range(60):
+        e = rand_wide_coeff(rng, BASE)
+        d, ints = e._int_view()
+        assert d == lcm(1, *(c.denominator for c in e.terms().values()))
+        assert {m: Fraction(n, d) for m, n in ints} == e.terms()
+        fresh = CoeffExpr(e.terms())
+        assert e == fresh and hash(e) == hash(fresh) and e.key() == fresh.key()
+        assert str(e) == str(fresh)

@@ -163,6 +163,9 @@ def test_atlas_round_trip():
         assert sorted(back.pairs) == sorted(atlas.pairs)
         assert back.transitions == atlas.transitions
         assert back.partition == atlas.partition
+    # a partition row may combine other charts' partition functions
+    text = print_atlas(atlas_nonsplit_base_twist()).replace("V = rho_V(x)", "V = 1 - rho_U(x)")
+    assert str(parse_atlas(text).partition["V"]) == "1 - rho_U(x)"
 
 
 def test_result_round_trip():
