@@ -5,13 +5,14 @@ declared nerve of ordered overlap pairs and triples, and one transition
 morphism per ordered pair.  T_UV maps chart-V coordinates to series over
 chart U, so its pullback carries functions written in U coordinates to V...
 read contravariantly: T_UV.images give the V variables in terms of U.
-Partitions of unity are symbolic chart-indexed coefficients whose sum is
-declared to be 1 and enforced by eagerly rewriting one chosen symbol.
+Partitions of unity are symbolic chart-indexed coefficients whose sum is 1:
+the last chart's symbol is rewritten as 1 minus the others, and an atlas
+whose partition does not then sum to 1 is refused when it is built.
 """
 
 from __future__ import annotations
 
-from .coeffexpr import CoeffExpr
+from .coeffexpr import ONE, ZERO, App, CoeffExpr, Var
 from .gseries import GSeries
 from .morphisms import Morphism, _linear_block, compose
 
@@ -61,6 +62,34 @@ class Report:
         return "\n".join(repr(c) for c in self.checks)
 
 
+def _partition_rule(charts, partition):
+    """The rewrite rho_last -> 1 - (the other charts' partition functions), as
+    the (func, handler) arguments of CoeffExpr.substitute_app, when the last
+    chart's function is an opaque application rho(x1, ..., xm) of coordinate
+    symbols; None otherwise."""
+    if not partition:
+        return None
+    atom = partition[charts[-1]].as_atom()
+    if not isinstance(atom, App) or any(atom.alpha):
+        return None
+    args = [a.as_atom() for a in atom.args]
+    if not all(isinstance(a, Var) for a in args):
+        return None
+    argnames = [a.name for a in args]
+    replacement = ONE
+    for u in charts[:-1]:
+        replacement = replacement - partition[u]
+
+    def handler(alpha, args):
+        out = replacement
+        for j, k in enumerate(alpha):
+            for _ in range(k):
+                out = out.diff(argnames[j])
+        return out.substitute_vars(dict(zip(argnames, args)))
+
+    return atom.func, handler
+
+
 class Atlas:
     """Charts over a shared signature, glued by transition morphisms."""
 
@@ -81,6 +110,12 @@ class Atlas:
                 raise AtlasError("transition for undeclared pair %s" % (pair,))
         if self.partition is not None and set(self.partition) != names:
             raise AtlasError("partition must assign every chart")
+        self._rho_rule = _partition_rule(self.charts, self.partition)
+        if self.partition is not None:
+            total = self.partition_reduce(sum(self.partition.values(), ZERO))
+            if total != ONE:
+                raise AtlasError("partition %s sums to %s, not 1" % (
+                    ", ".join("%s = %s" % (u, self.partition[u]) for u in self.charts), total))
 
     def transition(self, u, v):
         """T_UV, the morphism expressing chart-V coordinates over chart U."""
@@ -94,47 +129,12 @@ class Atlas:
     # -- partition of unity ----------------------------------------------
 
     def partition_reduce(self, expr):
-        """Rewrite the last chart's partition symbol via sum(rho) = 1.
-
-        Only applies when the partition functions are opaque applications of
-        the base coordinates; other coefficient data is left untouched.
-        """
-        if not self.partition:
+        """Rewrite the last chart's partition symbol via sum(rho) = 1, by the
+        rule `_partition_rule` derived once from the partition; other
+        coefficient data is left untouched."""
+        if self._rho_rule is None:
             return expr
-        last = self.charts[-1]
-        target = self.partition[last]
-        tterms = target.terms()
-        if len(tterms) != 1:
-            return expr
-        (mono, c0), = tterms.items()
-        if c0 != 1 or len(mono) != 1 or mono[0][1] != 1:
-            return expr
-        atom = mono[0][0]
-        from .coeffexpr import App, Var
-
-        if not isinstance(atom, App) or any(atom.alpha):
-            return expr
-        argnames = []
-        for a in atom.args:
-            t = a.terms()
-            if len(t) == 1:
-                (m, c), = t.items()
-                if c == 1 and len(m) == 1 and m[0][1] == 1 and isinstance(m[0][0], Var):
-                    argnames.append(m[0][0].name)
-                    continue
-            return expr
-        replacement = CoeffExpr.rational(1)
-        for u in self.charts[:-1]:
-            replacement = replacement - self.partition[u]
-
-        def handler(alpha, args):
-            out = replacement
-            for j, k in enumerate(alpha):
-                for _ in range(k):
-                    out = out.diff(argnames[j])
-            return out.substitute_vars(dict(zip(argnames, args)))
-
-        return expr.substitute_app(atom.func, handler)
+        return expr.substitute_app(*self._rho_rule)
 
     def reduce_series(self, s):
         return s.map_coeffs(self.partition_reduce)

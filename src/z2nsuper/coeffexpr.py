@@ -7,27 +7,29 @@ f[alpha](a1, ..., am) carrying a formal derivative multi-index alpha.  Formal
 differentiation implements linearity, the Leibniz rule, and the chain rule on
 opaque applications; equality is syntactic equality of canonical forms.
 
-Invariants.  The canonical form is the term dict itself: monomials are tuples
-of (atom, exponent) sorted by atom key, every atom at most once, and every
-stored coefficient is a nonzero Fraction.  Operations build their result as a
-raw dict and wrap it once, so == compares term dicts directly.  Atoms hash once
-at construction; an expression computes its hash on first use and its sorted
-structural key() on first request (for App keys and print order), then caches
-both.  Expressions are immutable, so operations return an operand unchanged
-where the result is equal to it (adding zero, scaling by one, substituting
-nothing).
+Representation.  The coefficients are integer numerators over one positive
+common denominator, the representation of FLINT's fmpq_poly: _terms maps each
+monomial to a nonzero int and _den holds the denominator, in lowest terms
+(gcd(_den, every numerator) = 1, and _den = 1 for zero).  Monomials are tuples
+of (atom, exponent) sorted by atom key, every atom at most once.  The form is
+canonical, so == compares (_den, _terms) directly; terms() gives each
+coefficient back as a Fraction.  Atoms hash once at construction; an
+expression computes its hash on first use and its sorted structural key() on
+first request (for App keys and print order), then caches both.  Expressions
+are immutable, so operations return an operand unchanged where the result is
+equal to it (adding zero, scaling by one, substituting nothing).
 
-Products.  Every product of two non-constant expressions goes through
-sum_of_products, which works on a cached integer view of each factor (its
-terms as integer numerators over their least common denominator, the
-representation of FLINT's fmpq_poly): it multiplies and adds plain ints over
-one common denominator and builds one Fraction per output term.
+Arithmetic.  sum_of_products is the one accumulation loop: +, -, products of
+non-constant expressions, diff, substitution and every series product go
+through it.  It multiplies and adds plain ints over the lcm of the factors'
+denominators and brings the result to lowest terms with one gcd pass.  A
+constant factor scales the numerators and takes the same pass.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class UnboundSymbol(KeyError):
@@ -103,24 +105,25 @@ class CoeffExpr:
     """A normalized coefficient expression.
 
     Stored as a mapping from power-product monomials (sorted tuples of
-    (atom, exponent)) to nonzero Fractions.  All constructors and operations
-    keep this representation canonical, so == is the engine's equality test.
+    (atom, exponent)) to nonzero int numerators over one positive denominator,
+    in lowest terms, so == is the engine's equality test.
     """
 
-    __slots__ = ("_terms", "_key", "_hash", "_ints")
+    __slots__ = ("_terms", "_den", "_key", "_hash")
 
-    def __init__(self, terms, clean=False):
-        """terms: dict mono -> Fraction over canonical monomials.
-
-        Zero coefficients are dropped.  clean=True adopts a dict that already
-        holds none, without copying it.
-        """
-        if not clean:
-            terms = {m: c for m, c in terms.items() if c}
+    def __init__(self, terms, den=None):
+        """terms: dict mono -> rational over canonical monomials; zero
+        coefficients are dropped.  With den, terms is a dict mono -> nonzero
+        int numerator over den, already in lowest terms, adopted as it is."""
+        if den is None:
+            terms = {m: Fraction(c) for m, c in terms.items() if c}
+            den = lcm(1, *(c.denominator for c in terms.values()))
+            # over the least common denominator the form is in lowest terms
+            terms = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
         self._terms = terms
+        self._den = den
         self._key = None
         self._hash = None
-        self._ints = None
 
     # -- constructors -----------------------------------------------------
 
@@ -129,11 +132,11 @@ class CoeffExpr:
         q = Fraction(q)
         if not q:
             return ZERO
-        return CoeffExpr({(): q}, True)
+        return CoeffExpr({(): q.numerator}, q.denominator)
 
     @staticmethod
     def var(name):
-        return CoeffExpr({((Var(name), 1),): _ONE_Q}, True)
+        return _atom_expr(Var(name))
 
     @staticmethod
     def app(func, args, alpha=None):
@@ -149,9 +152,8 @@ class CoeffExpr:
         so the tuples stay totally ordered even when nested inside App
         arguments.  Equal expressions have equal keys and vice versa."""
         if self._key is None:
-            self._key = tuple(
-                sorted((_mono_key(m), (c.numerator, c.denominator)) for m, c in self._terms.items())
-            )
+            self._key = tuple(sorted((_mono_key(m), (c.numerator, c.denominator))
+                                     for m, c in self.terms().items()))
         return self._key
 
     def is_zero(self):
@@ -162,11 +164,22 @@ class CoeffExpr:
         if not self._terms:
             return Fraction(0)
         if len(self._terms) == 1 and () in self._terms:
-            return self._terms[()]
+            return Fraction(self._terms[()], self._den)
         return None
 
+    def as_atom(self):
+        """The atom if the expression is exactly one atom, else None."""
+        if self._den != 1 or len(self._terms) != 1:
+            return None
+        (mono, n), = self._terms.items()
+        if n != 1 or len(mono) != 1 or mono[0][1] != 1:
+            return None
+        return mono[0][0]
+
     def terms(self):
-        return dict(self._terms)
+        """The terms as a dict mono -> nonzero Fraction."""
+        d = self._den
+        return {m: Fraction(n, d) for m, n in self._terms.items()}
 
     def atoms(self):
         out = set()
@@ -186,85 +199,58 @@ class CoeffExpr:
         return out
 
     def __eq__(self, other):
-        return self is other or (isinstance(other, CoeffExpr) and self._terms == other._terms)
+        return self is other or (
+            isinstance(other, CoeffExpr)
+            and self._den == other._den
+            and self._terms == other._terms
+        )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash((self._den, frozenset(self._terms.items())))
         return self._hash
-
-    def _int_view(self):
-        """(d, ((mono, n), ...)): the terms as integer numerators n over their
-        least common denominator d, computed on first use and cached."""
-        if self._ints is None:
-            d = 1
-            for c in self._terms.values():
-                d = _lcm(d, c.denominator)
-            self._ints = (d, tuple((m, c.numerator * (d // c.denominator))
-                                   for m, c in self._terms.items()))
-        return self._ints
 
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
-        return self._combine(_coerce(other), False)
+        other = _coerce(other)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
+        return sum_of_products(((self, ONE, False), (other, ONE, False)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CoeffExpr({m: -c for m, c in self._terms.items()}, True)
+        return CoeffExpr({m: -n for m, n in self._terms.items()}, self._den)
 
     def __sub__(self, other):
-        return self._combine(_coerce(other), True)
+        other = _coerce(other)
+        if not other._terms:
+            return self
+        return sum_of_products(((self, ONE, False), (other, ONE, True)))
 
     def __rsub__(self, other):
-        return _coerce(other)._combine(self, True)
-
-    def _combine(self, other, negate):
-        """self + other, or self - other when negate."""
-        t2 = other._terms
-        if not t2:
-            return self
-        if not self._terms:
-            return -other if negate else other
-        out = dict(self._terms)
-        for m, c in t2.items():
-            prev = out.get(m)
-            if prev is None:
-                out[m] = -c if negate else c
-            else:
-                s = prev - c if negate else prev + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return CoeffExpr(out, True)
+        return _coerce(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, CoeffExpr):
-            t2 = other._terms
-        elif isinstance(other, (int, Fraction)):
-            return self._scale(other)
-        else:
-            raise TypeError("cannot coerce %r to CoeffExpr" % (other,))
-        t1 = self._terms
+        other = _coerce(other)
+        t1, t2 = self._terms, other._terms
         if not t1 or not t2:
             return ZERO
+        # a constant factor n/d scales the numerators of the other one
         if len(t2) == 1 and () in t2:
-            return self._scale(t2[()])
-        if len(t1) == 1 and () in t1:
-            return other._scale(t1[()])
-        return sum_of_products(((self, other, False),))
+            e, n, d = self, t2[()], other._den
+        elif len(t1) == 1 and () in t1:
+            e, n, d = other, t1[()], self._den
+        else:
+            return sum_of_products(((self, other, False),))
+        if n == d:
+            return e
+        return _lowest({m: c * n for m, c in e._terms.items()}, e._den * d)
 
     __rmul__ = __mul__
-
-    def _scale(self, q):
-        """self * q for a rational q, skipping the monomial products."""
-        if q == 1:
-            return self
-        if not q or not self._terms:
-            return ZERO
-        return CoeffExpr({m: c * q for m, c in self._terms.items()}, True)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -278,11 +264,12 @@ class CoeffExpr:
 
     def diff(self, name):
         """Formal partial derivative with respect to the base coordinate `name`."""
-        # per atom: its derivative and the terms it multiplies, {rest: c}, where
+        # per atom: its derivative and the terms it multiplies, {rest: n}, where
         # rest is a monomial of self with one power of the atom taken off
-        # (distinct monomials give distinct rests, so no entry is summed)
+        # (distinct monomials give distinct rests, so no entry is summed); the
+        # numerators stay over self's denominator
         parts = {}
-        for mono, coeff in self._terms.items():
+        for mono, n in self._terms.items():
             for i, (atom, power) in enumerate(mono):
                 part = parts.get(atom)
                 if part is None:
@@ -293,11 +280,11 @@ class CoeffExpr:
                     rest = mono[:i] + ((atom, power - 1),) + mono[i + 1 :]
                 else:
                     rest = mono[:i] + mono[i + 1 :]
-                part[1][rest] = coeff * power
-        pairs = [(CoeffExpr(rests, True), d, False) for d, rests in parts.values() if rests]
+                part[1][rest] = n * power
+        pairs = [(_lowest(rests, self._den), d, False) for d, rests in parts.values() if rests]
         if len(pairs) == 1 and pairs[0][1] is ONE:
             return pairs[0][0]  # only the coordinate itself: no product to take
-        return sum_of_products(pairs) if pairs else ZERO
+        return sum_of_products(pairs)
 
     def evaluate(self, point, realizations=None):
         """Exact rational value at a point, with polynomial realizations for opaques.
@@ -309,12 +296,12 @@ class CoeffExpr:
         """
         realizations = realizations or {}
         total = Fraction(0)
-        for mono, coeff in self._terms.items():
-            val = coeff
+        for mono, n in self._terms.items():
+            val = n
             for atom, power in mono:
                 val *= _atom_eval(atom, point, realizations) ** power
             total += val
-        return total
+        return total / self._den
 
     def substitute_vars(self, mapping):
         """Replace base-coordinate symbols by CoeffExprs (formal composition).
@@ -340,11 +327,11 @@ class CoeffExpr:
         """Substitute atoms: image(atom) is the atom's replacement CoeffExpr,
         or None when it is unchanged.  Returns self when no atom changes."""
         # the monomials grouped by their substituted factors, each group as
-        # {the kept factors: coefficient}; distinct monomials of one group keep
-        # distinct factors, so no entry is summed
+        # {the kept factors: numerator over self's denominator}; distinct
+        # monomials of one group keep distinct factors, so no entry is summed
         groups = {}
         images = {}
-        for mono, coeff in self._terms.items():
+        for mono, n in self._terms.items():
             keep = []
             subst = []
             for item in mono:
@@ -352,7 +339,7 @@ class CoeffExpr:
                 if atom not in images:
                     images[atom] = image(atom)
                 (keep if images[atom] is None else subst).append(item)
-            groups.setdefault(tuple(subst), {})[tuple(keep)] = coeff
+            groups.setdefault(tuple(subst), {})[tuple(keep)] = n
         if not any(groups):
             return self
         pairs = []
@@ -361,7 +348,7 @@ class CoeffExpr:
             for atom, power in subst:
                 for _ in range(power):
                     img = img * images[atom]
-            pairs.append((CoeffExpr(kept, True), img, False))
+            pairs.append((_lowest(kept, self._den), img, False))
         return sum_of_products(pairs)
 
     # -- printing ---------------------------------------------------------
@@ -375,9 +362,6 @@ class CoeffExpr:
         return "CoeffExpr(%s)" % str(self)
 
 
-_ONE_Q = Fraction(1)
-
-
 def _coerce(x):
     if isinstance(x, CoeffExpr):
         return x
@@ -388,18 +372,13 @@ def _coerce(x):
 
 def _atom_expr(atom):
     """The expression consisting of the single atom."""
-    return CoeffExpr({((atom, 1),): _ONE_Q}, True)
+    return CoeffExpr({((atom, 1),): 1}, 1)
 
 
 def _is_var(e, name):
     """True when e is exactly the coordinate symbol `name`."""
-    if len(e._terms) != 1:
-        return False
-    (mono, c), = e._terms.items()
-    if c != 1 or len(mono) != 1:
-        return False
-    atom, power = mono[0]
-    return power == 1 and isinstance(atom, Var) and atom.name == name
+    atom = e.as_atom()
+    return isinstance(atom, Var) and atom.name == name
 
 
 def _mono_key(mono):
@@ -436,34 +415,40 @@ def _mono_mul(m1, m2):
     return tuple(out)
 
 
-def _lcm(a, b):
-    return a if a % b == 0 else a // gcd(a, b) * b
+def _lowest(nums, den):
+    """The CoeffExpr of {mono: nonzero int numerator} over den > 0, brought to
+    lowest terms by one gcd pass."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {m: n // g for m, n in nums.items()}
+    return CoeffExpr(nums, den)
 
 
 def sum_of_products(pairs):
     """The canonical form of the sum of a*b (or -a*b when negate) over
     (a, b, negate) triples of CoeffExprs, built in one pass.
 
-    Each product a*b is an integer polynomial over da*db (the denominators of
-    the factors' integer views); the sum is accumulated in ints over the lcm
-    D of those, and each nonzero output term becomes one Fraction(n, D).
+    Each product a*b is an integer polynomial over a._den * b._den; the sum
+    is accumulated in ints over the lcm D of those and brought to lowest
+    terms once.
     """
-    views = [(a._int_view(), b._int_view(), negate) for a, b, negate in pairs]
-    den = 1
-    for (da, _), (db, _), _ in views:
-        den = _lcm(den, da * db)
+    den = lcm(*(a._den * b._den for a, b, _ in pairs))
     out = {}
-    for (da, ta), (db, tb), negate in views:
-        s = den // (da * db)
+    for a, b, negate in pairs:
+        s = den // (a._den * b._den)
         if negate:
             s = -s
-        for m1, n1 in ta:
+        tb = b._terms.items()
+        for m1, n1 in a._terms.items():
             n1 *= s
             for m2, n2 in tb:
                 m = _mono_mul(m1, m2)
                 prev = out.get(m)
                 out[m] = n1 * n2 if prev is None else prev + n1 * n2
-    return CoeffExpr({m: Fraction(n, den) for m, n in out.items() if n}, True)
+    out = {m: n for m, n in out.items() if n}
+    return _lowest(out, den) if out else ZERO
 
 
 def _atom_diff(atom, name):
@@ -518,8 +503,8 @@ def _atom_subst_app(atom, func, handler):
     return _atom_expr(App(atom.func, atom.alpha, args))
 
 
-ZERO = CoeffExpr({}, True)
-ONE = CoeffExpr({(): _ONE_Q}, True)
+ZERO = CoeffExpr({}, 1)
+ONE = CoeffExpr({(): 1}, 1)
 
 
 def differentiate(e, name):

@@ -80,7 +80,12 @@ def sign_factor(a, b):
         raise DimensionMismatch(
             "sign_factor of degrees with lengths %d and %d" % (a.n, b.n)
         )
-    return -1 if (a & b).bit_count() & 1 else 1
+    return -1 if dot_parity(a, b) else 1
+
+
+def dot_parity(a, b):
+    """The scalar product <a, b> mod 2 of two degree masks: 0 or 1."""
+    return (a & b).bit_count() & 1
 
 
 def parity(a):
@@ -93,18 +98,10 @@ def is_self_odd(a):
     return Degree(a).bit_count() & 1 == 1
 
 
-def enumerate_nonzero_degrees(n, order="lex"):
-    """All 2^n - 1 nonzero degrees of Z2^n.
-
-    order="lex" is the canonical index used for signatures; order="parity"
-    lists the even degrees first, then the odd ones, each block lexicographic.
-    """
-    degs = [Degree.from_mask(mask, n) for mask in range(1, 1 << n)]
-    if order == "lex":
-        return degs
-    if order == "parity":
-        return sorted(degs, key=is_self_odd)
-    raise ValueError("unknown order %r" % order)
+def enumerate_nonzero_degrees(n):
+    """All 2^n - 1 nonzero degrees of Z2^n in lexicographic order, the
+    canonical index used for signatures."""
+    return [Degree.from_mask(mask, n) for mask in range(1, 1 << n)]
 
 
 class Signature:
@@ -149,7 +146,7 @@ class Signature:
         degs = self._formal_degrees = tuple(d for nm, d in formal)
         self.formal_self_odd = tuple(is_self_odd(d) for d in degs)
         self.formal_dot_parity = tuple(
-            tuple((a & b).bit_count() & 1 for b in degs) for a in degs
+            tuple(dot_parity(a, b) for b in degs) for a in degs
         )
 
     @property

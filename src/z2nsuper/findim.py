@@ -16,7 +16,7 @@ import os
 from fractions import Fraction
 from math import prod
 
-from .degrees import Degree
+from .degrees import Degree, dot_parity
 
 
 class GradingError(ValueError):
@@ -32,11 +32,6 @@ DEFAULT_BUDGET = 5_000_000
 
 def search_budget():
     return int(os.environ.get("Z2N_SEARCH_BUDGET", DEFAULT_BUDGET))
-
-
-def _pairing(a, b):
-    """The parity of the scalar product <a, b> of two degree masks."""
-    return (a & b).bit_count() & 1
 
 
 class FinDimAlgebra:
@@ -126,7 +121,7 @@ def _certify(A, assignment, parities):
                                    % (A.labels[i], A.labels[j], A.labels[k], degs[k], want))
     violations = [(A.labels[i], A.labels[j], A.product(i, j), A.product(j, i))
                   for i, j in itertools.product(range(A.dim), repeat=2)
-                  if _pairing(degs[i], degs[j]) not in parities[i, j]]
+                  if dot_parity(degs[i], degs[j]) not in parities[i, j]]
     return (not violations, violations)
 
 
@@ -173,7 +168,7 @@ def search_degree_assignments(A, n, budget=None):
         for m in range(1 << n) if p else (0,):
             mask[i] = m
             if all(mask[a] ^ mask[b] == mask[c] for a, b, c in triples[p]) and all(
-                _pairing(mask[a], mask[b]) in ps for a, b, ps in pairs[p]
+                dot_parity(mask[a], mask[b]) in ps for a, b, ps in pairs[p]
             ):
                 rec(p + 1)
 

@@ -200,10 +200,27 @@ def _parse_series_factor(tz, sig):
         return sig.formal_unit(tok[1], k)
     start = tz.i
     factor = exprio._parse_factor(tz)
-    for kind, text, pos in tz.tokens[start:tz.i]:
-        if kind == "name" and text in sig.formal_names:
-            raise ParseError("formal variable %r cannot appear inside a coefficient" % text, pos)
+    bad = _non_base_name(tz.tokens, start, tz.i, sig)
+    if bad:
+        name, pos = bad
+        if name in sig.formal_names:
+            raise ParseError("formal variable %r cannot appear inside a coefficient" % name, pos)
+        raise ParseError("coefficient names %r, which is not a base coordinate" % name, pos)
     return factor
+
+
+def _non_base_name(tokens, start, stop, sig):
+    """The one rule for names inside a coefficient of the base coordinates: a
+    name is a base coordinate, or a function symbol that opens an application
+    `f(...)`, `f[1](...)` and is not a formal name.  Returns (name, position)
+    of the first name among tokens[start:stop] that breaks it, or None."""
+    for i in range(start, stop):
+        kind, name, pos = tokens[i]
+        opens = i + 1 < len(tokens) and tokens[i + 1][1] in ("(", "[")
+        if kind == "name" and name not in sig.base_names and (
+                name in sig.formal_names or not opens):
+            return name, pos
+    return None
 
 
 def print_monomial(sig, mu):
@@ -411,16 +428,13 @@ def parse_atlas(text):
 
 
 def _parse_partition_row(chart, text, sig):
-    """A chart's partition function: a coefficient of the base coordinates, so
-    a formal name, or a coordinate the signature does not declare, is an
-    error.  A name that opens an application `f(...)`, `f[1](...)` is a
-    function symbol, unless it is a formal name."""
+    """A chart's partition function: a coefficient of the base coordinates,
+    under the rule of `_non_base_name`."""
     tokens = exprio.Tokenizer(text).tokens
-    for (kind, name, pos), after in zip(tokens, tokens[1:] + [("eof", "", len(text))]):
-        if kind == "name" and name not in sig.base_names and (
-                name in sig.formal_names or after[1] not in ("(", "[")):
-            raise ParseError("partition row of chart %s names %r, which is not a base coordinate"
-                             % (chart, name), pos)
+    bad = _non_base_name(tokens, 0, len(tokens), sig)
+    if bad:
+        raise ParseError("partition row of chart %s names %r, which is not a base coordinate"
+                         % (chart, bad[0]), bad[1])
     return parse_coeff(text)
 
 

@@ -519,7 +519,7 @@ def rand_signature(rng, n_max=3, q_max=4, nbase=1):
     from z2nsuper.degrees import enumerate_nonzero_degrees
 
     n = rng.randint(1, n_max)
-    nz = enumerate_nonzero_degrees(n, "lex")
+    nz = enumerate_nonzero_degrees(n)
     variables = [("x%d" % i if i else "x", Degree.zero(n)) for i in range(nbase)]
     for i in range(rng.randint(1, q_max)):
         variables.append(("w%d" % i, rng.choice(nz)))
@@ -576,6 +576,12 @@ def atlas_split_two_charts(order=3):
     partition = {"U": rho("U"), "V": rho("V")}
     return Atlas(sig, order, ["U", "V"], [("U", "V"), ("V", "U")], [],
                  transitions, partition)
+
+
+def without_partition(atlas):
+    """The same atlas, built without a partition of unity."""
+    return Atlas(atlas.signature, atlas.order, atlas.charts, atlas.pairs, atlas.triples,
+                 atlas.transitions)
 
 
 def atlas_nonsplit_base_twist(order=3):

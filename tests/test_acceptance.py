@@ -247,7 +247,7 @@ def test_criterion_9_bundle_round_trip():
         n = rng.randint(1, 2)
         from z2nsuper.degrees import enumerate_nonzero_degrees
 
-        nz = enumerate_nonzero_degrees(n, "lex")
+        nz = enumerate_nonzero_degrees(n)
         variables = [("x", Degree.zero(n))]
         idx = 0
         for d in nz:

@@ -111,6 +111,21 @@ def test_partition_reduce_eliminates_last_chart_symbol():
     assert atlas.partition_reduce(d).is_zero()
 
 
+def test_partition_must_sum_to_one(sig1):
+    t = Morphism.identity(sig1, 3)
+    charts, pairs, transitions = ["U", "V"], [("U", "V")], {("U", "V"): t}
+    x = CoeffExpr.var("x")
+    for partition in ({"U": rho("U"), "V": rho("V")},
+                      {"U": rho("U"), "V": 1 - rho("U")},
+                      {"U": x, "V": 1 - x}):
+        Atlas(sig1, 3, charts, pairs, [], transitions, partition)
+    for partition in ({"U": rho("U"), "V": rho("V") * 2},
+                      {"U": rho("U"), "V": rho("U")},
+                      {"U": CoeffExpr.rational(Fraction(1, 2)), "V": x}):
+        with pytest.raises(AtlasError, match="^partition U = .* not 1$"):
+            Atlas(sig1, 3, charts, pairs, [], transitions, partition)
+
+
 def test_partition_reduce_composed_arguments():
     atlas = atlas_split_two_charts()
     x = CoeffExpr.var("x")

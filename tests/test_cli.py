@@ -23,6 +23,7 @@ from conftest import (
     atlas_nonsplit_frame_twist,
     atlas_split_two_charts,
     sig_n2,
+    without_partition,
 )
 from test_morphisms import base_shift_morphism, zero_xi_block_morphism
 
@@ -243,8 +244,7 @@ def test_verify_names_the_residual_of_a_shifted_base_image(tmp_path):
 
 
 def test_split_without_partition_is_an_input_error(tmp_path, capsys):
-    atlas = atlas_nonsplit_frame_twist()
-    atlas.partition = None
+    atlas = without_partition(atlas_nonsplit_frame_twist())
     afile = write(tmp_path, "atlas.txt", print_atlas(atlas))
     assert "partition" not in Path(afile).read_text()
     assert main(["split", "--atlas", afile]) == 2
@@ -331,6 +331,35 @@ def test_partition_row_over_a_non_base_name_is_an_input_error(tmp_path, capsys, 
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: partition row of chart V names %r" % name)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["atlas-check", "split"])
+@pytest.mark.parametrize("row, name", [
+    ("x = x + g(y) * xi1 xi2", "y"),
+    ("x = x + y * xi1 xi2", "y"),
+    ("x = x + g(x, h(y)) * xi1 xi2", "y"),
+], ids=["undeclared-argument", "undeclared-factor", "undeclared-nested"])
+def test_series_coefficient_over_an_undeclared_name_is_an_input_error(tmp_path, capsys,
+                                                                      command, row, name):
+    text = print_atlas(atlas_nonsplit_base_twist())
+    edited = text.replace("x = x + g(x) * xi1 xi2\n", row + "\n", 1)
+    assert edited != text
+    assert main([command, "--atlas", write(tmp_path, "atlas.txt", edited)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: coefficient names %r, which is not a base coordinate" % name)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["atlas-check", "split"])
+def test_partition_that_does_not_sum_to_one_is_an_input_error(tmp_path, capsys, command):
+    text = print_atlas(atlas_nonsplit_base_twist())
+    edited = text.replace("V = rho_V(x)\n", "V = 2*rho_V(x)\n", 1)
+    assert edited != text
+    assert main([command, "--atlas", write(tmp_path, "atlas.txt", edited)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: partition U = rho_U(x), V = 2*rho_V(x) sums to "
+                          "rho_U(x) + 2*rho_V(x), not 1")
     assert "Traceback" not in err
 
 

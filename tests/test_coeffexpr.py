@@ -1,7 +1,7 @@
 """Canonical coefficient expressions: ring laws, calculus, substitution."""
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +14,7 @@ from conftest import (
     naive_substitute_vars,
     naive_sum_of_products,
     rand_wide_coeff,
+    rand_wide_fraction,
 )
 
 x = CoeffExpr.var("x")
@@ -267,12 +268,47 @@ def test_diff_and_substitution_match_the_fraction_oracle(rng):
         assert_canonical(sub)
 
 
-def test_the_integer_view_leaves_equality_and_hash_alone(rng):
+def naive_sum(a, b, negate):
+    """a + b, or a - b when negate, one Fraction sum per pair of equal monomials."""
+    out = a.terms()
+    for m, c in b.terms().items():
+        out[m] = out.get(m, 0) + (-c if negate else c)
+    return CoeffExpr(out)
+
+
+def test_sums_and_scalings_match_the_fraction_oracle(rng):
+    for _ in range(150):
+        a, b = rand_wide_coeff(rng, BASE), rand_wide_coeff(rng, BASE)
+        if rng.random() < 0.3:
+            b = b - a  # a + b cancels the terms of a exactly
+        assert a + b == naive_sum(a, b, False)
+        assert a - b == naive_sum(a, b, True)
+        q = rand_wide_fraction(rng)
+        scaled = CoeffExpr({m: c * q for m, c in a.terms().items()})
+        assert a * q == q * a == a * CoeffExpr.rational(q) == scaled
+        for e in (a + b, a - b, a * q):
+            assert_canonical(e)
+
+
+def assert_lowest_terms(e):
+    """The numerators sit over the lcm of the reduced term denominators, and
+    share no factor with it; a copy built from the Fraction terms is equal,
+    hashes equal and has the same key and printed form."""
+    terms = e.terms()
+    assert e._den == lcm(1, *(c.denominator for c in terms.values()))
+    assert all(type(n) is int and n for n in e._terms.values())
+    assert gcd(e._den, *e._terms.values()) == 1
+    fresh = CoeffExpr(terms)
+    assert e == fresh and hash(e) == hash(fresh) and e.key() == fresh.key()
+    assert str(e) == str(fresh)
+
+
+def test_every_result_is_in_lowest_terms_over_one_denominator(rng):
     for _ in range(60):
-        e = rand_wide_coeff(rng, BASE)
-        d, ints = e._int_view()
-        assert d == lcm(1, *(c.denominator for c in e.terms().values()))
-        assert {m: Fraction(n, d) for m, n in ints} == e.terms()
-        fresh = CoeffExpr(e.terms())
-        assert e == fresh and hash(e) == hash(fresh) and e.key() == fresh.key()
-        assert str(e) == str(fresh)
+        a, b = rand_wide_coeff(rng, BASE), rand_wide_coeff(rng, BASE)
+        results = [a + b, a - b, a * rand_wide_fraction(rng), a * b,
+                   (a * b).diff("x"), (a * b).diff("y"),
+                   (a * b).substitute_vars({"x": rand_wide_coeff(rng, BASE)})]
+        for e in results:
+            assert_lowest_terms(e)
+    assert ZERO._den == 1 and (x - x)._den == 1

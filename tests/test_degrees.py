@@ -13,6 +13,7 @@ from z2nsuper import (
     parity,
     sign_factor,
 )
+from z2nsuper.degrees import dot_parity
 
 
 def all_degrees(n):
@@ -77,6 +78,7 @@ def test_sign_factor_matches_dot_product_exhaustively():
             for b in all_degrees(n):
                 dot = sum(x * y for x, y in zip(bits(a), bits(b)))
                 assert sign_factor(a, b) == (-1) ** dot
+                assert dot_parity(a, b) == dot % 2
                 assert sign_factor(a, b) == sign_factor(b, a)
 
 
@@ -105,16 +107,12 @@ def test_even_degrees_can_anticommute_and_odd_degrees_can_commute():
     assert sign_factor(Degree.parse("110"), Degree.parse("110")) == 1   # not nilpotent
 
 
-def test_enumerate_nonzero_degrees_lex_and_parity():
-    lex = enumerate_nonzero_degrees(2, "lex")
+def test_enumerate_nonzero_degrees_lex():
+    lex = enumerate_nonzero_degrees(2)
     assert lex == [Degree.parse("01"), Degree.parse("10"), Degree.parse("11")]
-    par = enumerate_nonzero_degrees(2, "parity")
-    assert par == [Degree.parse("11"), Degree.parse("01"), Degree.parse("10")]
     for n in range(1, 5):
         assert len(enumerate_nonzero_degrees(n)) == 2 ** n - 1
-        assert set(enumerate_nonzero_degrees(n)) == set(enumerate_nonzero_degrees(n, "parity"))
-    with pytest.raises(ValueError):
-        enumerate_nonzero_degrees(2, "weird")
+        assert enumerate_nonzero_degrees(n) == sorted(enumerate_nonzero_degrees(n))
 
 
 def test_signature_canonical_formal_order():

@@ -34,6 +34,7 @@ from conftest import (
     atlas_split_two_charts,
     naive_overlap_mismatch,
     rho,
+    without_partition,
 )
 
 FIXTURES = (atlas_split_two_charts, atlas_nonsplit_base_twist, atlas_nonsplit_frame_twist)
@@ -130,8 +131,7 @@ def test_coboundary_solves_the_base_twist():
 
 
 def test_coboundary_requires_partition():
-    atlas = atlas_nonsplit_base_twist()
-    atlas.partition = None
+    atlas = without_partition(atlas_nonsplit_base_twist())
     family = EmbeddingFamily.identity(atlas, 2)
     omegas = {p: cocycle_mismatch(family, p, 2) for p in [("U", "V"), ("V", "U")]}
     with pytest.raises(MissingPartition):
@@ -140,8 +140,7 @@ def test_coboundary_requires_partition():
 
 def test_frame_lift_correction_requires_partition():
     # no embedding mismatch here, so only the frame-lift correction needs rho
-    atlas = atlas_nonsplit_frame_twist()
-    atlas.partition = None
+    atlas = without_partition(atlas_nonsplit_frame_twist())
     with pytest.raises(MissingPartition):
         split(atlas, 3)
 
