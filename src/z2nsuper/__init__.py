@@ -21,8 +21,6 @@ from .coeffexpr import (
     App,
     CoeffExpr,
     UnboundSymbol,
-    differentiate,
-    evaluate,
 )
 from .exprio import ParseError, parse_coeff, print_coeff
 from .gseries import (
@@ -77,7 +75,7 @@ __version__ = "1.0.0"
 __all__ = [
     "Degree", "DimensionMismatch", "Signature", "enumerate_nonzero_degrees",
     "is_self_odd", "parity", "sign_factor",
-    "App", "CoeffExpr", "UnboundSymbol", "differentiate", "evaluate",
+    "App", "CoeffExpr", "UnboundSymbol",
     "ParseError", "parse_coeff", "print_coeff",
     "GSeries", "OrderError", "SignatureMismatch", "mul_monomials", "normal_form",
     "Morphism", "MorphismError", "SingularBlock", "compose",

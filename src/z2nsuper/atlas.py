@@ -139,9 +139,6 @@ class Atlas:
     def reduce_series(self, s):
         return s.map_coeffs(self.partition_reduce)
 
-    def series_is_zero(self, s):
-        return self.reduce_series(s).is_zero()
-
 
 def validate_atlas(atlas):
     """Identity, inverse, and triple-cocycle conditions modulo J^(K+1)."""

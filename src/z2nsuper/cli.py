@@ -60,7 +60,7 @@ def cmd_mul(args):
 
 
 def cmd_pullback(args):
-    m = formats.parse_morphism(_read(args.morphism))
+    m = formats.parse_morphism(_read(args.morphism), args.morphism)
     order = _order(args) or m.order
     f = formats.parse_series(_read(args.series).strip(), m.target, order)
     _emit(formats.print_series(m.pullback(f)), args.output)
@@ -68,20 +68,20 @@ def cmd_pullback(args):
 
 
 def cmd_compose(args):
-    m2 = formats.parse_morphism(_read(args.second))
-    m1 = formats.parse_morphism(_read(args.first))
+    m2 = formats.parse_morphism(_read(args.second), args.second)
+    m1 = formats.parse_morphism(_read(args.first), args.first)
     _emit(formats.print_morphism(compose(m2, m1)), args.output)
     return 0
 
 
 def cmd_invert(args):
-    m = formats.parse_morphism(_read(args.morphism))
+    m = formats.parse_morphism(_read(args.morphism), args.morphism)
     _emit(formats.print_morphism(invert(m)), args.output)
     return 0
 
 
 def cmd_jacobian(args):
-    m = formats.parse_morphism(_read(args.morphism))
+    m = formats.parse_morphism(_read(args.morphism), args.morphism)
     jac = jacobian(m)
     lines = []
     for tv in jac.rows:
@@ -144,14 +144,14 @@ def cmd_search_degrees(args):
 
 
 def cmd_atlas_check(args):
-    atlas = formats.parse_atlas(_read(args.atlas))
+    atlas = formats.parse_atlas(_read(args.atlas), args.atlas)
     report = validate_atlas(atlas)
     _emit(str(report), args.output)
     return 0 if report.passed else 1
 
 
 def cmd_split(args):
-    atlas = formats.parse_atlas(_read(args.atlas))
+    atlas = formats.parse_atlas(_read(args.atlas), args.atlas)
     order = _order(args)
     if order is not None:
         atlas.order = min(atlas.order, order)
@@ -161,8 +161,8 @@ def cmd_split(args):
 
 
 def cmd_verify(args):
-    atlas = formats.parse_atlas(_read(args.atlas))
-    doc = formats.parse_result(_read(args.result))
+    atlas = formats.parse_atlas(_read(args.atlas), args.atlas)
+    doc = formats.parse_result(_read(args.result), args.result)
     if doc.order > atlas.order:
         raise SplittingError("result %s has `order %d`, above `order %d` of atlas %s"
                              % (args.result, doc.order, atlas.order, args.atlas))

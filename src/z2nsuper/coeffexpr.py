@@ -505,11 +505,3 @@ def _atom_subst_app(atom, func, handler):
 
 ZERO = CoeffExpr({}, 1)
 ONE = CoeffExpr({(): 1}, 1)
-
-
-def differentiate(e, name):
-    return _coerce(e).diff(name)
-
-
-def evaluate(e, point, realizations=None):
-    return _coerce(e).evaluate(point, realizations)

@@ -199,7 +199,3 @@ class Signature:
     def __repr__(self):
         vs = ", ".join("%s:%s" % (nm, d) for nm, d in self._decl)
         return "Signature(n=%d; %s)" % (self.n, vs)
-
-    def same_shape(self, other):
-        """Equal n, p and degree multiplicities (names may differ)."""
-        return self.n == other.n and self.p == other.p and self.q == other.q

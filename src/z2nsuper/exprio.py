@@ -15,8 +15,13 @@ from .coeffexpr import CoeffExpr, Var
 
 
 class ParseError(ValueError):
-    def __init__(self, message, pos):
-        super().__init__("%s (at position %d)" % (message, pos))
+    """`message (at position pos)`, then `, where` when the error is located
+    in a file."""
+
+    def __init__(self, message, pos, where=None):
+        text = "%s (at position %d)" % (message, pos)
+        super().__init__(text if where is None else "%s, %s" % (text, where))
+        self.message = message
         self.pos = pos
 
 

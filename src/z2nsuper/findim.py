@@ -5,8 +5,10 @@ assignment maps basis labels to Z2^n degrees; it certifies when each product
 of basis elements is homogeneous and each pair obeys the scalar-product rule
 e_i e_j = (-1)^<deg i, deg j> e_j e_i.  The table alone decides which parities
 of <deg i, deg j> each pair admits (`FinDimAlgebra.pair_parities`); the
-certification and the exhaustive search both read that one derivation, and
-the search checks each condition once, when its last label is assigned.
+certification and the exhaustive search both read that one derivation and
+share one scan over plain int degree masks (`_violations`), and the search
+checks each condition once, when its last label is assigned.  Associativity
+is checked in exact integers over the table's one denominator.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import itertools
 import os
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 from .degrees import Degree, dot_parity
 
@@ -79,15 +81,20 @@ class FinDimAlgebra:
                 raise ValueError("label %r is not a two-sided unit" % self.labels[e])
 
     def _check_associativity(self):
-        # (e_i e_j) e_k - e_i (e_j e_k), accumulated in one dict, must vanish
-        t = self.table
+        # rows as (k, numerator) pairs over the table's one denominator D, so
+        # (e_i e_j) e_k - e_i (e_j e_k), accumulated in one dict, is an
+        # integer sum over D^2 that must vanish
+        den = lcm(*(c.denominator for row in self.table.values() for c in row.values()))
+        t = {ij: [(k, c.numerator * (den // c.denominator)) for k, c in row.items()]
+             for ij, row in self.table.items()}
         for i, j, k in itertools.product(range(self.dim), repeat=3):
-            terms = [(c, t.get((m, k), {})) for m, c in t.get((i, j), {}).items()]
-            terms += [(-c, t.get((i, m), {})) for m, c in t.get((j, k), {}).items()]
             diff = {}
-            for c, row in terms:
-                for l, d in row.items():
-                    diff[l] = diff[l] + c * d if l in diff else c * d
+            for m, c in t.get((i, j), ()):
+                for l, d in t.get((m, k), ()):
+                    diff[l] = diff.get(l, 0) + c * d
+            for m, c in t.get((j, k), ()):
+                for l, d in t.get((i, m), ()):
+                    diff[l] = diff.get(l, 0) - c * d
             if any(diff.values()):
                 raise ValueError("not associative at (%s, %s, %s)"
                                  % tuple(self.labels[x] for x in (i, j, k)))
@@ -100,11 +107,6 @@ def check_graded_commutative(A, assignment):
     product raise GradingError; sign violations are returned as
     (label_i, label_j, product_ij, product_ji) tuples, i then j in basis order.
     """
-    return _certify(A, assignment, A.pair_parities())
-
-
-def _certify(A, assignment, parities):
-    """check_graded_commutative, reading the table's `pair_parities`."""
     degs = [Degree(assignment[lb]) for lb in A.labels]
     zero = degs[A.unit]
     for lb, d in zip(A.labels, degs):
@@ -113,16 +115,23 @@ def _certify(A, assignment, parities):
                                % (lb, d, d.n, A.labels[A.unit], zero))
     if not zero.is_zero():
         raise GradingError("the unit must carry the zero degree")
-    for (i, j), row in A.table.items():
-        want = degs[i] + degs[j]
-        for k in row:
-            if degs[k] != want:
-                raise GradingError("product %s*%s hits %s of degree %s, expected %s"
-                                   % (A.labels[i], A.labels[j], A.labels[k], degs[k], want))
-    violations = [(A.labels[i], A.labels[j], A.product(i, j), A.product(j, i))
-                  for i, j in itertools.product(range(A.dim), repeat=2)
-                  if dot_parity(degs[i], degs[j]) not in parities[i, j]]
+    violations = _violations(A, [int(d) for d in degs], zero.n, A.pair_parities())
     return (not violations, violations)
+
+
+def _violations(A, masks, n, parities):
+    """The sign violations of the degree masks (unit at zero), read from the
+    table's `pair_parities`; an inhomogeneous product raises GradingError."""
+    for (i, j), row in A.table.items():
+        want = masks[i] ^ masks[j]
+        for k in row:
+            if masks[k] != want:
+                raise GradingError("product %s*%s hits %s of degree %s, expected %s"
+                                   % (A.labels[i], A.labels[j], A.labels[k],
+                                      Degree.from_mask(masks[k], n), Degree.from_mask(want, n)))
+    return [(A.labels[i], A.labels[j], A.product(i, j), A.product(j, i))
+            for i, j in itertools.product(range(A.dim), repeat=2)
+            if dot_parity(masks[i], masks[j]) not in parities[i, j]]
 
 
 def search_degree_assignments(A, n, budget=None):
@@ -133,9 +142,9 @@ def search_degree_assignments(A, n, budget=None):
     Each homogeneity triple (i, j, k) of the table and each pair condition
     of `pair_parities` is checked once, when its last label is assigned, so
     a candidate mask checks only the conditions it completes.  Searches of
-    more than `budget` assignments are refused; every assignment found is
-    certified again as check_graded_commutative does, from the same pair
-    parities.
+    more than `budget` assignments are refused; every mask list found is
+    certified again through the scan of check_graded_commutative, from the
+    same pair parities, before its assignment is built.
     """
     if n < 1:
         raise ValueError("degree search needs n >= 1, got n = %d" % n)
@@ -160,9 +169,8 @@ def search_degree_assignments(A, n, budget=None):
 
     def rec(p):
         if p == len(order):
-            asg = {lb: Degree.from_mask(m, n) for lb, m in zip(A.labels, mask)}
-            if _certify(A, asg, parities)[0]:
-                found.append(asg)
+            if not _violations(A, mask, n, parities):
+                found.append({lb: Degree.from_mask(m, n) for lb, m in zip(A.labels, mask)})
             return
         i = order[p]
         for m in range(1 << n) if p else (0,):

@@ -18,15 +18,17 @@ A block header opens a block that runs to a line reading `end`:
       iso U
     partition                   rows `chart = coefficient`
     embedding                   rows `chart name = series`
-    bundle, report              data lines, kept as written
+    bundle                      rows `... = coefficient`, kept as written
+    report                      data lines, kept as written
 
 Blank lines and lines starting with `#` are ignored everywhere, inside
 blocks too.  Unknown keywords, wrong field counts, blocks with no `end`,
 rows without their `=`, repeated rows, repeated header lines and an
-`order` that is not an integer K >= 1 raise `ParseError`.  A header line is
-named by its keyword and, for `var`, `pair`, `triple`, `c`, `transition`
-and `iso`, by the fields that say what it is about (`iso U`, `c A B C`);
-every other keyword may appear once per file.
+`order` that is not an integer K >= 1 raise `ParseError`; an error inside
+a row names the row, its block header, its line and (given) the file.  A
+header line is named by its keyword and, for `var`, `pair`, `triple`, `c`,
+`transition` and `iso`, by the fields that say what it is about (`iso U`,
+`c A B C`); every other keyword may appear once per file.
 """
 
 from __future__ import annotations
@@ -67,14 +69,16 @@ _HEADERS = {
 
 
 def _sections(lines, allowed, what):
-    """Yield (keyword, fields, body) for each header line of a `what` file.
+    """Yield (keyword, fields, body, numbers) for each header line of a `what` file.
 
     `allowed` holds the keywords of the format.  The body of a block is its
-    list of stripped lines up to `end`; a one-line header has an empty body.
+    list of stripped lines up to `end`, and numbers their 1-based lines; a
+    one-line header has an empty body.
     """
-    rows = iter([ln for ln in map(str.strip, lines) if ln and not ln.startswith("#")])
+    rows = iter([(i, ln) for i, ln in enumerate(map(str.strip, lines), 1)
+                 if ln and not ln.startswith("#")])
     seen = set()
-    for ln in rows:
+    for _, ln in rows:
         kw, *fields = ln.split()
         if kw not in allowed:
             raise ParseError("unexpected %s line: %r" % (what, ln), 0)
@@ -86,28 +90,40 @@ def _sections(lines, allowed, what):
         if name in seen:
             raise ParseError("%s file repeats `%s`" % (what, name), 0)
         seen.add(name)
-        body = []
+        body, numbers = [], []
         if opens_block:
-            for row in rows:
+            for i, row in rows:
                 if row == "end":
                     break
                 body.append(row)
+                numbers.append(i)
             else:
                 raise ParseError("%s block `%s` has no `end`" % (what, ln), 0)
-        yield kw, fields, body
+        yield kw, fields, body, numbers
 
 
-def _rows(body, form):
-    """(left-hand names, right-hand text) of each `form = ...` row of a block;
-    no two rows of a block have the same left-hand side."""
-    seen = set()
-    for row in body:
+def _rows(block, form, parse, path=None):
+    """{left-hand names: parse(names, right-hand text)} over the `form = ...`
+    rows of a block from `_sections` (any left-hand side when form is None);
+    no two rows of a block have the same left-hand side.  A ParseError in a
+    row is raised again naming the row, the block header, its line and the
+    file `path`."""
+    kw, fields, body, numbers = block
+    out = {}
+    for row, line in zip(body, numbers):
         lhs, eq, rhs = row.partition("=")
         names = tuple(lhs.split())
-        if not eq or len(names) != len(form.split()) or names in seen:
-            raise ParseError("expected a `%s = ...` row for a new %s, got %r" % (form, form, row), 0)
-        seen.add(names)
-        yield names, rhs.strip()
+        if not eq or not names or form and len(names) != len(form.split()) or names in out:
+            raise ParseError("expected a `%s = ...` row for a new %s, got %r"
+                             % (form or "...", form or "row", row), 0)
+        try:
+            out[names] = parse(names, rhs.strip())
+        except ParseError as exc:
+            where = "in the `%s` row of block `%s`, line %d" % (
+                " ".join(names), " ".join([kw, *fields]), line)
+            raise ParseError(exc.message, exc.pos,
+                             where if path is None else "%s of %s" % (where, path)) from None
+    return out
 
 
 def _block(header, rows):
@@ -145,7 +161,7 @@ def print_signature(sig):
 def parse_signature_lines(lines):
     n = None
     variables = []
-    for kw, fields, _ in _sections(lines, ("n", "var"), "signature"):
+    for kw, fields, _, _ in _sections(lines, ("n", "var"), "signature"):
         if kw == "n":
             n = int(fields[0])
         else:
@@ -253,9 +269,10 @@ def print_series(s):
     return " + ".join(pieces)
 
 
-def _parse_images(body, sig, order):
+def _parse_images(block, sig, order, path):
     """The `name = series` rows of an images, transition or iso block."""
-    return {name: parse_series(rhs, sig, order) for (name,), rhs in _rows(body, "name")}
+    rows = _rows(block, "name", lambda names, rhs: parse_series(rhs, sig, order), path)
+    return {name: s for (name,), s in rows.items()}
 
 
 def _image_lines(sig, images):
@@ -274,11 +291,12 @@ def print_morphism(m):
     return "\n".join(lines)
 
 
-def parse_morphism(text):
+def parse_morphism(text, path=None):
     order = source = target = None
     images = {}
     keywords = ("order", "source", "target", "images")
-    for kw, fields, body in _sections(text.splitlines(), keywords, "morphism"):
+    for block in _sections(text.splitlines(), keywords, "morphism"):
+        kw, fields, body, _ = block
         if kw == "order":
             order = parse_order(fields[0])
         elif kw == "source":
@@ -287,7 +305,7 @@ def parse_morphism(text):
             target = parse_signature_lines(body)
         else:
             _after(kw, order, source, target)
-            images = _parse_images(body, source, order)
+            images = _parse_images(block, source, order, path)
     if order is None or source is None or target is None:
         raise ParseError("morphism file is missing header data", 0)
     return Morphism(source, target, images, order)
@@ -313,7 +331,7 @@ def parse_algebra(text):
     labels = None
     unit = None
     consts = []
-    for kw, fields, _ in _sections(text.splitlines(), ("basis", "unit", "c"), "algebra"):
+    for kw, fields, _, _ in _sections(text.splitlines(), ("basis", "unit", "c"), "algebra"):
         if kw == "basis":
             labels = fields
         elif kw == "unit":
@@ -393,7 +411,7 @@ def print_atlas(atlas):
     return "\n".join(lines)
 
 
-def parse_atlas(text):
+def parse_atlas(text, path=None):
     from .atlas import Atlas
 
     order = None
@@ -404,7 +422,8 @@ def parse_atlas(text):
     transitions = {}
     partition = None
     keywords = ("order", "signature", "charts", "pair", "triple", "transition", "partition")
-    for kw, fields, body in _sections(text.splitlines(), keywords, "atlas"):
+    for block in _sections(text.splitlines(), keywords, "atlas"):
+        kw, fields, body, _ = block
         if kw == "order":
             order = parse_order(fields[0])
         elif kw == "signature":
@@ -417,24 +436,25 @@ def parse_atlas(text):
             triples.append(tuple(fields))
         elif kw == "transition":
             _after(kw, sig, order)
-            images = _parse_images(body, sig, order)
+            images = _parse_images(block, sig, order, path)
             transitions[tuple(fields)] = Morphism(sig, sig, images, order)
         else:
             _after(kw, sig)
-            partition = {u: _parse_partition_row(u, rhs, sig) for (u,), rhs in _rows(body, "chart")}
+            rows = _rows(block, "chart", lambda names, rhs: _parse_base_coeff(
+                rhs, sig, "partition row of chart %s" % names[0]), path)
+            partition = {u: rho for (u,), rho in rows.items()}
     if order is None or sig is None or not charts:
         raise ParseError("atlas file is missing header data", 0)
     return Atlas(sig, order, charts, pairs, triples, transitions, partition)
 
 
-def _parse_partition_row(chart, text, sig):
-    """A chart's partition function: a coefficient of the base coordinates,
-    under the rule of `_non_base_name`."""
+def _parse_base_coeff(text, sig, what="coefficient"):
+    """A coefficient of the base coordinates (a partition function, a bundle
+    entry), under the rule of `_non_base_name`; `what` opens the error."""
     tokens = exprio.Tokenizer(text).tokens
     bad = _non_base_name(tokens, 0, len(tokens), sig)
     if bad:
-        raise ParseError("partition row of chart %s names %r, which is not a base coordinate"
-                         % (chart, bad[0]), bad[1])
+        raise ParseError("%s names %r, which is not a base coordinate" % (what, bad[0]), bad[1])
     return parse_coeff(text)
 
 
@@ -488,16 +508,18 @@ def print_result(result):
     return "\n".join(lines)
 
 
-def parse_result(text):
+def parse_result(text, path=None):
+    """A result file; its bundle rows are kept as written once read."""
     order = None
     sig = None
     charts = []
-    bundle_lines = []
+    bundle = ("bundle", [], [], [])  # an empty block until one is read
     embedding = {}
     iso = {}
     report_lines = []
     keywords = ("order", "signature", "charts", "bundle", "embedding", "iso", "report")
-    for kw, fields, body in _sections(text.splitlines(), keywords, "result"):
+    for block in _sections(text.splitlines(), keywords, "result"):
+        kw, fields, body, _ = block
         if kw == "order":
             order = parse_order(fields[0])
         elif kw == "signature":
@@ -505,16 +527,18 @@ def parse_result(text):
         elif kw == "charts":
             charts = fields
         elif kw == "bundle":
-            bundle_lines = body
+            bundle = block
         elif kw == "report":
             report_lines = body
         elif kw == "embedding":
             _after(kw, sig, order)
-            for (chart, name), rhs in _rows(body, "chart name"):
-                embedding.setdefault(chart, {})[name] = parse_series(rhs, sig, order)
+            rows = _rows(block, "chart name",
+                         lambda names, rhs: parse_series(rhs, sig, order), path)
+            for (chart, name), s in rows.items():
+                embedding.setdefault(chart, {})[name] = s
         else:
             _after(kw, sig, order)
-            iso[fields[0]] = Morphism(sig, sig, _parse_images(body, sig, order), order)
+            iso[fields[0]] = Morphism(sig, sig, _parse_images(block, sig, order, path), order)
     if order is None or sig is None or not charts or not iso:
         raise ParseError("result file is missing header or iso data", 0)
     for u in iso:
@@ -525,4 +549,5 @@ def parse_result(text):
         if u not in iso:
             raise ParseError("result `charts %s` lists %s, which has no `iso %s` block"
                              % (" ".join(charts), u, u), 0)
-    return ResultDoc(order, sig, charts, bundle_lines, embedding, iso, report_lines)
+    _rows(bundle, None, lambda names, rhs: _parse_base_coeff(rhs, sig), path)
+    return ResultDoc(order, sig, charts, bundle[2], embedding, iso, report_lines)

@@ -141,27 +141,6 @@ class GSeries:
         the same terms when it is higher."""
         return self.truncate(k) if k <= self.order else GSeries(self.sig, k, self.terms)
 
-    def slice_order(self, k):
-        """The pure order-k part, at the same truncation order."""
-        return GSeries(
-            self.sig, self.order, {mu: c for mu, c in self.terms.items() if mono_order(mu) == k}
-        )
-
-    def homogeneous_degree(self):
-        """The common Z2^n degree of all terms, or None when inhomogeneous.
-
-        The zero series is homogeneous of every degree; it reports the zero
-        degree.
-        """
-        deg = None
-        for mu in self.terms:
-            d = mono_degree(self.sig, mu)
-            if deg is None:
-                deg = d
-            elif deg != d:
-                return None
-        return deg if deg is not None else Degree.zero(self.sig.n)
-
     def is_homogeneous(self, d):
         d = Degree(d)
         return all(mono_degree(self.sig, mu) == d for mu in self.terms)

@@ -1,5 +1,6 @@
 """CLI subcommands, file plumbing, and exit codes (0 pass, 1 fail, 2 input error)."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -349,6 +350,37 @@ def test_series_coefficient_over_an_undeclared_name_is_an_input_error(tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("error: coefficient names %r, which is not a base coordinate" % name)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind, old, new, located", [
+    ("atlas", "x = x + (-g(x)) * xi1 xi2", "x = x + (-g(y)) * xi1 xi2",
+     "in the `x` row of block `transition V U`, line 17"),
+    ("atlas", "V = rho_V(x)", "V = rho_V(y)",
+     "in the `V` row of block `partition`, line 23"),
+    ("result", "x = x + (-g(x)*rho_U(x)) * xi1 xi2", "x = x + (-g(y)*rho_U(x)) * xi1 xi2",
+     "in the `x` row of block `iso V`, line 31"),
+    ("result", "U x = x + (g(x) - g(x)*rho_U(x)) * xi1 xi2",
+     "U x = x + (g(y) - g(x)*rho_U(x)) * xi1 xi2",
+     "in the `U x` row of block `embedding`, line 22"),
+    ("result", "base U V x = x", "base U V x = g(y)",
+     "in the `base U V x` row of block `bundle`, line 14"),
+], ids=["transition", "partition", "iso", "embedding", "bundle"])
+def test_a_row_error_names_the_file_the_block_the_line_and_the_row(tmp_path, capsys, kind, old,
+                                                                   new, located):
+    atlas = atlas_nonsplit_base_twist()
+    texts = {"atlas": print_atlas(atlas), "result": print_result(split(atlas, 3))}
+    lines = texts[kind].splitlines()
+    assert lines.count(old) == 1
+    lines[lines.index(old)] = new
+    texts[kind] = "\n".join(lines)
+    afile, rfile = (write(tmp_path, "%s.txt" % k, texts[k]) for k in ("atlas", "result"))
+    argv = {"atlas": ["atlas-check", "--atlas", afile],
+            "result": ["verify", "--atlas", afile, "--result", rfile]}[kind]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    path = {"atlas": afile, "result": rfile}[kind]
+    assert re.fullmatch(r"error: .*names 'y', which is not a base coordinate \(at position \d+\), "
+                        + re.escape("%s of %s" % (located, path)) + "\n", err), err
 
 
 @pytest.mark.parametrize("command", ["atlas-check", "split"])

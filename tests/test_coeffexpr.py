@@ -6,7 +6,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from z2nsuper import CoeffExpr, UnboundSymbol, differentiate, evaluate
+from z2nsuper import CoeffExpr, UnboundSymbol
 from z2nsuper.coeffexpr import ZERO, sum_of_products
 
 from conftest import (
@@ -135,11 +135,6 @@ def test_substitute_app_rewrites_symbol():
         return args[0] + 1
 
     assert e.substitute_app("f", handler) == 2 * (x + 1) + y
-
-
-def test_module_level_helpers():
-    assert differentiate(x * x, "x") == 2 * x
-    assert evaluate(x + 1, {"x": Fraction(1, 2)}) == Fraction(3, 2)
 
 
 @settings(max_examples=60, deadline=None)

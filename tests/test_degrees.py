@@ -133,10 +133,7 @@ def test_signature_rejects_duplicates_and_bad_dimensions():
         Signature(2, [("x", "0")])
 
 
-def test_signature_same_shape():
+def test_signature_equality():
     s1 = Signature(1, [("x", "0"), ("a", "1")])
     s2 = Signature(1, [("u", "0"), ("b", "1")])
-    s3 = Signature(1, [("x", "0"), ("a", "1"), ("b", "1")])
-    assert s1.same_shape(s2)
-    assert not s1.same_shape(s3)
     assert s1 != s2 and s1 == Signature(1, [("x", "0"), ("a", "1")])

@@ -278,3 +278,62 @@ def test_clifford_tables_match_the_word_bubbling_oracle():
         for p in range(m + 1):
             A = clifford_algebra(p, m - p)
             assert (A.labels, A.unit, A.table) == naive_clifford(p, m - p), (p, m - p)
+
+
+# Two large coprime denominators: a table rescaled by both has a common
+# denominator no single entry shows, and 1/(D1 D2) is below every entry's
+# own denominator.
+WIDE = (2 ** 61 - 1, 10 ** 9 + 7)
+
+
+def wide_scale(rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice(WIDE))
+
+
+def rescaled(table, scale):
+    """The table in the basis s_i e_i: e_i e_j = sum_k c s_i s_j / s_k e_k."""
+    return {(i, j): {k: c * scale[i] * scale[j] / scale[k] for k, c in row.items()}
+            for (i, j), row in table.items()}
+
+
+def test_the_integer_check_agrees_with_the_oracle_over_large_coprime_denominators():
+    rng = random.Random(20261021)
+    outcomes = {True: 0, False: 0}
+    both = 0
+    for _ in range(200):
+        dim = rng.randint(2, 4)
+        scale = [Fraction(1)] + [wide_scale(rng) for _ in range(dim - 1)]
+        table = rescaled(rand_associative_table(rng, dim), scale)
+        if rng.random() < 0.5:
+            row = table.setdefault((rng.randint(1, dim - 1), rng.randint(1, dim - 1)), {})
+            k = rng.randrange(dim)
+            row[k] = row.get(k, 0) + Fraction(1, WIDE[0] * WIDE[1])
+        dens = [Fraction(c).denominator for row in table.values() for c in row.values()]
+        both += all(any(d % p == 0 for d in dens) for p in WIDE)
+        first = naive_first_nonassociative(table, dim)
+        labels = LABELS[:dim]
+        if first is None:
+            FinDimAlgebra(labels, 0, table)
+        else:
+            message = "not associative at (%s, %s, %s)" % tuple(labels[x] for x in first)
+            with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+                FinDimAlgebra(labels, 0, table)
+        outcomes[first is None] += 1
+    assert min(outcomes.values()) >= 50
+    assert both >= 50
+
+
+def test_search_over_mixed_denominators_equals_brute_force_under_the_naive_oracle():
+    rng = random.Random(20261022)
+    nonempty = 0
+    for _ in range(200):
+        dim, n = rng.randint(2, 4), rng.randint(1, 3)
+        unit, table = rand_unital_table(rng, dim, n)
+        scale = [Fraction(1) if i == unit else wide_scale(rng) for i in range(dim)]
+        table = rescaled(table, scale)
+        A = FinDimAlgebra(LABELS[:dim], unit, table, check=False)
+        want = [as_degrees(A.labels, degs) for degs in assignments(dim, unit, n)
+                if naive_certifies(table, unit, degs)]
+        assert search_degree_assignments(A, n) == want, table
+        nonempty += bool(want)
+    assert nonempty >= 40

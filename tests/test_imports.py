@@ -1,6 +1,8 @@
 """Every top-level import in the package modules is used (`__init__` re-exports),
-every private function or method is referenced somewhere in the package, and
-every name the package exports is used by a demo, a test or the CLI."""
+every private function or method is referenced somewhere in the package,
+every name the package exports is used by a demo, a test or the CLI, and
+every public function or method is used by the package, a demo or the
+benchmark, or else by more than one test file."""
 
 import ast
 from pathlib import Path
@@ -99,6 +101,67 @@ def test_every_export_is_used_by_a_demo_a_test_or_the_cli():
 
     users = [*ROOT.glob("demos/*.py"), *ROOT.glob("tests/*.py"), PACKAGE / "cli.py"]
     assert unused_exports(z2nsuper.__all__, [p.read_text() for p in users]) == []
+
+
+def referenced_names(text):
+    """The names a source reads: as a name, an attribute or an import, or as a
+    string of dotted names (`getattr(m, "f")`, the tracer's "Class.method")."""
+    names = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                names.update(parts)
+    return names
+
+
+def used_by_one_test_at_most(package, code, tests):
+    """(module, line) of each public function or method, at the top level or
+    in a class of a `package` module ({module: text}), whose name no text in
+    `code` reads and at most one text in `tests` reads."""
+    read = set().union(*map(referenced_names, code))
+    readers = [referenced_names(text) for text in tests]
+    found = []
+    for module, text in sorted(package.items()):
+        for node in ast.parse(text).body:
+            for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
+                if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not fn.name.startswith("_") and fn.name not in read
+                        and sum(fn.name in names for names in readers) <= 1):
+                    found.append((module, fn.lineno))
+    return found
+
+
+def test_scanner_flags_public_api_that_only_its_own_test_uses():
+    package = {"a": (
+        "def used(): pass\n"
+        "def traced(): pass\n"
+        "def tested_twice(): pass\n"
+        "def tested_once(): pass\n"
+        "class C:\n"
+        "    def method(self): pass\n"
+        "    def orphan(self): pass\n"
+        "    def _private(self): pass\n"
+        "    def __eq__(self, other): pass\n"
+    )}
+    code = ["from a import used\nused(x.method())\n", 'BIND = [("a", "C.traced")]\n']
+    tests = ["from a import tested_twice, tested_once\n", "import a\na.tested_twice()\n"]
+    assert used_by_one_test_at_most(package, code, tests) == [("a", 4), ("a", 7)]
+
+
+def test_public_api_is_used_beyond_its_own_test():
+    # the package's `__init__` only re-exports, so it is not a user
+    package = {p.name: p.read_text() for p in MODULES}
+    code = [*package.values(), *(p.read_text() for p in ROOT.glob("demos/*.py")),
+            *(p.read_text() for p in ROOT.glob("bench/*.py"))]
+    tests = [p.read_text() for p in ROOT.glob("tests/*.py")]
+    assert used_by_one_test_at_most(package, code, tests) == []
 
 
 def hand_built_exponent_vectors(source):
