@@ -13,21 +13,25 @@ monomial to a nonzero int and _den holds the denominator, in lowest terms
 (gcd(_den, every numerator) = 1, and _den = 1 for zero).  Monomials are tuples
 of (atom, exponent) sorted by atom key, every atom at most once.  The form is
 canonical, so == compares (_den, _terms) directly; terms() gives each
-coefficient back as a Fraction.  Atoms hash once at construction; an
-expression computes its hash on first use and its sorted structural key() on
-first request (for App keys and print order), then caches both.  Expressions
-are immutable, so operations return an operand unchanged where the result is
-equal to it (adding zero, scaling by one, substituting nothing).
+coefficient back as a Fraction.  Atoms are interned, one object per symbol
+name or per application, so atom equality is identity and monomial tuples
+hash and compare without calling back into Python.  An expression computes
+its hash on first use and its sorted structural key() on first request (for
+App keys, the monomial order and the print order), then caches both.
+Expressions are immutable, so operations return an operand unchanged where
+the result is equal to it (adding zero, scaling by one, substituting
+nothing).
 
-Arithmetic.  sum_of_products is the one accumulation loop: +, -, products of
-non-constant expressions, diff, substitution and every series product go
-through it.  It multiplies and adds plain ints over the lcm of the factors'
-denominators and brings the result to lowest terms with one gcd pass.  A
-constant factor scales the numerators and takes the same pass.
+Arithmetic.  sum_of_products is the one accumulation loop: +, -, *, diff,
+substitution and every series product go through it.  It multiplies and
+adds plain ints over the lcm of the factors' denominators and brings the
+result to lowest terms with one gcd pass.  A lone product with a constant
+factor scales the numerators of the other factor and takes the same pass.
 """
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -37,23 +41,20 @@ class UnboundSymbol(KeyError):
 
 
 class Var:
-    """A base-coordinate symbol."""
+    """A base-coordinate symbol, one object per name (see `Var.__new__`)."""
 
-    __slots__ = ("name", "_key", "_hash")
+    __slots__ = ("name", "_key")
 
-    def __init__(self, name):
-        self.name = name
-        self._key = (0, name)
-        self._hash = hash(self._key)
+    def __new__(cls, name):
+        atom = _VARS.get(name)
+        if atom is None:
+            atom = _VARS[name] = object.__new__(cls)
+            atom.name = name
+            atom._key = (0, name)
+        return atom
 
     def key(self):
         return self._key
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, Var) and self.name == other.name)
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return "Var(%s)" % self.name
@@ -63,42 +64,43 @@ class App:
     """An opaque smooth-function application f^(alpha)(a1, ..., am).
 
     alpha is the multi-index of formal partial derivatives in the argument
-    slots; the arguments are CoeffExprs.
+    slots; the arguments are CoeffExprs.  One object per (func, alpha, args)
+    is alive at a time (see `App.__new__`).
     """
 
-    __slots__ = ("func", "alpha", "args", "_key", "_hash")
+    __slots__ = ("func", "alpha", "args", "_key", "__weakref__")
 
-    def __init__(self, func, alpha, args):
-        self.func = func
-        self.alpha = tuple(int(a) for a in alpha)
-        self.args = tuple(args)
-        if len(self.alpha) != len(self.args):
+    def __new__(cls, func, alpha, args):
+        alpha = tuple(int(a) for a in alpha)
+        args = tuple(args)
+        if len(alpha) != len(args):
             raise ValueError(
                 "derivative multi-index length %d != argument count %d"
-                % (len(self.alpha), len(self.args))
+                % (len(alpha), len(args))
             )
-        self._key = None
-        self._hash = hash((func, self.alpha, self.args))
+        ident = (func, alpha, args)
+        atom = _APPS.get(ident)
+        if atom is None:
+            atom = _APPS[ident] = object.__new__(cls)
+            atom.func, atom.alpha, atom.args, atom._key = func, alpha, args, None
+        return atom
 
     def key(self):
         if self._key is None:
             self._key = (1, self.func, self.alpha, tuple(a.key() for a in self.args))
         return self._key
 
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, App)
-            and self._hash == other._hash
-            and self.func == other.func
-            and self.alpha == other.alpha
-            and self.args == other.args
-        )
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
         return "App(%s,%s,%r)" % (self.func, self.alpha, self.args)
+
+
+# The interning tables: every atom is built through Var.__new__ or
+# App.__new__, which return the live atom of the same name or the same
+# (func, alpha, args) when there is one.  So equal atoms are one object, and
+# atoms compare and hash by identity, in C.  An App is dropped from its table
+# when the last expression holding it goes.
+_VARS = {}
+_APPS = weakref.WeakValueDictionary()
 
 
 class CoeffExpr:
@@ -235,20 +237,7 @@ class CoeffExpr:
         return _coerce(other) - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        t1, t2 = self._terms, other._terms
-        if not t1 or not t2:
-            return ZERO
-        # a constant factor n/d scales the numerators of the other one
-        if len(t2) == 1 and () in t2:
-            e, n, d = self, t2[()], other._den
-        elif len(t1) == 1 and () in t1:
-            e, n, d = other, t1[()], self._den
-        else:
-            return sum_of_products(((self, other, False),))
-        if n == d:
-            return e
-        return _lowest({m: c * n for m, c in e._terms.items()}, e._den * d)
+        return sum_of_products(((self, _coerce(other), False),))
 
     __rmul__ = __mul__
 
@@ -397,12 +386,11 @@ def _mono_mul(m1, m2):
     while i < n1 and j < n2:
         a, p = m1[i]
         b, q = m2[j]
-        ka, kb = a.key(), b.key()
-        if ka == kb:
+        if a is b:
             out.append((a, p + q))
             i += 1
             j += 1
-        elif ka < kb:
+        elif a.key() < b.key():
             out.append(m1[i])
             i += 1
         else:
@@ -434,6 +422,18 @@ def sum_of_products(pairs):
     is accumulated in ints over the lcm D of those and brought to lowest
     terms once.
     """
+    if len(pairs) == 1:
+        # a lone product with a constant factor n/d scales the numerators of
+        # the other factor, and is that factor when n/d is one
+        a, b, negate = pairs[0]
+        if len(a._terms) == 1 and () in a._terms:
+            a, b = b, a
+        tb = b._terms
+        if len(tb) == 1 and () in tb:
+            n, d = -tb[()] if negate else tb[()], b._den
+            if n == d:
+                return a
+            return _lowest({m: c * n for m, c in a._terms.items()}, a._den * d)
     den = lcm(*(a._den * b._den for a, b, _ in pairs))
     out = {}
     for a, b, negate in pairs:

@@ -47,8 +47,7 @@ class FinDimAlgebra:
     def __init__(self, labels, unit, table, check=True):
         self.labels = list(labels)
         self.unit = unit
-        self.table = {ij: row for ij, r in table.items()
-                      if (row := {k: Fraction(c) for k, c in r.items() if c != 0})}
+        self.table = {ij: row for ij, r in table.items() if (row := _rational_row(r))}
         if check:
             self._check_unit()
             self._check_associativity()
@@ -70,8 +69,8 @@ class FinDimAlgebra:
         for i in range(self.dim):
             for j in range(i + 1):
                 ij, ji = self.table.get((i, j), {}), self.table.get((j, i), {})
-                signed = ((0, ji), (1, {k: -c for k, c in ji.items()}))
-                out[i, j] = out[j, i] = {p for p, rhs in signed if ij == rhs}
+                out[i, j] = out[j, i] = {p for p, sign in ((0, 1), (1, -1))
+                                         if _signed_equal(ij, ji, sign)}
         return out
 
     def _check_unit(self):
@@ -98,6 +97,31 @@ class FinDimAlgebra:
             if any(diff.values()):
                 raise ValueError("not associative at (%s, %s, %s)"
                                  % tuple(self.labels[x] for x in (i, j, k)))
+
+
+def _rational_row(r):
+    """A table row {k: c} with every c a Fraction, kept as it is when it
+    already is one, and the zero entries dropped."""
+    row = {}
+    for k, c in r.items():
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
+        if c:
+            row[k] = c
+    return row
+
+
+def _signed_equal(r, s, sign):
+    """True when the table rows r and s satisfy r == sign * s, for sign = +-1,
+    compared on the lowest-terms numerators and denominators without
+    building sign * s."""
+    if r.keys() != s.keys():
+        return False
+    for k, c in r.items():
+        d = s[k]
+        if c.numerator != sign * d.numerator or c.denominator != d.denominator:
+            return False
+    return True
 
 
 def check_graded_commutative(A, assignment):

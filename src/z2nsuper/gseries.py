@@ -14,6 +14,13 @@ stored coefficient is a nonzero CoeffExpr.  Outside values enter only through
 is zero in the truncated ring; every other operation builds a canonical dict
 from canonical parts, and the constructor stores it, dropping only zero
 coefficients.
+
+Arithmetic.  `combine(sig, order, pairs)` is the one series accumulation
+pass: it forms a linear combination sum a*b of series times series or
+scalars, collecting every coefficient product of an output monomial and
+summing them with one `sum_of_products` call.  A product is `combine` over
+one pair; the Taylor expansion and the pullback in `morphisms` combine all
+their terms at once instead of adding them up one by one.
 """
 
 from __future__ import annotations
@@ -69,6 +76,49 @@ def mul_monomials(sig, mu, nu):
             if nu[b] and row[b]:
                 swaps += ka * nu[b]
     return (-1 if swaps & 1 else 1), tuple(out)
+
+
+def combine(sig, order, pairs):
+    """The series sum of a*b over the (a, b) in pairs, truncated at order.
+
+    Each a is a GSeries over sig and each b a GSeries over sig or a scalar
+    (a CoeffExpr or a rational, a degree-0 constant); no factor may have an
+    order below `order`.  This is the one series accumulation pass: it
+    collects the coefficient products of every output monomial over all the
+    pairs, then canonicalises each output coefficient once through
+    sum_of_products.
+    """
+    acc = {}
+    for a, b in pairs:
+        _check_factor(sig, order, a)
+        if not isinstance(b, GSeries):
+            x = _coerce(b)
+            for mu, cmu in a.terms.items():
+                if mono_order(mu) <= order:
+                    acc.setdefault(mu, []).append((cmu, x, False))
+            continue
+        _check_factor(sig, order, b)
+        right = [(nu, mono_order(nu), cnu) for nu, cnu in b.terms.items()]
+        for mu, cmu in a.terms.items():
+            omu = mono_order(mu)
+            for nu, onu, cnu in right:
+                if omu + onu > order:
+                    continue
+                hit = mul_monomials(sig, mu, nu)
+                if hit is None:
+                    continue
+                sign, rho = hit
+                acc.setdefault(rho, []).append((cmu, cnu, sign < 0))
+    return GSeries(sig, order, {rho: sum_of_products(ps) for rho, ps in acc.items()})
+
+
+def _check_factor(sig, order, s):
+    """Reject a series over another signature than sig or of an order below
+    `order`."""
+    if s.sig is not sig and s.sig != sig:
+        raise SignatureMismatch("series over different signatures")
+    if s.order < order:
+        raise OrderError("a factor of order %d in a sum at order %d" % (s.order, order))
 
 
 class GSeries:
@@ -153,14 +203,10 @@ class GSeries:
 
     # -- ring operations --------------------------------------------------
 
-    def _check_sig(self, other):
-        if self.sig is not other.sig and self.sig != other.sig:
-            raise SignatureMismatch("series over different signatures")
-
     def __add__(self, other):
         other = self._coerce(other)
-        self._check_sig(other)
         order = min(self.order, other.order)
+        _check_factor(self.sig, order, other)
         out = {mu: c for mu, c in self.terms.items() if mono_order(mu) <= order}
         for mu, c in other.terms.items():
             if mono_order(mu) <= order:
@@ -180,28 +226,9 @@ class GSeries:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
-        if not isinstance(other, GSeries):
-            # a scalar is a degree-0 constant: scale the coefficients
-            x = _coerce(other)
-            return GSeries(self.sig, self.order, {mu: c * x for mu, c in self.terms.items()})
-        self._check_sig(other)
-        order = min(self.order, other.order)
-        sig = self.sig
-        # collect the coefficient products of each output monomial, then
-        # canonicalise each output coefficient once
-        acc = {}
-        right = [(nu, mono_order(nu), cnu) for nu, cnu in other.terms.items()]
-        for mu, cmu in self.terms.items():
-            omu = mono_order(mu)
-            for nu, onu, cnu in right:
-                if omu + onu > order:
-                    continue
-                hit = mul_monomials(sig, mu, nu)
-                if hit is None:
-                    continue
-                sign, rho = hit
-                acc.setdefault(rho, []).append((cmu, cnu, sign < 0))
-        return GSeries(sig, order, {rho: sum_of_products(ps) for rho, ps in acc.items()})
+        """The product with a series or with a scalar (a degree-0 constant)."""
+        order = min(self.order, other.order) if isinstance(other, GSeries) else self.order
+        return combine(self.sig, order, ((self, other),))
 
     __rmul__ = __mul__
 

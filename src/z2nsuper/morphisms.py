@@ -7,6 +7,10 @@ degree-0 images; pulling back a formal variable substitutes its image.
 
 `Morphism.pullbacks` pulls a list of series back at once.  The work the
 series share lives in dicts local to that call, so a morphism holds no cache.
+Sums of series go through `gseries.combine`, the one series accumulation
+pass: a Taylor expansion combines its leaves once, a pullback combines each
+term's expansion times its monomial's image once per series, and an `invert`
+sweep combines each linear row once.
 Regrouping the products this way cannot change a result: the arithmetic is
 exact and canonical, truncation is a ring homomorphism, and pulled-back
 coefficients have degree 0, so they commute with everything.
@@ -16,9 +20,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffexpr import CoeffExpr
+from .coeffexpr import ONE, CoeffExpr
 from .degrees import Degree
-from .gseries import GSeries, SignatureMismatch, mono_degree, mono_order
+from .gseries import GSeries, SignatureMismatch, combine, mono_degree, mono_order
 
 
 class MorphismError(ValueError):
@@ -61,15 +65,14 @@ def taylor(expr, sig, order, amap, shifts, powers=None):
     """
     base = list(shifts)
     powers = {} if powers is None else powers
-    result = GSeries.zero(sig, order)
+    leaves = []
 
     def rec(i, deriv, key, prod, fact):
-        nonlocal result
         if deriv.is_zero() or prod.is_zero():
             return
         if i == len(base):
-            coeff = deriv.substitute_vars(amap) * Fraction(1, fact)
-            result = result + prod * coeff
+            coeff = deriv.substitute_vars(amap)
+            leaves.append((prod, coeff if fact == 1 else coeff * Fraction(1, fact)))
             return
         bn = base[i]
         k = 0
@@ -88,7 +91,7 @@ def taylor(expr, sig, order, amap, shifts, powers=None):
             fact = fact * k
 
     rec(0, expr, (), GSeries.one(sig, order), 1)
-    return result
+    return combine(sig, order, leaves)
 
 
 def _monomial_image(cache, formal, mu):
@@ -211,13 +214,12 @@ class Morphism:
                 formal = [self.images[v].truncate(order) for v in fvars]
                 shared[order] = self._shifts(order) + ({}, {}, formal)
             amap, nil, powers, monos, formal = shared[order]
-            acc = GSeries.zero(self.source, order)
+            pairs = []
             for mu, c in f.terms.items():
                 part = taylor(c, self.source, order, amap, nil, powers)
-                if any(mu) and not part.is_zero():
-                    part = part * _monomial_image(monos, formal, mu)
-                acc = acc + part
-            out.append(acc)
+                if not part.is_zero():
+                    pairs.append((part, _monomial_image(monos, formal, mu) if any(mu) else ONE))
+            out.append(combine(self.source, order, pairs))
         return out
 
 
@@ -337,11 +339,8 @@ def invert(m, base_inverse=None):
             inv = Minv[d]
             rhs = {tv: GSeries.generator(tgt, tv, K) - pulled[tv] for tv in tvars}
             for i, sv in enumerate(svars):
-                acc = GSeries.zero(tgt, K)
-                for j, tv in enumerate(tvars):
-                    if inv[i][j] != 0:
-                        acc = acc + rhs[tv] * inv[i][j]
-                images[sv] = acc
+                images[sv] = combine(tgt, K, [(rhs[tv], inv[i][j])
+                                              for j, tv in enumerate(tvars) if inv[i][j] != 0])
         return Morphism(tgt, src, images, K)
 
     # the linear guess: the sweep with the nonlinear parts pulled back to zero

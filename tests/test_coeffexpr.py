@@ -1,13 +1,14 @@
 """Canonical coefficient expressions: ring laws, calculus, substitution."""
 
+import gc
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from z2nsuper import CoeffExpr, UnboundSymbol
-from z2nsuper.coeffexpr import ZERO, sum_of_products
+from z2nsuper import App, CoeffExpr, UnboundSymbol, parse_coeff
+from z2nsuper.coeffexpr import _APPS, ZERO, Var, sum_of_products
 
 from conftest import (
     naive_diff,
@@ -307,3 +308,58 @@ def test_every_result_is_in_lowest_terms_over_one_denominator(rng):
         for e in results:
             assert_lowest_terms(e)
     assert ZERO._den == 1 and (x - x)._den == 1
+
+
+# -- interned atoms ----------------------------------------------------------
+
+
+def atom_of(e):
+    atom = e.as_atom()
+    assert atom is not None, e
+    return atom
+
+
+def test_atoms_have_identity_equality_only():
+    for cls in (Var, App):
+        assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls)
+
+
+def test_the_same_variable_is_one_object_along_every_route():
+    v = atom_of(CoeffExpr.var("x"))
+    assert atom_of(CoeffExpr.var("x")) is v
+    assert atom_of(parse_coeff("x")) is v
+    assert atom_of(CoeffExpr.var("y").substitute_vars({"y": CoeffExpr.var("x")})) is v
+    assert atom_of(parse_coeff("x^2").diff("x") * Fraction(1, 2)) is v
+
+
+def test_the_same_application_is_one_object_along_every_route():
+    fx = atom_of(f_of(x))
+    assert atom_of(f_of(CoeffExpr.var("x"))) is fx
+    assert atom_of(parse_coeff("f(x)")) is fx
+    assert atom_of(f_of(y).substitute_vars({"y": x})) is fx
+    # the chain rule builds f[1](x) afresh from f(x)'s arguments
+    f1 = atom_of(CoeffExpr.app("f", [x], alpha=(1,)))
+    assert atom_of(f_of(x).diff("x")) is f1
+    assert atom_of(parse_coeff("f[1](x)")) is f1
+    # substitute_app rebuilds the outer application around the same inner one
+    g = CoeffExpr.app("g", [f_of(x), y])
+    swapped = g.substitute_app("g", lambda alpha, args: CoeffExpr.app("h", args, alpha))
+    h = atom_of(swapped)
+    assert h is atom_of(CoeffExpr.app("h", [f_of(x), y]))
+    assert atom_of(h.args[0]) is fx
+    assert atom_of(parse_coeff("h(f(x), y)")) is h
+
+
+def test_a_mismatched_derivative_index_still_raises():
+    with pytest.raises(ValueError, match=r"^derivative multi-index length 2 != argument count 1$"):
+        CoeffExpr.app("f", [x], alpha=(1, 0))
+
+
+def test_the_application_table_drops_applications_no_expression_holds():
+    gc.collect()
+    start = len(_APPS)
+    held = [CoeffExpr.app("w", [CoeffExpr.rational(i)]) for i in range(10_000)]
+    assert len(_APPS) == start + 10_000
+    del held
+    gc.collect()
+    assert len(_APPS) == start

@@ -14,7 +14,7 @@ from z2nsuper import (
     mul_monomials,
     normal_form,
 )
-from z2nsuper.gseries import INFINITY, mono_order
+from z2nsuper.gseries import INFINITY, combine, mono_order
 from z2nsuper.morphisms import compose, enumerate_monomials, invert
 from z2nsuper.splitting import build_base_embedding
 
@@ -23,8 +23,10 @@ from conftest import (
     naive_left_partial,
     naive_mul_monomials,
     naive_series_mul,
+    naive_sum_of_products,
     rand_morphism,
     rand_opaque_coeff,
+    rand_poly,
     rand_series,
     rand_signature,
     sig_n1,
@@ -142,6 +144,84 @@ def test_series_multiplication_matches_oracle_opaque_coefficients_up_to_n4():
         assert a * b == naive_series_mul(a, b)
         assert b * a == naive_series_mul(b, a)
     assert seen_n == {1, 2, 3, 4}
+
+
+def naive_combination(sig, order, pairs):
+    """The sum of a*b over pairs, truncated at order: naive_series_mul for a
+    series b, one Fraction product per term for a scalar b, and the results
+    summed in Fractions per monomial."""
+    out = {}
+    for a, b in pairs:
+        if isinstance(b, GSeries):
+            part = naive_series_mul(a, b).terms.items()
+        else:
+            x = b if isinstance(b, CoeffExpr) else CoeffExpr.rational(b)
+            part = [(mu, naive_sum_of_products([(c, x, False)])) for mu, c in a.terms.items()]
+        for mu, c in part:
+            if mono_order(mu) <= order:
+                acc = out.setdefault(mu, {})
+                for m, q in c.terms().items():
+                    acc[m] = acc.get(m, 0) + q
+    return GSeries(sig, order, {mu: CoeffExpr(terms) for mu, terms in out.items()})
+
+
+def rand_pairs(rng, sig, order):
+    """Zero to four (series, series or scalar) pairs, the factors at order or
+    one above it, some zero, sometimes followed by a pair that cancels an
+    earlier one."""
+    def factor():
+        k = order + rng.randint(0, 1)
+        return GSeries.zero(sig, k) if rng.random() < 0.1 else rand_series(
+            rng, sig, k, coeff=rng.choice([rand_opaque_coeff, rand_poly]))
+
+    pairs = []
+    for _ in range(rng.randint(0, 4)):
+        scalar = rng.choice([Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randint(-3, 3),
+                             rand_opaque_coeff(rng, sig.base_names)])
+        pairs.append((factor(), factor() if rng.random() < 0.6 else scalar))
+    if pairs and rng.random() < 0.3:
+        a, b = rng.choice(pairs)
+        pairs.append((a, -b))
+    return pairs
+
+
+def test_combine_matches_the_product_oracles_up_to_n4():
+    rng = random.Random(21)
+    seen_n = set()
+    for _ in range(80):
+        sig = rand_signature(rng, n_max=4)
+        seen_n.add(sig.n)
+        order = rng.randint(1, 4)
+        pairs = rand_pairs(rng, sig, order)
+        got = combine(sig, order, pairs)
+        assert got.order == order
+        assert got == naive_combination(sig, order, pairs)
+    assert seen_n == {1, 2, 3, 4}
+
+
+def test_combine_of_nothing_zeros_and_cancelling_pairs_is_zero():
+    rng = random.Random(22)
+    for _ in range(30):
+        sig = rand_signature(rng, n_max=4)
+        order = rng.randint(1, 4)
+        a, b = (rand_series(rng, sig, order, coeff=rand_opaque_coeff) for _ in range(2))
+        q = rand_opaque_coeff(rng, sig.base_names)
+        zero = GSeries.zero(sig, order)
+        for pairs in ([], [(zero, b)], [(a, zero)], [(zero, q)], [(a, 0)],
+                      [(a, b), (a, -b)], [(a, b), (-a, b)], [(a, q), (a, -q)],
+                      [(a, b), (b, a), (a, -b), (-b, a)]):
+            got = combine(sig, order, pairs)
+            assert got.is_zero() and got.order == order
+
+
+def test_combine_rejects_a_factor_below_the_order_or_over_another_signature(sig1, sig2):
+    a = GSeries.generator(sig1, "xi1", 3)
+    with pytest.raises(OrderError):
+        combine(sig1, 3, [(a, a.truncate(2))])
+    with pytest.raises(OrderError):
+        combine(sig1, 3, [(a.truncate(2), 2)])
+    with pytest.raises(SignatureMismatch):
+        combine(sig1, 3, [(a, GSeries.generator(sig2, "xi", 3))])
 
 
 def test_left_partial_matches_word_oracle_up_to_n4():

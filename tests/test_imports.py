@@ -2,7 +2,9 @@
 every private function or method is referenced somewhere in the package,
 every name the package exports is used by a demo, a test or the CLI, and
 every public function or method is used by the package, a demo or the
-benchmark, or else by more than one test file."""
+benchmark, or else by more than one test file; exponent vectors come from
+`Signature.formal_unit`, and only `coeffexpr` builds a `Var` or an `App`,
+so every atom is interned."""
 
 import ast
 from pathlib import Path
@@ -215,3 +217,35 @@ def test_scanner_flags_a_hand_built_exponent_vector():
                          ids=lambda p: p.name)
 def test_exponent_vectors_come_from_formal_unit(path):
     assert hand_built_exponent_vectors(path.read_text()) == []
+
+
+def direct_atom_constructions(source):
+    """Lines of each call `Var(...)` or `App(...)` in source, by name or as
+    an attribute (`coeffexpr.App(...)`): an atom built outside coeffexpr,
+    which alone builds atoms, through `CoeffExpr.var` and `CoeffExpr.app`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            fn = node.func
+            name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+            if name in ("Var", "App"):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_scanner_flags_a_direct_atom_construction():
+    source = (
+        "from .coeffexpr import App, CoeffExpr, Var\n"
+        "def build(x):\n"
+        "    a = Var('x')\n"
+        "    b = coeffexpr.App('f', (0,), (x,))\n"
+        "    c = CoeffExpr.app('f', [x])\n"
+        "    return isinstance(a, App), repr(Var), c\n"
+    )
+    assert direct_atom_constructions(source) == [3, 4]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "coeffexpr.py"],
+                         ids=lambda p: p.name)
+def test_atoms_are_built_only_in_coeffexpr(path):
+    assert direct_atom_constructions(path.read_text()) == []
