@@ -13,7 +13,7 @@ whose partition does not then sum to 1 is refused when it is built.
 from __future__ import annotations
 
 from .coeffexpr import ONE, ZERO, App, CoeffExpr, Var
-from .gseries import GSeries
+from .gseries import GSeries, combine
 from .morphisms import Morphism, _linear_block, compose
 
 
@@ -228,16 +228,13 @@ def build_split_model(bundle, order, triples=(), partition=None):
         for d, vars_d in sig.formal_blocks.items():
             mat = bundle.matrices[(u, v)][d]
             for i, tv in enumerate(vars_d):
-                acc = GSeries.zero(sig, order)
-                for j, sv in enumerate(vars_d):
-                    g = mat[i][j]
-                    if not g.is_zero():
-                        acc = acc + GSeries.generator(sig, sv, order) * g
-                if acc.is_zero():
+                row = combine(sig, order, [(GSeries.generator(sig, sv, order), g)
+                                           for sv, g in zip(vars_d, mat[i]) if not g.is_zero()])
+                if row.is_zero():
                     raise AtlasError(
                         "degree-%s block row %d of pair (%s, %s) is zero" % (d, i, u, v)
                     )
-                images[tv] = acc
+                images[tv] = row
         transitions[(u, v)] = Morphism(sig, sig, images, order)
     return Atlas(sig, order, bundle.charts, bundle.pairs, list(triples), transitions, partition)
 

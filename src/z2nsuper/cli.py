@@ -236,9 +236,11 @@ def build_parser():
     return p
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except INPUT_ERRORS as exc:

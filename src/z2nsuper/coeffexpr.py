@@ -215,6 +215,8 @@ class CoeffExpr:
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
         other = _coerce(other)
         if not other._terms:
             return self
@@ -228,6 +230,8 @@ class CoeffExpr:
         return CoeffExpr({m: -n for m, n in self._terms.items()}, self._den)
 
     def __sub__(self, other):
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
         other = _coerce(other)
         if not other._terms:
             return self
@@ -237,6 +241,8 @@ class CoeffExpr:
         return _coerce(other) - self
 
     def __mul__(self, other):
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
         return sum_of_products(((self, _coerce(other), False),))
 
     __rmul__ = __mul__
@@ -349,6 +355,10 @@ class CoeffExpr:
 
     def __repr__(self):
         return "CoeffExpr(%s)" % str(self)
+
+
+# operand types; for any other (a GSeries s) `c - s` runs `s.__rsub__(c)`
+_SCALARS = (CoeffExpr, int, Fraction)
 
 
 def _coerce(x):

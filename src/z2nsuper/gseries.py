@@ -19,8 +19,9 @@ Arithmetic.  `combine(sig, order, pairs)` is the one series accumulation
 pass: it forms a linear combination sum a*b of series times series or
 scalars, collecting every coefficient product of an output monomial and
 summing them with one `sum_of_products` call.  A product is `combine` over
-one pair; the Taylor expansion and the pullback in `morphisms` combine all
-their terms at once instead of adding them up one by one.
+one pair and a sum or difference over two, with the scalars 1 and -1; the
+Taylor expansion, the pullback and the Čech correction combine all their
+terms at once instead of adding them up one by one.
 """
 
 from __future__ import annotations
@@ -205,14 +206,7 @@ class GSeries:
 
     def __add__(self, other):
         other = self._coerce(other)
-        order = min(self.order, other.order)
-        _check_factor(self.sig, order, other)
-        out = {mu: c for mu, c in self.terms.items() if mono_order(mu) <= order}
-        for mu, c in other.terms.items():
-            if mono_order(mu) <= order:
-                prev = out.get(mu)
-                out[mu] = c if prev is None else prev + c
-        return GSeries(self.sig, order, out)
+        return combine(self.sig, min(self.order, other.order), ((self, 1), (other, 1)))
 
     __radd__ = __add__
 
@@ -220,10 +214,11 @@ class GSeries:
         return self.map_coeffs(lambda c: -c)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return combine(self.sig, min(self.order, other.order), ((self, 1), (other, -1)))
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return self._coerce(other) - self
 
     def __mul__(self, other):
         """The product with a series or with a scalar (a degree-0 constant)."""

@@ -8,9 +8,9 @@ degree-0 images; pulling back a formal variable substitutes its image.
 `Morphism.pullbacks` pulls a list of series back at once.  The work the
 series share lives in dicts local to that call, so a morphism holds no cache.
 Sums of series go through `gseries.combine`, the one series accumulation
-pass: a Taylor expansion combines its leaves once, a pullback combines each
-term's expansion times its monomial's image once per series, and an `invert`
-sweep combines each linear row once.
+pass, `+` and `-` included: a Taylor expansion combines its leaves once, a
+pullback combines each term's expansion times its monomial's image once per
+series, and an `invert` sweep row or a template image combines its terms once.
 Regrouping the products this way cannot change a result: the arithmetic is
 exact and canonical, truncation is a ring homomorphism, and pulled-back
 coefficients have degree 0, so they commute with everything.
@@ -174,13 +174,12 @@ class Morphism:
 
     def _shifts(self, order):
         """The base map, and per target base coordinate the nilpotent shift:
-        its image minus the constant term, truncated to `order`."""
-        amap = self.base_map()
-        nil = {
-            bn: (self.images[bn] - GSeries.from_coeff(self.source, self.order, amap[bn])).truncate(order)
-            for bn in self.target.base_names
-        }
-        return amap, nil
+        its image's terms of nonzero exponent vector, up to `order`."""
+        nil = {}
+        for bn in self.target.base_names:
+            terms = self.images[bn].truncate(order).terms
+            nil[bn] = GSeries(self.source, order, {mu: c for mu, c in terms.items() if any(mu)})
+        return self.base_map(), nil
 
     def pullback_coeff(self, c, order=None):
         """Pull back a coefficient function of the target base coordinates.
@@ -418,9 +417,9 @@ def transformation_template(sig, order, coeff_prefix="c"):
         monos = enumerate_monomials(sig, order, degree=deg)
         monos.sort(key=lambda mu: (mono_order(mu), mu))
         shapes[name] = monos
-        acc = GSeries.zero(sig, order)
-        for idx, mu in enumerate(monos):
-            sym = CoeffExpr.app("%s_%s_%d" % (coeff_prefix, name, idx), base_args)
-            acc = acc + GSeries.monomial(sig, order, mu, sym)
-        images[name] = acc
+        images[name] = combine(sig, order, [
+            (GSeries.monomial(sig, order, mu),
+             CoeffExpr.app("%s_%s_%d" % (coeff_prefix, name, idx), base_args))
+            for idx, mu in enumerate(monos)
+        ])
     return shapes, Morphism(sig, sig, images, order)

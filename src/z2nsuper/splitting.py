@@ -28,7 +28,7 @@ from itertools import zip_longest
 
 from .atlas import Report, build_split_model, extract_bundle, validate_atlas
 from .coeffexpr import CoeffExpr
-from .gseries import GSeries, mono_order
+from .gseries import GSeries, combine, mono_order
 from .morphisms import Morphism, _invert_rational_matrix, _linear_block, _rational, compose
 
 
@@ -164,14 +164,8 @@ def transport_derivation(atlas, u, v, omega_v, order):
     base_vu = t_vu.base_map()  # U base coordinates as functions of the V chart
     accs = []
     for bn in sig.base_names:
-        expr_v = base_vu[bn]
-        acc = GSeries.zero(sig, order)
-        for bv in sig.base_names:
-            d = expr_v.diff(bv)
-            if d.is_zero():
-                continue
-            acc = acc + omega_v[bv].truncate(order) * d
-        accs.append(acc)
+        diffs = ((omega_v[bv], base_vu[bn].diff(bv)) for bv in sig.base_names)
+        accs.append(combine(sig, order, [(w, d) for w, d in diffs if not d.is_zero()]))
     return {
         bn: atlas.reduce_series(s.truncate(order))
         for bn, s in zip(sig.base_names, t_uv.pullbacks(accs))
@@ -193,20 +187,15 @@ def solve_coboundary(atlas, omegas, order):
     names = list(next(iter(omegas.values()), {}))
     etas = {}
     for u in atlas.charts:
-        acc = {nm: GSeries.zero(sig, order) for nm in names}
-        for w in atlas.charts:
-            if w == u:
-                continue
-            rho = atlas.partition[w]
+        others = [w for w in atlas.charts if w != u]
+        for w in others:
             if (u, w) not in omegas:
                 raise SplittingError(
                     "no mismatch data for pair (%s, %s); declare the overlap "
                     "or a zero cocycle for it" % (u, w)
                 )
-            om = omegas[(u, w)]
-            for nm in names:
-                acc[nm] = acc[nm] - om[nm] * rho
-        etas[u] = {nm: atlas.reduce_series(s) for nm, s in acc.items()}
+        pairs = {nm: [(omegas[(u, w)][nm], -atlas.partition[w]) for w in others] for nm in names}
+        etas[u] = {nm: atlas.reduce_series(combine(sig, order, ps)) for nm, ps in pairs.items()}
     return etas
 
 

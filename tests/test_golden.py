@@ -5,7 +5,8 @@ The files under tests/golden were written by the CLI itself; any change to a
 result file or to a report line (names, order, residual text) shows here.  An
 intended output change rewrites them from `run_split_verify` and
 `verify_corrupted`.  tests/golden/demos/<name>.txt is the stdout of
-demos/<name>.py.
+demos/<name>.py.  tests/golden/<name>.atlas.txt is a committed atlas, split
+as it stands, so its goldens do not depend on the generator that drew it.
 """
 
 import os
@@ -33,10 +34,17 @@ FIXTURES = {
 }
 
 
-def run_split_verify(tmp_path, make):
-    """Write the K = 3 atlas, split it, verify the result; return both outputs."""
+# committed atlases: two charts over `x:00 y:11 xi:01 eta:10` at K = 4, glued
+# by T = rand_morphism(random.Random(33), sig_n2(), 4, min_order=2) and
+# invert(T), with partition rho_U, rho_V; `split` corrects the embedding and
+# the frame lift at every order 2, 3 and 4
+ATLASES = ["nonsplit_n2_k4"]
+
+
+def run_split_verify(tmp_path, atlas_text):
+    """Write the atlas, split it, verify the result; return both outputs."""
     afile = tmp_path / "atlas.txt"
-    afile.write_text(print_atlas(make(3)) + "\n")
+    afile.write_text(atlas_text)
     rfile, vfile = tmp_path / "result.txt", tmp_path / "verify.txt"
     assert main(["split", "--atlas", str(afile), "-o", str(rfile)]) == 0
     assert main(["verify", "--atlas", str(afile), "--result", str(rfile),
@@ -53,9 +61,20 @@ CORRUPTIONS = {
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_split_and_verify_match_golden_bytes(tmp_path, name):
-    result, report = run_split_verify(tmp_path, FIXTURES[name])
+    result, report = run_split_verify(tmp_path, print_atlas(FIXTURES[name](3)) + "\n")
     assert result == (GOLDEN / ("%s.result.txt" % name)).read_bytes()
     assert report == (GOLDEN / ("%s.verify.txt" % name)).read_bytes()
+
+
+@pytest.mark.parametrize("name", ATLASES)
+def test_split_and_verify_of_a_committed_atlas_match_golden_bytes(tmp_path, name):
+    atlas_text = (GOLDEN / ("%s.atlas.txt" % name)).read_text()
+    result, report = run_split_verify(tmp_path, atlas_text)
+    assert result == (GOLDEN / ("%s.result.txt" % name)).read_bytes()
+    assert report == (GOLDEN / ("%s.verify.txt" % name)).read_bytes()
+    text = result.decode()
+    assert all("pass %s order %d: consistency after correction" % (stage, k) in text
+               for stage in ("embedding", "frame lift") for k in (2, 3, 4))
 
 
 def verify_corrupted(tmp_path, name):

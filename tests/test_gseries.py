@@ -224,6 +224,34 @@ def test_combine_rejects_a_factor_below_the_order_or_over_another_signature(sig1
         combine(sig1, 3, [(a, GSeries.generator(sig2, "xi", 3))])
 
 
+def test_sums_and_differences_match_the_combination_oracle_up_to_n4():
+    # a and b at order and order + 1 in either role, so each side of a sum
+    # has terms above the result's order that must be dropped
+    rng = random.Random(23)
+    seen_n = set()
+    for _ in range(80):
+        sig = rand_signature(rng, n_max=4)
+        seen_n.add(sig.n)
+        order = rng.randint(1, 4)
+        a, b = (rand_series(rng, sig, order + k, coeff=rng.choice([rand_opaque_coeff, rand_poly]))
+                for k in rng.sample([0, 1], 2))
+        q = rng.choice([Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randint(-2, 2),
+                        rand_opaque_coeff(rng, sig.base_names)])
+        one = GSeries.one(sig, a.order)
+        cases = [
+            (a + b, order, [(a, 1), (b, 1)]),
+            (a - b, order, [(a, 1), (b, -1)]),
+            (q - a, a.order, [(one, q), (a, -1)]),
+            (a + q, a.order, [(a, 1), (one, q)]),
+            (q + a, a.order, [(a, 1), (one, q)]),
+            (a - q, a.order, [(a, 1), (one, -q)]),
+        ]
+        for got, low, pairs in cases:
+            assert got.order == low
+            assert got == naive_combination(sig, low, pairs)
+    assert seen_n == {1, 2, 3, 4}
+
+
 def test_left_partial_matches_word_oracle_up_to_n4():
     rng = random.Random(18)
     seen_n = set()

@@ -3,8 +3,9 @@ every private function or method is referenced somewhere in the package,
 every name the package exports is used by a demo, a test or the CLI, and
 every public function or method is used by the package, a demo or the
 benchmark, or else by more than one test file; exponent vectors come from
-`Signature.formal_unit`, and only `coeffexpr` builds a `Var` or an `App`,
-so every atom is interned."""
+`Signature.formal_unit`, only `coeffexpr` builds a `Var` or an `App`, so
+every atom is interned, and no series sum is built up from `GSeries.zero`
+one term at a time instead of by one `gseries.combine` call."""
 
 import ast
 from pathlib import Path
@@ -249,3 +250,77 @@ def test_scanner_flags_a_direct_atom_construction():
                          ids=lambda p: p.name)
 def test_atoms_are_built_only_in_coeffexpr(path):
     assert direct_atom_constructions(path.read_text()) == []
+
+
+def _is_zero_series(node):
+    """Whether node is a call `GSeries.zero(...)`."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "zero" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "GSeries")
+
+
+def zero_seeded_accumulations(source):
+    """Lines of each `v = GSeries.zero(...)`, or `v = {k: GSeries.zero(...)
+    for ...}`, whose v the same function then rebinds as `v = v + ...`,
+    `v = v - ...`, `v[k] = v[k] +- ...` or `v += ...`: a series sum built up
+    one term at a time instead of by one `gseries.combine` call."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        seeded, rebound = {}, []
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target, value = node.targets[0], node.value
+                if isinstance(target, ast.Name) and (
+                        _is_zero_series(value)
+                        or isinstance(value, ast.DictComp) and _is_zero_series(value.value)):
+                    seeded.setdefault(target.id, node.lineno)
+                    continue
+                summed = (isinstance(value, ast.BinOp) and isinstance(value.op, (ast.Add, ast.Sub))
+                          and ast.unparse(value.left) == ast.unparse(target))
+            elif isinstance(node, ast.AugAssign):
+                target, summed = node.target, isinstance(node.op, (ast.Add, ast.Sub))
+            else:
+                continue
+            if isinstance(target, ast.Subscript):
+                target = target.value
+            if summed and isinstance(target, ast.Name):
+                rebound.append((target.id, node.lineno))
+        found |= {seeded[v] for v, line in rebound if v in seeded and line > seeded[v]}
+    return sorted(found)
+
+
+def test_scanner_flags_a_zero_seeded_accumulation():
+    source = (
+        "def total(sig, order, terms):\n"
+        "    acc = GSeries.zero(sig, order)\n"
+        "    for t in terms:\n"
+        "        acc = acc + t\n"
+        "    return acc\n"
+        "def per_name(sig, order, names, om):\n"
+        "    acc = {nm: GSeries.zero(sig, order) for nm in names}\n"
+        "    for nm in names:\n"
+        "        acc[nm] = acc[nm] - om[nm]\n"
+        "    return acc\n"
+        "def augmented(sig, order, terms):\n"
+        "    out = GSeries.zero(sig, order)\n"
+        "    for t in terms:\n"
+        "        out += t\n"
+        "    return out\n"
+        "def fine(sig, order, terms):\n"
+        "    zero = GSeries.zero(sig, order)\n"
+        "    out = combine(sig, order, [(t, 1) for t in terms])\n"
+        "    count = 0\n"
+        "    count = count + 1\n"
+        "    zero = out - zero\n"
+        "    scaled = GSeries.zero(sig, order)\n"
+        "    scaled = scaled * 2\n"
+        "    return zero, scaled, count\n"
+    )
+    assert zero_seeded_accumulations(source) == [2, 7, 12]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_series_sums_go_through_combine(path):
+    assert zero_seeded_accumulations(path.read_text()) == []
