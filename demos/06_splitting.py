@@ -40,7 +40,7 @@ result = split(atlas, K)
 print("Corrected embedding of the base coordinate (the twist is absorbed")
 print("into the chart algebras via the partition of unity):")
 for u in atlas.charts:
-    print("  phi_%s(x) = %s" % (u, result.family.values[u]["x"]))
+    print("  phi_%s(x) = %s" % (u, result.iso[u].images["x"]))
 print()
 
 print("Per-chart isomorphism onto the split model, chart U:")

@@ -117,6 +117,12 @@ class Atlas:
                 raise AtlasError("partition %s sums to %s, not 1" % (
                     ", ".join("%s = %s" % (u, self.partition[u]) for u in self.charts), total))
 
+    @property
+    def overlaps(self):
+        """The ordered pairs of distinct charts with a transition, in
+        `transitions` order."""
+        return [(u, v) for (u, v) in self.transitions if u != v]
+
     def transition(self, u, v):
         """T_UV, the morphism expressing chart-V coordinates over chart U."""
         if u == v:
@@ -154,8 +160,8 @@ def validate_atlas(atlas):
             report.residual("identity-transition %s%s" % (u, v),
                             ((nm, m.images[nm] - ident.images[nm]) for nm in names))
     done = set()
-    for (u, v) in sorted(atlas.transitions):
-        if u == v or (v, u) in done:
+    for (u, v) in sorted(atlas.overlaps):
+        if (v, u) in done:
             continue
         done.add((u, v))
         if (v, u) not in atlas.transitions:
@@ -244,12 +250,8 @@ def extract_bundle(atlas):
     sig = atlas.signature
     matrices = {}
     base_transitions = {}
-    for (u, v), m in atlas.transitions.items():
-        if u == v:
-            continue
+    for (u, v) in atlas.overlaps:
+        m = atlas.transitions[(u, v)]
         matrices[(u, v)] = {d: _linear_block(m, vs, vs) for d, vs in sig.formal_blocks.items()}
         base_transitions[(u, v)] = m.base_map()
-    return GradedBundleData(
-        sig, atlas.charts, [p for p in atlas.pairs if p[0] != p[1] and p in atlas.transitions],
-        matrices, base_transitions,
-    )
+    return GradedBundleData(sig, atlas.charts, atlas.overlaps, matrices, base_transitions)

@@ -166,6 +166,9 @@ def cmd_verify(args):
     if doc.order > atlas.order:
         raise SplittingError("result %s has `order %d`, above `order %d` of atlas %s"
                              % (args.result, doc.order, atlas.order, args.atlas))
+    if doc.signature != atlas.signature:
+        raise SplittingError("result %s is over %r, atlas %s over %r"
+                             % (args.result, doc.signature, args.atlas, atlas.signature))
     report = verify_result(atlas, doc.iso, doc.order,
                            embedding=doc.embedding, bundle_lines=doc.bundle_lines)
     _emit(str(report), args.output)

@@ -497,7 +497,7 @@ def print_result(result):
     lines += _block("signature", [print_signature(sig)])
     lines.append("charts %s" % " ".join(charts))
     lines += _block("bundle", print_bundle(result.bundle).splitlines())
-    rows = ["%s %s = %s" % (u, bn, print_series(result.family.values[u][bn]))
+    rows = ["%s %s = %s" % (u, bn, print_series(result.iso[u].images[bn]))
             for u in charts for bn in sig.base_names]
     lines += _block("embedding", rows)
     for u in charts:

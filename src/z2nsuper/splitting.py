@@ -14,12 +14,14 @@ Phi_U(y) - T_UV^* Phi_V^*(T_VU(y) mod J^2), with Phi the chart morphisms
 (chart values on the base coordinates, frame lifts on the formal variables)
 and T_VU mod J^2 the split-model transition.  Stage 1 reads it on the base
 coordinates (`cocycle_mismatch`), stage 2 on the formal variables
-(`lift_mismatch`), `verify_result` on both through the result's isos.  Each
-stage is a loop over one order-raising Cech step, `_raise_order`.  At order
-k the chart values agree on overlaps below order k, so the mismatch on each
-ordered pair is pure order k: a Cech 1-cocycle, which the partition of
-unity makes a coboundary (eta_U = -sum_W rho_W omega_UW).  Adding eta to
-the values makes them agree on overlaps up to order k.
+(`lift_mismatch`), `verify_result` on both through the result's isos.  Both
+stages run the one order-raising Cech loop, `_raise_order`.  At order k the
+chart values agree on overlaps below order k, so the mismatch on each ordered
+pair is pure order k: a Cech 1-cocycle, which the partition of unity makes a
+coboundary (eta_U = -sum_W rho_W omega_UW).  Adding eta to the values makes
+them agree on overlaps up to order k.  A split result holds each chart
+morphism once, as its iso: the embedding on the base coordinates, the frame
+lift on the formal variables.
 """
 
 from __future__ import annotations
@@ -229,36 +231,39 @@ def check_coboundary(atlas, omegas, etas, order, report, tag):
         ))
 
 
-# -- the order-raising Cech step ------------------------------------------
+# -- the order-raising Cech loop -----------------------------------------
 
 
 def _raise_order(atlas, values, order, mismatch, report, tag, check=None):
-    """One order-raising Cech step.
+    """The order-raising Cech loop, from order 2 up to `order`.
 
-    values: chart -> {var -> GSeries}, consistent on overlaps below `order`;
-    they are re-truncated to `order`.  mismatch(values, pair) gives the
-    overlap mismatch {var -> GSeries}, pure order `order`.  Returns the values
-    corrected by the coboundary of the mismatch cocycle.  check(omegas, etas),
+    values: chart -> {var -> GSeries}, consistent on overlaps below order 2.
+    At each order k they are re-truncated to k; mismatch(values, pair, k)
+    gives the overlap mismatch {var -> GSeries}, pure order k, and the values
+    are corrected by the coboundary of that cocycle.  check(omegas, etas, k),
     when given, records further checks on the cocycle and its coboundary.
+    Returns the values at `order`, consistent on every overlap.
     """
-    values = _at_order(values, order)
-    pairs = [(u, v) for (u, v) in atlas.transitions if u != v]
-    if not pairs:
-        return values
-    omegas = {pair: mismatch(values, pair) for pair in pairs}
-    if all(s.is_zero() for per in omegas.values() for s in per.values()):
-        report.add("%s: no mismatch" % tag, True)
-        return values
-    etas = solve_coboundary(atlas, omegas, order)
-    if check is not None:
-        check(omegas, etas)
-    values = {
-        u: {nm: s + etas[u][nm] for nm, s in per.items()} for u, per in values.items()
-    }
-    report.residual("%s: consistency after correction" % tag, (
-        ("(%s, %s) %s" % (u, v, nm), s)
-        for u, v in pairs for nm, s in mismatch(values, (u, v)).items()
-    ))
+    pairs = atlas.overlaps
+    for k in range(2, order + 1):
+        values = _at_order(values, k)
+        if not pairs:
+            continue
+        name = "%s order %d" % (tag, k)
+        omegas = {pair: mismatch(values, pair, k) for pair in pairs}
+        if all(s.is_zero() for per in omegas.values() for s in per.values()):
+            report.add("%s: no mismatch" % name, True)
+            continue
+        etas = solve_coboundary(atlas, omegas, k)
+        if check is not None:
+            check(omegas, etas, k)
+        values = {
+            u: {nm: s + etas[u][nm] for nm, s in per.items()} for u, per in values.items()
+        }
+        report.residual("%s: consistency after correction" % name, (
+            ("(%s, %s) %s" % (u, v, nm), s)
+            for u, v in pairs for nm, s in mismatch(values, (u, v), k).items()
+        ))
     return values
 
 
@@ -274,23 +279,21 @@ def _check_augmentation(atlas, images, report):
 
 
 def build_base_embedding(atlas, order, report=None):
-    """The embedding family, raised order by order with the Cech step."""
+    """The embedding family, raised order by order by the Cech loop."""
     report = Report() if report is None else report
-    family = EmbeddingFamily.identity(atlas, 1)
-    for k in range(2, order + 1):
+
+    def mismatch(values, pair, k):
+        return cocycle_mismatch(EmbeddingFamily(atlas, values, k), pair, k)
+
+    def check(omegas, etas, k):
         tag = "embedding order %d" % k
+        check_cocycle(atlas, omegas, k, report, tag)
+        check_coboundary(atlas, omegas, etas, k, report, tag)
 
-        def mismatch(values, pair):
-            return cocycle_mismatch(EmbeddingFamily(atlas, values, k), pair, k)
-
-        def check(omegas, etas):
-            check_cocycle(atlas, omegas, k, report, tag)
-            check_coboundary(atlas, omegas, etas, k, report, tag)
-
-        values = _raise_order(atlas, family.values, k, mismatch, report, tag, check)
-        family = EmbeddingFamily(atlas, values, k)
-    _check_augmentation(atlas, family.values, report)
-    return family, report
+    identity = EmbeddingFamily.identity(atlas, 1)
+    values = _raise_order(atlas, identity.values, order, mismatch, report, "embedding", check)
+    _check_augmentation(atlas, values, report)
+    return EmbeddingFamily(atlas, values, order), report
 
 
 # -- stage 2: the module splitting ----------------------------------------
@@ -298,17 +301,15 @@ def build_base_embedding(atlas, order, report=None):
 
 def build_module_splitting(atlas, family, order, report=None):
     """A right inverse of J -> J/J^2 on the chart frames, raised order by
-    order with the Cech step."""
+    order by the Cech loop."""
     report = Report() if report is None else report
     sig = atlas.signature
-    lifts = {u: _identity_frame(sig, order) for u in atlas.charts}
-    for k in range(2, order + 1):
-        family_k = family.at_order(k)
 
-        def mismatch(values, pair):
-            return lift_mismatch(family_k, values, pair, k)
+    def mismatch(values, pair, k):
+        return lift_mismatch(family.at_order(k), values, pair, k)
 
-        lifts = _raise_order(atlas, lifts, k, mismatch, report, "frame lift order %d" % k)
+    identity = {u: _identity_frame(sig, 1) for u in atlas.charts}
+    lifts = _raise_order(atlas, identity, order, mismatch, report, "frame lift")
     for u in atlas.charts:
         report.add("frame lift on %s projects to the identity on J/J^2" % u, all(
             s.truncate(1) == GSeries.generator(sig, fa, 1) and s.is_homogeneous(sig.degree_of(fa))
@@ -321,29 +322,12 @@ def build_module_splitting(atlas, family, order, report=None):
 
 
 class SplittingResult:
-    def __init__(self, atlas, bundle, split_atlas, family, lifts, iso, report):
+    def __init__(self, atlas, bundle, split_atlas, iso, report):
         self.atlas = atlas
         self.bundle = bundle
         self.split_atlas = split_atlas
-        self.family = family
-        self.lifts = lifts
         self.iso = iso  # chart -> Morphism (split chart -> atlas chart)
         self.report = report
-
-
-def assemble_iso(atlas, family, lifts, order):
-    """Per-chart morphisms onto the split model of the extracted bundle.
-
-    The embedding provides the coefficient images, the frame lifts the
-    formal-variable images; multiplicativity on symmetric powers is then the
-    pullback of the assembled coordinate morphism.
-    """
-    bundle = extract_bundle(atlas)
-    split_atlas = build_split_model(
-        bundle, order, triples=atlas.triples, partition=atlas.partition
-    )
-    iso = {u: family.as_morphism(u, lifts[u]) for u in atlas.charts}
-    return bundle, split_atlas, iso
 
 
 def verify_iso(atlas, split_atlas, iso, order, report=None):
@@ -371,9 +355,7 @@ def verify_iso(atlas, split_atlas, iso, order, report=None):
         blocks = (_rational(_linear_block(m, vs, vs)) for vs in sig.formal_blocks.values())
         inv_ok = all(M is not None and _invert_rational_matrix(M) is not None for M in blocks)
         report.add("iso %s: invertible modulo J^%d" % (u, order + 1), inv_ok)
-    for (u, v) in atlas.transitions:
-        if u == v:
-            continue
+    for (u, v) in atlas.overlaps:
         # the iso expresses split coordinates over atlas coordinates, so its
         # pullback maps split functions into the atlas; the two ways around
         # the overlap square must agree
@@ -407,6 +389,10 @@ def verify_result(atlas, iso, order, report=None, embedding=None, bundle_lines=N
     missing = [u for u in atlas.charts if u not in iso]
     if missing:
         raise SplittingError("the result has no iso for atlas chart %s" % missing[0])
+    extra = [u for u in iso if u not in atlas.charts]
+    if extra:
+        raise SplittingError("the result has an iso for chart %s, which is not in the atlas"
+                             % extra[0])
     if embedding is not None:
         for u in atlas.charts:
             got = embedding.get(u, {})
@@ -417,9 +403,7 @@ def verify_result(atlas, iso, order, report=None, embedding=None, bundle_lines=N
         for u in sorted(set(embedding) - set(atlas.charts)):
             report.add("embedding block chart %s is in the atlas" % u, False)
     _check_augmentation(atlas, {u: iso[u].images for u in atlas.charts}, report)
-    for (u, v) in atlas.transitions:
-        if u == v:
-            continue
+    for (u, v) in atlas.overlaps:
         mismatch = overlap_mismatch(atlas, iso[u], iso[v], (u, v),
                                     sig.base_names + sig.formal_names)
         for what, names in (("embedding", sig.base_names), ("frame-lift", sig.formal_names)):
@@ -434,9 +418,7 @@ def verify_result(atlas, iso, order, report=None, embedding=None, bundle_lines=N
         bad = next((i for i, (got, exp) in pairs if got != exp), None)
         report.add("bundle block matches the atlas", bad is None,
                    "" if bad is None else "first difference at bundle line %d" % (bad + 1))
-    split_atlas = build_split_model(
-        bundle, order, triples=atlas.triples, partition=atlas.partition
-    )
+    split_atlas = build_split_model(bundle, order, triples=atlas.triples, partition=atlas.partition)
     report = verify_iso(atlas, split_atlas, iso, order, report)
     return report
 
@@ -453,6 +435,8 @@ def split(atlas, order):
         raise SplittingError("atlas gluing data is inconsistent:\n%s" % vrep)
     family, report = build_base_embedding(atlas, order, report)
     lifts, report = build_module_splitting(atlas, family, order, report)
-    bundle, split_atlas, iso = assemble_iso(atlas, family, lifts, order)
+    bundle = extract_bundle(atlas)
+    split_atlas = build_split_model(bundle, order, triples=atlas.triples, partition=atlas.partition)
+    iso = {u: family.as_morphism(u, lifts[u]) for u in atlas.charts}
     report = verify_iso(atlas, split_atlas, iso, order, report)
-    return SplittingResult(atlas, bundle, split_atlas, family, lifts, iso, report)
+    return SplittingResult(atlas, bundle, split_atlas, iso, report)

@@ -48,6 +48,16 @@ def test_transition_identity_and_missing(sig1):
         atlas.transition("U", "W")
 
 
+def test_overlaps_are_the_distinct_pairs_with_a_transition_in_transitions_order(sig1):
+    t = Morphism.identity(sig1, 3)
+    pairs = [("U", "V"), ("U", "U"), ("V", "W"), ("W", "U"), ("V", "U")]
+    transitions = {("V", "U"): t, ("U", "U"): t, ("W", "U"): t, ("U", "V"): t}
+    atlas = Atlas(sig1, 3, ["U", "V", "W"], pairs, [], transitions)
+    assert atlas.overlaps == [("V", "U"), ("W", "U"), ("U", "V")]
+    assert extract_bundle(atlas).pairs == atlas.overlaps
+    assert Atlas(sig1, 3, ["U"], [], [], {}).overlaps == []
+
+
 def test_validate_good_atlases():
     for atlas in (atlas_split_two_charts(), atlas_nonsplit_base_twist()):
         report = validate_atlas(atlas)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from z2nsuper import split
+from z2nsuper import Morphism, split
 from z2nsuper.cli import INPUT_ERRORS, main
 from z2nsuper.formats import (
     parse_morphism,
@@ -89,8 +89,6 @@ def test_compose_and_invert(tmp_path, capsys):
     out = str(tmp_path / "c.txt")
     assert main(["compose", "--first", mfile, "--second", inv, "-o", out]) == 0
     c = parse_morphism(Path(out).read_text())
-    from z2nsuper import Morphism
-
     assert c == Morphism.identity(sig_n2(), 4)
 
 
@@ -231,6 +229,52 @@ def test_verify_of_a_result_above_the_atlas_order_is_an_input_error(tmp_path, ca
     assert err.startswith("error: result %s has `order 4`, above `order 3` of atlas %s"
                           % (rfile, afile))
     assert "Traceback" not in err
+
+
+def _golden_n2(tmp_path, edit):
+    """The committed n = 2 atlas, and its golden result after `edit`."""
+    golden = Path(__file__).parent / "golden"
+    afile = write(tmp_path, "atlas.txt", (golden / "nonsplit_n2_k4.atlas.txt").read_text())
+    text = (golden / "nonsplit_n2_k4.result.txt").read_text()
+    edited = edit(text)
+    assert edited != text
+    return afile, write(tmp_path, "result.txt", edited)
+
+
+def test_verify_of_a_result_with_a_chart_not_in_the_atlas_is_an_input_error(tmp_path, capsys):
+    def add_chart_z(text):
+        iso_u = text[text.index("iso U\n"):text.index("end\n", text.index("iso U\n")) + 4]
+        text = text.replace("charts U V\n", "charts U V Z\n", 1)
+        return text.replace("report\n", iso_u.replace("iso U", "iso Z", 1) + "report\n", 1)
+
+    afile, rfile = _golden_n2(tmp_path, add_chart_z)
+    assert main(["verify", "--atlas", afile, "--result", rfile]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the result has an iso for chart Z, which is not in the atlas")
+    assert "Traceback" not in err
+
+
+def test_verify_of_a_result_over_another_signature_names_both_files(tmp_path, capsys):
+    afile, rfile = _golden_n2(tmp_path, lambda text: re.sub(r"\by\b", "z", text))
+    assert main(["verify", "--atlas", afile, "--result", rfile]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: result %s is over Signature(n=2; x:00, z:11, xi:01, eta:10), "
+                   "atlas %s over Signature(n=2; x:00, y:11, xi:01, eta:10)\n" % (rfile, afile))
+
+
+def test_a_one_chart_atlas_splits_to_the_identity(tmp_path, capsys):
+    afile = write(tmp_path, "atlas.txt", "\n".join([
+        "order 3", "signature", print_signature(sig_n2()), "end", "charts U",
+    ]))
+    rfile = str(tmp_path / "result.txt")
+    assert main(["split", "--atlas", afile, "-o", rfile]) == 0
+    text = Path(rfile).read_text()
+    assert "embedding order" not in text and "frame lift order" not in text
+    doc = parse_result(text)
+    assert doc.charts == ["U"]
+    assert doc.iso["U"] == Morphism.identity(sig_n2(), 3)
+    assert main(["verify", "--atlas", afile, "--result", rfile]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
 
 
 def test_verify_names_the_residual_of_a_shifted_base_image(tmp_path):

@@ -179,7 +179,7 @@ def test_result_round_trip():
     assert doc.iso == result.iso
     for u in atlas.charts:
         for bn in atlas.signature.base_names:
-            assert doc.embedding[u][bn] == result.family.values[u][bn]
+            assert doc.embedding[u][bn] == result.iso[u].images[bn]
     assert all(ln.startswith("pass") for ln in doc.report_lines)
     # a second print/parse cycle is stable
     doc2 = parse_result(text)

@@ -34,11 +34,19 @@ FIXTURES = {
 }
 
 
-# committed atlases: two charts over `x:00 y:11 xi:01 eta:10` at K = 4, glued
-# by T = rand_morphism(random.Random(33), sig_n2(), 4, min_order=2) and
-# invert(T), with partition rho_U, rho_V; `split` corrects the embedding and
-# the frame lift at every order 2, 3 and 4
-ATLASES = ["nonsplit_n2_k4"]
+# committed atlases; `split` corrects the embedding and the frame lift at
+# every order 2..K of each:
+# - nonsplit_n2_k4: two charts over `x:00 y:11 xi:01 eta:10` at K = 4, glued
+#   by T = rand_morphism(random.Random(33), sig_n2(), 4, min_order=2) and
+#   invert(T), with partition rho_U, rho_V;
+# - nonsplit_3charts_k3: three charts over `x:00 y:11 xi1:01 xi2:01 eta:10`
+#   at K = 3, with every pair and triple declared and partition rho_U, rho_V,
+#   rho_W.  T_UV and T_UW mix xi1 and xi2 in their rational degree-01 rows
+#   and add, per image, one opaque term g_i(x) or h_i(x) of order 2 and one
+#   of order 3 (monomials and rational factors drawn from random.Random(20));
+#   T_VU and T_WU are their inverses by `invert`, T_VW = compose(T_UW, T_VU)
+#   and T_WV = compose(T_UV, T_WU).
+ATLASES = ["nonsplit_n2_k4", "nonsplit_3charts_k3"]
 
 
 def run_split_verify(tmp_path, atlas_text):
@@ -73,8 +81,9 @@ def test_split_and_verify_of_a_committed_atlas_match_golden_bytes(tmp_path, name
     assert result == (GOLDEN / ("%s.result.txt" % name)).read_bytes()
     assert report == (GOLDEN / ("%s.verify.txt" % name)).read_bytes()
     text = result.decode()
+    order = int(text.split("\n", 1)[0].split()[1])
     assert all("pass %s order %d: consistency after correction" % (stage, k) in text
-               for stage in ("embedding", "frame lift") for k in (2, 3, 4))
+               for stage in ("embedding", "frame lift") for k in range(2, order + 1))
 
 
 def verify_corrupted(tmp_path, name):

@@ -85,13 +85,14 @@ def test_frame_twist_lift_mismatch_at_order_two():
 @pytest.mark.parametrize("make", FIXTURES)
 def test_mismatches_agree_with_the_per_entry_oracle(make):
     atlas = make()
-    result = split(atlas, 3)
+    family3, _ = build_base_embedding(atlas, 3)
+    lifts3, _ = build_module_splitting(atlas, family3, 3)
     data = [
         (EmbeddingFamily.identity(atlas, 2), identity_lifts(atlas, 2), 2),
-        (result.family.at_order(2), identity_lifts(atlas, 2), 2),
-        (result.family, result.lifts, 3),
+        (family3.at_order(2), identity_lifts(atlas, 2), 2),
+        (family3, lifts3, 3),
     ]
-    pairs = [p for p in atlas.transitions if p[0] != p[1]]
+    pairs = atlas.overlaps
     assert pairs
     for family, lifts, k in data:
         for pair in pairs:
@@ -154,7 +155,7 @@ def test_split_base_twist_fixture():
     sig = atlas.signature
     xi12 = GSeries.generator(sig, "xi1", 3) * GSeries.generator(sig, "xi2", 3)
     expected = GSeries.generator(sig, "x", 3) + xi12 * (rho("V") * g)
-    assert atlas.reduce_series(result.family.values["U"]["x"] - expected).is_zero()
+    assert atlas.reduce_series(result.iso["U"].images["x"] - expected).is_zero()
 
 
 def test_split_frame_twist_fixture():
@@ -167,7 +168,7 @@ def test_split_frame_twist_fixture():
     h = CoeffExpr.app("h", [CoeffExpr.var("x")])
     yeta = GSeries.generator(sig, "y", 3) * GSeries.generator(sig, "eta", 3)
     expected = GSeries.generator(sig, "xi", 3) + yeta * (rho("V") * h)
-    assert atlas.reduce_series(result.lifts["U"]["xi"] - expected).is_zero()
+    assert atlas.reduce_series(result.iso["U"].images["xi"] - expected).is_zero()
 
 
 def test_iso_images_stay_homogeneous_and_augmented():
@@ -237,9 +238,9 @@ def test_stagewise_builders_agree_with_pipeline():
     result = split(atlas, 3)
     for u in atlas.charts:
         for bn in atlas.signature.base_names:
-            assert family.values[u][bn] == result.family.values[u][bn]
+            assert family.values[u][bn] == result.iso[u].images[bn]
         for fa in atlas.signature.formal_names:
-            assert lifts[u][fa] == result.lifts[u][fa]
+            assert lifts[u][fa] == result.iso[u].images[fa]
 
 
 def test_failing_coboundary_check_names_its_residual():
@@ -296,7 +297,7 @@ def test_frame_lift_check_fails_on_a_wrong_linear_row(monkeypatch):
     raise_order = splitting._raise_order
 
     def bent(*args, **kwargs):
-        # the correction returns xi1 -> xi1 + xi2 on U: the right degree,
+        # the Cech loop returns xi1 -> xi1 + xi2 on U: the right degree,
         # the wrong linear row
         lifts = raise_order(*args, **kwargs)
         lifts["U"]["xi1"] = lifts["U"]["xi1"] + GSeries.generator(sig, "xi2", 2)
