@@ -7,8 +7,12 @@ e_i e_j = (-1)^<deg i, deg j> e_j e_i.  The table alone decides which parities
 of <deg i, deg j> each pair admits (`FinDimAlgebra.pair_parities`); the
 certification and the exhaustive search both read that one derivation and
 share one scan over plain int degree masks (`_violations`), and the search
-checks each condition once, when its last label is assigned.  Associativity
-is checked in exact integers over the table's one denominator.
+checks each condition once, when its last label is assigned.  A homogeneity
+triple that names a label once or three times forces that label's mask, so
+the search tries that one mask there instead of all 2^n.  Associativity is
+checked in exact integers over the table's one denominator, on the triples
+of non-unit labels only: the unit is checked first, and every triple through
+it is associative.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import os
 from fractions import Fraction
 from math import lcm, prod
 
-from .degrees import Degree, dot_parity
+from .degrees import Degree
 
 
 class GradingError(ValueError):
@@ -33,7 +37,13 @@ DEFAULT_BUDGET = 5_000_000
 
 
 def search_budget():
-    return int(os.environ.get("Z2N_SEARCH_BUDGET", DEFAULT_BUDGET))
+    value = os.environ.get("Z2N_SEARCH_BUDGET")
+    if value is None:
+        return DEFAULT_BUDGET
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError("Z2N_SEARCH_BUDGET must be an integer, got %r" % value) from None
 
 
 class FinDimAlgebra:
@@ -82,21 +92,28 @@ class FinDimAlgebra:
     def _check_associativity(self):
         # rows as (k, numerator) pairs over the table's one denominator D, so
         # (e_i e_j) e_k - e_i (e_j e_k), accumulated in one dict, is an
-        # integer sum over D^2 that must vanish
+        # integer sum over D^2 that must vanish.  _check_unit has passed, so
+        # every triple through the unit holds: the scan visits the others, in
+        # the same lexicographic order, and finds the same first failure.
         den = lcm(*(c.denominator for row in self.table.values() for c in row.values()))
         t = {ij: [(k, c.numerator * (den // c.denominator)) for k, c in row.items()]
              for ij, row in self.table.items()}
-        for i, j, k in itertools.product(range(self.dim), repeat=3):
-            diff = {}
-            for m, c in t.get((i, j), ()):
-                for l, d in t.get((m, k), ()):
-                    diff[l] = diff.get(l, 0) + c * d
-            for m, c in t.get((j, k), ()):
-                for l, d in t.get((i, m), ()):
-                    diff[l] = diff.get(l, 0) - c * d
-            if any(diff.values()):
-                raise ValueError("not associative at (%s, %s, %s)"
-                                 % tuple(self.labels[x] for x in (i, j, k)))
+        get = t.get
+        rest = [i for i in range(self.dim) if i != self.unit]
+        for i in rest:
+            for j in rest:
+                ij = get((i, j), ())
+                for k in rest:
+                    diff = {}
+                    for m, c in ij:
+                        for l, d in get((m, k), ()):
+                            diff[l] = diff.get(l, 0) + c * d
+                    for m, c in get((j, k), ()):
+                        for l, d in get((i, m), ()):
+                            diff[l] = diff.get(l, 0) - c * d
+                    if any(diff.values()):
+                        raise ValueError("not associative at (%s, %s, %s)"
+                                         % (self.labels[i], self.labels[j], self.labels[k]))
 
 
 def _rational_row(r):
@@ -104,7 +121,7 @@ def _rational_row(r):
     already is one, and the zero entries dropped."""
     row = {}
     for k, c in r.items():
-        if not isinstance(c, Fraction):
+        if type(c) is not Fraction:
             c = Fraction(c)
         if c:
             row[k] = c
@@ -155,7 +172,7 @@ def _violations(A, masks, n, parities):
                                       Degree.from_mask(masks[k], n), Degree.from_mask(want, n)))
     return [(A.labels[i], A.labels[j], A.product(i, j), A.product(j, i))
             for i, j in itertools.product(range(A.dim), repeat=2)
-            if dot_parity(masks[i], masks[j]) not in parities[i, j]]
+            if (masks[i] & masks[j]).bit_count() & 1 not in parities[i, j]]
 
 
 def search_degree_assignments(A, n, budget=None):
@@ -165,10 +182,15 @@ def search_degree_assignments(A, n, budget=None):
     taking the n-bit masks in ascending order, which is the canonical order.
     Each homogeneity triple (i, j, k) of the table and each pair condition
     of `pair_parities` is checked once, when its last label is assigned, so
-    a candidate mask checks only the conditions it completes.  Searches of
-    more than `budget` assignments are refused; every mask list found is
-    certified again through the scan of check_graded_commutative, from the
-    same pair parities, before its assignment is built.
+    a candidate mask checks only the conditions it completes.  A triple
+    filed at a label that names it once or three times forces its mask to
+    the XOR of the other two masks, or to 0; that label then tries only the
+    forced mask, which still passes every check filed there before the
+    search goes deeper.  The budget bounds the raw space (2^n)^(dim - 1),
+    not the masks tried: searches of a larger space are refused.  Every
+    mask list found is certified again through the scan of
+    check_graded_commutative, from the same pair parities, before its
+    assignment is built.
     """
     if n < 1:
         raise ValueError("degree search needs n >= 1, got n = %d" % n)
@@ -181,9 +203,16 @@ def search_degree_assignments(A, n, budget=None):
     order = [A.unit] + [i for i in range(A.dim) if i != A.unit]
     pos = {i: p for p, i in enumerate(order)}
     triples, pairs = [[] for _ in order], [[] for _ in order]
+    # forced[p]: a triple naming order[p] an odd number of times, so that its
+    # XOR with order[p]'s own mask, whatever that holds, is the one mask that
+    # can satisfy it; the unit's (unit, unit, unit) forces 0
+    forced = [(A.unit,) * 3] + [None] * (A.dim - 1)
     for (i, j), row in A.table.items():
         for k in row:
-            triples[max(pos[i], pos[j], pos[k])].append((i, j, k))
+            p = max(pos[i], pos[j], pos[k])
+            triples[p].append((i, j, k))
+            if forced[p] is None and (i, j, k).count(order[p]) & 1:
+                forced[p] = (i, j, k)
     parities = A.pair_parities()
     for (i, j), ps in parities.items():
         if i <= j and len(ps) < 2:
@@ -196,13 +225,22 @@ def search_degree_assignments(A, n, budget=None):
             if not _violations(A, mask, n, parities):
                 found.append({lb: Degree.from_mask(m, n) for lb, m in zip(A.labels, mask)})
             return
-        i = order[p]
-        for m in range(1 << n) if p else (0,):
+        i, f = order[p], forced[p]
+        if f is None:
+            candidates = range(1 << n)
+        else:
+            candidates = (mask[f[0]] ^ mask[f[1]] ^ mask[f[2]] ^ mask[i],)
+        for m in candidates:
             mask[i] = m
-            if all(mask[a] ^ mask[b] == mask[c] for a, b, c in triples[p]) and all(
-                dot_parity(mask[a], mask[b]) in ps for a, b, ps in pairs[p]
-            ):
-                rec(p + 1)
+            for a, b, c in triples[p]:
+                if mask[a] ^ mask[b] != mask[c]:
+                    break
+            else:
+                for a, b, ps in pairs[p]:
+                    if (mask[a] & mask[b]).bit_count() & 1 not in ps:
+                        break
+                else:
+                    rec(p + 1)
 
     rec(0)
     return found

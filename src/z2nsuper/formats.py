@@ -331,6 +331,7 @@ def parse_algebra(text):
     labels = None
     unit = None
     consts = []
+    rationals = {}  # each distinct constant text is parsed once
     for kw, fields, _, _ in _sections(text.splitlines(), ("basis", "unit", "c"), "algebra"):
         if kw == "basis":
             labels = fields
@@ -338,8 +339,10 @@ def parse_algebra(text):
             unit = fields[0]
         else:
             line = "c " + " ".join(fields)
+            q = rationals.get(fields[3])
             try:
-                q = Fraction(fields[3])
+                if q is None:
+                    q = rationals[fields[3]] = Fraction(fields[3])
             except ZeroDivisionError:
                 raise ParseError("algebra line `%s`: zero denominator in %r"
                                  % (line, fields[3]), 0) from None

@@ -169,6 +169,14 @@ def test_search_degrees(tmp_path, capsys):
     assert "count 0" in capsys.readouterr().out
 
 
+def test_a_malformed_search_budget_names_the_variable(tmp_path, capsys, monkeypatch):
+    afile = write(tmp_path, "alg.txt", print_algebra(quaternion_algebra()))
+    monkeypatch.setenv("Z2N_SEARCH_BUDGET", "abc")
+    assert main(["search-degrees", "--algebra", afile, "--n", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: Z2N_SEARCH_BUDGET must be an integer, got 'abc'\n"
+
+
 @pytest.mark.parametrize("rows, message", [
     ("one 000\ni 011\nj 101\nk 110\nq 101", "assignment row 'q 101' names 'q', not a basis label"),
     ("one 000\ni 011\ni 011\nj 101\nk 110", "assignment repeats label 'i' in row 'i 011'"),

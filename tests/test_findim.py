@@ -1,9 +1,11 @@
 """Finite-dimensional algebras: certification and degree-assignment search."""
 
+import importlib.util
 import random
 import re
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from z2nsuper import (
     quaternion_algebra,
     search_degree_assignments,
 )
+from z2nsuper.findim import DEFAULT_BUDGET
 
 from conftest import (
     naive_certifies,
@@ -29,6 +32,11 @@ from conftest import (
     rand_fraction,
     rand_unital_table,
 )
+
+_GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+_spec = importlib.util.spec_from_file_location("bench_gen", _GEN)
+gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen)
 
 LABELS = ["e0", "e1", "e2", "e3"]
 
@@ -249,6 +257,20 @@ def test_certification_reports_the_naive_violations_in_order():
     assert min(passed, failed, raised) >= 60
 
 
+def builds_or_raises_at_the_naive_first(labels, unit, table):
+    """FinDimAlgebra builds when the naive oracle finds no non-associative
+    triple, and otherwise raises naming exactly the oracle's first one;
+    True when it built."""
+    first = naive_first_nonassociative(table, len(labels))
+    if first is None:
+        FinDimAlgebra(labels, unit, table)
+    else:
+        message = "not associative at (%s, %s, %s)" % tuple(labels[x] for x in first)
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            FinDimAlgebra(labels, unit, table)
+    return first is None
+
+
 def test_construction_raises_exactly_at_the_first_nonassociative_triple():
     rng = random.Random(20261020)
     outcomes = {True: 0, False: 0}
@@ -261,15 +283,7 @@ def test_construction_raises_exactly_at_the_first_nonassociative_triple():
                 table[a, b] = {rng.randrange(dim): rand_fraction(rng)}
         else:
             unit, table = rand_unital_table(rng, dim, 3)
-        first = naive_first_nonassociative(table, dim)
-        labels = LABELS[:dim]
-        if first is None:
-            FinDimAlgebra(labels, unit, table)
-        else:
-            message = "not associative at (%s, %s, %s)" % tuple(labels[x] for x in first)
-            with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
-                FinDimAlgebra(labels, unit, table)
-        outcomes[first is None] += 1
+        outcomes[builds_or_raises_at_the_naive_first(LABELS[:dim], unit, table)] += 1
     assert min(outcomes.values()) >= 60
 
 
@@ -310,15 +324,7 @@ def test_the_integer_check_agrees_with_the_oracle_over_large_coprime_denominator
             row[k] = row.get(k, 0) + Fraction(1, WIDE[0] * WIDE[1])
         dens = [Fraction(c).denominator for row in table.values() for c in row.values()]
         both += all(any(d % p == 0 for d in dens) for p in WIDE)
-        first = naive_first_nonassociative(table, dim)
-        labels = LABELS[:dim]
-        if first is None:
-            FinDimAlgebra(labels, 0, table)
-        else:
-            message = "not associative at (%s, %s, %s)" % tuple(labels[x] for x in first)
-            with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
-                FinDimAlgebra(labels, 0, table)
-        outcomes[first is None] += 1
+        outcomes[builds_or_raises_at_the_naive_first(LABELS[:dim], 0, table)] += 1
     assert min(outcomes.values()) >= 50
     assert both >= 50
 
@@ -337,3 +343,54 @@ def test_search_over_mixed_denominators_equals_brute_force_under_the_naive_oracl
         assert search_degree_assignments(A, n) == want, table
         nonempty += bool(want)
     assert nonempty >= 40
+
+
+def small_algebras():
+    """The quaternions and every Cl(p, q) with p + q <= 3, by name."""
+    out = {"H": quaternion_algebra()}
+    for m in range(4):
+        for p in range(m + 1):
+            out["Cl%d%d" % (p, m - p)] = clifford_algebra(p, m - p)
+    return out
+
+
+def masks(A, asg):
+    return tuple(int(asg[lb]) for lb in A.labels)
+
+
+def test_the_search_on_a_relabeled_algebra_is_the_base_search_relabeled():
+    # relabeled basis orders put the unit anywhere and the labels whose
+    # masks a triple forces deep in the order
+    rng = random.Random(20261023)
+    cases = 0
+    for name, base in small_algebras().items():
+        for n in range(1, 5):
+            if (2 ** n) ** (base.dim - 1) > DEFAULT_BUDGET:
+                continue
+            want = {masks(base, asg) for asg in search_degree_assignments(base, n)}
+            for _ in range(3):
+                R, perm = gen.relabel(rng, base)
+                A = FinDimAlgebra(R.labels, R.unit, R.table, check=True)
+                got = [masks(A, asg) for asg in search_degree_assignments(A, n)]
+                # new label s is the old label perm[s]
+                assert {tuple(g[perm.index(o)] for o in range(A.dim)) for g in got} == want, \
+                    (name, n, perm)
+                assert got == sorted(got), (name, n, perm)
+                cases += 1
+    assert cases >= 100
+
+
+def test_construction_raises_at_the_naive_first_nonassociative_triple_up_to_dim_8():
+    rng = random.Random(20261024)
+    bases = [A for A in small_algebras().values() if A.dim >= 4]
+    outcomes = {True: 0, False: 0}
+    for _ in range(40):
+        A, _ = gen.relabel(rng, rng.choice(bases))
+        table = {ij: dict(row) for ij, row in A.table.items()}
+        if rng.random() < 0.7:
+            rest = [i for i in range(A.dim) if i != A.unit]
+            row = table[rng.choice(rest), rng.choice(rest)]
+            k = rng.choice(sorted(row))
+            row[k] += 1
+        outcomes[builds_or_raises_at_the_naive_first(A.labels, A.unit, table)] += 1
+    assert min(outcomes.values()) >= 8
