@@ -12,7 +12,7 @@ whose partition does not then sum to 1 is refused when it is built.
 
 from __future__ import annotations
 
-from .coeffexpr import ONE, ZERO, App, CoeffExpr, Var
+from .coeffexpr import ONE, App, CoeffExpr, Var, sum_of_products
 from .gseries import GSeries, combine
 from .morphisms import Morphism, _linear_block, compose
 
@@ -76,9 +76,8 @@ def _partition_rule(charts, partition):
     if not all(isinstance(a, Var) for a in args):
         return None
     argnames = [a.name for a in args]
-    replacement = ONE
-    for u in charts[:-1]:
-        replacement = replacement - partition[u]
+    replacement = sum_of_products([(ONE, ONE, False)]
+                                  + [(partition[u], ONE, True) for u in charts[:-1]])
 
     def handler(alpha, args):
         out = replacement
@@ -112,7 +111,8 @@ class Atlas:
             raise AtlasError("partition must assign every chart")
         self._rho_rule = _partition_rule(self.charts, self.partition)
         if self.partition is not None:
-            total = self.partition_reduce(sum(self.partition.values(), ZERO))
+            total = self.partition_reduce(
+                sum_of_products([(rho, ONE, False) for rho in self.partition.values()]))
             if total != ONE:
                 raise AtlasError("partition %s sums to %s, not 1" % (
                     ", ".join("%s = %s" % (u, self.partition[u]) for u in self.charts), total))

@@ -464,16 +464,16 @@ def sum_of_products(pairs):
 def _atom_diff(atom, name):
     if isinstance(atom, Var):
         return ONE if atom.name == name else ZERO
-    # chain rule on an opaque application
-    out = ZERO
+    # chain rule on an opaque application, summed in one pass
+    pairs = []
     for j, arg in enumerate(atom.args):
         darg = arg.diff(name)
         if darg.is_zero():
             continue
         alpha = list(atom.alpha)
         alpha[j] += 1
-        out = out + _atom_expr(App(atom.func, alpha, atom.args)) * darg
-    return out
+        pairs.append((_atom_expr(App(atom.func, alpha, atom.args)), darg, False))
+    return sum_of_products(pairs) if pairs else ZERO
 
 
 def _atom_eval(atom, point, realizations):

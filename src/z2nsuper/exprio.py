@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .coeffexpr import CoeffExpr, Var
+from .coeffexpr import ONE, CoeffExpr, Var, sum_of_products
 
 
 class ParseError(ValueError):
@@ -80,23 +80,31 @@ def parse_coeff(text):
     return _parse_all(text, _parse_term)
 
 
-def _parse_all(text, term):
-    """Parse all of `text` as a sum of `term(tz)` values."""
+def _parse_all(text, term, total=None):
+    """Parse all of `text` as a sum of `term(tz)` values, summed by `total`
+    as in `_parse_expr`."""
     tz = Tokenizer(text)
-    e = _parse_expr(tz, term)
+    e = _parse_expr(tz, term, total)
     if not tz.done():
         tok = tz.peek()
         raise ParseError("trailing input %r" % tok[1], tok[2])
     return e
 
 
-def _parse_expr(tz, term):
-    e = term(tz)
+def _parse_expr(tz, term, total=None):
+    """A sum of `term(tz)` values.  Every term is read first, so a parse
+    error is raised at the token where it is met; then the terms are summed
+    in one call, total([(value, negate), ...]), by default one
+    `sum_of_products` over CoeffExpr values.  A lone term is its own sum."""
+    terms = [(term(tz), False)]
     while tz.at_sym("+") or tz.at_sym("-"):
-        op = tz.next()[1]
-        t = term(tz)
-        e = e + t if op == "+" else e - t
-    return e
+        negate = tz.next()[1] == "-"
+        terms.append((term(tz), negate))
+    if len(terms) == 1:
+        return terms[0][0]
+    if total is None:
+        return sum_of_products([(t, ONE, negate) for t, negate in terms])
+    return total(terms)
 
 
 def _term_factors(tz, factor):

@@ -39,7 +39,7 @@ from . import exprio
 from .coeffexpr import CoeffExpr
 from .degrees import Degree, Signature
 from .exprio import ParseError, _frac_str, parse_coeff, print_coeff
-from .gseries import GSeries, mono_order, mul_monomials
+from .gseries import GSeries, combine, mono_order, mul_monomials
 from .morphisms import Morphism
 
 # keyword -> (number of fields, number of leading fields that name the line,
@@ -180,7 +180,9 @@ def parse_signature(text):
 
 def parse_series(text, sig, order):
     """Parse the series literal syntax over a known signature."""
-    return exprio._parse_all(text, lambda tz: _parse_series_term(tz, sig, order))
+    return exprio._parse_all(
+        text, lambda tz: _parse_series_term(tz, sig, order),
+        lambda terms: combine(sig, order, [(t, -1 if negate else 1) for t, negate in terms]))
 
 
 def _parse_series_term(tz, sig, order):

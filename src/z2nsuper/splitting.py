@@ -10,18 +10,28 @@ The pipeline builds, order by order up to the truncation K:
      together with a verification report.
 
 Stages 1 and 2 measure one overlap mismatch, `overlap_mismatch`:
-Phi_U(y) - T_UV^* Phi_V^*(T_VU(y) mod J^2), with Phi the chart morphisms
-(chart values on the base coordinates, frame lifts on the formal variables)
-and T_VU mod J^2 the split-model transition.  Stage 1 reads it on the base
+Phi_U(y) - R_UV^*(T_VU(y) mod J^2), with Phi the chart morphisms (chart
+values on the base coordinates, frame lifts on the formal variables),
+R_UV^* = T_UV^* Phi_V^* and T_VU mod J^2 the split-model transition.  R_UV^*
+is read as two pullbacks, or through the composition R_UV = compose(Phi_V,
+T_UV) when that is made anyway.  Stage 1 reads the mismatch on the base
 coordinates (`cocycle_mismatch`), stage 2 on the formal variables
 (`lift_mismatch`), `verify_result` on both through the result's isos.  Both
 stages run the one order-raising Cech loop, `_raise_order`.  At order k the
 chart values agree on overlaps below order k, so the mismatch on each ordered
 pair is pure order k: a Cech 1-cocycle, which the partition of unity makes a
 coboundary (eta_U = -sum_W rho_W omega_UW).  Adding eta to the values makes
-them agree on overlaps up to order k.  A split result holds each chart
-morphism once, as its iso: the embedding on the base coordinates, the frame
-lift on the formal variables.
+them agree on overlaps up to order k.  The loop measures the mismatch once
+per order: the one of the corrected values at order k + 1 gives both the
+order-k consistency residual and the next cocycle.
+
+Each overlap's R_UV = compose(iso[V], T_UV) is composed once per command
+(in `split`, once more when order K is measured before its correction): in
+`split` the frame-lift stage reads its order-K mismatch through it, in
+`verify_result` both consistency lines do, and `verify_iso` reuses it for
+the intertwining check.  A split result holds each chart morphism once, as
+its iso: the embedding on the base coordinates, the frame lift on the
+formal variables.
 """
 
 from __future__ import annotations
@@ -98,20 +108,24 @@ def _identity_frame(sig, order):
 # -- the overlap mismatch -------------------------------------------------
 
 
-def overlap_mismatch(atlas, phi_u, phi_v, pair, names):
-    """Phi_U(y) - T_UV^* Phi_V^*(T_VU(y) mod J^2), per variable y in names.
+def overlap_mismatch(atlas, phi_u, through, pair, names):
+    """Phi_U(y) - R_UV^*(T_VU(y) mod J^2), per variable y in names.
 
-    phi_u and phi_v are the chart morphisms of the pair (chart values on the
-    base coordinates, frame lifts on the formal variables).  T_VU mod J^2 is
-    the split-model transition: a base image keeps its base map, a formal
-    image its linear rows.  Returns {name -> GSeries over chart U} at the
-    chart order, reduced by the partition relation.
+    phi_u is chart U's morphism (chart values on the base coordinates, frame
+    lifts on the formal variables) and R_UV^* = T_UV^* Phi_V^*.  `through`
+    holds the morphisms pulled back through in turn: (phi_v, T_UV), two
+    pullbacks, or (R_UV,), the composition compose(phi_v, T_UV) made once.
+    Exact pullbacks are associative, so both read the same series.  T_VU mod
+    J^2 is the split-model transition: a base image keeps its base map, a
+    formal image its linear rows.  Returns {name -> GSeries over chart U} at
+    the chart order, reduced by the partition relation.
     """
     u, v = pair
-    order = phi_v.order
+    order = phi_u.order
     t_vu = atlas.transition(v, u)
-    linear = [t_vu.images[y].truncate(1).at_order(order) for y in names]
-    rights = atlas.transition(u, v).pullbacks(phi_v.pullbacks(linear))
+    rights = [t_vu.images[y].truncate(1).at_order(order) for y in names]
+    for m in through:
+        rights = m.pullbacks(rights)
     return {
         y: atlas.reduce_series(phi_u.images[y] - right.truncate(order))
         for y, right in zip(names, rights)
@@ -141,7 +155,8 @@ def cocycle_mismatch(family, pair, order):
     sig = family.atlas.signature
     frame = _identity_frame(sig, family.order)
     phi_u, phi_v = (family.as_morphism(c, frame) for c in pair)
-    mismatch = overlap_mismatch(family.atlas, phi_u, phi_v, pair, sig.base_names)
+    through = (phi_v, family.atlas.transition(*pair))
+    mismatch = overlap_mismatch(family.atlas, phi_u, through, pair, sig.base_names)
     return _pure_order(mismatch, sig, pair, order, "embedding")
 
 
@@ -150,7 +165,8 @@ def lift_mismatch(family, lifts, pair, order):
     {chart -> {formal var -> GSeries}}; must be pure order `order`."""
     sig = family.atlas.signature
     phi_u, phi_v = (family.as_morphism(c, lifts[c]) for c in pair)
-    mismatch = overlap_mismatch(family.atlas, phi_u, phi_v, pair, sig.formal_names)
+    through = (phi_v, family.atlas.transition(*pair))
+    mismatch = overlap_mismatch(family.atlas, phi_u, through, pair, sig.formal_names)
     return _pure_order(mismatch, sig, pair, order, "frame-lift")
 
 
@@ -238,32 +254,46 @@ def _raise_order(atlas, values, order, mismatch, report, tag, check=None):
     """The order-raising Cech loop, from order 2 up to `order`.
 
     values: chart -> {var -> GSeries}, consistent on overlaps below order 2.
-    At each order k they are re-truncated to k; mismatch(values, pair, k)
-    gives the overlap mismatch {var -> GSeries}, pure order k, and the values
-    are corrected by the coboundary of that cocycle.  check(omegas, etas, k),
-    when given, records further checks on the cocycle and its coboundary.
+    mismatch(values, at, pair, k) gives the overlap mismatch {var -> GSeries}
+    of the values at order `at`, checked to vanish below order k.  At each
+    order k the mismatch, pure order k, is a cocycle, and the values are
+    corrected by its coboundary.  check(omegas, etas, k), when given, records
+    further checks on the cocycle and its coboundary.
+
+    One mismatch per order: the corrected values are re-based at k + 1 and
+    measured there once.  Truncation is a ring homomorphism and commutes with
+    the Taylor expansion, so that mismatch truncated to k is the order-k
+    "consistency after correction" residual; when it vanishes, the mismatch
+    is the cocycle of order k + 1.  When it does not, order k + 1 measures
+    again, which raises on the terms below it.
     Returns the values at `order`, consistent on every overlap.
     """
     pairs = atlas.overlaps
+    omegas = None  # the mismatch of the values at order k, once measured
     for k in range(2, order + 1):
         values = _at_order(values, k)
         if not pairs:
             continue
         name = "%s order %d" % (tag, k)
-        omegas = {pair: mismatch(values, pair, k) for pair in pairs}
+        if omegas is None:
+            omegas = {pair: mismatch(values, k, pair, k) for pair in pairs}
         if all(s.is_zero() for per in omegas.values() for s in per.values()):
             report.add("%s: no mismatch" % name, True)
+            omegas = None
             continue
         etas = solve_coboundary(atlas, omegas, k)
         if check is not None:
             check(omegas, etas, k)
-        values = {
+        at = min(k + 1, order)
+        values = _at_order({
             u: {nm: s + etas[u][nm] for nm, s in per.items()} for u, per in values.items()
-        }
-        report.residual("%s: consistency after correction" % name, (
-            ("(%s, %s) %s" % (u, v, nm), s)
-            for u, v in pairs for nm, s in mismatch(values, (u, v), k).items()
-        ))
+        }, at)
+        omegas = {pair: mismatch(values, at, pair, k) for pair in pairs}
+        below = [("(%s, %s) %s" % (u, v, nm), s.truncate(k))
+                 for (u, v), per in omegas.items() for nm, s in per.items()]
+        report.residual("%s: consistency after correction" % name, below)
+        if not all(s.is_zero() for _, s in below):
+            omegas = None
     return values
 
 
@@ -282,8 +312,8 @@ def build_base_embedding(atlas, order, report=None):
     """The embedding family, raised order by order by the Cech loop."""
     report = Report() if report is None else report
 
-    def mismatch(values, pair, k):
-        return cocycle_mismatch(EmbeddingFamily(atlas, values, k), pair, k)
+    def mismatch(values, at, pair, k):
+        return cocycle_mismatch(EmbeddingFamily(atlas, values, at), pair, k)
 
     def check(omegas, etas, k):
         tag = "embedding order %d" % k
@@ -299,14 +329,27 @@ def build_base_embedding(atlas, order, report=None):
 # -- stage 2: the module splitting ----------------------------------------
 
 
-def build_module_splitting(atlas, family, order, report=None):
+def build_module_splitting(atlas, family, order, report=None, composed=None):
     """A right inverse of J -> J/J^2 on the chart frames, raised order by
-    order by the Cech loop."""
+    order by the Cech loop.
+
+    The mismatch at order `order` is read through the composition
+    R_UV = compose(Phi_V, T_UV) of the chart morphisms, per overlap (U, V).
+    composed, when given, is the dict that receives them; the last R_UV
+    made for a pair is that of the returned lifts.  None is made when
+    order `order` is reached with a mismatch already measured to vanish."""
     report = Report() if report is None else report
+    composed = {} if composed is None else composed
     sig = atlas.signature
 
-    def mismatch(values, pair, k):
-        return lift_mismatch(family.at_order(k), values, pair, k)
+    def mismatch(values, at, pair, k):
+        if k < order:
+            return lift_mismatch(family.at_order(at), values, pair, k)
+        u, v = pair
+        r_uv = composed[pair] = compose(family.as_morphism(v, values[v]), atlas.transition(u, v))
+        got = overlap_mismatch(atlas, family.as_morphism(u, values[u]), (r_uv,), pair,
+                               sig.formal_names)
+        return _pure_order(got, sig, pair, k, "frame-lift")
 
     identity = {u: _identity_frame(sig, 1) for u in atlas.charts}
     lifts = _raise_order(atlas, identity, order, mismatch, report, "frame lift")
@@ -330,10 +373,15 @@ class SplittingResult:
         self.report = report
 
 
-def verify_iso(atlas, split_atlas, iso, order, report=None):
+def verify_iso(atlas, split_atlas, iso, order, report=None, composed=None):
     """Unitality, degree preservation, multiplicativity on generators,
-    intertwining of the two atlases, and invertibility modulo J^(K+1)."""
+    intertwining of the two atlases, and invertibility modulo J^(K+1).
+
+    composed, when given, holds per overlap (U, V) the composition
+    R_UV = compose(iso[V], T_UV) that the caller already made; an overlap it
+    lacks is composed here."""
     report = Report() if report is None else report
+    composed = {} if composed is None else composed
     sig = atlas.signature
     one = GSeries.one(sig, order)
     names = [nm for nm, _ in sig.variables()]
@@ -360,7 +408,7 @@ def verify_iso(atlas, split_atlas, iso, order, report=None):
         # pullback maps split functions into the atlas; the two ways around
         # the overlap square must agree
         lhs = compose(split_atlas.transition(u, v), iso[u])
-        rhs = compose(iso[v], atlas.transition(u, v))
+        rhs = composed.get((u, v)) or compose(iso[v], atlas.transition(u, v))
         report.residual("iso intertwines transitions on (%s, %s)" % (u, v), (
             (nm, atlas.reduce_series(lhs.images[nm] - rhs.images[nm]))
             for nm, _ in sig.variables()
@@ -403,8 +451,9 @@ def verify_result(atlas, iso, order, report=None, embedding=None, bundle_lines=N
         for u in sorted(set(embedding) - set(atlas.charts)):
             report.add("embedding block chart %s is in the atlas" % u, False)
     _check_augmentation(atlas, {u: iso[u].images for u in atlas.charts}, report)
-    for (u, v) in atlas.overlaps:
-        mismatch = overlap_mismatch(atlas, iso[u], iso[v], (u, v),
+    composed = {(u, v): compose(iso[v], atlas.transition(u, v)) for (u, v) in atlas.overlaps}
+    for (u, v), r_uv in composed.items():
+        mismatch = overlap_mismatch(atlas, iso[u], (r_uv,), (u, v),
                                     sig.base_names + sig.formal_names)
         for what, names in (("embedding", sig.base_names), ("frame-lift", sig.formal_names)):
             report.residual("%s consistency on (%s, %s)" % (what, u, v),
@@ -419,8 +468,7 @@ def verify_result(atlas, iso, order, report=None, embedding=None, bundle_lines=N
         report.add("bundle block matches the atlas", bad is None,
                    "" if bad is None else "first difference at bundle line %d" % (bad + 1))
     split_atlas = build_split_model(bundle, order, triples=atlas.triples, partition=atlas.partition)
-    report = verify_iso(atlas, split_atlas, iso, order, report)
-    return report
+    return verify_iso(atlas, split_atlas, iso, order, report, composed)
 
 
 def split(atlas, order):
@@ -434,9 +482,10 @@ def split(atlas, order):
     if not vrep.passed:
         raise SplittingError("atlas gluing data is inconsistent:\n%s" % vrep)
     family, report = build_base_embedding(atlas, order, report)
-    lifts, report = build_module_splitting(atlas, family, order, report)
+    composed = {}
+    lifts, report = build_module_splitting(atlas, family, order, report, composed)
     bundle = extract_bundle(atlas)
     split_atlas = build_split_model(bundle, order, triples=atlas.triples, partition=atlas.partition)
     iso = {u: family.as_morphism(u, lifts[u]) for u in atlas.charts}
-    report = verify_iso(atlas, split_atlas, iso, order, report)
+    report = verify_iso(atlas, split_atlas, iso, order, report, composed)
     return SplittingResult(atlas, bundle, split_atlas, iso, report)

@@ -1,10 +1,14 @@
 """Coefficient parser / printer round trips and error reporting."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from z2nsuper import CoeffExpr, ParseError, parse_coeff, print_coeff
+from z2nsuper import CoeffExpr, ParseError, exprio, parse_coeff, print_coeff
+from z2nsuper.coeffexpr import ONE
+
+from conftest import naive_sum_of_products
 
 x = CoeffExpr.var("x")
 y = CoeffExpr.var("y")
@@ -53,3 +57,41 @@ def test_parse_errors_carry_position():
     for bad in ["x +", "f[1,2](x)", "(x", "3/", "3/0", "x ^ y", "@"]:
         with pytest.raises(ParseError):
             parse_coeff(bad)
+
+
+
+def rand_sum_text(rng, n, term):
+    """A sum of n terms drawn by term(rng), as text, and its [(text, negate)]
+    terms; the first term is added, each other one added or subtracted."""
+    terms = [(term(rng), i > 0 and rng.random() < 0.5) for i in range(n)]
+    text = terms[0][0] + "".join((" - " if neg else " + ") + t for t, neg in terms[1:])
+    return text, terms
+
+
+def rand_coeff_term(rng, atoms=("x", "y", "f(x)", "g[1,0](x, y)")):
+    """A product of a rational and up to three powers of atoms."""
+    factors = ["%d/%d" % (rng.randint(1, 50), rng.randint(1, 9))]
+    factors += ["%s^%d" % (rng.choice(atoms), rng.randint(1, 3)) for _ in range(rng.randint(0, 3))]
+    return "*".join(factors)
+
+
+def count_sizes(monkeypatch, module, name):
+    """Replace the accumulation call module.name by a wrapper that records
+    the number of pairs (its last argument) of each call."""
+    sizes, real = [], getattr(module, name)
+
+    def wrapper(*args):
+        sizes.append(len(args[-1]))
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return sizes
+
+
+@pytest.mark.parametrize("n", [2, 20, 2000])
+def test_a_long_sum_parses_to_the_term_by_term_sum_in_one_call(monkeypatch, n):
+    text, terms = rand_sum_text(random.Random(n), n, rand_coeff_term)
+    want = naive_sum_of_products([(parse_coeff(t), ONE, neg) for t, neg in terms])
+    sizes = count_sizes(monkeypatch, exprio, "sum_of_products")
+    assert parse_coeff(text) == want
+    assert sizes == [n]

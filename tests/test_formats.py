@@ -1,10 +1,11 @@
 """Round trips for every file format, including splitting results."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from z2nsuper import CoeffExpr, GSeries, ParseError, Signature, print_coeff, split
+from z2nsuper import CoeffExpr, GSeries, ParseError, Signature, formats, print_coeff, split
 from z2nsuper.formats import (
     parse_algebra,
     parse_atlas,
@@ -31,6 +32,7 @@ from conftest import (
     sig_n1,
     sig_n2,
 )
+from test_exprio import count_sizes, rand_coeff_term, rand_sum_text
 from test_morphisms import base_shift_morphism
 
 
@@ -72,6 +74,24 @@ def test_series_literal_syntax():
     expected = xi * eta * f + y ** 2 * Fraction(3, 2) \
         - GSeries.from_coeff(sig, 4, CoeffExpr.var("x"))
     assert s == expected
+
+
+@pytest.mark.parametrize("n", [2, 200])
+def test_a_long_series_parses_to_the_term_by_term_sum_in_one_call(monkeypatch, n):
+    sig = sig_n2()
+
+    def term(rng):
+        powers = " ".join(rng.choice(["xi", "eta", "y", "y^2"]) for _ in range(rng.randint(0, 3)))
+        coeff = rand_coeff_term(rng, ("x", "f(x)", "g[1,0](x, x)"))
+        return ("%s * %s" % (coeff, powers)).rstrip(" *")
+
+    text, terms = rand_sum_text(random.Random(n), n, term)
+    want = GSeries.zero(sig, 4)
+    for t, neg in terms:
+        want = want - parse_series(t, sig, 4) if neg else want + parse_series(t, sig, 4)
+    sizes = count_sizes(monkeypatch, formats, "combine")
+    assert parse_series(text, sig, 4) == want
+    assert sizes == [n]
 
 
 def test_series_powers_parse_as_generator_powers_up_to_n4(rng):

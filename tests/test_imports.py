@@ -4,8 +4,10 @@ every name the package exports is used by a demo, a test or the CLI, and
 every public function or method is used by the package, a demo or the
 benchmark, or else by more than one test file; exponent vectors come from
 `Signature.formal_unit`, only `coeffexpr` builds a `Var` or an `App`, so
-every atom is interned, and no series sum is built up from `GSeries.zero`
-one term at a time instead of by one `gseries.combine` call."""
+every atom is interned, no series sum is built up from `GSeries.zero`
+one term at a time instead of by one `gseries.combine` call, and no loop
+builds a sum one term at a time (`v = v + ...`) instead of by one
+accumulation call."""
 
 import ast
 from pathlib import Path
@@ -324,3 +326,48 @@ def test_scanner_flags_a_zero_seeded_accumulation():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_series_sums_go_through_combine(path):
     assert zero_seeded_accumulations(path.read_text()) == []
+
+
+def loop_accumulations(source):
+    """Lines of each `v = v + ...` or `v = v - ...` (also as a branch of a
+    conditional expression) inside a `for` or `while` loop: a sum built one
+    term at a time, each through a fresh canonical form, instead of by one
+    `sum_of_products` or `combine` call over the collected terms."""
+    found = set()
+    for loop in ast.walk(ast.parse(source)):
+        if not isinstance(loop, (ast.For, ast.While)):
+            continue
+        for node in ast.walk(loop):
+            if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
+                continue
+            value, target = node.value, ast.unparse(node.targets[0])
+            values = [value.body, value.orelse] if isinstance(value, ast.IfExp) else [value]
+            if any(isinstance(v, ast.BinOp) and isinstance(v.op, (ast.Add, ast.Sub))
+                   and ast.unparse(v.left) == target for v in values):
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_scanner_flags_a_loop_accumulation():
+    source = (
+        "def parse(tz, term):\n"
+        "    e = term(tz)\n"
+        "    while tz.more():\n"
+        "        op, t = tz.next(), term(tz)\n"
+        "        e = e + t if op == '+' else e - t\n"
+        "    return e\n"
+        "def rule(charts, partition):\n"
+        "    out = ONE\n"
+        "    for u in charts:\n"
+        "        out = out - partition[u]\n"
+        "        out = out * 2\n"
+        "        count = total + 1\n"
+        "    out = out + 1\n"
+        "    return out\n"
+    )
+    assert loop_accumulations(source) == [5, 10]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_sums_are_not_built_one_term_at_a_time_in_a_loop(path):
+    assert loop_accumulations(path.read_text()) == []

@@ -5,6 +5,10 @@ and K = 2 or 3, and builds a nonsplit, cocycle-consistent atlas with the
 benchmark's generator, `rand_atlas` in bench/gen.py.  `split` must pass, CLI
 `verify` must accept the printed result, and one bumped rational numeral in a
 row of an `iso`, `embedding` or `bundle` block must make `verify` exit 1.
+The overlap mismatch read through the composition R_UV = compose(iso[V], T_UV)
+must equal the two-step pullback and the naive one, on the result's isos and
+on isos with one extra term.  Over the benchmark's signature, the result at
+K truncated to K - 1 must be the result at K - 1 (the J-adic limit).
 """
 
 import importlib.util
@@ -14,10 +18,13 @@ from pathlib import Path
 
 import pytest
 
+from z2nsuper import CoeffExpr, GSeries, Morphism, compose, split
 from z2nsuper.cli import main
 from z2nsuper.formats import print_atlas
+from z2nsuper.morphisms import enumerate_monomials
+from z2nsuper.splitting import overlap_mismatch
 
-from conftest import rand_signature
+from conftest import naive_overlap_mismatch, rand_fraction, rand_signature
 
 _GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
 _spec = importlib.util.spec_from_file_location("bench_gen", _GEN)
@@ -69,3 +76,47 @@ def test_split_and_verify_hold_and_verify_catches_a_bumped_numeral(tmp_path, cap
         bad.write_text(edited)
         assert main(["verify", "--atlas", str(afile), "--result", str(bad)]) == 1, block
         assert "[FAIL]" in capsys.readouterr().out
+
+
+def with_one_more_term(rng, iso, sig, order):
+    """The isos with one seeded term added to one image: a rational times a
+    base coordinate times a monomial of order 1..K of the image's degree."""
+    u = rng.choice(sorted(iso))
+    monos = {nm: [mu for mu in enumerate_monomials(sig, order, d) if any(mu)]
+             for nm, d in sig.variables()}
+    name = rng.choice([nm for nm, ms in monos.items() if ms])
+    mu = rng.choice(monos[name])
+    coeff = CoeffExpr.var(rng.choice(sig.base_names)) * rand_fraction(rng)
+    images = dict(iso[u].images)
+    images[name] = images[name] + GSeries.monomial(sig, order, mu, coeff)
+    return {**iso, u: Morphism(sig, sig, images, order)}
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_the_mismatch_through_the_composition_is_the_two_step_and_the_naive_one(seed):
+    rng = random.Random(1000 + seed)
+    sig = rand_signature(rng, n_max=4)
+    order = rng.choice((2, 3))
+    atlas = gen.rand_atlas(rng, rng.choice((2, 3)), order, seed, sig=sig)
+    clean = split(atlas, order).iso
+    names = sig.base_names + sig.formal_names
+    for iso in (clean, with_one_more_term(rng, clean, sig, order)):
+        values = {u: {bn: iso[u].images[bn] for bn in sig.base_names} for u in iso}
+        lifts = {u: {fa: iso[u].images[fa] for fa in sig.formal_names} for u in iso}
+        for u, v in atlas.overlaps:
+            t_uv = atlas.transition(u, v)
+            composed = overlap_mismatch(atlas, iso[u], (compose(iso[v], t_uv),), (u, v), names)
+            assert composed == overlap_mismatch(atlas, iso[u], (iso[v], t_uv), (u, v), names)
+            assert composed == naive_overlap_mismatch(atlas, values, lifts, (u, v), order)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_the_result_at_k_truncates_to_the_result_at_k_minus_one(seed):
+    rng = random.Random(2000 + seed)
+    nchart, order = rng.choice(((2, 3), (2, 4), (3, 3)))
+    atlas = gen.rand_atlas(rng, nchart, order, seed)
+    high, low = split(atlas, order), split(atlas, order - 1)
+    assert high.report.passed and low.report.passed
+    for u in atlas.charts:
+        for name, image in high.iso[u].images.items():
+            assert image.truncate(order - 1) == low.iso[u].images[name], (u, name)

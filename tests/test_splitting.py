@@ -310,6 +310,70 @@ def test_frame_lift_check_fails_on_a_wrong_linear_row(monkeypatch):
     assert checks["frame lift on V projects to the identity on J/J^2"] is True
 
 
+def drop_first_chart_eta_at_order_two(monkeypatch):
+    """Patch `splitting.solve_coboundary` to return, at order 2, zero in
+    place of the first chart's eta; returns the etas it hands out per order."""
+    solve, handed = splitting.solve_coboundary, {}
+
+    def bent(atlas, omegas, order):
+        etas = solve(atlas, omegas, order)
+        if order == 2:
+            u = atlas.charts[0]
+            etas[u] = {nm: GSeries.zero(atlas.signature, order) for nm in etas[u]}
+        handed[order] = etas
+        return etas
+
+    monkeypatch.setattr(splitting, "solve_coboundary", bent)
+    return handed
+
+
+def first_nonzero_naive_mismatch(atlas, values, lifts, names):
+    """"(U, V) y: value" of the first nonzero entry of the naive overlap
+    mismatch at order 2, over the pairs and then the names in order."""
+    for u, v in atlas.overlaps:
+        got = naive_overlap_mismatch(atlas, values, lifts, (u, v), 2)
+        for y in names:
+            if not got[y].is_zero():
+                return "(%s, %s) %s: %s" % (u, v, y, got[y])
+    return None
+
+
+def test_a_bent_embedding_correction_fails_consistency_and_then_raises(monkeypatch):
+    atlas = atlas_nonsplit_base_twist(3)
+    sig = atlas.signature
+    handed = drop_first_chart_eta_at_order_two(monkeypatch)
+    report = Report()
+    with pytest.raises(SplittingError) as err:
+        build_base_embedding(atlas, 3, report)
+    assert str(err.value) == ("embedding mismatch on x for pair ('U', 'V') has terms "
+                              "below order 3; input is inconsistent")
+    identity = EmbeddingFamily.identity(atlas, 2).values
+    values = {u: {bn: s + handed[2][u][bn] for bn, s in identity[u].items()} for u in atlas.charts}
+    check = {c.name: c for c in report.checks}["embedding order 2: consistency after correction"]
+    assert not check.passed
+    detail = first_nonzero_naive_mismatch(atlas, values, identity_lifts(atlas, 2), sig.base_names)
+    assert detail is not None and check.detail == detail
+
+
+def test_a_bent_frame_lift_correction_fails_consistency_and_then_raises(monkeypatch):
+    atlas = atlas_nonsplit_frame_twist(3)
+    sig = atlas.signature
+    family, _ = build_base_embedding(atlas, 3)
+    handed = drop_first_chart_eta_at_order_two(monkeypatch)
+    report = Report()
+    with pytest.raises(SplittingError) as err:
+        build_module_splitting(atlas, family, 3, report)
+    assert str(err.value) == ("frame-lift mismatch on xi for pair ('U', 'V') has terms "
+                              "below order 3; input is inconsistent")
+    lifts = {u: {fa: s + handed[2][u][fa] for fa, s in per.items()}
+             for u, per in identity_lifts(atlas, 2).items()}
+    check = {c.name: c for c in report.checks}["frame lift order 2: consistency after correction"]
+    assert not check.passed
+    detail = first_nonzero_naive_mismatch(atlas, family.at_order(2).values, lifts,
+                                          sig.formal_names)
+    assert detail is not None and check.detail == detail
+
+
 @pytest.mark.parametrize("order", [0, 4])
 def test_split_checks_its_order_against_the_atlas(order):
     atlas = atlas_nonsplit_base_twist(3)
