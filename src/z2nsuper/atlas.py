@@ -35,8 +35,8 @@ class CheckResult:
 
 
 class Report:
-    def __init__(self, checks=None):
-        self.checks = list(checks or [])
+    def __init__(self):
+        self.checks = []
 
     def add(self, name, passed, detail=""):
         self.checks.append(CheckResult(name, passed, detail))
@@ -217,12 +217,13 @@ class GradedBundleData:
         )
 
 
-def build_split_model(bundle, order, triples=(), partition=None):
+def build_split_model(bundle, order):
     """The split-model atlas of a graded vector bundle.
 
     Transitions act linearly on the formal variables through the per-degree
     matrices and by the base transitions on the base coordinates, so they are
-    block diagonal per degree (the split normal form).
+    block diagonal per degree (the split normal form).  The model declares
+    no triples and no partition: only its transitions are read.
     """
     sig = bundle.signature
     transitions = {}
@@ -242,7 +243,7 @@ def build_split_model(bundle, order, triples=(), partition=None):
                     )
                 images[tv] = row
         transitions[(u, v)] = Morphism(sig, sig, images, order)
-    return Atlas(sig, order, bundle.charts, bundle.pairs, list(triples), transitions, partition)
+    return Atlas(sig, order, bundle.charts, bundle.pairs, [], transitions)
 
 
 def extract_bundle(atlas):

@@ -250,9 +250,13 @@ class CoeffExpr:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("only nonnegative integer powers")
-        out = ONE
-        for _ in range(k):
-            out = out * self
+        out, square = ONE, self  # binary powering: at most 2 * k.bit_length() products
+        while k:
+            if k & 1:
+                out = out * square
+            k >>= 1
+            if k:
+                square = square * square
         return out
 
     # -- calculus ---------------------------------------------------------

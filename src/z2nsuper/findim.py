@@ -175,7 +175,7 @@ def _violations(A, masks, n, parities):
             if (masks[i] & masks[j]).bit_count() & 1 not in parities[i, j]]
 
 
-def search_degree_assignments(A, n, budget=None):
+def search_degree_assignments(A, n):
     """All assignments (unit fixed to 0) that certify, canonically ordered.
 
     Depth first over the unit, then the other labels in basis order, each
@@ -186,15 +186,15 @@ def search_degree_assignments(A, n, budget=None):
     filed at a label that names it once or three times forces its mask to
     the XOR of the other two masks, or to 0; that label then tries only the
     forced mask, which still passes every check filed there before the
-    search goes deeper.  The budget bounds the raw space (2^n)^(dim - 1),
-    not the masks tried: searches of a larger space are refused.  Every
-    mask list found is certified again through the scan of
-    check_graded_commutative, from the same pair parities, before its
+    search goes deeper.  The budget, `Z2N_SEARCH_BUDGET`, bounds the raw
+    space (2^n)^(dim - 1), not the masks tried: searches of a larger space
+    are refused.  Every mask list found is certified again through the scan
+    of check_graded_commutative, from the same pair parities, before its
     assignment is built.
     """
     if n < 1:
         raise ValueError("degree search needs n >= 1, got n = %d" % n)
-    budget = search_budget() if budget is None else budget
+    budget = search_budget()
     space = (1 << n) ** (A.dim - 1)
     if space > budget:
         raise BudgetExceeded(

@@ -23,12 +23,12 @@ A block header opens a block that runs to a line reading `end`:
 
 Blank lines and lines starting with `#` are ignored everywhere, inside
 blocks too.  Unknown keywords, wrong field counts, blocks with no `end`,
-rows without their `=`, repeated rows, repeated header lines and an
-`order` that is not an integer K >= 1 raise `ParseError`; an error inside
-a row names the row, its block header, its line and (given) the file.  A
-header line is named by its keyword and, for `var`, `pair`, `triple`, `c`,
-`transition` and `iso`, by the fields that say what it is about (`iso U`,
-`c A B C`); every other keyword may appear once per file.
+rows without their `=`, repeated rows, repeated header lines, and an
+`order` or `n` that is not an integer >= 1 raise `ParseError`; an error
+inside a row names the row, its block header, its line and (given) the
+file.  A header line is named by its keyword and, for `var`, `pair`,
+`triple`, `c`, `transition` and `iso`, by the fields that say what it is
+about (`iso U`, `c A B C`); every other keyword may appear once per file.
 """
 
 from __future__ import annotations
@@ -137,13 +137,19 @@ def _after(kw, *header):
         raise ParseError("%s block before the header lines it needs" % kw, 0)
 
 
+def _positive_int(text):
+    """text as an integer >= 1; None when it is not one."""
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return value if value >= 1 else None
+
+
 def parse_order(text):
     """A truncation order K from an `order` line or `--order`: an integer >= 1."""
-    try:
-        order = int(text)
-    except ValueError:
-        order = None
-    if order is None or order < 1:
+    order = _positive_int(text)
+    if order is None:
         raise ParseError("the truncation order must be an integer >= 1, got %r" % text, 0)
     return order
 
@@ -163,7 +169,10 @@ def parse_signature_lines(lines):
     variables = []
     for kw, fields, _, _ in _sections(lines, ("n", "var"), "signature"):
         if kw == "n":
-            n = int(fields[0])
+            n = _positive_int(fields[0])
+            if n is None:
+                raise ParseError("`n`, the number of Z2 factors of the grading, must be "
+                                 "an integer >= 1, got %r" % fields[0], 0)
         else:
             variables.append((fields[0], Degree.parse(fields[1])))
     if n is None:

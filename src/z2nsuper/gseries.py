@@ -260,19 +260,14 @@ class GSeries:
         if self.sig.is_base(name):
             return self.map_coeffs(lambda c: c.diff(name))
         iu = self.sig.formal_index(name)
-        row = self.sig.formal_dot_parity[iu]
-        # mu -> mu - e_u is injective, so every output term comes from exactly
-        # one input term and needs no accumulation
+        unit = self.sig.formal_unit(name)
+        # mu -> rest = mu - e_u is injective, so no output term is summed; the
+        # sign of moving u to the front of mu is that of the product u * rest
         out = {}
         for mu, c in self.terms.items():
-            k = mu[iu]
-            if not k:
-                continue
-            swaps = 0
-            for b in range(iu):
-                if mu[b] and row[b]:
-                    swaps += mu[b]
-            out[mu[:iu] + (k - 1,) + mu[iu + 1 :]] = c * (-k if swaps & 1 else k)
+            if mu[iu]:
+                rest = mu[:iu] + (mu[iu] - 1,) + mu[iu + 1 :]
+                out[rest] = c * (mul_monomials(self.sig, unit, rest)[0] * mu[iu])
         return GSeries(self.sig, self.order, out)
 
     # -- printing ---------------------------------------------------------

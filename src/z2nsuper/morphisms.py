@@ -172,23 +172,10 @@ class Morphism:
 
     # -- pullback ---------------------------------------------------------
 
-    def _shifts(self, order):
-        """The base map, and per target base coordinate the nilpotent shift:
-        its image's terms of nonzero exponent vector, up to `order`."""
-        nil = {}
-        for bn in self.target.base_names:
-            terms = self.images[bn].truncate(order).terms
-            nil[bn] = GSeries(self.source, order, {mu: c for mu, c in terms.items() if any(mu)})
-        return self.base_map(), nil
-
-    def pullback_coeff(self, c, order=None):
-        """Pull back a coefficient function of the target base coordinates.
-
-        Substitutes the base map and Taylor-expands in the j_order >= 1 part
-        of the degree-0 images; finite because of truncation.
-        """
-        order = self.order if order is None else min(order, self.order)
-        return taylor(c, self.source, order, *self._shifts(order))
+    def pullback_coeff(self, c):
+        """Pull back a coefficient function of the target base coordinates:
+        the pullback of the series c * 1."""
+        return self.pullback(GSeries.from_coeff(self.target, self.order, c))
 
     def pullback(self, f):
         """Pull back a series over the target to a series over the source."""
@@ -197,22 +184,25 @@ class Morphism:
     def pullbacks(self, fs):
         """Pull back a list of series over the target, in order.
 
-        Per truncation order the shifts are computed once, the Taylor
-        expansions share their shift products, and each formal monomial's
-        image is built once from a shorter one's.  Each term pulls back to
-        its coefficient's expansion times its monomial's image.
+        Per truncation order the shifts (the base images' terms of nonzero
+        exponent vector) are cut once, the Taylor expansions share their
+        shift products, and each formal monomial's image is built once from
+        a shorter one's.  Each term pulls back to its coefficient's expansion
+        around the base map times its monomial's image.
         """
         if any(f.sig != self.target for f in fs):
             raise SignatureMismatch("series is not over the morphism target")
-        fvars = self.target.formal_names
+        amap = self.base_map()
         shared = {}
         out = []
         for f in fs:
             order = min(self.order, f.order)
             if order not in shared:
-                formal = [self.images[v].truncate(order) for v in fvars]
-                shared[order] = self._shifts(order) + ({}, {}, formal)
-            amap, nil, powers, monos, formal = shared[order]
+                cut = {v: img.truncate(order) for v, img in self.images.items()}
+                nil = {bn: GSeries(self.source, order, {mu: c for mu, c in cut[bn].terms.items() if any(mu)})
+                       for bn in self.target.base_names}
+                shared[order] = (nil, {}, {}, [cut[v] for v in self.target.formal_names])
+            nil, powers, monos, formal = shared[order]
             pairs = []
             for mu, c in f.terms.items():
                 part = taylor(c, self.source, order, amap, nil, powers)

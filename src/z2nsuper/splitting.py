@@ -422,7 +422,7 @@ def verify_iso(atlas, split_atlas, iso, order, report=None, composed=None):
     return report
 
 
-def verify_result(atlas, iso, order, report=None, embedding=None, bundle_lines=None):
+def verify_result(atlas, iso, order, embedding=None, bundle_lines=None):
     """Re-check a splitting result against its atlas from the iso data alone.
 
     The overlap mismatch is measured through the per-chart morphisms
@@ -432,7 +432,7 @@ def verify_result(atlas, iso, order, report=None, embedding=None, bundle_lines=N
     images, and its bundle block lines must equal those printed for the
     atlas's bundle.
     """
-    report = Report() if report is None else report
+    report = Report()
     sig = atlas.signature
     missing = [u for u in atlas.charts if u not in iso]
     if missing:
@@ -467,8 +467,7 @@ def verify_result(atlas, iso, order, report=None, embedding=None, bundle_lines=N
         bad = next((i for i, (got, exp) in pairs if got != exp), None)
         report.add("bundle block matches the atlas", bad is None,
                    "" if bad is None else "first difference at bundle line %d" % (bad + 1))
-    split_atlas = build_split_model(bundle, order, triples=atlas.triples, partition=atlas.partition)
-    return verify_iso(atlas, split_atlas, iso, order, report, composed)
+    return verify_iso(atlas, build_split_model(bundle, order), iso, order, report, composed)
 
 
 def split(atlas, order):
@@ -485,7 +484,7 @@ def split(atlas, order):
     composed = {}
     lifts, report = build_module_splitting(atlas, family, order, report, composed)
     bundle = extract_bundle(atlas)
-    split_atlas = build_split_model(bundle, order, triples=atlas.triples, partition=atlas.partition)
+    split_atlas = build_split_model(bundle, order)
     iso = {u: family.as_morphism(u, lifts[u]) for u in atlas.charts}
     report = verify_iso(atlas, split_atlas, iso, order, report, composed)
     return SplittingResult(atlas, bundle, split_atlas, iso, report)

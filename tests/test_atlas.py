@@ -157,7 +157,7 @@ def test_series_is_zero_modulo_partition():
 def test_bundle_round_trip_simple():
     atlas = atlas_split_two_charts()
     bundle = extract_bundle(atlas)
-    rebuilt = build_split_model(bundle, atlas.order, partition=atlas.partition)
+    rebuilt = build_split_model(bundle, atlas.order)
     assert extract_bundle(rebuilt) == bundle
     # and the split-model atlas of a split atlas is the atlas itself
     for pair, m in atlas.transitions.items():

@@ -521,6 +521,12 @@ def _zeroed_copy_before(text, header):
      "algebra line `c one one one x`: 'x' is not a rational constant"),
     ("atlas", lambda t: "partition\nU = rho_U(x)\nV = rho_V(x)\nend\n" + _drop_block(t, "partition"),
      "partition block before the header lines it needs"),
+    ("signature", lambda t: t.replace("n 2\n", "n a\n", 1),
+     "`n`, the number of Z2 factors of the grading, must be an integer >= 1, got 'a'"),
+    ("signature", lambda t: t.replace("n 2\n", "n 0\n", 1),
+     "`n`, the number of Z2 factors of the grading, must be an integer >= 1, got '0'"),
+    ("atlas", lambda t: t.replace("n 1\n", "n -1\n", 1),
+     "`n`, the number of Z2 factors of the grading, must be an integer >= 1, got '-1'"),
 ], ids=["atlas-order", "morphism-order", "signature-n", "atlas-pair", "atlas-transition",
         "result-iso", "algebra-c", "algebra-c-zero-denominator", "transition-no-end",
         "image-row-no-equals", "image-row-repeated", "result-no-signature",
@@ -528,7 +534,8 @@ def _zeroed_copy_before(text, header):
         "result-iso-unknown-chart", "result-iso-missing-atlas-chart", "algebra-c-unknown-label",
         "atlas-order-negative", "atlas-order-not-an-integer", "morphism-order-zero",
         "morphism-order-negative", "result-order-zero", "algebra-basis-repeated",
-        "algebra-c-not-rational", "atlas-partition-before-signature"])
+        "algebra-c-not-rational", "atlas-partition-before-signature", "signature-n-not-an-integer",
+        "signature-n-zero", "atlas-n-negative"])
 def test_malformed_file_is_an_input_error(tmp_path, capsys, kind, edit, message):
     atlas = atlas_nonsplit_base_twist()
     texts = {

@@ -7,13 +7,15 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from z2nsuper import App, CoeffExpr, UnboundSymbol, parse_coeff
+from z2nsuper import App, CoeffExpr, UnboundSymbol, coeffexpr, parse_coeff
 from z2nsuper.coeffexpr import _APPS, ZERO, Var, sum_of_products
 
 from conftest import (
     naive_diff,
     naive_substitute_vars,
     naive_sum_of_products,
+    rand_opaque_coeff,
+    rand_poly,
     rand_wide_coeff,
     rand_wide_fraction,
 )
@@ -79,6 +81,28 @@ def test_power():
     assert x ** 3 == x * x * x
     with pytest.raises(ValueError):
         x ** -1
+
+
+def test_powers_are_repeated_products(rng):
+    for _ in range(20):
+        e = rng.choice([rand_poly, rand_opaque_coeff])(rng, BASE)
+        product = CoeffExpr.rational(1)
+        for k in range(13):
+            assert e ** k == product, k
+            product = product * e
+
+
+def test_a_large_exponent_takes_logarithmically_many_products(monkeypatch):
+    calls = []
+
+    def counted(pairs):
+        calls.append(pairs)
+        return sum_of_products(pairs)
+
+    monkeypatch.setattr(coeffexpr, "sum_of_products", counted)
+    k = 1_000_000
+    assert parse_coeff("x^%d" % k).terms() == {((x.as_atom(), k),): 1}
+    assert 0 < len(calls) <= 2 * k.bit_length()
 
 
 def test_diff_polynomial():

@@ -162,10 +162,11 @@ def test_clifford22_certifies():
     assert ok, violations
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
+    monkeypatch.setenv("Z2N_SEARCH_BUDGET", "1000")
     A = clifford_algebra(2, 2)
     with pytest.raises(BudgetExceeded):
-        search_degree_assignments(A, 5, budget=1000)
+        search_degree_assignments(A, 5)
 
 
 def test_search_derives_the_pair_parities_once(monkeypatch):

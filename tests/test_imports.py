@@ -371,3 +371,86 @@ def test_scanner_flags_a_loop_accumulation():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_sums_are_not_built_one_term_at_a_time_in_a_loop(path):
     assert loop_accumulations(path.read_text()) == []
+
+
+def optional_parameters(source):
+    """(qualified name, parameter, position) of each parameter with a default
+    in source; position is where a call passes it positionally, not counting
+    a method's self or cls, and None for a keyword-only one."""
+    tree = ast.parse(source)
+    owner = {id(fn): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for fn in cls.body}
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        cls = owner.get(id(fn))
+        static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+        skip = 1 if cls and not static else 0
+        qual = "%s.%s" % (cls, fn.name) if cls else fn.name
+        args = fn.args.posonlyargs + fn.args.args
+        for i in range(len(args) - len(fn.args.defaults), len(args)):
+            found.append((qual, args[i].arg, i - skip))
+        found += [(qual, a.arg, None)
+                  for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    return found
+
+
+def calls_made(source):
+    """(callee name, positional count, has *args, keywords) of each call in
+    source; the keywords hold None for **kwargs, and `cls(...)` inside a class
+    is a call of that class."""
+    tree = ast.parse(source)
+    owner = {id(node): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for node in ast.walk(cls)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            fn = node.func
+            name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+            if name == "cls":
+                name = owner.get(id(node))
+            found.append((name, len(node.args), any(isinstance(a, ast.Starred) for a in node.args),
+                          {k.arg for k in node.keywords}))
+    return found
+
+
+def unpassed_optional_parameters(package, users):
+    """(module, qualified name, parameter) of each parameter with a default in
+    a `package` module ({module: text}) that no call in `users` passes, by
+    position or keyword; calls match by name, and `C(...)` calls C.__init__."""
+    calls = [c for text in users for c in calls_made(text)]
+    found = []
+    for module, text in sorted(package.items()):
+        for qual, param, pos in optional_parameters(text):
+            owner, _, name = qual.rpartition(".")
+            callee = owner if name == "__init__" else name
+            if not any(n == callee and (star or param in kws or None in kws
+                                         or pos is not None and npos > pos)
+                       for n, npos, star, kws in calls):
+                found.append((module, qual, param))
+    return found
+
+
+def test_scanner_flags_an_optional_parameter_no_call_passes():
+    module = (
+        "def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+        "def g(a=0): pass\n"
+        "class C:\n"
+        "    def __init__(self, x=None, y=None): pass\n"
+        "    def m(self, p=1, q=2): pass\n"
+        "    @classmethod\n"
+        "    def make(cls): return cls(1)\n"
+        "    @staticmethod\n"
+        "    def s(u=0): pass\n"
+    )
+    users = [module, "f(1, 2, d=4)\nC().m(5)\nobj.s(0)\ng(*args)\n"]
+    assert unpassed_optional_parameters({"a": module}, users) == [
+        ("a", "f", "c"), ("a", "f", "e"), ("a", "C.__init__", "y"), ("a", "C.m", "q")]
+
+
+def test_every_optional_parameter_is_passed():
+    package = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    users = [p.read_text() for d in ("src", "demos", "bench", "tests")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unpassed_optional_parameters(package, users) == []

@@ -24,6 +24,7 @@ from conftest import (
     naive_pullback,
     rand_morphism,
     rand_opaque_coeff,
+    rand_poly,
     rand_series,
     rand_signature,
     sig_n1,
@@ -125,6 +126,21 @@ def test_pullbacks_of_opaque_coefficients_match_one_series_batches():
         fs = [rand_series(rng, sig, rng.randint(1, order + 1), coeff=rand_opaque_coeff)
               for _ in range(4)]
         assert m.pullbacks(fs) == [m.pullbacks([f])[0] for f in fs]
+
+
+def test_pullback_coeff_matches_the_oracle_up_to_n4():
+    rng = random.Random(44)
+    shifted = 0
+    for _ in range(60):
+        sig = rand_signature(rng, n_max=4, q_max=4, nbase=rng.randint(1, 2))
+        m = rand_morphism(rng, sig, rng.randint(1, 4), max_terms=4)
+        c = rng.choice([rand_poly, rand_opaque_coeff])(rng, sig.base_names)
+        f = GSeries.from_coeff(sig, m.order, c)
+        got = m.pullback_coeff(c)
+        assert got == naive_pullback(m, f)
+        shifted += got != f
+    # a base image with nilpotent terms makes the Taylor expansion nontrivial
+    assert shifted >= 10
 
 
 def test_pullbacks_leave_the_morphism_unchanged():

@@ -1,5 +1,7 @@
 """The splitting pipeline on split and nonsplit fixtures, with negative controls."""
 
+import random
+
 import pytest
 
 from z2nsuper import (
@@ -33,6 +35,11 @@ from conftest import (
     atlas_scaled_frame_twist,
     atlas_split_two_charts,
     naive_overlap_mismatch,
+    naive_pullback,
+    rand_morphism,
+    rand_opaque_coeff,
+    rand_poly,
+    rand_signature,
     rho,
     without_partition,
 )
@@ -55,6 +62,25 @@ def test_split_model_atlas_splits_trivially():
         assert result.iso[u] == ident
     for pair in result.bundle.matrices:
         assert atlas.transitions[pair] == result.split_atlas.transitions[pair]
+
+
+def test_embedding_apply_is_the_pullback_through_the_chart_morphism_up_to_n4():
+    rng = random.Random(45)
+    shifted = 0
+    for _ in range(30):
+        sig = rand_signature(rng, n_max=4, q_max=4, nbase=rng.randint(1, 2))
+        order = rng.randint(1, 4)
+        atlas = Atlas(sig, order, ["U", "V"], [], [], {})
+        values = {u: {bn: rand_morphism(rng, sig, order, max_terms=4).images[bn]
+                      for bn in sig.base_names} for u in atlas.charts}
+        family = EmbeddingFamily(atlas, values, order)
+        for u in atlas.charts:
+            c = rng.choice([rand_poly, rand_opaque_coeff])(rng, sig.base_names)
+            f = GSeries.from_coeff(sig, order, c)
+            got = family.apply(u, c)
+            assert got == naive_pullback(family.as_morphism(u, splitting._identity_frame(sig, order)), f)
+            shifted += got != f
+    assert shifted >= 15
 
 
 def test_base_twist_mismatch_is_a_pure_order_two_derivation():
