@@ -31,10 +31,13 @@ _TOKEN_RE = re.compile(
 
 
 class Tokenizer:
-    """Shared tokenizer for the expression and series languages."""
+    """Shared tokenizer for the expression and series languages; it carries
+    the signature and the wording of `_check_name` through the descent."""
 
-    def __init__(self, text):
+    def __init__(self, text, sig, what):
         self.text = text
+        self.sig = sig
+        self.what = what
         self.tokens = []
         pos = 0
         while pos < len(text):
@@ -76,14 +79,15 @@ class Tokenizer:
         return self.i >= len(self.tokens)
 
 
-def parse_coeff(text):
-    return _parse_all(text, _parse_term)
+def parse_coeff(text, sig=None, what="coefficient"):
+    """A coefficient; over `sig`, a function of its base coordinates only
+    (`_check_name`), and an error in a name opens with `what`."""
+    return _parse_all(Tokenizer(text, sig, what), _parse_term)
 
 
-def _parse_all(text, term, total=None):
-    """Parse all of `text` as a sum of `term(tz)` values, summed by `total`
-    as in `_parse_expr`."""
-    tz = Tokenizer(text)
+def _parse_all(tz, term, total=None):
+    """Parse all of `tz`'s text as a sum of `term(tz)` values, summed by
+    `total` as in `_parse_expr`."""
     e = _parse_expr(tz, term, total)
     if not tz.done():
         tok = tz.peek()
@@ -153,6 +157,7 @@ def _parse_atom(tz):
             return CoeffExpr.rational(Fraction(num, den))
         return CoeffExpr.rational(num)
     if tok[0] == "name":
+        _check_name(tz, tok)
         alpha = None
         if tz.at_sym("["):
             tz.next()
@@ -183,6 +188,25 @@ def _parse_atom(tz):
         tz.expect("sym", ")")
         return e
     raise ParseError("unexpected token %r" % tok[1], tok[2])
+
+
+def _check_name(tz, tok):
+    """The one rule for names inside a coefficient of the base coordinates,
+    applied to the name token `tok` just read: over `tz.sig` (none, no
+    rule), a name is a base coordinate, or a function symbol that opens an
+    application `f(...)`, `f[1](...)` and is not a formal name.  The error
+    opens with `tz.what`; in a series, where it is None, a formal name has
+    its own error."""
+    sig, name = tz.sig, tok[1]
+    if sig is None or name in sig.base_names:
+        return
+    formal = name in sig.formal_names
+    if formal or not (tz.at_sym("(") or tz.at_sym("[")):
+        if formal and tz.what is None:
+            raise ParseError("formal variable %r cannot appear inside a coefficient" % name,
+                             tok[2])
+        raise ParseError("%s names %r, which is not a base coordinate"
+                         % (tz.what or "coefficient", name), tok[2])
 
 
 # -- printing ------------------------------------------------------------

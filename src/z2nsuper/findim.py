@@ -23,6 +23,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .degrees import Degree
+from .formats import _positive_int
 
 
 class GradingError(ValueError):
@@ -40,10 +41,10 @@ def search_budget():
     value = os.environ.get("Z2N_SEARCH_BUDGET")
     if value is None:
         return DEFAULT_BUDGET
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError("Z2N_SEARCH_BUDGET must be an integer, got %r" % value) from None
+    budget = _positive_int(value)
+    if budget is None:
+        raise ValueError("Z2N_SEARCH_BUDGET must be an integer >= 1, got %r" % value)
+    return budget
 
 
 class FinDimAlgebra:

@@ -190,7 +190,7 @@ def parse_signature(text):
 def parse_series(text, sig, order):
     """Parse the series literal syntax over a known signature."""
     return exprio._parse_all(
-        text, lambda tz: _parse_series_term(tz, sig, order),
+        exprio.Tokenizer(text, sig, None), lambda tz: _parse_series_term(tz, sig, order),
         lambda terms: combine(sig, order, [(t, -1 if negate else 1) for t, negate in terms]))
 
 
@@ -198,7 +198,7 @@ def _parse_series_term(tz, sig, order):
     """One term as one monomial: the product of its coefficient factors
     times its formal powers folded left to right, with the sign of their
     reordering; a square of a self-odd variable kills the term."""
-    sign, factors = exprio._term_factors(tz, lambda tz: _parse_series_factor(tz, sig))
+    sign, factors = exprio._term_factors(tz, _parse_series_factor)
     coeff, mu = CoeffExpr.rational(1), (0,) * sig.nformal
     for f in factors:
         if isinstance(f, CoeffExpr):
@@ -212,11 +212,12 @@ def _parse_series_term(tz, sig, order):
     return GSeries.monomial(sig, order, mu, coeff * sign)
 
 
-def _parse_series_factor(tz, sig):
+def _parse_series_factor(tz):
     """A coefficient factor, or a formal power as its exponent vector.  A
     coefficient is a function of the base coordinates, so a formal name
-    inside one (`xi(x)`, `f(xi)`, `(xi + 1)`) is an error."""
-    tok = tz.peek()
+    inside one (`xi(x)`, `f(xi)`, `(xi + 1)`) is an error, raised by the
+    tokenizer's name rule as the name is read."""
+    tok, sig = tz.peek(), tz.sig
     # a formal variable, unless the name opens an application `f(...)`, `f[1](...)`
     if tok[0] == "name" and tok[1] in sig.formal_names and tz.peek(1)[1] not in ("(", "["):
         tz.next()
@@ -225,29 +226,7 @@ def _parse_series_factor(tz, sig):
             tz.next()
             k = int(tz.expect("num")[1])
         return sig.formal_unit(tok[1], k)
-    start = tz.i
-    factor = exprio._parse_factor(tz)
-    bad = _non_base_name(tz.tokens, start, tz.i, sig)
-    if bad:
-        name, pos = bad
-        if name in sig.formal_names:
-            raise ParseError("formal variable %r cannot appear inside a coefficient" % name, pos)
-        raise ParseError("coefficient names %r, which is not a base coordinate" % name, pos)
-    return factor
-
-
-def _non_base_name(tokens, start, stop, sig):
-    """The one rule for names inside a coefficient of the base coordinates: a
-    name is a base coordinate, or a function symbol that opens an application
-    `f(...)`, `f[1](...)` and is not a formal name.  Returns (name, position)
-    of the first name among tokens[start:stop] that breaks it, or None."""
-    for i in range(start, stop):
-        kind, name, pos = tokens[i]
-        opens = i + 1 < len(tokens) and tokens[i + 1][1] in ("(", "[")
-        if kind == "name" and name not in sig.base_names and (
-                name in sig.formal_names or not opens):
-            return name, pos
-    return None
+    return exprio._parse_factor(tz)
 
 
 def print_monomial(sig, mu):
@@ -454,22 +433,12 @@ def parse_atlas(text, path=None):
             transitions[tuple(fields)] = Morphism(sig, sig, images, order)
         else:
             _after(kw, sig)
-            rows = _rows(block, "chart", lambda names, rhs: _parse_base_coeff(
+            rows = _rows(block, "chart", lambda names, rhs: parse_coeff(
                 rhs, sig, "partition row of chart %s" % names[0]), path)
             partition = {u: rho for (u,), rho in rows.items()}
     if order is None or sig is None or not charts:
         raise ParseError("atlas file is missing header data", 0)
     return Atlas(sig, order, charts, pairs, triples, transitions, partition)
-
-
-def _parse_base_coeff(text, sig, what="coefficient"):
-    """A coefficient of the base coordinates (a partition function, a bundle
-    entry), under the rule of `_non_base_name`; `what` opens the error."""
-    tokens = exprio.Tokenizer(text).tokens
-    bad = _non_base_name(tokens, 0, len(tokens), sig)
-    if bad:
-        raise ParseError("%s names %r, which is not a base coordinate" % (what, bad[0]), bad[1])
-    return parse_coeff(text)
 
 
 # -- splitting results ----------------------------------------------------
@@ -563,5 +532,5 @@ def parse_result(text, path=None):
         if u not in iso:
             raise ParseError("result `charts %s` lists %s, which has no `iso %s` block"
                              % (" ".join(charts), u, u), 0)
-    _rows(bundle, None, lambda names, rhs: _parse_base_coeff(rhs, sig), path)
+    _rows(bundle, None, lambda names, rhs: parse_coeff(rhs, sig), path)
     return ResultDoc(order, sig, charts, bundle[2], embedding, iso, report_lines)

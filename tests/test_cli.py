@@ -169,12 +169,13 @@ def test_search_degrees(tmp_path, capsys):
     assert "count 0" in capsys.readouterr().out
 
 
-def test_a_malformed_search_budget_names_the_variable(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("budget", ["abc", "0", "-5"])
+def test_a_malformed_search_budget_names_the_variable(tmp_path, capsys, monkeypatch, budget):
     afile = write(tmp_path, "alg.txt", print_algebra(quaternion_algebra()))
-    monkeypatch.setenv("Z2N_SEARCH_BUDGET", "abc")
+    monkeypatch.setenv("Z2N_SEARCH_BUDGET", budget)
     assert main(["search-degrees", "--algebra", afile, "--n", "3"]) == 2
     err = capsys.readouterr().err
-    assert err == "error: Z2N_SEARCH_BUDGET must be an integer, got 'abc'\n"
+    assert err == "error: Z2N_SEARCH_BUDGET must be an integer >= 1, got %r\n" % budget
 
 
 @pytest.mark.parametrize("rows, message", [

@@ -1,11 +1,15 @@
 """Round trips for every file format, including splitting results."""
 
+import importlib.util
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from z2nsuper import CoeffExpr, GSeries, ParseError, Signature, formats, print_coeff, split
+from z2nsuper import (CoeffExpr, GSeries, ParseError, Signature, coeffexpr, exprio, formats,
+                      gseries, print_coeff, split)
 from z2nsuper.formats import (
     parse_algebra,
     parse_atlas,
@@ -34,6 +38,11 @@ from conftest import (
 )
 from test_exprio import count_sizes, rand_coeff_term, rand_sum_text
 from test_morphisms import base_shift_morphism
+
+_GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+_spec = importlib.util.spec_from_file_location("bench_gen", _GEN)
+gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen)
 
 
 def test_signature_round_trip():
@@ -150,6 +159,54 @@ def test_formal_names_inside_a_coefficient_are_parse_errors(text, pos):
     assert parse_series("(x + 1) * xi", sig, 3) == s
     with pytest.raises(ParseError, match=r"formal variable 'xi' .* \(at position %d\)" % pos):
         parse_series(text, sig, 3)
+
+
+def _no_arithmetic(monkeypatch):
+    """Every binding of `sum_of_products` raises: nothing may be computed."""
+    def refuse(pairs):
+        raise AssertionError("sum_of_products called before the name was refused")
+
+    for module in (coeffexpr, exprio, gseries):
+        monkeypatch.setattr(module, "sum_of_products", refuse)
+
+
+def _header_then_partition(rows):
+    """An atlas text over `gen.SPLIT_SIG` whose first block with rows is
+    its partition."""
+    return "order 3\nsignature\n%s\nend\ncharts U V\npartition\n%s\nend\n" % (
+        print_signature(gen.SPLIT_SIG), "\n".join(rows))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(y + 1)^100000", "formal variable 'y' cannot appear inside a coefficient (at position 1)"),
+    ("(xi + eta)^100000", "formal variable 'xi' cannot appear inside a coefficient (at position 1)"),
+    ("f(xi)^100000 * xi", "formal variable 'xi' cannot appear inside a coefficient (at position 2)"),
+    ("(q + 1)^100000", "coefficient names 'q', which is not a base coordinate (at position 1)"),
+])
+def test_a_bad_name_in_a_series_is_refused_before_any_arithmetic(monkeypatch, text, message):
+    _no_arithmetic(monkeypatch)
+    with pytest.raises(ParseError) as exc:
+        parse_series(text, gen.SPLIT_SIG, 3)
+    assert str(exc.value) == message
+
+
+def test_a_bad_name_in_a_partition_row_is_refused_before_any_arithmetic(monkeypatch):
+    _no_arithmetic(monkeypatch)
+    with pytest.raises(ParseError) as exc:
+        parse_atlas(_header_then_partition(["V = (rho_V(xi) + 1)^100000", "U = 1"]))
+    assert str(exc.value) == (
+        "partition row of chart V names 'xi', which is not a base coordinate (at position 7), "
+        "in the `V` row of block `partition`, line 11")
+
+
+def test_the_first_error_in_reading_order_is_reported():
+    # the name rule runs as each name is read, so an earlier syntax error wins
+    # over a later bad name, and an earlier bad name over a later syntax error
+    with pytest.raises(ParseError, match=re.escape(
+            "formal variable 'xi' cannot appear inside a coefficient (at position 2)")):
+        parse_series("f(xi", gen.SPLIT_SIG, 3)
+    with pytest.raises(ParseError, match=re.escape("trailing input ')' (at position 8), in the `U`")):
+        parse_atlas(_header_then_partition(["U = rho_U(x)) + xi", "V = 1 - rho_U(x)"]))
 
 
 def test_series_parse_respects_noncommutativity():

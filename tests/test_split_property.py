@@ -8,7 +8,9 @@ row of an `iso`, `embedding` or `bundle` block must make `verify` exit 1.
 The overlap mismatch read through the composition R_UV = compose(iso[V], T_UV)
 must equal the two-step pullback and the naive one, on the result's isos and
 on isos with one extra term.  Over the benchmark's signature, the result at
-K truncated to K - 1 must be the result at K - 1 (the J-adic limit).
+K truncated to K - 1 must be the result at K - 1 (the J-adic limit).  Two
+splittings of one atlas, under its own partition and under the degenerate
+one, must differ by an automorphism of the split model.
 """
 
 import importlib.util
@@ -18,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from z2nsuper import CoeffExpr, GSeries, Morphism, compose, split
+from z2nsuper import CoeffExpr, GSeries, Morphism, compose, invert, split
+from z2nsuper.atlas import Atlas
 from z2nsuper.cli import main
 from z2nsuper.formats import print_atlas
 from z2nsuper.morphisms import enumerate_monomials
@@ -120,3 +123,53 @@ def test_the_result_at_k_truncates_to_the_result_at_k_minus_one(seed):
     for u in atlas.charts:
         for name, image in high.iso[u].images.items():
             assert image.truncate(order - 1) == low.iso[u].images[name], (u, name)
+
+
+def intertwines(atlas, model, psi):
+    """Whether compose(S_UV, psi_U) == compose(psi_V, S_UV) on every overlap,
+    modulo the atlas's partition relation."""
+    for u, v in atlas.overlaps:
+        s_uv = model.transition(u, v)
+        lhs, rhs = compose(s_uv, psi[u]), compose(psi[v], s_uv)
+        if any(not atlas.reduce_series(lhs.images[nm] - rhs.images[nm]).is_zero()
+               for nm in lhs.images):
+            return False
+    return True
+
+
+def control_monomial(sig):
+    """An order-3 monomial of the first formal variable's degree, or None."""
+    degree = dict(sig.variables())[sig.formal_names[0]]
+    return next((mu for mu in enumerate_monomials(sig, 3, degree) if sum(mu) == 3), None)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_two_splittings_differ_by_an_automorphism_of_the_split_model(seed):
+    # the isomorphism to the split model depends on the partition: with
+    # iso_A under the atlas's own partition and iso_B under rho_U0 = 1 and
+    # every other rho = 0, psi_U = iso_A[U] o iso_B[U]^-1 commutes with S
+    rng = random.Random(3000 + seed)
+    sig = gen.SPLIT_SIG if seed < 2 else rand_signature(rng, n_max=4)
+    # n = 2 or 3, and an order-3 monomial mu of the first formal variable's
+    # degree, for the negative control below (so J^3 is not 0)
+    while sig.n not in (2, 3) or not (mu := control_monomial(sig)):
+        sig = rand_signature(rng, n_max=4)
+    order = 3
+    atlas = gen.rand_atlas(rng, rng.choice((2, 3)), order, seed, sig=sig)
+    degenerate = {u: CoeffExpr.rational(1 if u == atlas.charts[0] else 0) for u in atlas.charts}
+    other = Atlas(sig, order, atlas.charts, atlas.pairs, atlas.triples, atlas.transitions,
+                  degenerate)
+    a, b = split(atlas, order), split(other, order)
+    assert a.report.passed and b.report.passed
+    inverse_b = {u: invert(b.iso[u]) for u in atlas.charts}
+    psi = {u: compose(a.iso[u], inverse_b[u]) for u in atlas.charts}
+    assert intertwines(atlas, a.split_atlas, psi)
+    assert any(not atlas.reduce_series(image - GSeries.generator(sig, nm, order)).is_zero()
+               for u in atlas.charts for nm, image in psi[u].images.items())
+    # negative control: x * mu, mu of order 3 and of the degree of the first
+    # formal variable, added to that variable's image under iso_A[V]
+    v, fa = atlas.charts[1], sig.formal_names[0]
+    images = dict(a.iso[v].images)
+    images[fa] = images[fa] + GSeries.monomial(sig, order, mu, CoeffExpr.var(sig.base_names[0]))
+    psi[v] = compose(Morphism(sig, sig, images, order), inverse_b[v])
+    assert not intertwines(atlas, a.split_atlas, psi)
