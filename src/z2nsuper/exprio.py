@@ -1,9 +1,12 @@
-"""Parser and canonical printer for the coefficient-expression mini-language.
+"""Reader of the coefficient and series languages; canonical coefficient printer.
 
-Grammar: rationals like `3/2`, coordinate names, opaque applications
+Coefficients: rationals like `3/2`, coordinate names, opaque applications
 `f[1,0](x0, x1)` (the bracket is the derivative multi-index, omitted when all
-zero), `+`, `-`, `*`, integer powers `^`, parentheses.  Printing a canonical
-form and re-parsing it gives back the identical expression.
+zero), `+`, `-`, `*`, integer powers `^`, parentheses.  A series is a sum of
+terms `coeff * v^k w ...` whose formal powers make the term's monomial.  One
+recursive descent reads both languages: a term is a sign and its factors,
+and a sum is one accumulation call.  Printing a canonical coefficient and
+re-parsing it gives back the identical expression.
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .coeffexpr import ONE, CoeffExpr, Var, sum_of_products
+from .coeffexpr import ONE, CoeffExpr, Var, _mono_key, sum_of_products
+from .gseries import GSeries, combine, mul_monomials
 
 
 class ParseError(ValueError):
@@ -23,6 +27,15 @@ class ParseError(ValueError):
         super().__init__(text if where is None else "%s, %s" % (text, where))
         self.message = message
         self.pos = pos
+
+
+def positive_int(text):
+    """text as an integer >= 1; None when it is not one."""
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return value if value >= 1 else None
 
 
 _TOKEN_RE = re.compile(
@@ -82,58 +95,83 @@ class Tokenizer:
 def parse_coeff(text, sig=None, what="coefficient"):
     """A coefficient; over `sig`, a function of its base coordinates only
     (`_check_name`), and an error in a name opens with `what`."""
-    return _parse_all(Tokenizer(text, sig, what), _parse_term)
+    return _parse_all(Tokenizer(text, sig, what), None)
 
 
-def _parse_all(tz, term, total=None):
-    """Parse all of `tz`'s text as a sum of `term(tz)` values, summed by
-    `total` as in `_parse_expr`."""
-    e = _parse_expr(tz, term, total)
+def parse_series(text, sig, order):
+    """A series over `sig` truncated at `order`: a sum of terms
+    `coeff * v^k w ...`, whose coefficient factors are functions of the base
+    coordinates and whose formal powers make the term's monomial."""
+    return _parse_all(Tokenizer(text, sig, None), order)
+
+
+def _parse_all(tz, order):
+    """All of `tz`'s text as one sum (`_parse_expr`)."""
+    e = _parse_expr(tz, order)
     if not tz.done():
         tok = tz.peek()
         raise ParseError("trailing input %r" % tok[1], tok[2])
     return e
 
 
-def _parse_expr(tz, term, total=None):
-    """A sum of `term(tz)` values.  Every term is read first, so a parse
-    error is raised at the token where it is met; then the terms are summed
-    in one call, total([(value, negate), ...]), by default one
-    `sum_of_products` over CoeffExpr values.  A lone term is its own sum."""
-    terms = [(term(tz), False)]
+def _parse_expr(tz, order):
+    """A sum of terms: a coefficient when order is None, else a series at
+    `order`.  Every term is read first, so a parse error is raised at the
+    token where it is met; then the terms are summed in one call, one
+    `sum_of_products` for a coefficient and one `combine` for a series.  A
+    lone term is its own sum."""
+    terms = [(_parse_term(tz, order), False)]
     while tz.at_sym("+") or tz.at_sym("-"):
         negate = tz.next()[1] == "-"
-        terms.append((term(tz), negate))
+        terms.append((_parse_term(tz, order), negate))
     if len(terms) == 1:
         return terms[0][0]
-    if total is None:
+    if order is None:
         return sum_of_products([(t, ONE, negate) for t, negate in terms])
-    return total(terms)
+    return combine(tz.sig, order, [(t, -1 if negate else 1) for t, negate in terms])
 
 
-def _term_factors(tz, factor):
-    """The sign of a product term and its `factor(tz)` values, in order."""
+def _parse_term(tz, order):
+    """A product term: its sign, then its factors, juxtaposed or joined by
+    `*`.  The coefficient factors are multiplied in order.  In a series
+    (order given) each formal power `v^k`, a formal name that opens no
+    application, is folded into the term's monomial with its reordering
+    sign; a square of a self-odd variable kills the term, and reading goes
+    on, so a later bad factor still raises its error."""
     sign = 1
     while tz.at_sym("-"):
         tz.next()
         sign = -sign
-    factors = [factor(tz)]
+    sig, coeff, killed = tz.sig, None, False
+    mu = None if order is None else (0,) * sig.nformal
     while True:
+        tok = tz.peek()
+        if mu is not None and tok[0] == "name" and tok[1] in sig.formal_names \
+                and tz.peek(1)[1] not in ("(", "["):
+            tz.next()
+            k = 1
+            if tz.at_sym("^"):
+                tz.next()
+                k = int(tz.expect("num")[1])
+            hit = None if killed else mul_monomials(sig, mu, sig.formal_unit(tok[1], k))
+            if hit is None:
+                killed = True
+            else:
+                s, mu = hit
+                sign *= s
+        else:
+            f = _parse_factor(tz)
+            coeff = f if coeff is None else coeff * f
         tok = tz.peek()
         if tz.at_sym("*"):
             tz.next()
-        elif not (tok[0] in ("num", "name") or (tok[0] == "sym" and tok[1] == "(")):
+        elif not (tok[0] in ("num", "name") or tz.at_sym("(")):
             break
-        factors.append(factor(tz))
-    return sign, factors
-
-
-def _parse_term(tz):
-    sign, factors = _term_factors(tz, _parse_factor)
-    e = factors[0]
-    for f in factors[1:]:
-        e = e * f
-    return e * sign
+    if order is None:
+        return coeff * sign
+    if killed:
+        return GSeries.zero(sig, order)
+    return GSeries.monomial(sig, order, mu, sign if coeff is None else coeff * sign)
 
 
 def _parse_factor(tz):
@@ -168,10 +206,10 @@ def _parse_atom(tz):
             tz.expect("sym", "]")
         if tz.at_sym("("):
             tz.next()
-            args = [_parse_expr(tz, _parse_term)]
+            args = [_parse_expr(tz, None)]
             while tz.at_sym(","):
                 tz.next()
-                args.append(_parse_expr(tz, _parse_term))
+                args.append(_parse_expr(tz, None))
             tz.expect("sym", ")")
             if alpha is not None and len(alpha) != len(args):
                 raise ParseError(
@@ -184,7 +222,7 @@ def _parse_atom(tz):
             raise ParseError("derivative index without argument list", tok[2])
         return CoeffExpr.var(tok[1])
     if tok[0] == "sym" and tok[1] == "(":
-        e = _parse_expr(tz, _parse_term)
+        e = _parse_expr(tz, None)
         tz.expect("sym", ")")
         return e
     raise ParseError("unexpected token %r" % tok[1], tok[2])
@@ -212,12 +250,6 @@ def _check_name(tz, tok):
 # -- printing ------------------------------------------------------------
 
 
-def _frac_str(q):
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
-
-
 def _atom_str(atom):
     if isinstance(atom, Var):
         return atom.name
@@ -232,8 +264,6 @@ def print_coeff(e):
     """Canonical text form; parse_coeff(print_coeff(e)) == e."""
     if e.is_zero():
         return "0"
-    from .coeffexpr import _mono_key
-
     pieces = []
     for mono, coeff in sorted(e.terms().items(), key=lambda t: _mono_key(t[0])):
         factors = []
@@ -243,11 +273,11 @@ def print_coeff(e):
                 s += "^%d" % power
             factors.append(s)
         if not factors:
-            body = _frac_str(abs(coeff))
+            body = str(abs(coeff))
         elif abs(coeff) == 1:
             body = "*".join(factors)
         else:
-            body = _frac_str(abs(coeff)) + "*" + "*".join(factors)
+            body = str(abs(coeff)) + "*" + "*".join(factors)
         pieces.append((coeff < 0, body))
     out = ""
     for i, (neg, body) in enumerate(pieces):

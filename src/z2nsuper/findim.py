@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .degrees import Degree
-from .formats import _positive_int
+from .exprio import positive_int
 
 
 class GradingError(ValueError):
@@ -41,7 +41,7 @@ def search_budget():
     value = os.environ.get("Z2N_SEARCH_BUDGET")
     if value is None:
         return DEFAULT_BUDGET
-    budget = _positive_int(value)
+    budget = positive_int(value)
     if budget is None:
         raise ValueError("Z2N_SEARCH_BUDGET must be an integer >= 1, got %r" % value)
     return budget

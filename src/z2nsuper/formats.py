@@ -2,7 +2,8 @@
 
 All formats are line oriented, print canonically, and round-trip bit-exactly
 on canonical forms.  Degrees appear verbatim as bit strings ("011"); series
-terms are `coeff * var^k var^k ...` joined by `+`.
+terms are `coeff * var^k var^k ...` joined by `+`.  Series and coefficient
+rows are read by `exprio`'s one reader.
 
 Every format is read by one grammar (`_sections`).  A file is a sequence of
 header lines: a keyword and a fixed number of whitespace-separated fields.
@@ -35,11 +36,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import exprio
+from .atlas import Atlas
 from .coeffexpr import CoeffExpr
 from .degrees import Degree, Signature
-from .exprio import ParseError, _frac_str, parse_coeff, print_coeff
-from .gseries import GSeries, combine, mono_order, mul_monomials
+from .exprio import ParseError, parse_coeff, parse_series, positive_int, print_coeff
+from .findim import FinDimAlgebra
+from .gseries import mono_order
 from .morphisms import Morphism
 
 # keyword -> (number of fields, number of leading fields that name the line,
@@ -137,18 +139,9 @@ def _after(kw, *header):
         raise ParseError("%s block before the header lines it needs" % kw, 0)
 
 
-def _positive_int(text):
-    """text as an integer >= 1; None when it is not one."""
-    try:
-        value = int(text)
-    except ValueError:
-        return None
-    return value if value >= 1 else None
-
-
 def parse_order(text):
     """A truncation order K from an `order` line or `--order`: an integer >= 1."""
-    order = _positive_int(text)
+    order = positive_int(text)
     if order is None:
         raise ParseError("the truncation order must be an integer >= 1, got %r" % text, 0)
     return order
@@ -169,7 +162,7 @@ def parse_signature_lines(lines):
     variables = []
     for kw, fields, _, _ in _sections(lines, ("n", "var"), "signature"):
         if kw == "n":
-            n = _positive_int(fields[0])
+            n = positive_int(fields[0])
             if n is None:
                 raise ParseError("`n`, the number of Z2 factors of the grading, must be "
                                  "an integer >= 1, got %r" % fields[0], 0)
@@ -185,48 +178,6 @@ def parse_signature(text):
 
 
 # -- series ---------------------------------------------------------------
-
-
-def parse_series(text, sig, order):
-    """Parse the series literal syntax over a known signature."""
-    return exprio._parse_all(
-        exprio.Tokenizer(text, sig, None), lambda tz: _parse_series_term(tz, sig, order),
-        lambda terms: combine(sig, order, [(t, -1 if negate else 1) for t, negate in terms]))
-
-
-def _parse_series_term(tz, sig, order):
-    """One term as one monomial: the product of its coefficient factors
-    times its formal powers folded left to right, with the sign of their
-    reordering; a square of a self-odd variable kills the term."""
-    sign, factors = exprio._term_factors(tz, _parse_series_factor)
-    coeff, mu = CoeffExpr.rational(1), (0,) * sig.nformal
-    for f in factors:
-        if isinstance(f, CoeffExpr):
-            coeff = coeff * f
-            continue
-        hit = mul_monomials(sig, mu, f)
-        if hit is None:
-            return GSeries.zero(sig, order)
-        s, mu = hit
-        sign *= s
-    return GSeries.monomial(sig, order, mu, coeff * sign)
-
-
-def _parse_series_factor(tz):
-    """A coefficient factor, or a formal power as its exponent vector.  A
-    coefficient is a function of the base coordinates, so a formal name
-    inside one (`xi(x)`, `f(xi)`, `(xi + 1)`) is an error, raised by the
-    tokenizer's name rule as the name is read."""
-    tok, sig = tz.peek(), tz.sig
-    # a formal variable, unless the name opens an application `f(...)`, `f[1](...)`
-    if tok[0] == "name" and tok[1] in sig.formal_names and tz.peek(1)[1] not in ("(", "["):
-        tz.next()
-        k = 1
-        if tz.at_sym("^"):
-            tz.next()
-            k = int(tz.expect("num")[1])
-        return sig.formal_unit(tok[1], k)
-    return exprio._parse_factor(tz)
 
 
 def print_monomial(sig, mu):
@@ -308,16 +259,11 @@ def print_algebra(A):
     lines = ["basis %s" % " ".join(A.labels), "unit %s" % A.labels[A.unit]]
     for (i, j), row in sorted(A.table.items()):
         for k, c in sorted(row.items()):
-            lines.append(
-                "c %s %s %s %s"
-                % (A.labels[i], A.labels[j], A.labels[k], _frac_str(c))
-            )
+            lines.append("c %s %s %s %s" % (A.labels[i], A.labels[j], A.labels[k], c))
     return "\n".join(lines)
 
 
 def parse_algebra(text):
-    from .findim import FinDimAlgebra
-
     labels = None
     unit = None
     consts = []
@@ -405,8 +351,6 @@ def print_atlas(atlas):
 
 
 def parse_atlas(text, path=None):
-    from .atlas import Atlas
-
     order = None
     sig = None
     charts = []

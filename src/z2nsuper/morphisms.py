@@ -231,20 +231,19 @@ def _linear_block(m, tvars, svars):
     return [[m.images[tv].coeff_of(mu) for mu in units] for tv in tvars]
 
 
-def _rational(M):
-    """A matrix of CoeffExprs as Fractions; None when an entry is not rational."""
-    Q = [[e.as_rational() for e in row] for row in M]
-    return None if any(None in row for row in Q) else Q
-
-
-def _invert_rational_matrix(M):
-    """Invert a matrix of Fractions by Gaussian elimination; None if singular."""
+def block_inverse(m, d, tvars, svars):
+    """The inverse, as Fractions, of m's linear block of degree d from svars
+    to tvars, by Gaussian elimination; SingularBlock when an entry is not
+    rational or the block is singular."""
+    M = [[e.as_rational() for e in row] for row in _linear_block(m, tvars, svars)]
+    if any(None in row for row in M):
+        raise SingularBlock("linear block of degree %s is not rational; cannot invert" % d)
     nn = len(M)
-    aug = [[Fraction(M[i][j]) for j in range(nn)] + [Fraction(int(i == j)) for j in range(nn)] for i in range(nn)]
+    aug = [M[i] + [Fraction(int(i == j)) for j in range(nn)] for i in range(nn)]
     for col in range(nn):
         piv = next((r for r in range(col, nn) if aug[r][col] != 0), None)
         if piv is None:
-            return None
+            raise SingularBlock("linear block of degree %s is singular" % d)
         aug[col], aug[piv] = aug[piv], aug[col]
         p = aug[col][col]
         aug[col] = [x / p for x in aug[col]]
@@ -301,15 +300,7 @@ def invert(m, base_inverse=None):
             raise SignatureMismatch("source and target differ in degree %s count" % d)
         blocks[d] = (tvars, svars)
 
-    Minv = {}
-    for d, (tvars, svars) in blocks.items():
-        M = _rational(_linear_block(m, tvars, svars))
-        if M is None:
-            raise SingularBlock("linear block of degree %s is not rational; cannot invert" % d)
-        inv = _invert_rational_matrix(M)
-        if inv is None:
-            raise SingularBlock("linear block of degree %s is singular" % d)
-        Minv[d] = inv
+    Minv = {d: block_inverse(m, d, tvars, svars) for d, (tvars, svars) in blocks.items()}
 
     # nonlinear parts of the forward images, by target variable: every
     # formal variable has a nonzero degree, so the terms of order <= 1 are the

@@ -40,8 +40,9 @@ from itertools import zip_longest
 
 from .atlas import Report, build_split_model, extract_bundle, validate_atlas
 from .coeffexpr import CoeffExpr
+from .formats import print_bundle
 from .gseries import GSeries, combine, mono_order
-from .morphisms import Morphism, _invert_rational_matrix, _linear_block, _rational, compose
+from .morphisms import Morphism, SingularBlock, block_inverse, compose
 
 
 class SplittingError(RuntimeError):
@@ -400,8 +401,12 @@ def verify_iso(atlas, split_atlas, iso, order, report=None, composed=None):
             ("(%s, %s)" % (names[i], names[j]), atlas.reduce_series(prod - pulled[i] * pulled[j]))
             for (i, j), prod in zip(pairs, lhs)
         ))
-        blocks = (_rational(_linear_block(m, vs, vs)) for vs in sig.formal_blocks.values())
-        inv_ok = all(M is not None and _invert_rational_matrix(M) is not None for M in blocks)
+        try:
+            for d, vs in sig.formal_blocks.items():
+                block_inverse(m, d, vs, vs)
+            inv_ok = True
+        except SingularBlock:
+            inv_ok = False
         report.add("iso %s: invertible modulo J^%d" % (u, order + 1), inv_ok)
     for (u, v) in atlas.overlaps:
         # the iso expresses split coordinates over atlas coordinates, so its
@@ -460,8 +465,6 @@ def verify_result(atlas, iso, order, embedding=None, bundle_lines=None):
                             ((y, mismatch[y]) for y in names))
     bundle = extract_bundle(atlas)
     if bundle_lines is not None:
-        from .formats import print_bundle
-
         want = print_bundle(bundle).splitlines()
         pairs = enumerate(zip_longest(bundle_lines, want))
         bad = next((i for i, (got, exp) in pairs if got != exp), None)

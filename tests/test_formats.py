@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from z2nsuper import (CoeffExpr, GSeries, ParseError, Signature, coeffexpr, exprio, formats,
-                      gseries, print_coeff, split)
+from z2nsuper import (CoeffExpr, GSeries, ParseError, Signature, coeffexpr, exprio,
+                      gseries, parse_coeff, print_coeff, split)
 from z2nsuper.formats import (
     parse_algebra,
     parse_atlas,
@@ -98,7 +98,7 @@ def test_a_long_series_parses_to_the_term_by_term_sum_in_one_call(monkeypatch, n
     want = GSeries.zero(sig, 4)
     for t, neg in terms:
         want = want - parse_series(t, sig, 4) if neg else want + parse_series(t, sig, 4)
-    sizes = count_sizes(monkeypatch, formats, "combine")
+    sizes = count_sizes(monkeypatch, exprio, "combine")
     assert parse_series(text, sig, 4) == want
     assert sizes == [n]
 
@@ -207,6 +207,23 @@ def test_the_first_error_in_reading_order_is_reported():
         parse_series("f(xi", gen.SPLIT_SIG, 3)
     with pytest.raises(ParseError, match=re.escape("trailing input ')' (at position 8), in the `U`")):
         parse_atlas(_header_then_partition(["U = rho_U(x)) + xi", "V = 1 - rho_U(x)"]))
+
+
+def test_a_killed_term_still_raises_the_error_of_a_later_factor():
+    # xi xi is zero, but the term is read to its end
+    with pytest.raises(ParseError) as exc:
+        parse_series("xi xi * f(eta)", sig_n2(), 3)
+    assert str(exc.value) == (
+        "formal variable 'eta' cannot appear inside a coefficient (at position 10)")
+
+
+@pytest.mark.parametrize("text", ["x", "3/2 * x^2 - f(x) * x + 1", "-(x + 1)^2 * g[1](x)"])
+def test_a_series_without_formal_variables_is_its_coefficient(text):
+    # every term has the empty monomial, which must not read as a killed term
+    sig = Signature(1, [("x", "0")])
+    s = parse_series(text, sig, 2)
+    assert not s.is_zero()
+    assert s == GSeries.from_coeff(sig, 2, parse_coeff(text, sig))
 
 
 def test_series_parse_respects_noncommutativity():

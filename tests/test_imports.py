@@ -7,7 +7,9 @@ benchmark, or else by more than one test file; exponent vectors come from
 every atom is interned, no series sum is built up from `GSeries.zero`
 one term at a time instead of by one `gseries.combine` call, and no loop
 builds a sum one term at a time (`v = v + ...`) instead of by one
-accumulation call."""
+accumulation call; no package function imports, but the two printers
+`CoeffExpr.__str__` and `GSeries.__str__`, whose modules the printing
+modules import."""
 
 import ast
 from pathlib import Path
@@ -40,6 +42,63 @@ def test_scanner_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def function_level_imports(source):
+    """Qualified names (`f`, `C.m`, `f.inner`) of each function or method in
+    source whose own body, outside any function nested in it, imports."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qual = prefix + child.name
+                if not isinstance(child, ast.ClassDef) and any(
+                        isinstance(n, (ast.Import, ast.ImportFrom)) for n in _own_nodes(child)):
+                    found.append(qual)
+                visit(child, qual + ".")
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def _own_nodes(fn):
+    """The nodes of fn's body, not descending into nested functions or classes."""
+    todo = list(fn.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def test_scanner_flags_a_function_level_import():
+    source = (
+        "import os\n"
+        "def f():\n"
+        "    from .a import b\n"
+        "    def inner():\n"
+        "        import sys\n"
+        "    return b\n"
+        "def g():\n"
+        "    if os.name:\n"
+        "        import json\n"
+        "def h():\n"
+        "    def nested():\n"
+        "        from . import c\n"
+        "class C:\n"
+        "    def __str__(self):\n"
+        "        from .p import q\n"
+        "    def fine(self):\n"
+        "        return os\n"
+    )
+    assert function_level_imports(source) == ["f", "f.inner", "g", "h.nested", "C.__str__"]
+
+
+def test_no_function_imports_but_the_two_printers():
+    found = [(p.stem, qual) for p in sorted(PACKAGE.glob("*.py"))
+             for qual in function_level_imports(p.read_text())]
+    assert found == [("coeffexpr", "CoeffExpr.__str__"), ("gseries", "GSeries.__str__")]
 
 
 def orphaned_private_functions(sources):
