@@ -35,7 +35,7 @@ atlas = Atlas(sig, K, ["U", "V"], [("U", "V"), ("V", "U")], [],
 print("Atlas: two charts glued by  x -> x + g(x) xi1 xi2")
 print()
 
-result = split(atlas, K)
+result = split(atlas)
 
 print("Corrected embedding of the base coordinate (the twist is absorbed")
 print("into the chart algebras via the partition of unity):")
@@ -53,4 +53,4 @@ print(result.report)
 print()
 
 print("Independent re-verification from the iso data alone:",
-      verify_result(atlas, result.iso, K).passed)
+      verify_result(atlas, result.iso).passed)

@@ -48,9 +48,6 @@ class Report:
         detail = next(("%s: %s" % (label, v) for label, v in named if not v.is_zero()), "")
         self.add(name, not detail, detail)
 
-    def extend(self, other):
-        self.checks.extend(other.checks)
-
     @property
     def passed(self):
         return all(c.passed for c in self.checks)
@@ -131,6 +128,15 @@ class Atlas:
             return self.transitions[(u, v)]
         except KeyError:
             raise AtlasError("no transition declared for pair (%s, %s)" % (u, v)) from None
+
+    def truncate(self, k):
+        """The atlas modulo J^(k+1), for 1 <= k <= its order; itself when k is."""
+        if not 1 <= k <= self.order:
+            raise AtlasError("cannot truncate an order-%d atlas to order %d" % (self.order, k))
+        return self if k == self.order else Atlas(
+            self.signature, k, self.charts, self.pairs, self.triples,
+            {p: Morphism(m.source, m.target, m.images, k) for p, m in self.transitions.items()},
+            self.partition)
 
     # -- partition of unity ----------------------------------------------
 

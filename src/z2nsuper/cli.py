@@ -152,10 +152,7 @@ def cmd_atlas_check(args):
 
 def cmd_split(args):
     atlas = formats.parse_atlas(_read(args.atlas), args.atlas)
-    order = _order(args)
-    if order is not None:
-        atlas.order = min(atlas.order, order)
-    result = split(atlas, atlas.order)
+    result = split(atlas.truncate(min(atlas.order, _order(args) or atlas.order)))
     _emit(formats.print_result(result), args.output)
     return 0 if result.report.passed else 1
 
@@ -169,7 +166,7 @@ def cmd_verify(args):
     if doc.signature != atlas.signature:
         raise SplittingError("result %s is over %r, atlas %s over %r"
                              % (args.result, doc.signature, args.atlas, atlas.signature))
-    report = verify_result(atlas, doc.iso, doc.order,
+    report = verify_result(atlas.truncate(doc.order), doc.iso,
                            embedding=doc.embedding, bundle_lines=doc.bundle_lines)
     _emit(str(report), args.output)
     return 0 if report.passed else 1

@@ -1,6 +1,7 @@
 """Constructive splitting of a supermanifold atlas into its graded-bundle model.
 
-The pipeline builds, order by order up to the truncation K:
+The pipeline builds, order by order up to the atlas order K (a splitting at a
+lower order k is that of `atlas.truncate(k)`, the atlas modulo J^(k+1)):
 
   1. an embedding of the smooth functions into the structure algebra,
      chartwise;
@@ -251,8 +252,8 @@ def check_coboundary(atlas, omegas, etas, order, report, tag):
 # -- the order-raising Cech loop -----------------------------------------
 
 
-def _raise_order(atlas, values, order, mismatch, report, tag, check=None):
-    """The order-raising Cech loop, from order 2 up to `order`.
+def _raise_order(atlas, values, mismatch, report, tag, check=None):
+    """The order-raising Cech loop, from order 2 up to the atlas order.
 
     values: chart -> {var -> GSeries}, consistent on overlaps below order 2.
     mismatch(values, at, pair, k) gives the overlap mismatch {var -> GSeries}
@@ -267,9 +268,9 @@ def _raise_order(atlas, values, order, mismatch, report, tag, check=None):
     "consistency after correction" residual; when it vanishes, the mismatch
     is the cocycle of order k + 1.  When it does not, order k + 1 measures
     again, which raises on the terms below it.
-    Returns the values at `order`, consistent on every overlap.
+    Returns the values at the atlas order, consistent on every overlap.
     """
-    pairs = atlas.overlaps
+    pairs, order = atlas.overlaps, atlas.order
     omegas = None  # the mismatch of the values at order k, once measured
     for k in range(2, order + 1):
         values = _at_order(values, k)
@@ -309,7 +310,7 @@ def _check_augmentation(atlas, images, report):
 # -- stage 1: the base embedding ------------------------------------------
 
 
-def build_base_embedding(atlas, order, report=None):
+def build_base_embedding(atlas, report=None):
     """The embedding family, raised order by order by the Cech loop."""
     report = Report() if report is None else report
 
@@ -322,29 +323,29 @@ def build_base_embedding(atlas, order, report=None):
         check_coboundary(atlas, omegas, etas, k, report, tag)
 
     identity = EmbeddingFamily.identity(atlas, 1)
-    values = _raise_order(atlas, identity.values, order, mismatch, report, "embedding", check)
+    values = _raise_order(atlas, identity.values, mismatch, report, "embedding", check)
     _check_augmentation(atlas, values, report)
-    return EmbeddingFamily(atlas, values, order), report
+    return EmbeddingFamily(atlas, values, atlas.order), report
 
 
 # -- stage 2: the module splitting ----------------------------------------
 
 
-def build_module_splitting(atlas, family, order, report=None, composed=None):
+def build_module_splitting(atlas, family, report=None, composed=None):
     """A right inverse of J -> J/J^2 on the chart frames, raised order by
     order by the Cech loop.
 
-    The mismatch at order `order` is read through the composition
+    The mismatch at the atlas order is read through the composition
     R_UV = compose(Phi_V, T_UV) of the chart morphisms, per overlap (U, V).
     composed, when given, is the dict that receives them; the last R_UV
     made for a pair is that of the returned lifts.  None is made when
-    order `order` is reached with a mismatch already measured to vanish."""
+    the atlas order is reached with a mismatch already measured to vanish."""
     report = Report() if report is None else report
     composed = {} if composed is None else composed
     sig = atlas.signature
 
     def mismatch(values, at, pair, k):
-        if k < order:
+        if k < atlas.order:
             return lift_mismatch(family.at_order(at), values, pair, k)
         u, v = pair
         r_uv = composed[pair] = compose(family.as_morphism(v, values[v]), atlas.transition(u, v))
@@ -353,7 +354,7 @@ def build_module_splitting(atlas, family, order, report=None, composed=None):
         return _pure_order(got, sig, pair, k, "frame-lift")
 
     identity = {u: _identity_frame(sig, 1) for u in atlas.charts}
-    lifts = _raise_order(atlas, identity, order, mismatch, report, "frame lift")
+    lifts = _raise_order(atlas, identity, mismatch, report, "frame lift")
     for u in atlas.charts:
         report.add("frame lift on %s projects to the identity on J/J^2" % u, all(
             s.truncate(1) == GSeries.generator(sig, fa, 1) and s.is_homogeneous(sig.degree_of(fa))
@@ -374,7 +375,7 @@ class SplittingResult:
         self.report = report
 
 
-def verify_iso(atlas, split_atlas, iso, order, report=None, composed=None):
+def verify_iso(atlas, split_atlas, iso, report=None, composed=None):
     """Unitality, degree preservation, multiplicativity on generators,
     intertwining of the two atlases, and invertibility modulo J^(K+1).
 
@@ -383,7 +384,7 @@ def verify_iso(atlas, split_atlas, iso, order, report=None, composed=None):
     lacks is composed here."""
     report = Report() if report is None else report
     composed = {} if composed is None else composed
-    sig = atlas.signature
+    sig, order = atlas.signature, atlas.order
     one = GSeries.one(sig, order)
     names = [nm for nm, _ in sig.variables()]
     gens = [GSeries.generator(sig, nm, order) for nm in names]
@@ -427,8 +428,9 @@ def verify_iso(atlas, split_atlas, iso, order, report=None, composed=None):
     return report
 
 
-def verify_result(atlas, iso, order, embedding=None, bundle_lines=None):
-    """Re-check a splitting result against its atlas from the iso data alone.
+def verify_result(atlas, iso, embedding=None, bundle_lines=None):
+    """Re-check a splitting result against its atlas, at the atlas order, from
+    the iso data alone.
 
     The overlap mismatch is measured through the per-chart morphisms
     themselves; every verification is recomputed, so a corrupted correction
@@ -470,24 +472,19 @@ def verify_result(atlas, iso, order, embedding=None, bundle_lines=None):
         bad = next((i for i, (got, exp) in pairs if got != exp), None)
         report.add("bundle block matches the atlas", bad is None,
                    "" if bad is None else "first difference at bundle line %d" % (bad + 1))
-    return verify_iso(atlas, build_split_model(bundle, order), iso, order, report, composed)
+    return verify_iso(atlas, build_split_model(bundle, atlas.order), iso, report, composed)
 
 
-def split(atlas, order):
-    """The full pipeline: validate, embed, lift, assemble, verify."""
-    if not 1 <= order <= atlas.order:
-        raise SplittingError("split order %d is outside 1..%d, the atlas order"
-                             % (order, atlas.order))
-    report = Report()
-    vrep = validate_atlas(atlas)
-    report.extend(vrep)
-    if not vrep.passed:
-        raise SplittingError("atlas gluing data is inconsistent:\n%s" % vrep)
-    family, report = build_base_embedding(atlas, order, report)
+def split(atlas):
+    """The full pipeline at the atlas order: validate, embed, lift, assemble, verify."""
+    report = validate_atlas(atlas)
+    if not report.passed:
+        raise SplittingError("atlas gluing data is inconsistent:\n%s" % report)
+    family, report = build_base_embedding(atlas, report)
     composed = {}
-    lifts, report = build_module_splitting(atlas, family, order, report, composed)
+    lifts, report = build_module_splitting(atlas, family, report, composed)
     bundle = extract_bundle(atlas)
-    split_atlas = build_split_model(bundle, order)
+    split_atlas = build_split_model(bundle, atlas.order)
     iso = {u: family.as_morphism(u, lifts[u]) for u in atlas.charts}
-    report = verify_iso(atlas, split_atlas, iso, order, report, composed)
+    report = verify_iso(atlas, split_atlas, iso, report, composed)
     return SplittingResult(atlas, bundle, split_atlas, iso, report)

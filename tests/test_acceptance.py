@@ -204,7 +204,7 @@ def test_criterion_8_splitting_pipeline():
 
     # (a) already-split fixture: expect the identity isomorphism
     atlas = atlas_split_two_charts()
-    result = split(atlas, 3)
+    result = split(atlas)
     ident = Morphism.identity(atlas.signature, 3)
     a_ok = result.report.passed and all(result.iso[u] == ident for u in atlas.charts)
     ok = ok and a_ok
@@ -214,22 +214,22 @@ def test_criterion_8_splitting_pipeline():
     for name, make in (("base twist", atlas_nonsplit_base_twist),
                        ("frame twist", atlas_nonsplit_frame_twist)):
         atlas = make()
-        result = split(atlas, 3)
+        result = split(atlas)
         b_ok = result.report.passed
-        b_ok = b_ok and verify_result(atlas, result.iso, 3).passed
+        b_ok = b_ok and verify_result(atlas, result.iso).passed
         ok = ok and b_ok
         details.append("%s: report + verify pass" % name if b_ok else "%s FAILED" % name)
 
     # negative control: corrupt one correction term
     atlas = atlas_nonsplit_base_twist()
-    result = split(atlas, 3)
+    result = split(atlas)
     sig = atlas.signature
     xi12 = GSeries.generator(sig, "xi1", 3) * GSeries.generator(sig, "xi2", 3)
     bad = dict(result.iso)
     images = dict(bad["U"].images)
     images["x"] = images["x"] + xi12
     bad["U"] = Morphism(sig, sig, images, 3)
-    neg = verify_result(atlas, bad, 3)
+    neg = verify_result(atlas, bad)
     neg_ok = (not neg.passed) and any("x" in c.detail for c in neg.failures() if c.detail)
     ok = ok and neg_ok
     details.append("negative control: localized residual" if neg_ok

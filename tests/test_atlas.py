@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from z2nsuper import (
     validate_atlas,
 )
 from z2nsuper.atlas import Report
+from z2nsuper.formats import parse_atlas, print_atlas
 from z2nsuper.morphisms import _linear_block
 
 from conftest import (
@@ -28,6 +30,15 @@ from conftest import (
     rho,
     sig_n1,
 )
+
+
+def test_truncate_reads_the_atlas_at_a_lower_order():
+    text = (Path(__file__).parent / "golden" / "nonsplit_n2_k4.atlas.txt").read_text()
+    atlas = parse_atlas(text)
+    assert atlas.order == 4
+    assert atlas.truncate(4) is atlas
+    lowered = parse_atlas(text.replace("order 4\n", "order 3\n", 1))
+    assert print_atlas(atlas.truncate(3)) == print_atlas(lowered)
 
 
 def test_atlas_constructor_validation(sig1):

@@ -8,6 +8,7 @@ import pytest
 from z2nsuper import Morphism, split
 from z2nsuper.cli import INPUT_ERRORS, main
 from z2nsuper.formats import (
+    parse_atlas,
     parse_morphism,
     parse_result,
     parse_series,
@@ -128,6 +129,14 @@ def test_check_findim_pass_and_fail(tmp_path, capsys):
     assert "result fail" in out and "violation" in out
 
 
+def test_check_findim_reports_an_inhomogeneous_assignment(tmp_path, capsys):
+    afile = write(tmp_path, "alg.txt", print_algebra(quaternion_algebra()))
+    assign = write(tmp_path, "asg.txt", "one 000\ni 011\nj 011\nk 110")
+    assert main(["check-findim", "--algebra", afile, "--assign", assign]) == 1
+    out = capsys.readouterr().out
+    assert out == "grading-error product i*j hits k of degree 110, expected 000\n"
+
+
 # 2x2 upper triangular matrices over the basis I, E11, E12, then over I, E11, I + E12
 UNIT_ROWS = ["one one one 1", "one p p 1", "one q q 1", "p one p 1", "q one q 1"]
 TRIANGULAR = "basis one p q\nunit one\n" + "\n".join(
@@ -231,13 +240,25 @@ def test_split_then_verify_round_trip(tmp_path, capsys):
 def test_verify_of_a_result_above_the_atlas_order_is_an_input_error(tmp_path, capsys):
     atlas = atlas_nonsplit_base_twist()
     afile = write(tmp_path, "atlas.txt", print_atlas(atlas))
-    text = print_result(split(atlas, 3)).replace("order 3\n", "order 4\n", 1)
+    text = print_result(split(atlas)).replace("order 3\n", "order 4\n", 1)
     rfile = write(tmp_path, "result.txt", text)
     assert main(["verify", "--atlas", afile, "--result", rfile]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: result %s has `order 4`, above `order 3` of atlas %s"
                           % (rfile, afile))
     assert "Traceback" not in err
+
+
+def test_a_split_below_the_atlas_order_verifies_against_the_atlas(tmp_path, capsys):
+    # the K = 4 atlas split modulo J^4: the result reads `order 3`, and `verify`
+    # of it against the K = 4 atlas checks modulo J^4 as well
+    text = (Path(__file__).parent / "golden" / "nonsplit_n2_k4.atlas.txt").read_text()
+    afile = write(tmp_path, "atlas.txt", text)
+    result = print_result(split(parse_atlas(text).truncate(3)))
+    assert parse_result(result).order == 3
+    rfile = write(tmp_path, "result.txt", result)
+    assert main(["verify", "--atlas", afile, "--result", rfile]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
 
 
 def _golden_n2(tmp_path, edit):
@@ -289,7 +310,7 @@ def test_a_one_chart_atlas_splits_to_the_identity(tmp_path, capsys):
 def test_verify_names_the_residual_of_a_shifted_base_image(tmp_path):
     atlas = atlas_nonsplit_base_twist()
     afile = write(tmp_path, "atlas.txt", print_atlas(atlas))
-    text = print_result(split(atlas, 3))
+    text = print_result(split(atlas))
     assert "\niso U\nx = x + " in text
     rfile = write(tmp_path, "result.txt", text.replace("\niso U\nx = ", "\niso U\nx = 1 + ", 1))
     out = str(tmp_path / "report.txt")
@@ -310,7 +331,7 @@ def test_split_without_partition_is_an_input_error(tmp_path, capsys):
 def test_verify_rejects_corrupted_result(tmp_path, capsys):
     atlas = atlas_nonsplit_base_twist()
     afile = write(tmp_path, "atlas.txt", print_atlas(atlas))
-    result = split(atlas, 3)
+    result = split(atlas)
     text = print_result(result)
     # corrupt a correction term inside an iso block (the part verify reads)
     head, _, tail = text.partition("iso U")
@@ -326,7 +347,7 @@ def _verify_edited(tmp_path, capsys, old, new):
     """Split, replace one line of the result file, then run verify on it."""
     atlas = atlas_nonsplit_base_twist()
     afile = write(tmp_path, "atlas.txt", print_atlas(atlas))
-    text = print_result(split(atlas, 3))
+    text = print_result(split(atlas))
     lines = text.splitlines()
     assert lines.count(old) == 1
     lines[lines.index(old)] = new
@@ -376,7 +397,7 @@ def test_partition_row_over_a_non_base_name_is_an_input_error(tmp_path, capsys, 
     edited = text.replace("V = rho_V(x)\n", row + "\n", 1)
     assert edited != text
     afile = write(tmp_path, "atlas.txt", edited)
-    rfile = write(tmp_path, "result.txt", print_result(split(atlas, 3)))
+    rfile = write(tmp_path, "result.txt", print_result(split(atlas)))
     argv = {
         "atlas-check": ["atlas-check", "--atlas", afile],
         "split": ["split", "--atlas", afile],
@@ -421,7 +442,7 @@ def test_series_coefficient_over_an_undeclared_name_is_an_input_error(tmp_path, 
 def test_a_row_error_names_the_file_the_block_the_line_and_the_row(tmp_path, capsys, kind, old,
                                                                    new, located):
     atlas = atlas_nonsplit_base_twist()
-    texts = {"atlas": print_atlas(atlas), "result": print_result(split(atlas, 3))}
+    texts = {"atlas": print_atlas(atlas), "result": print_result(split(atlas))}
     lines = texts[kind].splitlines()
     assert lines.count(old) == 1
     lines[lines.index(old)] = new
@@ -528,6 +549,16 @@ def _zeroed_copy_before(text, header):
      "`n`, the number of Z2 factors of the grading, must be an integer >= 1, got '0'"),
     ("atlas", lambda t: t.replace("n 1\n", "n -1\n", 1),
      "`n`, the number of Z2 factors of the grading, must be an integer >= 1, got '-1'"),
+    ("morphism", lambda t: _drop_block(t.replace("order 3\n", "", 1), "images"),
+     "morphism file is missing header data"),
+    ("atlas", lambda t: t.replace("charts U V\n", "", 1), "atlas file is missing header data"),
+    ("result", lambda t: t.replace("charts U V\n", "", 1),
+     "result file is missing header or iso data"),
+    ("result", lambda t: _drop_block(t, "iso V"),
+     "result `charts U V` lists V, which has no `iso V` block"),
+    ("algebra", lambda t: t.replace("unit one\n", "", 1), "algebra file is missing basis or unit"),
+    ("atlas", lambda t: t.replace("U = rho_U(x)\n", "U = rho_U[1]\n", 1),
+     "derivative index without argument list"),
 ], ids=["atlas-order", "morphism-order", "signature-n", "atlas-pair", "atlas-transition",
         "result-iso", "algebra-c", "algebra-c-zero-denominator", "transition-no-end",
         "image-row-no-equals", "image-row-repeated", "result-no-signature",
@@ -536,14 +567,16 @@ def _zeroed_copy_before(text, header):
         "atlas-order-negative", "atlas-order-not-an-integer", "morphism-order-zero",
         "morphism-order-negative", "result-order-zero", "algebra-basis-repeated",
         "algebra-c-not-rational", "atlas-partition-before-signature", "signature-n-not-an-integer",
-        "signature-n-zero", "atlas-n-negative"])
+        "signature-n-zero", "atlas-n-negative", "morphism-no-header", "atlas-no-charts",
+        "result-no-charts", "result-chart-without-iso", "algebra-no-unit",
+        "derivative-index-without-arguments"])
 def test_malformed_file_is_an_input_error(tmp_path, capsys, kind, edit, message):
     atlas = atlas_nonsplit_base_twist()
     texts = {
         "atlas": print_atlas(atlas),
         "morphism": print_morphism(base_shift_morphism(sig_n2(), 3)),
         "signature": print_signature(sig_n2()),
-        "result": print_result(split(atlas, 3)),
+        "result": print_result(split(atlas)),
         "algebra": print_algebra(quaternion_algebra()),
     }
     afile = write(tmp_path, "atlas.txt", texts["atlas"])
@@ -582,7 +615,7 @@ def test_order_option_below_one_is_an_input_error(tmp_path, sig_file, capsys, co
 
 def test_blank_and_comment_lines_are_ignored_inside_blocks(tmp_path, capsys):
     atlas = atlas_nonsplit_base_twist()
-    text = print_result(split(atlas, 3))
+    text = print_result(split(atlas))
     padded = "\n".join("%s\n\n  # note" % ln for ln in text.splitlines())
     afile = write(tmp_path, "atlas.txt", print_atlas(atlas))
     reports = []

@@ -171,7 +171,7 @@ def test_mutated_files_exit_0_1_or_2(tmp_path, capsys, monkeypatch):
     texts = []
     for slot in range(2):
         atlas = gen.rand_atlas(rng, 2, 2 + slot, slot)
-        texts.append((print_atlas(atlas) + "\n", print_result(split(atlas, atlas.order)) + "\n"))
+        texts.append((print_atlas(atlas) + "\n", print_result(split(atlas)) + "\n"))
     afile, rfile = tmp_path / "atlas.txt", tmp_path / "result.txt"
     work = _count_products(monkeypatch)
     unmutated = []

@@ -264,7 +264,7 @@ def test_atlas_round_trip():
 
 def test_result_round_trip():
     atlas = atlas_nonsplit_base_twist()
-    result = split(atlas, 3)
+    result = split(atlas)
     text = print_result(result)
     doc = parse_result(text)
     assert doc.order == 3

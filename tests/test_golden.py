@@ -4,7 +4,8 @@ fixtures, and of every demo script.
 The files under tests/golden were written by the CLI itself; any change to a
 result file or to a report line (names, order, residual text) shows here.  An
 intended output change rewrites them from `run_split_verify` and
-`verify_corrupted`.  tests/golden/demos/<name>.txt is the stdout of
+`verify_corrupted`.  nonsplit_n2_k4_order3.*.txt are `split --order 3` of
+the K = 4 atlas and `verify` of that result against it.  tests/golden/demos/<name>.txt is the stdout of
 demos/<name>.py.  tests/golden/<name>.atlas.txt is a committed atlas, split
 as it stands, so its goldens do not depend on the generator that drew it.
 """
@@ -84,6 +85,20 @@ def test_split_and_verify_of_a_committed_atlas_match_golden_bytes(tmp_path, name
     order = int(text.split("\n", 1)[0].split()[1])
     assert all("pass %s order %d: consistency after correction" % (stage, k) in text
                for stage in ("embedding", "frame lift") for k in range(2, order + 1))
+
+
+def test_split_below_the_atlas_order_and_its_verify_match_golden_bytes(tmp_path):
+    # `split --order 3` of the K = 4 atlas, then `verify` of that result
+    # against the K = 4 atlas, each run as `python -m z2nsuper.cli`
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    afile = GOLDEN / "nonsplit_n2_k4.atlas.txt"
+    rfile, vfile = tmp_path / "result.txt", tmp_path / "verify.txt"
+    for argv in (["split", "--atlas", afile, "--order", "3", "-o", rfile],
+                 ["verify", "--atlas", afile, "--result", rfile, "-o", vfile]):
+        subprocess.run([sys.executable, "-m", "z2nsuper.cli", *map(str, argv)], env=env,
+                       check=True)
+    assert rfile.read_bytes() == (GOLDEN / "nonsplit_n2_k4_order3.result.txt").read_bytes()
+    assert vfile.read_bytes() == (GOLDEN / "nonsplit_n2_k4_order3.verify.txt").read_bytes()
 
 
 def verify_corrupted(tmp_path, name):

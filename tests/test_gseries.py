@@ -408,7 +408,7 @@ def test_at_order_truncates_down_and_keeps_the_terms_up_to_n4(rng):
 
 
 def test_lowering_chart_values_truncates_them():
-    family, _ = build_base_embedding(atlas_nonsplit_base_twist(4), 4)
+    family, _ = build_base_embedding(atlas_nonsplit_base_twist(4))
     lowered = family.at_order(1)
     for per in lowered.values.values():
         for s in per.values():

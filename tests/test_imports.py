@@ -9,7 +9,8 @@ one term at a time instead of by one `gseries.combine` call, and no loop
 builds a sum one term at a time (`v = v + ...`) instead of by one
 accumulation call; no package function imports, but the two printers
 `CoeffExpr.__str__` and `GSeries.__str__`, whose modules the printing
-modules import."""
+modules import; and no package function stores to an attribute of an object
+other than `self` or the one its own `__new__` call made."""
 
 import ast
 from pathlib import Path
@@ -44,22 +45,22 @@ def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def _functions(node, prefix=""):
+    """(qualified name, node) of each function or method under node, outer
+    ones first; a name is `f`, `C.m` or `f.inner`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            qual = prefix + child.name
+            if not isinstance(child, ast.ClassDef):
+                yield qual, child
+            yield from _functions(child, qual + ".")
+
+
 def function_level_imports(source):
-    """Qualified names (`f`, `C.m`, `f.inner`) of each function or method in
-    source whose own body, outside any function nested in it, imports."""
-    found = []
-
-    def visit(node, prefix):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                qual = prefix + child.name
-                if not isinstance(child, ast.ClassDef) and any(
-                        isinstance(n, (ast.Import, ast.ImportFrom)) for n in _own_nodes(child)):
-                    found.append(qual)
-                visit(child, qual + ".")
-
-    visit(ast.parse(source), "")
-    return found
+    """Qualified names of each function or method in source whose own body,
+    outside any function nested in it, imports."""
+    return [qual for qual, fn in _functions(ast.parse(source))
+            if any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in _own_nodes(fn))]
 
 
 def _own_nodes(fn):
@@ -99,6 +100,59 @@ def test_no_function_imports_but_the_two_printers():
     found = [(p.stem, qual) for p in sorted(PACKAGE.glob("*.py"))
              for qual in function_level_imports(p.read_text())]
     assert found == [("coeffexpr", "CoeffExpr.__str__"), ("gseries", "GSeries.__str__")]
+
+
+def foreign_attribute_stores(source):
+    """(qualified name, line) of each store to an attribute (`x.a = ...`,
+    `x.a += ...`, a tuple or loop target) in a function or method of source
+    whose object is neither `self` nor a name the same function binds to a
+    `__new__` call: a function that changes an object it was handed."""
+    found = []
+    for qual, fn in _functions(ast.parse(source)):
+        own = list(_own_nodes(fn))
+        made = {t.id for n in own
+                if isinstance(n, ast.Assign) and isinstance(n.value, ast.Call)
+                and getattr(n.value.func, "attr", None) == "__new__"
+                for t in n.targets if isinstance(t, ast.Name)}
+        lines = {n.lineno for n in own
+                 if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                 and getattr(n.value, "id", None) not in {"self", *made}}
+        found += [(qual, line) for line in sorted(lines)]
+    return found
+
+
+def test_scanner_flags_a_store_to_an_attribute_of_an_argument():
+    source = (
+        "def lower(atlas, k):\n"
+        "    atlas.order = k\n"
+        "    atlas.meta.order, n = k, 1\n"
+        "    return atlas\n"
+        "def count(report):\n"
+        "    report.n += 1\n"
+        "    for report.last in range(3):\n"
+        "        pass\n"
+        "class C:\n"
+        "    def __init__(self, x):\n"
+        "        self.x = x\n"
+        "    def __new__(cls, name):\n"
+        "        atom = CACHE[name] = object.__new__(cls)\n"
+        "        atom.name = name\n"
+        "        return atom\n"
+        "    def set(self, other):\n"
+        "        def inner(y):\n"
+        "            other.x = y\n"
+        "        self.x = other.x\n"
+    )
+    assert foreign_attribute_stores(source) == [
+        ("lower", 2), ("lower", 3), ("count", 6), ("count", 7), ("C.set.inner", 18)]
+
+
+def test_no_package_function_stores_to_an_attribute_of_an_object_it_was_handed():
+    # only a new object gets its fields: Var.__new__, App.__new__ and
+    # Degree.from_mask set them on the object their `__new__` call made
+    found = [(p.stem, qual, line) for p in sorted(PACKAGE.glob("*.py"))
+             for qual, line in foreign_attribute_stores(p.read_text())]
+    assert found == []
 
 
 def orphaned_private_functions(sources):

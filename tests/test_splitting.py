@@ -6,6 +6,7 @@ import pytest
 
 from z2nsuper import (
     Atlas,
+    AtlasError,
     CoeffExpr,
     EmbeddingFamily,
     GSeries,
@@ -55,7 +56,7 @@ def identity_lifts(atlas, order):
 
 def test_split_model_atlas_splits_trivially():
     atlas = atlas_split_two_charts()
-    result = split(atlas, atlas.order)
+    result = split(atlas)
     assert result.report.passed, str(result.report)
     ident = Morphism.identity(atlas.signature, atlas.order)
     for u in atlas.charts:
@@ -111,8 +112,8 @@ def test_frame_twist_lift_mismatch_at_order_two():
 @pytest.mark.parametrize("make", FIXTURES)
 def test_mismatches_agree_with_the_per_entry_oracle(make):
     atlas = make()
-    family3, _ = build_base_embedding(atlas, 3)
-    lifts3, _ = build_module_splitting(atlas, family3, 3)
+    family3, _ = build_base_embedding(atlas)
+    lifts3, _ = build_module_splitting(atlas, family3)
     data = [
         (EmbeddingFamily.identity(atlas, 2), identity_lifts(atlas, 2), 2),
         (family3.at_order(2), identity_lifts(atlas, 2), 2),
@@ -169,12 +170,12 @@ def test_frame_lift_correction_requires_partition():
     # no embedding mismatch here, so only the frame-lift correction needs rho
     atlas = without_partition(atlas_nonsplit_frame_twist())
     with pytest.raises(MissingPartition):
-        split(atlas, 3)
+        split(atlas)
 
 
 def test_split_base_twist_fixture():
     atlas = atlas_nonsplit_base_twist()
-    result = split(atlas, 3)
+    result = split(atlas)
     assert result.report.passed, str(result.report)
     # the embedding absorbs the twist: phi_U(x) = x + rho_V g(x) xi1 xi2
     g = CoeffExpr.app("g", [CoeffExpr.var("x")])
@@ -186,7 +187,7 @@ def test_split_base_twist_fixture():
 
 def test_split_frame_twist_fixture():
     atlas = atlas_nonsplit_frame_twist()
-    result = split(atlas, 3)
+    result = split(atlas)
     assert result.report.passed, str(result.report)
     # the frame lift absorbs the twist: lift_U(xi) = xi + rho_V h(x) y eta,
     # the same orientation as the transition's own twist term
@@ -200,7 +201,7 @@ def test_split_frame_twist_fixture():
 def test_iso_images_stay_homogeneous_and_augmented():
     for make in FIXTURES:
         atlas = make()
-        result = split(atlas, 3)
+        result = split(atlas)
         sig = atlas.signature
         for u in atlas.charts:
             for name, deg in sig.variables():
@@ -212,14 +213,14 @@ def test_iso_images_stay_homogeneous_and_augmented():
 def test_verify_result_accepts_split_output():
     for make in FIXTURES:
         atlas = make()
-        result = split(atlas, 3)
-        report = verify_result(atlas, result.iso, 3)
+        result = split(atlas)
+        report = verify_result(atlas, result.iso)
         assert report.passed, str(report)
 
 
 def test_verify_result_negative_control_localizes_corruption():
     atlas = atlas_nonsplit_base_twist()
-    result = split(atlas, 3)
+    result = split(atlas)
     sig = atlas.signature
     # corrupt one correction term in one chart's embedding value
     xi12 = GSeries.generator(sig, "xi1", 3) * GSeries.generator(sig, "xi2", 3)
@@ -227,7 +228,7 @@ def test_verify_result_negative_control_localizes_corruption():
     images = dict(bad["U"].images)
     images["x"] = images["x"] + xi12
     bad["U"] = Morphism(sig, sig, images, 3)
-    report = verify_result(atlas, bad, 3)
+    report = verify_result(atlas, bad)
     assert not report.passed
     failures = report.failures()
     # the failure is localized: consistency on pairs involving U, with a
@@ -242,14 +243,14 @@ def test_verify_result_negative_control_localizes_corruption():
 
 def test_verify_result_negative_control_frame_lift():
     atlas = atlas_nonsplit_frame_twist()
-    result = split(atlas, 3)
+    result = split(atlas)
     sig = atlas.signature
     yeta = GSeries.generator(sig, "y", 3) * GSeries.generator(sig, "eta", 3)
     bad = dict(result.iso)
     images = dict(bad["V"].images)
     images["xi"] = images["xi"] + yeta * 5
     bad["V"] = Morphism(sig, sig, images, 3)
-    report = verify_result(atlas, bad, 3)
+    report = verify_result(atlas, bad)
     assert not report.passed
     assert any("frame-lift" in c.name or "intertwines" in c.name
                for c in report.failures())
@@ -257,11 +258,11 @@ def test_verify_result_negative_control_frame_lift():
 
 def test_stagewise_builders_agree_with_pipeline():
     atlas = atlas_nonsplit_base_twist()
-    family, rep1 = build_base_embedding(atlas, 3)
+    family, rep1 = build_base_embedding(atlas)
     assert rep1.passed, str(rep1)
-    lifts, rep2 = build_module_splitting(atlas, family, 3)
+    lifts, rep2 = build_module_splitting(atlas, family)
     assert rep2.passed, str(rep2)
-    result = split(atlas, 3)
+    result = split(atlas)
     for u in atlas.charts:
         for bn in atlas.signature.base_names:
             assert family.values[u][bn] == result.iso[u].images[bn]
@@ -295,14 +296,14 @@ def test_iso_invertibility_reads_the_whole_linear_block(a, b, invertible):
     sig = Signature(1, [("x", "0"), ("a", "1"), ("b", "1")])
     atlas = Atlas(sig, 2, ["U"], [], [], {})
     images = {nm: parse_series(text, sig, 2) for nm, text in (("x", "x"), ("a", a), ("b", b))}
-    report = verify_iso(atlas, atlas, {"U": Morphism(sig, sig, images, 2)}, 2)
+    report = verify_iso(atlas, atlas, {"U": Morphism(sig, sig, images, 2)})
     check = {c.name: c for c in report.checks}["iso U: invertible modulo J^3"]
     assert check.passed is invertible
 
 
 def test_block_diagonal_check_fails_on_an_order_two_formal_term():
     atlas = atlas_nonsplit_frame_twist()
-    result = split(atlas, 3)
+    result = split(atlas)
     sig = atlas.signature
     name = "split-model transitions are block diagonal"
     assert {c.name: c.passed for c in result.report.checks}[name]
@@ -312,13 +313,13 @@ def test_block_diagonal_check_fails_on_an_order_two_formal_term():
     m = bent[("U", "V")]
     bent[("U", "V")] = Morphism(sig, sig, {**m.images, "xi": m.images["xi"] + yeta}, 3)
     split_atlas = Atlas(sig, 3, atlas.charts, atlas.pairs, [], bent, atlas.partition)
-    report = verify_iso(atlas, split_atlas, result.iso, 3)
+    report = verify_iso(atlas, split_atlas, result.iso)
     assert {c.name: c.passed for c in report.checks}[name] is False
 
 
 def test_frame_lift_check_fails_on_a_wrong_linear_row(monkeypatch):
     atlas = atlas_split_two_charts(order=2)
-    family, _ = build_base_embedding(atlas, 2)
+    family, _ = build_base_embedding(atlas)
     sig = atlas.signature
     raise_order = splitting._raise_order
 
@@ -330,7 +331,7 @@ def test_frame_lift_check_fails_on_a_wrong_linear_row(monkeypatch):
         return lifts
 
     monkeypatch.setattr(splitting, "_raise_order", bent)
-    _, report = build_module_splitting(atlas, family, 2)
+    _, report = build_module_splitting(atlas, family)
     checks = {c.name: c.passed for c in report.checks}
     assert checks["frame lift on U projects to the identity on J/J^2"] is False
     assert checks["frame lift on V projects to the identity on J/J^2"] is True
@@ -370,7 +371,7 @@ def test_a_bent_embedding_correction_fails_consistency_and_then_raises(monkeypat
     handed = drop_first_chart_eta_at_order_two(monkeypatch)
     report = Report()
     with pytest.raises(SplittingError) as err:
-        build_base_embedding(atlas, 3, report)
+        build_base_embedding(atlas, report)
     assert str(err.value) == ("embedding mismatch on x for pair ('U', 'V') has terms "
                               "below order 3; input is inconsistent")
     identity = EmbeddingFamily.identity(atlas, 2).values
@@ -384,11 +385,11 @@ def test_a_bent_embedding_correction_fails_consistency_and_then_raises(monkeypat
 def test_a_bent_frame_lift_correction_fails_consistency_and_then_raises(monkeypatch):
     atlas = atlas_nonsplit_frame_twist(3)
     sig = atlas.signature
-    family, _ = build_base_embedding(atlas, 3)
+    family, _ = build_base_embedding(atlas)
     handed = drop_first_chart_eta_at_order_two(monkeypatch)
     report = Report()
     with pytest.raises(SplittingError) as err:
-        build_module_splitting(atlas, family, 3, report)
+        build_module_splitting(atlas, family, report)
     assert str(err.value) == ("frame-lift mismatch on xi for pair ('U', 'V') has terms "
                               "below order 3; input is inconsistent")
     lifts = {u: {fa: s + handed[2][u][fa] for fa, s in per.items()}
@@ -401,7 +402,7 @@ def test_a_bent_frame_lift_correction_fails_consistency_and_then_raises(monkeypa
 
 
 @pytest.mark.parametrize("order", [0, 4])
-def test_split_checks_its_order_against_the_atlas(order):
+def test_truncate_checks_its_order_against_the_atlas(order):
     atlas = atlas_nonsplit_base_twist(3)
-    with pytest.raises(SplittingError, match=r"split order %d is outside 1\.\.3" % order):
-        split(atlas, order)
+    with pytest.raises(AtlasError, match="cannot truncate an order-3 atlas to order %d" % order):
+        atlas.truncate(order)
