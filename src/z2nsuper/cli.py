@@ -87,15 +87,13 @@ def cmd_jacobian(args):
     for tv in jac.rows:
         for sv in jac.cols:
             lines.append("d %s / d %s = %s" % (tv, sv, formats.print_series(jac.entry(tv, sv))))
+    bad = []
     if args.check_blocks:
         bad = jac.block_violations()
-        for tv, sv, _ in bad:
-            lines.append("block-violation %s %s" % (tv, sv))
+        lines += ["block-violation %s %s" % (tv, sv) for tv, sv, _ in bad]
         lines.append("blocks %s" % ("pass" if not bad else "fail"))
-        _emit("\n".join(lines), args.output)
-        return 0 if not bad else 1
     _emit("\n".join(lines), args.output)
-    return 0
+    return 0 if not bad else 1
 
 
 def cmd_template(args):

@@ -9,21 +9,20 @@ certification and the exhaustive search both read that one derivation and
 share one scan over plain int degree masks (`_violations`), and the search
 checks each condition once, when its last label is assigned.  A homogeneity
 triple that names a label once or three times forces that label's mask, so
-the search tries that one mask there instead of all 2^n.  Associativity is
-checked in exact integers over the table's one denominator, on the triples
-of non-unit labels only: the unit is checked first, and every triple through
-it is associative.
+the search tries that one mask there instead of all 2^n, and its fixed
+budget counts 2^n mask lists for each label that no triple forces.
+Associativity is checked in exact integers over the table's one
+denominator, on the triples of non-unit labels only: the unit is checked
+first, and every triple through it is associative.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from fractions import Fraction
 from math import lcm, prod
 
 from .degrees import Degree
-from .exprio import positive_int
 
 
 class GradingError(ValueError):
@@ -35,16 +34,6 @@ class BudgetExceeded(RuntimeError):
 
 
 DEFAULT_BUDGET = 5_000_000
-
-
-def search_budget():
-    value = os.environ.get("Z2N_SEARCH_BUDGET")
-    if value is None:
-        return DEFAULT_BUDGET
-    budget = positive_int(value)
-    if budget is None:
-        raise ValueError("Z2N_SEARCH_BUDGET must be an integer >= 1, got %r" % value)
-    return budget
 
 
 class FinDimAlgebra:
@@ -187,20 +176,16 @@ def search_degree_assignments(A, n):
     filed at a label that names it once or three times forces its mask to
     the XOR of the other two masks, or to 0; that label then tries only the
     forced mask, which still passes every check filed there before the
-    search goes deeper.  The budget, `Z2N_SEARCH_BUDGET`, bounds the raw
-    space (2^n)^(dim - 1), not the masks tried: searches of a larger space
-    are refused.  Every mask list found is certified again through the scan
-    of check_graded_commutative, from the same pair parities, before its
-    assignment is built.
+    search goes deeper.  Before any mask is tried, BudgetExceeded refuses a
+    search whose (2^n)^f exceeds DEFAULT_BUDGET, f being the number of
+    labels that no triple forces: the most mask lists it can try.  Which
+    triple forces which label follows the basis order, so f, and with it
+    the refusal, depends on that order.  Every mask list found is certified
+    again through the scan of check_graded_commutative, from the same pair
+    parities, before its assignment is built.
     """
     if n < 1:
         raise ValueError("degree search needs n >= 1, got n = %d" % n)
-    budget = search_budget()
-    space = (1 << n) ** (A.dim - 1)
-    if space > budget:
-        raise BudgetExceeded(
-            "search space %d exceeds budget %d (set Z2N_SEARCH_BUDGET)" % (space, budget)
-        )
     order = [A.unit] + [i for i in range(A.dim) if i != A.unit]
     pos = {i: p for p, i in enumerate(order)}
     triples, pairs = [[] for _ in order], [[] for _ in order]
@@ -214,6 +199,9 @@ def search_degree_assignments(A, n):
             triples[p].append((i, j, k))
             if forced[p] is None and (i, j, k).count(order[p]) & 1:
                 forced[p] = (i, j, k)
+    space = (1 << n) ** forced.count(None)
+    if space > DEFAULT_BUDGET:
+        raise BudgetExceeded("search space %d exceeds budget %d" % (space, DEFAULT_BUDGET))
     parities = A.pair_parities()
     for (i, j), ps in parities.items():
         if i <= j and len(ps) < 2:

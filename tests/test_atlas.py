@@ -15,7 +15,9 @@ from z2nsuper import (
     Morphism,
     build_split_model,
     extract_bundle,
+    split,
     validate_atlas,
+    verify_result,
 )
 from z2nsuper.atlas import Report
 from z2nsuper.formats import parse_atlas, print_atlas
@@ -73,6 +75,32 @@ def test_validate_good_atlases():
     for atlas in (atlas_split_two_charts(), atlas_nonsplit_base_twist()):
         report = validate_atlas(atlas)
         assert report.passed, str(report)
+
+
+def with_self_transitions(atlas, transitions):
+    """atlas with each chart's self-transition in `transitions` declared."""
+    return Atlas(atlas.signature, atlas.order, atlas.charts, atlas.pairs + list(transitions),
+                 atlas.triples, {**atlas.transitions, **transitions}, atlas.partition)
+
+
+def test_declared_self_transitions_must_be_the_identity(sig1):
+    atlas = atlas_nonsplit_base_twist(3)
+    gen = {nm: GSeries.generator(sig1, nm, 3) for nm in ("x", "xi1", "xi2")}
+    twisted = Morphism(sig1, sig1, {**gen, "x": gen["x"] + gen["xi1"] * gen["xi2"]}, 3)
+    both = with_self_transitions(atlas, {("U", "U"): Morphism.identity(sig1, 3),
+                                         ("V", "V"): twisted})
+    lines = str(validate_atlas(both)).splitlines()
+    assert lines[:2] == ["[pass] identity-transition UU",
+                         "[FAIL] identity-transition VV: x: xi1 xi2"]
+    # the declared identity changes no overlap: split and verify pass, and
+    # the isos are those of the atlas without it
+    ident = with_self_transitions(atlas, {("U", "U"): Morphism.identity(sig1, 3)})
+    assert ident.overlaps == atlas.overlaps
+    assert validate_atlas(ident).passed
+    result = split(ident)
+    assert result.report.passed, str(result.report)
+    assert verify_result(ident, result.iso).passed
+    assert result.iso == split(atlas).iso
 
 
 def test_validate_catches_missing_reverse(sig1):

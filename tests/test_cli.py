@@ -18,7 +18,7 @@ from z2nsuper.formats import (
     print_result,
     print_signature,
 )
-from z2nsuper.findim import quaternion_algebra
+from z2nsuper.findim import clifford_algebra, quaternion_algebra
 
 from conftest import (
     atlas_nonsplit_base_twist,
@@ -110,6 +110,17 @@ def test_jacobian_check_blocks(tmp_path, capsys):
     assert "d x / d y" in out
 
 
+def test_jacobian_without_check_blocks_prints_only_the_entries(tmp_path, capsys):
+    m = base_shift_morphism(sig_n2(), 3)
+    mfile = write(tmp_path, "m.txt", print_morphism(m))
+    assert main(["jacobian", "--morphism", mfile, "--check-blocks"]) == 0
+    checked = capsys.readouterr().out.splitlines()
+    assert main(["jacobian", "--morphism", mfile]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out and all(re.fullmatch(r"d \S+ / d \S+ = .+", line) for line in out)
+    assert checked == out + ["blocks pass"]
+
+
 def test_template(tmp_path, sig_file, capsys):
     assert main(["template", "--sig", sig_file, "--order", "3"]) == 0
     out = capsys.readouterr().out
@@ -178,13 +189,14 @@ def test_search_degrees(tmp_path, capsys):
     assert "count 0" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("budget", ["abc", "0", "-5"])
-def test_a_malformed_search_budget_names_the_variable(tmp_path, capsys, monkeypatch, budget):
-    afile = write(tmp_path, "alg.txt", print_algebra(quaternion_algebra()))
-    monkeypatch.setenv("Z2N_SEARCH_BUDGET", budget)
-    assert main(["search-degrees", "--algebra", afile, "--n", "3"]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: Z2N_SEARCH_BUDGET must be an integer >= 1, got %r\n" % budget
+def test_search_degrees_counts_the_budget_on_free_labels_only(tmp_path, capsys):
+    # Cl(1, 3) at n = 5 tries at most (2^5)^4 mask lists, 2^5 per generator
+    afile = write(tmp_path, "alg.txt", print_algebra(clifford_algebra(1, 3)))
+    assert main(["search-degrees", "--algebra", afile, "--n", "5"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "count 720"
+    assert main(["search-degrees", "--algebra", afile, "--n", "6"]) == 2
+    assert capsys.readouterr().err == "error: search space %d exceeds budget 5000000\n" % 2 ** 24
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -282,6 +294,36 @@ def test_verify_of_a_result_with_a_chart_not_in_the_atlas_is_an_input_error(tmp_
     err = capsys.readouterr().err
     assert err.startswith("error: the result has an iso for chart Z, which is not in the atlas")
     assert "Traceback" not in err
+
+
+def test_an_embedding_row_for_a_chart_not_in_the_atlas_fails_verify(tmp_path, capsys):
+    golden = Path(__file__).parent / "golden"
+    afile = write(tmp_path, "atlas.txt", (golden / "nonsplit_3charts_k3.atlas.txt").read_text())
+    text = (golden / "nonsplit_3charts_k3.result.txt").read_text()
+    row = next(line for line in text.splitlines() if line.startswith("U x = "))
+    rfile = write(tmp_path, "result.txt", text.replace(row, row + "\nZ" + row[1:], 1))
+    assert main(["verify", "--atlas", afile, "--result", rfile]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("[FAIL]")] == [
+        "[FAIL] embedding block chart Z is in the atlas"]
+
+
+def test_split_of_an_atlas_whose_nerve_misses_an_overlap_is_an_input_error(tmp_path, capsys):
+    # no U-W pairs, transitions or triples: each declared overlap is valid,
+    # but the Cech correction of U needs a mismatch on (U, W)
+    text = (Path(__file__).parent / "golden" / "nonsplit_3charts_k3.atlas.txt").read_text()
+    for u, w in (("U", "W"), ("W", "U")):
+        text = text.replace("pair %s %s\n" % (u, w), "", 1)
+        start = text.index("transition %s %s\n" % (u, w))
+        text = text[:start] + text[text.index("end\n", start) + 4:]
+    text = re.sub(r"triple .*\n", "", text)
+    assert "U W" not in text and "W U" not in text and "triple" not in text
+    afile = write(tmp_path, "atlas.txt", text)
+    assert main(["atlas-check", "--atlas", afile]) == 0
+    capsys.readouterr()
+    assert main(["split", "--atlas", afile]) == 2
+    assert capsys.readouterr().err == ("error: no mismatch data for pair (U, W); declare "
+                                       "the overlap or a zero cocycle for it\n")
 
 
 def test_verify_of_a_result_over_another_signature_names_both_files(tmp_path, capsys):

@@ -19,6 +19,7 @@ from z2nsuper import (
     quaternion_algebra,
     search_degree_assignments,
 )
+from z2nsuper import findim
 from z2nsuper.findim import DEFAULT_BUDGET
 
 from conftest import (
@@ -162,18 +163,125 @@ def test_clifford22_certifies():
     assert ok, violations
 
 
-def test_budget_guard(monkeypatch):
-    monkeypatch.setenv("Z2N_SEARCH_BUDGET", "1000")
-    A = clifford_algebra(2, 2)
-    with pytest.raises(BudgetExceeded):
-        search_degree_assignments(A, 5)
+def zero_products(k):
+    """A unit and k labels whose products among themselves all vanish, so that
+    no homogeneity triple forces any of them."""
+    table = {}
+    for i in range(k + 1):
+        table[0, i] = table[i, 0] = {i: 1}
+    return FinDimAlgebra(["one"] + ["a%d" % i for i in range(1, k + 1)], 0, table)
 
 
-def test_search_derives_the_pair_parities_once(monkeypatch):
+def naive_free_labels(A):
+    """The labels, after the unit in basis order, that no product of labels
+    placed so far names an odd number of times: each is placed in turn, and
+    every product of two placed labels that hits a placed label is read."""
+    placed, free = [A.unit], 0
+    for i in (i for i in range(A.dim) if i != A.unit):
+        placed.append(i)
+        if not any((a, b, k).count(i) & 1 for a in placed for b in placed
+                   for k in A.product(a, b) if k in placed):
+            free += 1
+    return free
+
+
+def counting_parities(monkeypatch):
+    """The list that each `pair_parities` call appends to: a search reads the
+    pair parities once, before it tries any mask."""
     calls = []
     derive = FinDimAlgebra.pair_parities
     monkeypatch.setattr(FinDimAlgebra, "pair_parities",
                         lambda A: calls.append(A) or derive(A))
+    return calls
+
+
+def test_budget_guard(monkeypatch):
+    calls = counting_parities(monkeypatch)
+    A = zero_products(7)
+    assert naive_free_labels(A) == 7
+    with pytest.raises(BudgetExceeded) as err:
+        search_degree_assignments(A, 4)
+    assert str(err.value) == "search space %d exceeds budget %d" % (16 ** 7, DEFAULT_BUDGET)
+    assert calls == []
+
+
+# each label no triple forces: the generators of Cl(p, q), i and j of the
+# quaternions (k = i j), and every label of the zero-product algebra
+FREE_LABELS = [("H", quaternion_algebra(), 2), ("zero7", zero_products(7), 7)] + [
+    ("Cl%d%d" % (p, m - p), clifford_algebra(p, m - p), m)
+    for m in range(1, 5) for p in range(m + 1)]
+
+
+@pytest.mark.parametrize("A, free", [case[1:] for case in FREE_LABELS],
+                         ids=[case[0] for case in FREE_LABELS])
+def test_the_budget_counts_2_to_the_n_mask_lists_per_free_label(monkeypatch, A, free):
+    assert naive_free_labels(A) == free
+    calls = counting_parities(monkeypatch)
+    # refused at the default budget from the first n whose space exceeds it
+    first = next(n for n in range(1, 30) if (2 ** n) ** free > DEFAULT_BUDGET)
+    for n in (first, first + 1):
+        with pytest.raises(BudgetExceeded):
+            search_degree_assignments(A, n)
+    assert calls == []
+    # at n = 1, a budget of exactly the space searches and one less refuses
+    monkeypatch.setattr(findim, "DEFAULT_BUDGET", 2 ** free)
+    found = search_degree_assignments(A, 1)
+    assert len(calls) == 1
+    monkeypatch.setattr(findim, "DEFAULT_BUDGET", 2 ** free - 1)
+    with pytest.raises(BudgetExceeded):
+        search_degree_assignments(A, 1)
+    assert len(calls) == 1 and all(check_graded_commutative(A, asg)[0] for asg in found)
+
+
+def test_a_search_with_no_free_label_is_never_refused():
+    A = clifford_algebra(0, 0)
+    assert naive_free_labels(A) == 0
+    assert search_degree_assignments(A, 64) == [{"one": Degree([0] * 64)}]
+
+
+def test_the_budget_follows_the_basis_order():
+    # Cl(0, 3) with e123 placed before e12: no product of one, e1, e2, e3
+    # hits e123, so it is a fourth free label
+    base = clifford_algebra(0, 3)
+    order = [base.labels.index(lb)
+             for lb in ["one", "e1", "e2", "e3", "e123", "e12", "e13", "e23"]]
+    new = {old: s for s, old in enumerate(order)}
+    table = {(new[i], new[j]): {new[k]: c for k, c in row.items()}
+             for (i, j), row in base.table.items()}
+    A = FinDimAlgebra([base.labels[i] for i in order], 0, table)
+    assert (naive_free_labels(base), naive_free_labels(A)) == (3, 4)
+    assert (2 ** 6) ** 3 <= DEFAULT_BUDGET < (2 ** 6) ** 4
+    assert len(search_degree_assignments(base, 6)) == 3840
+    with pytest.raises(BudgetExceeded):
+        search_degree_assignments(A, 6)
+
+
+def test_free_labels_are_counted_in_any_basis_order(monkeypatch):
+    rng = random.Random(20261019)
+    calls = counting_parities(monkeypatch)
+    for name, base in small_algebras().items():
+        for _ in range(4):
+            A, _ = gen.relabel(rng, base)
+            space = 2 ** naive_free_labels(A)
+            monkeypatch.setattr(findim, "DEFAULT_BUDGET", space - 1)
+            with pytest.raises(BudgetExceeded):
+                search_degree_assignments(A, 1)
+            monkeypatch.setattr(findim, "DEFAULT_BUDGET", space)
+            before = len(calls)
+            search_degree_assignments(A, 1)
+            assert len(calls) == before + 1, name
+
+
+def test_cl13_is_searched_at_n5():
+    # at most (2^5)^4 mask lists, 2^5 for each of the four generators
+    A = clifford_algebra(1, 3)
+    found = search_degree_assignments(A, 5)
+    assert len(found) == 720 == len({masks(A, asg) for asg in found})
+    assert all(check_graded_commutative(A, asg)[0] for asg in found[::37])
+
+
+def test_search_derives_the_pair_parities_once(monkeypatch):
+    calls = counting_parities(monkeypatch)
     assert len(search_degree_assignments(quaternion_algebra(), 3)) > 1
     assert len(calls) == 1
 

@@ -9,8 +9,9 @@ one term at a time instead of by one `gseries.combine` call, and no loop
 builds a sum one term at a time (`v = v + ...`) instead of by one
 accumulation call; no package function imports, but the two printers
 `CoeffExpr.__str__` and `GSeries.__str__`, whose modules the printing
-modules import; and no package function stores to an attribute of an object
-other than `self` or the one its own `__new__` call made."""
+modules import; no package function stores to an attribute of an object
+other than `self` or the one its own `__new__` call made; and no package
+code reads the process environment."""
 
 import ast
 from pathlib import Path
@@ -567,3 +568,52 @@ def test_every_optional_parameter_is_passed():
     users = [p.read_text() for d in ("src", "demos", "bench", "tests")
              for p in sorted((ROOT / d).rglob("*.py"))]
     assert unpassed_optional_parameters(package, users) == []
+
+
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source):
+    """(qualified name, line) of each read of the process environment in
+    source: `os.environ`, `os.getenv`, either imported from os, or a name
+    `environ` or `getenv`; the qualified name is that of the innermost
+    function around it, or "" at module level.  Such a read is a setting
+    that no call passes and no caller sees."""
+    tree = ast.parse(source)
+    spans = [(fn.lineno, fn.end_lineno, qual) for qual, fn in _functions(tree)]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names} if node.module == "os" else set()
+        elif isinstance(node, ast.Attribute):
+            names = {node.attr}
+        else:
+            names = {getattr(node, "id", None)}
+        if names & ENVIRONMENT_NAMES:
+            around = [qual for first, last, qual in spans if first <= node.lineno <= last]
+            found.append((around[-1] if around else "", node.lineno))
+    return sorted(found)
+
+
+def test_scanner_flags_an_environment_read():
+    source = (
+        "import os\n"
+        "from os import getenv\n"
+        "HOME = os.environ['HOME']\n"
+        "def search_budget():\n"
+        "    value = os.environ.get('Z2N_SEARCH_BUDGET')\n"
+        "    return value\n"
+        "class C:\n"
+        "    def level(self):\n"
+        "        def inner():\n"
+        "            return getenv('LEVEL')\n"
+        "        return os.path.join(inner(), self.environment)\n"
+    )
+    assert environment_reads(source) == [
+        ("", 2), ("", 3), ("C.level.inner", 10), ("search_budget", 5)]
+
+
+def test_no_package_code_reads_the_environment():
+    found = [(p.stem, qual, line) for p in sorted(PACKAGE.glob("*.py"))
+             for qual, line in environment_reads(p.read_text())]
+    assert found == []
