@@ -193,9 +193,6 @@ class Signature:
             and self._decl == other._decl
         )
 
-    def __hash__(self):
-        return hash((self.n, tuple(self._decl)))
-
     def __repr__(self):
         vs = ", ".join("%s:%s" % (nm, d) for nm, d in self._decl)
         return "Signature(n=%d; %s)" % (self.n, vs)

@@ -161,7 +161,7 @@ class GSeries:
         or squares a self-odd variable."""
         mu, c = tuple(mu), _coerce(coeff)
         k = mono_order(mu)
-        if k > order or (k > 1 and any(e > 1 and odd for e, odd in zip(mu, sig.formal_self_odd))):
+        if k > order or any(e > 1 and odd for e, odd in zip(mu, sig.formal_self_odd)):
             return cls(sig, order, {})
         return cls(sig, order, {mu: c})
 
@@ -244,9 +244,6 @@ class GSeries:
             and self.sig == other.sig
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.sig, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
 
     # -- derivatives ------------------------------------------------------
 

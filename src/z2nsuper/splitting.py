@@ -134,19 +134,14 @@ def overlap_mismatch(atlas, phi_u, through, pair, names):
     }
 
 
-def _pure_order(mismatch, sig, pair, order, what):
+def _pure_order(mismatch, pair, order, what):
     """The mismatch itself, after checking that each variable's value is pure
-    order `order` and homogeneous of the variable's degree."""
+    order `order`."""
     for name, d in mismatch.items():
         if any(mono_order(mu) < order for mu in d.terms):
             raise SplittingError(
                 "%s mismatch on %s for pair %s has terms below order %d; "
                 "input is inconsistent" % (what, name, pair, order)
-            )
-        if not d.is_homogeneous(sig.degree_of(name)):
-            raise SplittingError(
-                "%s mismatch on %s for pair %s is not of degree %s"
-                % (what, name, pair, sig.degree_of(name))
             )
     return mismatch
 
@@ -159,7 +154,7 @@ def cocycle_mismatch(family, pair, order):
     phi_u, phi_v = (family.as_morphism(c, frame) for c in pair)
     through = (phi_v, family.atlas.transition(*pair))
     mismatch = overlap_mismatch(family.atlas, phi_u, through, pair, sig.base_names)
-    return _pure_order(mismatch, sig, pair, order, "embedding")
+    return _pure_order(mismatch, pair, order, "embedding")
 
 
 def lift_mismatch(family, lifts, pair, order):
@@ -169,7 +164,7 @@ def lift_mismatch(family, lifts, pair, order):
     phi_u, phi_v = (family.as_morphism(c, lifts[c]) for c in pair)
     through = (phi_v, family.atlas.transition(*pair))
     mismatch = overlap_mismatch(family.atlas, phi_u, through, pair, sig.formal_names)
-    return _pure_order(mismatch, sig, pair, order, "frame-lift")
+    return _pure_order(mismatch, pair, order, "frame-lift")
 
 
 def transport_derivation(atlas, u, v, omega_v, order):
@@ -223,8 +218,6 @@ def check_cocycle(atlas, omegas, order, report, tag):
     """Antisymmetry on pairs and the triple identity on the declared nerve."""
     names = atlas.signature.base_names
     for (u, v) in omegas:
-        if (v, u) not in omegas:
-            continue
         back = transport_derivation(atlas, u, v, omegas[(v, u)], order)
         report.residual("%s antisymmetry %s%s" % (tag, u, v), (
             (bn, atlas.reduce_series(omegas[(u, v)][bn] + back[bn])) for bn in names
@@ -351,7 +344,7 @@ def build_module_splitting(atlas, family, report=None, composed=None):
         r_uv = composed[pair] = compose(family.as_morphism(v, values[v]), atlas.transition(u, v))
         got = overlap_mismatch(atlas, family.as_morphism(u, values[u]), (r_uv,), pair,
                                sig.formal_names)
-        return _pure_order(got, sig, pair, k, "frame-lift")
+        return _pure_order(got, pair, k, "frame-lift")
 
     identity = {u: _identity_frame(sig, 1) for u in atlas.charts}
     lifts = _raise_order(atlas, identity, mismatch, report, "frame lift")

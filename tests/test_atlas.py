@@ -15,6 +15,7 @@ from z2nsuper import (
     Morphism,
     build_split_model,
     extract_bundle,
+    parse_coeff,
     split,
     validate_atlas,
     verify_result,
@@ -103,6 +104,20 @@ def test_declared_self_transitions_must_be_the_identity(sig1):
     assert result.iso == split(atlas).iso
 
 
+def test_a_triple_that_repeats_a_chart_is_checked_only_by_validation(sig1):
+    atlas = atlas_nonsplit_base_twist(3)
+    ident = with_self_transitions(atlas, {("U", "U"): Morphism.identity(sig1, 3)})
+    repeated = Atlas(sig1, 3, ident.charts, ident.pairs, [("U", "U", "V")], ident.transitions,
+                     ident.partition)
+    assert "[pass] triple-cocycle U,U,V" in str(validate_atlas(repeated)).splitlines()
+    # the self pair carries no cocycle, so the Čech correction skips the
+    # triple: its only check in split is the validation's
+    result = split(repeated)
+    assert result.report.passed, str(result.report)
+    assert [c.name for c in result.report.checks if "U,U,V" in c.name] == ["triple-cocycle U,U,V"]
+    assert result.iso == split(atlas).iso
+
+
 def test_validate_catches_missing_reverse(sig1):
     atlas = atlas_split_two_charts()
     del atlas.transitions[("V", "U")]
@@ -185,6 +200,13 @@ def test_partition_reduce_composed_arguments():
     assert out == -CoeffExpr.app("rho_U", [x], alpha=(1,)) * x
 
 
+def test_partition_reduce_rewrites_the_last_rho_inside_an_application():
+    atlas = parse_atlas((Path(__file__).parent / "golden" / "nonsplit_3charts_k3.atlas.txt")
+                        .read_text())
+    assert (atlas.partition_reduce(parse_coeff("g(rho_W(x))"))
+            == parse_coeff("g(1 - rho_U(x) - rho_V(x))"))
+
+
 def test_series_is_zero_modulo_partition():
     atlas = atlas_split_two_charts()
     sig = atlas.signature
@@ -201,6 +223,16 @@ def test_bundle_round_trip_simple():
     # and the split-model atlas of a split atlas is the atlas itself
     for pair, m in atlas.transitions.items():
         assert rebuilt.transitions[pair] == m
+
+
+def test_a_self_pair_of_a_bundle_is_the_identity_of_its_split_model():
+    bundle = extract_bundle(atlas_split_two_charts())
+    with_self = GradedBundleData(bundle.signature, bundle.charts, bundle.pairs + [("U", "U")],
+                                 bundle.matrices, bundle.base_transitions)
+    model = build_split_model(with_self, 3)
+    assert model.pairs == with_self.pairs
+    assert model.transitions == build_split_model(bundle, 3).transitions
+    assert model.transition("U", "U") == Morphism.identity(bundle.signature, 3)
 
 
 def test_build_split_model_rejects_zero_rows(sig1):

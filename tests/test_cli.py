@@ -24,6 +24,7 @@ from conftest import (
     atlas_nonsplit_base_twist,
     atlas_nonsplit_frame_twist,
     atlas_split_two_charts,
+    sig_n1,
     sig_n2,
     without_partition,
 )
@@ -667,3 +668,50 @@ def test_blank_and_comment_lines_are_ignored_inside_blocks(tmp_path, capsys):
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
     assert "[pass] bundle block matches the atlas" in reports[1].splitlines()
+
+
+INVERT_ACROSS_BASES = """order 2
+source
+n 1
+var x 0
+var x2 0
+var xi 1
+end
+target
+n 1
+var t 0
+var xi 1
+end
+images
+t = x
+xi = xi
+end"""
+
+
+@pytest.mark.parametrize("case", ["unknown-image", "compose-mismatch", "base-not-identity",
+                                  "partition-sum"])
+def test_refusals_exit_2_with_their_message(tmp_path, capsys, case):
+    n1 = print_morphism(Morphism.identity(sig_n1(), 2))
+    n2 = print_morphism(Morphism.identity(sig_n2(), 2))
+    atlas = (Path(__file__).parent / "golden" / "nonsplit_3charts_k3.atlas.txt").read_text()
+    files = {
+        "extra": n1.replace("images\n", "images\nz = x\n"),
+        "n1": n1,
+        "n2": n2,
+        "bases": INVERT_ACROSS_BASES,
+        "atlas": atlas.replace("W = rho_W(x)", "W = rho_W(2*x)"),
+    }
+    path = {name: write(tmp_path, name + ".txt", text) for name, text in files.items()}
+    argv, message = {
+        "unknown-image": (["invert", "--morphism", path["extra"]],
+                          "images for unknown variables: ['z']"),
+        "compose-mismatch": (["compose", "--first", path["n1"], "--second", path["n2"]],
+                             "compose: target of first != source of second"),
+        "base-not-identity": (["invert", "--morphism", path["bases"]],
+                              "base map is not the coordinate identity; supply base_inverse"),
+        "partition-sum": (["atlas-check", "--atlas", path["atlas"]],
+                          "partition U = rho_U(x), V = rho_V(x), W = rho_W(2*x) sums to "
+                          "rho_U(x) + rho_V(x) + rho_W(2*x), not 1"),
+    }[case]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message

@@ -105,6 +105,12 @@ def test_a_large_exponent_takes_logarithmically_many_products(monkeypatch):
     assert 0 < len(calls) <= 2 * k.bit_length()
 
 
+def test_a_product_with_a_string_is_a_type_error():
+    with pytest.raises(TypeError) as exc:
+        CoeffExpr.var("x") * "a"
+    assert str(exc.value) == "can't multiply sequence by non-int of type 'CoeffExpr'"
+
+
 def test_diff_polynomial():
     e = x * x * y + y * 3
     assert e.diff("x") == 2 * x * y

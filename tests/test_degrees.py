@@ -137,3 +137,13 @@ def test_signature_equality():
     s1 = Signature(1, [("x", "0"), ("a", "1")])
     s2 = Signature(1, [("u", "0"), ("b", "1")])
     assert s1 != s2 and s1 == Signature(1, [("x", "0"), ("a", "1")])
+
+
+def test_unknown_names_are_key_errors_that_name_the_variable():
+    sig = Signature(1, [("x", "0"), ("a", "1")])
+    with pytest.raises(KeyError) as exc:
+        sig.degree_of("z")
+    assert exc.value.args == ("unknown variable 'z' in signature",)
+    with pytest.raises(KeyError) as exc:
+        sig.formal_index("x")
+    assert exc.value.args == ("'x' is not a formal variable of this signature",)

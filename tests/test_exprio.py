@@ -33,6 +33,7 @@ def test_print_parse_round_trip(e):
 
 
 def test_parse_literals():
+    assert parse_coeff("x ") == parse_coeff("x")
     assert parse_coeff("3/2") == CoeffExpr.rational(Fraction(3, 2))
     assert parse_coeff("-x + 2") == CoeffExpr.rational(2) - x
     assert parse_coeff("2 x") == 2 * x

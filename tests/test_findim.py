@@ -135,6 +135,13 @@ def test_clifford_algebra_structure():
     assert A.product(i2, i1) == {e12: Fraction(-1)}
 
 
+def test_clifford_algebra_refuses_more_than_four_generators():
+    with pytest.raises(ValueError) as exc:
+        clifford_algebra(3, 2)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "clifford_algebra supports p + q <= 4"
+
+
 def test_clifford_certifies_at_n3():
     A = clifford_algebra(1, 1)
     found = search_degree_assignments(A, 3)

@@ -12,6 +12,7 @@ from z2nsuper import (CoeffExpr, GSeries, ParseError, Signature, coeffexpr, expr
                       gseries, parse_coeff, print_coeff, split)
 from z2nsuper.formats import (
     parse_algebra,
+    parse_assignment,
     parse_atlas,
     parse_morphism,
     parse_result,
@@ -236,6 +237,13 @@ def test_series_parse_respects_noncommutativity():
 def test_morphism_round_trip():
     m = base_shift_morphism(sig_n2(), 5)
     assert parse_morphism(print_morphism(m)) == m
+
+
+def test_assignment_skips_blank_and_comment_lines():
+    labels = quaternion_algebra().labels
+    rows = ["%s %s" % (lb, bits) for lb, bits in zip(labels, ("00", "11", "01", "10"))]
+    padded = "# degrees\n\n" + "\n\n  # row\n".join(rows)
+    assert parse_assignment(padded, labels) == parse_assignment("\n".join(rows), labels)
 
 
 def test_algebra_round_trip():

@@ -114,6 +114,23 @@ def test_signature_mismatch(sig1, sig2):
         GSeries.one(sig1, 3) + GSeries.one(sig2, 3)
 
 
+def test_refused_powers_and_coefficients_name_their_type_and_text(sig1):
+    with pytest.raises(ValueError) as exc:
+        GSeries.one(sig1, 3) ** -1
+    assert type(exc.value) is ValueError and str(exc.value) == "only nonnegative integer powers"
+    with pytest.raises(TypeError) as exc:
+        GSeries.monomial(sig1, 3, sig1.formal_unit("xi1"), "a")
+    assert str(exc.value) == "cannot coerce 'a' to CoeffExpr"
+
+
+def test_reprs_show_the_printed_form():
+    f = CoeffExpr.app("f", [CoeffExpr.var("x")])
+    atom = f.as_atom()
+    assert [repr(a) for a in (atom.args[0].as_atom(), atom, f)] == [
+        "Var(x)", "App(f,(0,),(CoeffExpr(x),))", "CoeffExpr(f(x))"]
+    assert repr(GSeries.generator(sig_n1(), "xi1", 2) * f) == "GSeries(f(x) * xi1; K=2)"
+
+
 def test_mul_monomials_matches_bubble_sort_oracle_exhaustively():
     for sig in (sig_n1(), sig_n2()):
         monos = enumerate_monomials(sig, 3)

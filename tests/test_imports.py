@@ -11,12 +11,16 @@ accumulation call; no package function imports, but the two printers
 `CoeffExpr.__str__` and `GSeries.__str__`, whose modules the printing
 modules import; no package function stores to an attribute of an object
 other than `self` or the one its own `__new__` call made; and no package
-code reads the process environment."""
+code reads the process environment.  The statement scanner of
+`statement_trace.py`, which holds the unrun statements of a traced test
+run against an allow-list, is checked here on a small source."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from statement_trace import compare, read_allowed, unrun_statements
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "z2nsuper"
@@ -617,3 +621,34 @@ def test_no_package_code_reads_the_environment():
     found = [(p.stem, qual, line) for p in sorted(PACKAGE.glob("*.py"))
              for qual, line in environment_reads(p.read_text())]
     assert found == []
+
+
+def test_statement_scanner_flags_an_unrun_statement():
+    source = (
+        '"""Docstring."""\n'
+        "import os\n"
+        "def f(x):\n"
+        '    """Docstring."""\n'
+        "    if x:\n"
+        "        return os.sep\n"
+        "    return (\n"
+        "        x)\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        try:\n"
+        "            pass\n"
+        "        except ValueError:\n"
+        "            raise\n"
+    )
+    unrun = unrun_statements("a.py", source, {2, 5, 8, 11, 12})
+    assert unrun == [(6, ("a.py", "f", "return os.sep")), (14, ("a.py", "C.m", "raise"))]
+    allowed = read_allowed(
+        "# module | qualname | statement | reason\n"
+        "\n"
+        "a.py | C.m | raise | only when the pass fails\n"
+        "a.py | <module> | import os | it ran\n"
+        "a.py | f | return x | it is gone\n"
+    )
+    assert compare(unrun, allowed) == (
+        [(6, ("a.py", "f", "return os.sep"))],
+        [("a.py", "<module>", "import os"), ("a.py", "f", "return x")])

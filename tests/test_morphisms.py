@@ -54,6 +54,30 @@ def test_validation_rejects_missing_and_inhomogeneous_images(sig2):
         Morphism(sig2, sig2, imgs, 3)
 
 
+def _images(sig, order):
+    return {nm: GSeries.generator(sig, nm, order) for nm, _ in sig.variables()}
+
+
+@pytest.mark.parametrize("refusal, kind, text", [
+    (lambda: Morphism(sig_n1(), sig_n2(), _images(sig_n2(), 3), 3),
+     SignatureMismatch, "source and target have different n"),
+    (lambda: Morphism(sig_n2(), sig_n2(), {**_images(sig_n2(), 3), "x": CoeffExpr.var("x")}, 3),
+     MorphismError, "image of 'x' is not a series"),
+    (lambda: Morphism(sig_n2(), sig_n2(), {**_images(sig_n2(), 3), "x": _images(sig_n1(), 3)["x"]},
+                      3),
+     SignatureMismatch, "image of 'x' is not over the source"),
+    (lambda: Morphism(sig_n2(), sig_n2(), {**_images(sig_n2(), 3), "x": _images(sig_n2(), 2)["x"]},
+                      3),
+     MorphismError, "image of 'x' has order 2 < morphism order 3"),
+    (lambda: Morphism.identity(sig_n2(), 3).pullback(GSeries.one(sig_n1(), 3)),
+     SignatureMismatch, "series is not over the morphism target"),
+], ids=["n", "not-a-series", "foreign-image", "low-order-image", "foreign-series"])
+def test_morphism_refusals_name_their_type_and_text(refusal, kind, text):
+    with pytest.raises(kind) as exc:
+        refusal()
+    assert type(exc.value) is kind and str(exc.value) == text
+
+
 def test_enumerate_monomials_caps_self_odd():
     sig = sig_n2()
     monos = enumerate_monomials(sig, 4)
