@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 
 from .coeffexpr import ONE, CoeffExpr, Var, _mono_key, sum_of_products
 from .gseries import GSeries, combine, mul_monomials
@@ -38,9 +39,12 @@ def positive_int(text):
     return value if value >= 1 else None
 
 
+# a token's position is that of the blanks before it
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<sym>[-+*^()\[\],/=]))"
+    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<sym>[-+*^()\[\],/=])|(?P<bad>\S))"
 )
+
+POWER_CAP = 1000  # most terms of base^k, at most C(k + t - 1, t - 1) for t terms in base
 
 
 class Tokenizer:
@@ -52,20 +56,10 @@ class Tokenizer:
         self.sig = sig
         self.what = what
         self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                if text[pos:].strip():
-                    raise ParseError("unexpected character %r" % text[pos:].lstrip()[0], pos)
-                break
-            if m.group("num"):
-                self.tokens.append(("num", m.group("num"), m.start()))
-            elif m.group("name"):
-                self.tokens.append(("name", m.group("name"), m.start()))
-            else:
-                self.tokens.append(("sym", m.group("sym"), m.start()))
-            pos = m.end()
+        for m in _TOKEN_RE.finditer(text):
+            if m.lastgroup == "bad":
+                raise ParseError("unexpected character %r" % m.group("bad"), m.start())
+            self.tokens.append((m.lastgroup, m.group(m.lastgroup), m.start()))
         self.i = 0
 
     def peek(self, ahead=0):
@@ -177,8 +171,12 @@ def _parse_term(tz, order):
 def _parse_factor(tz):
     e = _parse_atom(tz)
     while tz.at_sym("^"):
-        tz.next()
+        pos = tz.next()[2]
         k = int(tz.expect("num")[1])
+        t = len(e.terms()) or 1
+        if comb(k + t - 1, t - 1) > POWER_CAP:
+            raise ParseError("power ^%d of a %d-term coefficient can exceed the cap of %d terms"
+                             % (k, t, POWER_CAP), pos)
         e = e ** k
     return e
 

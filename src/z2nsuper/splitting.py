@@ -24,7 +24,9 @@ pair is pure order k: a Cech 1-cocycle, which the partition of unity makes a
 coboundary (eta_U = -sum_W rho_W omega_UW).  Adding eta to the values makes
 them agree on overlaps up to order k.  The loop measures the mismatch once
 per order: the one of the corrected values at order k + 1 gives both the
-order-k consistency residual and the next cocycle.
+order-k consistency residual and the next cocycle.  Stage 1 checks each
+cocycle and its coboundary in one pass, `check_cech`, with one
+`transport_derivation` (one base Jacobian, one pullback) per ordered pair.
 
 Each overlap's R_UV = compose(iso[V], T_UV) is composed once per command
 (in `split`, once more when order K is measured before its correction): in
@@ -167,24 +169,22 @@ def lift_mismatch(family, lifts, pair, order):
     return _pure_order(mismatch, pair, order, "frame-lift")
 
 
-def transport_derivation(atlas, u, v, omega_v, order):
-    """Express a derivation given by V-chart values on the U chart.
+def transport_derivation(atlas, u, v, derivations, order):
+    """Express derivations given by V-chart values on the U chart.
 
     Chain rule through the base transition, then coordinate transport of the
-    values through T_UV.
+    values through T_UV, each made once for all of them.  Returns one
+    {base var -> GSeries} per derivation, in order.
     """
-    sig = atlas.signature
-    t_uv = atlas.transition(u, v)
-    t_vu = atlas.transition(v, u)
-    base_vu = t_vu.base_map()  # U base coordinates as functions of the V chart
-    accs = []
-    for bn in sig.base_names:
-        diffs = ((omega_v[bv], base_vu[bn].diff(bv)) for bv in sig.base_names)
-        accs.append(combine(sig, order, [(w, d) for w, d in diffs if not d.is_zero()]))
-    return {
-        bn: atlas.reduce_series(s.truncate(order))
-        for bn, s in zip(sig.base_names, t_uv.pullbacks(accs))
-    }
+    sig, names = atlas.signature, atlas.signature.base_names
+    base_vu = atlas.transition(v, u).base_map()  # U base coordinates as functions of the V chart
+    jacobian = [[(bv, d) for bv in names if not (d := base_vu[bn].diff(bv)).is_zero()]
+                for bn in names]
+    accs = [combine(sig, order, [(omega[bv], d) for bv, d in row])
+            for omega in derivations for row in jacobian]
+    pulled = [atlas.reduce_series(s.truncate(order))
+              for s in atlas.transition(u, v).pullbacks(accs)]
+    return [dict(zip(names, pulled[i:i + len(names)])) for i in range(0, len(pulled), len(names))]
 
 
 def solve_coboundary(atlas, omegas, order):
@@ -214,31 +214,33 @@ def solve_coboundary(atlas, omegas, order):
     return etas
 
 
-def check_cocycle(atlas, omegas, order, report, tag):
-    """Antisymmetry on pairs and the triple identity on the declared nerve."""
+def check_cech(atlas, omegas, etas, order, report, tag):
+    """Antisymmetry on pairs, the triple identity on the declared nerve and
+    delta eta = omega under the partition relation, for the cocycle omegas
+    and its coboundary etas.  Each ordered pair (U, V) moves the V-chart
+    derivations these lines read onto chart U in one `transport_derivation`
+    call."""
     names = atlas.signature.base_names
+    triples = [(u, v, w) for (u, v, w) in atlas.triples
+               if (u, v) in omegas and (v, w) in omegas and (u, w) in omegas]
+    on_u = {}  # omega_VW on chart U at (U, V, W), so omega_VU at (U, V, U); eta_V at (U, V)
     for (u, v) in omegas:
-        back = transport_derivation(atlas, u, v, omegas[(v, u)], order)
+        keys = [(u, v, u)] + [t for t in triples if t[:2] == (u, v)]
+        derivations = [omegas[(v, w)] for _, _, w in keys] + [etas[v]]
+        on_u.update(zip(keys + [(u, v)], transport_derivation(atlas, u, v, derivations, order)))
+    for (u, v) in omegas:
         report.residual("%s antisymmetry %s%s" % (tag, u, v), (
-            (bn, atlas.reduce_series(omegas[(u, v)][bn] + back[bn])) for bn in names
+            (bn, atlas.reduce_series(omegas[(u, v)][bn] + on_u[(u, v, u)][bn])) for bn in names
         ))
-    for (u, v, w) in atlas.triples:
-        if (u, v) not in omegas or (v, w) not in omegas or (u, w) not in omegas:
-            continue
-        t_vw = transport_derivation(atlas, u, v, omegas[(v, w)], order)
+    for (u, v, w) in triples:
         report.residual("%s triple-cocycle %s,%s,%s" % (tag, u, v, w), (
-            (bn, atlas.reduce_series(omegas[(u, v)][bn] + t_vw[bn] - omegas[(u, w)][bn]))
+            (bn, atlas.reduce_series(omegas[(u, v)][bn] + on_u[(u, v, w)][bn] - omegas[(u, w)][bn]))
             for bn in names
         ))
-
-
-def check_coboundary(atlas, omegas, etas, order, report, tag):
-    """delta eta = omega symbolically under the partition relation."""
     for (u, v) in omegas:
-        eta_v_on_u = transport_derivation(atlas, u, v, etas[v], order)
         report.residual("%s coboundary %s%s" % (tag, u, v), (
-            (bn, atlas.reduce_series(omegas[(u, v)][bn] - (eta_v_on_u[bn] - etas[u][bn])))
-            for bn in atlas.signature.base_names
+            (bn, atlas.reduce_series(omegas[(u, v)][bn] - (on_u[(u, v)][bn] - etas[u][bn])))
+            for bn in names
         ))
 
 
@@ -253,7 +255,8 @@ def _raise_order(atlas, values, mismatch, report, tag, check=None):
     of the values at order `at`, checked to vanish below order k.  At each
     order k the mismatch, pure order k, is a cocycle, and the values are
     corrected by its coboundary.  check(omegas, etas, k), when given, records
-    further checks on the cocycle and its coboundary.
+    the checks on the cocycle and its coboundary; stage 1's is one
+    `check_cech` call.
 
     One mismatch per order: the corrected values are re-based at k + 1 and
     measured there once.  Truncation is a ring homomorphism and commutes with
@@ -311,9 +314,7 @@ def build_base_embedding(atlas, report=None):
         return cocycle_mismatch(EmbeddingFamily(atlas, values, at), pair, k)
 
     def check(omegas, etas, k):
-        tag = "embedding order %d" % k
-        check_cocycle(atlas, omegas, k, report, tag)
-        check_coboundary(atlas, omegas, etas, k, report, tag)
+        check_cech(atlas, omegas, etas, k, report, "embedding order %d" % k)
 
     identity = EmbeddingFamily.identity(atlas, 1)
     values = _raise_order(atlas, identity.values, mismatch, report, "embedding", check)

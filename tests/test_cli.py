@@ -1,6 +1,7 @@
 """CLI subcommands, file plumbing, and exit codes (0 pass, 1 fail, 2 input error)."""
 
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,20 @@ def test_normalize_rejects_a_formal_name_inside_a_coefficient(tmp_path, sig_file
     series = write(tmp_path, "s.txt", "f(xi) * eta")
     assert main(["normalize", "--sig", sig_file, "--series", series, "--order", "3"]) == 2
     assert "formal variable 'xi'" in capsys.readouterr().err
+
+
+def test_normalize_refuses_a_power_above_the_cap_before_computing_it(tmp_path, sig_file, capsys):
+    series = write(tmp_path, "s.txt", "(x + 1)^2000 * xi")
+    argv = ["normalize", "--sig", sig_file, "--series", series, "--order", "3"]
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.010
+    assert capsys.readouterr().err == 3 * (
+        "error: power ^2000 of a 2-term coefficient can exceed the cap of 1000 terms "
+        "(at position 7)\n")
 
 
 def test_input_errors_lists_each_error_once():

@@ -205,11 +205,12 @@ def test_mutated_files_exit_0_1_or_2(tmp_path, capsys, monkeypatch):
 
 
 def test_the_work_ceiling_stops_a_valid_large_power(tmp_path, monkeypatch):
-    # a control for the bound: (x + 1)^8000 is valid, and minutes of work
+    # a control for the bound: (x + 1)^500 is valid, under the power cap of
+    # exprio, and far more work than the ceiling
     work = _count_products(monkeypatch)
     work["ceiling"] = 10_000
     text = print_atlas(gen.rand_atlas(random.Random(7), 2, 2, 0)).replace(
-        "U = rho_U(x)", "U = (x + 1)^8000", 1)
+        "U = rho_U(x)", "U = (x + 1)^500", 1)
     afile = tmp_path / "atlas.txt"
     afile.write_text(text)
     with pytest.raises(WorkExceeded):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from z2nsuper import CoeffExpr, ParseError, exprio, parse_coeff, print_coeff
+from z2nsuper import CoeffExpr, ParseError, Signature, exprio, parse_coeff, print_coeff
 from z2nsuper.coeffexpr import ONE
 
 from conftest import naive_sum_of_products
@@ -59,6 +59,27 @@ def test_parse_errors_carry_position():
         with pytest.raises(ParseError):
             parse_coeff(bad)
 
+
+@pytest.mark.parametrize("text, message", [
+    ("x + xi", "coefficient names 'xi', which is not a base coordinate (at position 3)"),
+    ("x +  $", "unexpected character '$' (at position 3)"),
+])
+def test_a_token_is_placed_at_the_blanks_before_it(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_coeff(text, Signature(1, [("x", "0"), ("xi", "1")]))
+    assert str(exc.value) == message
+
+
+def test_a_power_above_the_cap_is_refused_and_one_at_the_cap_parses():
+    with pytest.raises(ParseError) as exc:
+        parse_coeff("(x + 1)^1000")
+    assert str(exc.value) == (
+        "power ^1000 of a 2-term coefficient can exceed the cap of 1000 terms (at position 7)")
+    with pytest.raises(ParseError, match=r"power \^12 of a 6-term coefficient .* \(at position 9\)"):
+        parse_coeff("(x + 1)^5^12")
+    assert len(parse_coeff("(x + 1)^999").terms()) == exprio.POWER_CAP
+    # a zero base counts as one term
+    assert parse_coeff("(x - x)^5000").is_zero()
 
 
 def rand_sum_text(rng, n, term):

@@ -10,7 +10,9 @@ must equal the two-step pullback and the naive one, on the result's isos and
 on isos with one extra term.  Over the benchmark's signature, the result at
 K truncated to K - 1 must be the result at K - 1 (the J-adic limit).  Two
 splittings of one atlas, under its own partition and under the degenerate
-one, must differ by an automorphism of the split model.
+one, must differ by an automorphism of the split model.  Over a signature
+with two base coordinates, `split` and `verify_result` must pass and a
+bumped numeral in an `iso` block must fail `verify_result`.
 """
 
 import importlib.util
@@ -20,10 +22,11 @@ from pathlib import Path
 
 import pytest
 
-from z2nsuper import CoeffExpr, GSeries, Morphism, compose, invert, split
+from z2nsuper import (CoeffExpr, GSeries, Morphism, Signature, compose, invert, split,
+                      verify_result)
 from z2nsuper.atlas import Atlas
 from z2nsuper.cli import main
-from z2nsuper.formats import print_atlas
+from z2nsuper.formats import parse_result, print_atlas, print_result
 from z2nsuper.morphisms import enumerate_monomials
 from z2nsuper.splitting import overlap_mismatch
 
@@ -83,6 +86,21 @@ def test_split_and_verify_hold_and_verify_catches_a_bumped_numeral(tmp_path, cap
         bad.write_text(edited)
         assert main(["verify", "--atlas", str(afile), "--result", str(bad)]) == 1, block
         assert "[FAIL]" in capsys.readouterr().out
+
+
+# two base coordinates, x and x1, where rand_signature draws one
+TWO_BASE = Signature(2, [("x", "00"), ("x1", "00"), ("y", "11"), ("xi", "01"), ("eta", "10")])
+
+
+@pytest.mark.parametrize("order", (2, 3))
+@pytest.mark.parametrize("seed", range(4))
+def test_a_split_over_two_base_coordinates_holds_and_verify_catches_a_bumped_numeral(seed, order):
+    atlas = gen.rand_atlas(random.Random(seed), 2, order, seed, sig=TWO_BASE)
+    result = split(atlas)
+    assert result.report.passed, str(result.report)
+    assert verify_result(atlas, result.iso).passed
+    bumped = bump_first_numeral(print_result(result), "iso ")
+    assert not verify_result(atlas, parse_result(bumped).iso).passed
 
 
 def with_one_more_term(rng, iso, sig, order):

@@ -24,7 +24,7 @@ from z2nsuper.formats import parse_series
 from z2nsuper.splitting import (
     build_base_embedding,
     build_module_splitting,
-    check_coboundary,
+    check_cech,
     lift_mismatch,
     solve_coboundary,
     verify_iso,
@@ -276,13 +276,13 @@ def test_failing_coboundary_check_names_its_residual():
     omegas = {pair: cocycle_mismatch(family, pair, 2) for pair in [("U", "V"), ("V", "U")]}
     etas = solve_coboundary(atlas, omegas, 2)
     report = Report()
-    check_coboundary(atlas, omegas, etas, 2, report, "t")
+    check_cech(atlas, omegas, etas, 2, report, "t")
     assert report.passed
     sig = atlas.signature
     xi12 = GSeries.generator(sig, "xi1", 2) * GSeries.generator(sig, "xi2", 2)
     etas["U"]["x"] = etas["U"]["x"] + xi12
     report = Report()
-    check_coboundary(atlas, omegas, etas, 2, report, "t")
+    check_cech(atlas, omegas, etas, 2, report, "t")
     check = {c.name: c for c in report.checks}["t coboundary UV"]
     assert not check.passed
     assert check.detail.startswith("x: ")
