@@ -45,6 +45,11 @@ _TOKEN_RE = re.compile(
 )
 
 POWER_CAP = 1000  # most terms of base^k, at most C(k + t - 1, t - 1) for t terms in base
+# most bits of base^k, estimated as k times ceil(log2) of the base's largest
+# numerator or denominator; a unit numerator grows nothing, so x^k is free
+POWER_BITS = 3000
+# longest numeral; Python's default limit for int() of a string
+NUMERAL_DIGITS = 4300
 
 
 class Tokenizer:
@@ -59,6 +64,9 @@ class Tokenizer:
         for m in _TOKEN_RE.finditer(text):
             if m.lastgroup == "bad":
                 raise ParseError("unexpected character %r" % m.group("bad"), m.start())
+            if m.lastgroup == "num" and len(m.group("num")) > NUMERAL_DIGITS:
+                raise ParseError("numeral of %d digits exceeds the limit of %d digits"
+                                 % (len(m.group("num")), NUMERAL_DIGITS), m.start())
             self.tokens.append((m.lastgroup, m.group(m.lastgroup), m.start()))
         self.i = 0
 
@@ -173,10 +181,16 @@ def _parse_factor(tz):
     while tz.at_sym("^"):
         pos = tz.next()[2]
         k = int(tz.expect("num")[1])
-        t = len(e.terms()) or 1
+        terms = e.terms().values()
+        t = len(terms) or 1
         if comb(k + t - 1, t - 1) > POWER_CAP:
             raise ParseError("power ^%d of a %d-term coefficient can exceed the cap of %d terms"
                              % (k, t, POWER_CAP), pos)
+        bits = max(((max(abs(q.numerator), q.denominator) - 1).bit_length() for q in terms),
+                   default=0)
+        if k * bits > POWER_BITS:
+            raise ParseError("power ^%d of a coefficient of %d-bit numbers can exceed the cap "
+                             "of %d bits" % (k, bits, POWER_BITS), pos)
         e = e ** k
     return e
 

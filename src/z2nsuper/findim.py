@@ -11,15 +11,19 @@ checks each condition once, when its last label is assigned.  A homogeneity
 triple that names a label once or three times forces that label's mask, so
 the search tries that one mask there instead of all 2^n, and its fixed
 budget counts 2^n mask lists for each label that no triple forces.
-Associativity is checked in exact integers over the table's one
-denominator, on the triples of non-unit labels only: the unit is checked
-first, and every triple through it is associative.
+The table is turned once into integer rows over its one denominator
+(`FinDimAlgebra.rows`), and the associativity scan, the pair parities and
+so the search's re-certification all read them.  Associativity is checked
+on the triples of non-unit labels only: the unit is checked first, and
+every triple through it is associative.  A triple whose products are all
+single terms is decided by comparing the two (label, numerator) results;
+any other triple sums (e_i e_j) e_k - e_i (e_j e_k) exactly.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
+from functools import cached_property
 from math import lcm, prod
 
 from .degrees import Degree
@@ -59,18 +63,43 @@ class FinDimAlgebra:
     def product(self, i, j):
         return dict(self.table.get((i, j), {}))
 
+    @cached_property
+    def rows(self):
+        """The table in integers over its one denominator D, made on first
+        use: rows[i][j] is the flat tuple (k, a, k', a', ...), labels
+        ascending, of e_i e_j = (a e_k + a' e_k' + ...) / D, and () when
+        the product vanishes."""
+        den = lcm(*(c.denominator for row in self.table.values() for c in row.values()))
+        rows = [[()] * self.dim for _ in self.labels]
+        for (i, j), row in self.table.items():
+            cell = []
+            for k in sorted(row):
+                c = row[k]
+                cell += (k, c.numerator * (den // c.denominator))
+            rows[i][j] = tuple(cell)
+        return rows
+
     def pair_parities(self):
         """{(i, j): the parities p of <deg i, deg j> with e_i e_j = (-1)^p e_j e_i}.
 
         Both parities when both products vanish, neither when they are not
-        +- each other; symmetric in i and j.
+        +- each other; symmetric in i and j, and keyed i then j in basis
+        order.  The integer rows are compared as they are, and negated.
         """
+        rows = self.rows
         out = {}
-        for i in range(self.dim):
-            for j in range(i + 1):
-                ij, ji = self.table.get((i, j), {}), self.table.get((j, i), {})
-                out[i, j] = out[j, i] = {p for p, sign in ((0, 1), (1, -1))
-                                         if _signed_equal(ij, ji, sign)}
+        for i, ri in enumerate(rows):
+            for j, ij in enumerate(ri):
+                if j < i:
+                    out[i, j] = out[j, i]
+                    continue
+                ji = rows[j][i]
+                if ij == ji:
+                    out[i, j] = _EVEN if ij else _BOTH
+                elif ij[::2] == ji[::2] and all(a == -b for a, b in zip(ij[1::2], ji[1::2])):
+                    out[i, j] = _ODD
+                else:
+                    out[i, j] = _NEITHER
         return out
 
     def _check_unit(self):
@@ -80,30 +109,50 @@ class FinDimAlgebra:
                 raise ValueError("label %r is not a two-sided unit" % self.labels[e])
 
     def _check_associativity(self):
-        # rows as (k, numerator) pairs over the table's one denominator D, so
-        # (e_i e_j) e_k - e_i (e_j e_k), accumulated in one dict, is an
-        # integer sum over D^2 that must vanish.  _check_unit has passed, so
-        # every triple through the unit holds: the scan visits the others, in
-        # the same lexicographic order, and finds the same first failure.
-        den = lcm(*(c.denominator for row in self.table.values() for c in row.values()))
-        t = {ij: [(k, c.numerator * (den // c.denominator)) for k, c in row.items()]
-             for ij, row in self.table.items()}
-        get = t.get
+        # over the integer rows, (e_i e_j) e_k - e_i (e_j e_k) is an integer
+        # sum over D^2 that must vanish.  When e_i e_j = a e_m, e_j e_k =
+        # b e_m' and both e_m e_k = c e_l and e_i e_m' = d e_l' are single
+        # terms, that is l == l' and a c == b d; any other triple accumulates
+        # the sum in one dict.  _check_unit has passed, so every triple
+        # through the unit holds: the scan visits the others, in the same
+        # lexicographic order, and finds the same first failure.
+        rows = self.rows
         rest = [i for i in range(self.dim) if i != self.unit]
         for i in rest:
+            ri = rows[i]
             for j in rest:
-                ij = get((i, j), ())
+                ij, rj = ri[j], rows[j]
                 for k in rest:
+                    jk = rj[k]
+                    if len(ij) == 2 == len(jk):
+                        left, right = rows[ij[0]][k], ri[jk[0]]
+                        if len(left) == 2 == len(right):
+                            if left[0] == right[0] and ij[1] * left[1] == jk[1] * right[1]:
+                                continue
+                            self._not_associative(i, j, k)
                     diff = {}
-                    for m, c in ij:
-                        for l, d in get((m, k), ()):
-                            diff[l] = diff.get(l, 0) + c * d
-                    for m, c in get((j, k), ()):
-                        for l, d in get((i, m), ()):
-                            diff[l] = diff.get(l, 0) - c * d
+                    for m, a in _terms(ij):
+                        for l, c in _terms(rows[m][k]):
+                            diff[l] = diff.get(l, 0) + a * c
+                    for m, b in _terms(jk):
+                        for l, d in _terms(ri[m]):
+                            diff[l] = diff.get(l, 0) - b * d
                     if any(diff.values()):
-                        raise ValueError("not associative at (%s, %s, %s)"
-                                         % (self.labels[i], self.labels[j], self.labels[k]))
+                        self._not_associative(i, j, k)
+
+    def _not_associative(self, i, j, k):
+        raise ValueError("not associative at (%s, %s, %s)"
+                         % (self.labels[i], self.labels[j], self.labels[k]))
+
+
+# the pair parities a comparison of two integer rows can give
+_BOTH, _EVEN, _ODD, _NEITHER = frozenset((0, 1)), frozenset((0,)), frozenset((1,)), frozenset()
+
+
+def _terms(cell):
+    """The (label, numerator) pairs of an integer row's cell."""
+    it = iter(cell)
+    return zip(it, it)
 
 
 def _rational_row(r):
@@ -116,19 +165,6 @@ def _rational_row(r):
         if c:
             row[k] = c
     return row
-
-
-def _signed_equal(r, s, sign):
-    """True when the table rows r and s satisfy r == sign * s, for sign = +-1,
-    compared on the lowest-terms numerators and denominators without
-    building sign * s."""
-    if r.keys() != s.keys():
-        return False
-    for k, c in r.items():
-        d = s[k]
-        if c.numerator != sign * d.numerator or c.denominator != d.denominator:
-            return False
-    return True
 
 
 def check_graded_commutative(A, assignment):
@@ -161,8 +197,8 @@ def _violations(A, masks, n, parities):
                                    % (A.labels[i], A.labels[j], A.labels[k],
                                       Degree.from_mask(masks[k], n), Degree.from_mask(want, n)))
     return [(A.labels[i], A.labels[j], A.product(i, j), A.product(j, i))
-            for i, j in itertools.product(range(A.dim), repeat=2)
-            if (masks[i] & masks[j]).bit_count() & 1 not in parities[i, j]]
+            for (i, j), ps in parities.items()
+            if (masks[i] & masks[j]).bit_count() & 1 not in ps]
 
 
 def search_degree_assignments(A, n):
@@ -232,6 +268,9 @@ def search_degree_assignments(A, n):
                     rec(p + 1)
 
     rec(0)
+    # rec reaches itself through its closure; unbinding it breaks that cycle,
+    # so the search's state is freed on return, not at a later collection
+    del rec
     return found
 
 

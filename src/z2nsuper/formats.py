@@ -274,35 +274,37 @@ def parse_algebra(text):
         elif kw == "unit":
             unit = fields[0]
         else:
-            line = "c " + " ".join(fields)
             q = rationals.get(fields[3])
             try:
                 if q is None:
                     q = rationals[fields[3]] = Fraction(fields[3])
             except ZeroDivisionError:
-                raise ParseError("algebra line `%s`: zero denominator in %r"
-                                 % (line, fields[3]), 0) from None
+                raise ParseError("algebra line `c %s`: zero denominator in %r"
+                                 % (" ".join(fields), fields[3]), 0) from None
             except ValueError:
-                raise ParseError("algebra line `%s`: %r is not a rational constant"
-                                 % (line, fields[3]), 0) from None
-            consts.append((line, fields, q))
+                raise ParseError("algebra line `c %s`: %r is not a rational constant"
+                                 % (" ".join(fields), fields[3]), 0) from None
+            consts.append((fields, q))
     if labels is None or unit is None:
         raise ParseError("algebra file is missing basis or unit", 0)
     idx = {lb: i for i, lb in enumerate(labels)}
     if len(idx) < len(labels):
         repeated = next(lb for i, lb in enumerate(labels) if lb in labels[:i])
         raise ParseError("algebra `basis` repeats the label %r" % repeated, 0)
-
-    def index(label, line):
-        if label not in idx:
-            raise ParseError("algebra line `%s` names %r, not a basis label" % (line, label), 0)
-        return idx[label]
-
     table = {}
-    for line, fields, q in consts:
-        a, b, c = (index(lb, line) for lb in fields[:3])
-        table.setdefault((a, b), {})[c] = q
-    return FinDimAlgebra(labels, index(unit, "unit " + unit), table)
+    for fields, q in consts:
+        a, b, c = fields[:3]
+        if a in idx and b in idx and c in idx:
+            table.setdefault((idx[a], idx[b]), {})[idx[c]] = q
+        else:
+            _not_a_label(next(lb for lb in fields[:3] if lb not in idx), "c " + " ".join(fields))
+    if unit not in idx:
+        _not_a_label(unit, "unit " + unit)
+    return FinDimAlgebra(labels, idx[unit], table)
+
+
+def _not_a_label(label, line):
+    raise ParseError("algebra line `%s` names %r, not a basis label" % (line, label), 0)
 
 
 def parse_assignment(text, labels):

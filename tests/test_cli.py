@@ -73,6 +73,23 @@ def test_normalize_refuses_a_power_above_the_cap_before_computing_it(tmp_path, s
         "(at position 7)\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x^" + "9" * 5000 + " * xi",
+     "numeral of 5000 digits exceeds the limit of 4300 digits (at position 2)"),
+    ("xi * " + "9" * 4301, "numeral of 4301 digits exceeds the limit of 4300 digits (at position 4)"),
+    ("7^4000000 * x * xi",
+     "power ^4000000 of a coefficient of 3-bit numbers can exceed the cap of 3000 bits "
+     "(at position 1)"),
+], ids=["long-exponent", "long-numeral", "constant-power"])
+def test_normalize_refuses_a_long_numeral_or_a_large_constant_power_at_its_position(
+        tmp_path, sig_file, capsys, text, message):
+    series = write(tmp_path, "s.txt", text)
+    start = time.perf_counter()
+    assert main(["normalize", "--sig", sig_file, "--series", series, "--order", "3"]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
 def test_input_errors_lists_each_error_once():
     assert not [(a, b) for a in INPUT_ERRORS for b in INPUT_ERRORS
                 if a is not b and issubclass(a, b)]
@@ -617,6 +634,8 @@ def _zeroed_copy_before(text, header):
     ("algebra", lambda t: t.replace("unit one\n", "", 1), "algebra file is missing basis or unit"),
     ("atlas", lambda t: t.replace("U = rho_U(x)\n", "U = rho_U[1]\n", 1),
      "derivative index without argument list"),
+    ("algebra", lambda t: t.replace("unit one\n", "unit q\n", 1),
+     "algebra line `unit q` names 'q', not a basis label"),
 ], ids=["atlas-order", "morphism-order", "signature-n", "atlas-pair", "atlas-transition",
         "result-iso", "algebra-c", "algebra-c-zero-denominator", "transition-no-end",
         "image-row-no-equals", "image-row-repeated", "result-no-signature",
@@ -627,7 +646,7 @@ def _zeroed_copy_before(text, header):
         "algebra-c-not-rational", "atlas-partition-before-signature", "signature-n-not-an-integer",
         "signature-n-zero", "atlas-n-negative", "morphism-no-header", "atlas-no-charts",
         "result-no-charts", "result-chart-without-iso", "algebra-no-unit",
-        "derivative-index-without-arguments"])
+        "derivative-index-without-arguments", "algebra-unit-unknown-label"])
 def test_malformed_file_is_an_input_error(tmp_path, capsys, kind, edit, message):
     atlas = atlas_nonsplit_base_twist()
     texts = {

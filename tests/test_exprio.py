@@ -82,6 +82,45 @@ def test_a_power_above_the_cap_is_refused_and_one_at_the_cap_parses():
     assert parse_coeff("(x - x)^5000").is_zero()
 
 
+LONG = "9" * (exprio.NUMERAL_DIGITS + 1)
+
+
+@pytest.mark.parametrize("text, pos", [
+    ("x^" + LONG, 2),
+    (LONG + " * x", 0),
+    ("x + 1/ " + LONG, 6),
+    ("f[" + LONG + "](x)", 2),
+    ("x + " + LONG + "/2", 3),
+])
+def test_a_numeral_above_the_digit_limit_is_refused_at_its_position(text, pos):
+    with pytest.raises(ParseError) as exc:
+        parse_coeff(text)
+    assert str(exc.value) == "numeral of %d digits exceeds the limit of %d digits (at position %d)" \
+        % (exprio.NUMERAL_DIGITS + 1, exprio.NUMERAL_DIGITS, pos)
+
+
+def test_a_numeral_at_the_digit_limit_parses():
+    top = "9" * exprio.NUMERAL_DIGITS
+    assert parse_coeff(top + "/2").as_rational() == Fraction(int(top), 2)
+
+
+def test_a_power_above_the_bit_cap_is_refused_before_it_is_computed():
+    assert exprio.POWER_BITS == 3000
+    with pytest.raises(ParseError) as exc:
+        parse_coeff("7^4000000 * x")
+    assert str(exc.value) == (
+        "power ^4000000 of a coefficient of 3-bit numbers can exceed the cap of 3000 bits "
+        "(at position 1)")
+    # ceil(log2) of the largest numerator or denominator: 2 and 1/2 count one bit
+    assert parse_coeff("2^3000") == CoeffExpr.rational(2 ** 3000)
+    assert parse_coeff("(1/2*x)^3000") == (x * Fraction(1, 2)) ** 3000
+    for text, pos in (("2^3001", 1), ("(15 + x)^999", 8), ("(1/9)^751", 5)):
+        with pytest.raises(ParseError, match=r"cap of 3000 bits \(at position %d\)$" % pos):
+            parse_coeff(text)
+    # a unit numerator adds no bits
+    assert parse_coeff("(-x)^4001") == -(x ** 4001)
+
+
 def rand_sum_text(rng, n, term):
     """A sum of n terms drawn by term(rng), as text, and its [(text, negate)]
     terms; the first term is added, each other one added or subtracted."""

@@ -27,6 +27,7 @@ from conftest import (
     naive_clifford,
     naive_first_nonassociative,
     naive_homogeneous,
+    naive_mul,
     naive_product,
     naive_violations,
     rand_associative_table,
@@ -510,3 +511,71 @@ def test_construction_raises_at_the_naive_first_nonassociative_triple_up_to_dim_
             row[k] += 1
         outcomes[builds_or_raises_at_the_naive_first(A.labels, A.unit, table)] += 1
     assert min(outcomes.values()) >= 8
+
+
+def counting_terms(monkeypatch):
+    """The list that each call of `findim._terms`, the associativity scan's
+    reader of multi-term cells, appends to."""
+    calls = []
+    read = findim._terms
+    monkeypatch.setattr(findim, "_terms", lambda cell: calls.append(cell) or read(cell))
+    return calls
+
+
+def test_a_rescaled_clifford_table_with_one_sign_flipped_raises_at_the_naive_first(monkeypatch):
+    # every product of a rescaled Clifford table is a single term, so the
+    # scan compares each triple directly and never accumulates a sum
+    rng = random.Random(20261025)
+    bases = [clifford_algebra(p, m - p) for m in (2, 3) for p in range(m + 1)]
+    calls = counting_terms(monkeypatch)
+    for _ in range(40):
+        A, _ = gen.relabel(rng, rng.choice(bases))
+        table = {ij: dict(row) for ij, row in A.table.items()}
+        assert all(len(row) == 1 for row in table.values())
+        assert builds_or_raises_at_the_naive_first(A.labels, A.unit, table)
+        rest = [i for i in range(A.dim) if i != A.unit]
+        row = table[rng.choice(rest), rng.choice(rest)]
+        (k, c), = row.items()
+        row[k] = -c
+        assert not builds_or_raises_at_the_naive_first(A.labels, A.unit, table)
+    assert calls == []
+
+
+def mixed_basis(table, dim, x, y):
+    """The table in the basis f_x = e_x + e_y and f_s = e_s for s != x: the
+    products that meet x have one or more terms, the others keep one."""
+    f = [{s: Fraction(1)} for s in range(dim)]
+    f[x][y] = Fraction(1)
+    out = {}
+    for s in range(dim):
+        for t in range(dim):
+            v = naive_mul(table, f[s], f[t])
+            # e_x = f_x - f_y, and e_s = f_s for every other s
+            if x in v:
+                v[y] = v.get(y, 0) - v[x]
+            row = {k: c for k, c in v.items() if c}
+            if row:
+                out[s, t] = row
+    return out
+
+
+def test_a_table_mixing_single_and_multi_term_products_raises_at_the_naive_first(monkeypatch):
+    rng = random.Random(20261026)
+    bases = [quaternion_algebra()] + [clifford_algebra(p, m - p) for m in (2, 3)
+                                      for p in range(m + 1)]
+    calls = counting_terms(monkeypatch)
+    outcomes = {True: 0, False: 0}
+    for _ in range(60):
+        A, _ = gen.relabel(rng, rng.choice(bases))
+        x, y = rng.sample([i for i in range(A.dim) if i != A.unit], 2)
+        table = mixed_basis(A.table, A.dim, x, y)
+        lengths = {len(row) for row in table.values()}
+        assert 1 in lengths and max(lengths) > 1
+        if rng.random() < 0.7:
+            rest = [i for i in range(A.dim) if i != A.unit]
+            row = table.setdefault((rng.choice(rest), rng.choice(rest)), {})
+            k = rng.randrange(A.dim)
+            row[k] = row.get(k, 0) + rng.choice([-1, 1])
+        outcomes[builds_or_raises_at_the_naive_first(A.labels, A.unit, table)] += 1
+    assert min(outcomes.values()) >= 12
+    assert calls
