@@ -12,7 +12,7 @@ whose partition does not then sum to 1 is refused when it is built.
 
 from __future__ import annotations
 
-from .coeffexpr import ONE, App, CoeffExpr, Var, sum_of_products
+from .coeffexpr import ONE, App, Var, sum_of_products
 from .gseries import GSeries, combine
 from .morphisms import Morphism, _linear_block, compose
 
@@ -51,9 +51,6 @@ class Report:
     @property
     def passed(self):
         return all(c.passed for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
 
     def __str__(self):
         return "\n".join(repr(c) for c in self.checks)
@@ -189,12 +186,12 @@ def validate_atlas(atlas):
 class GradedBundleData:
     """A Z2^n\\{0}-graded vector bundle by transition data on a nerve.
 
-    For each nonzero degree (canonical lex index k) and ordered pair (U, V),
-    an invertible q_k x q_k matrix of CoeffExprs; base transitions map each
+    For each degree d of `signature.formal_blocks` and ordered pair (U, V),
+    an invertible q_d x q_d matrix of CoeffExprs; base transitions map each
     base coordinate to a CoeffExpr over the other chart.
     """
 
-    def __init__(self, signature, charts, pairs, matrices, base_transitions=None):
+    def __init__(self, signature, charts, pairs, matrices, base_transitions):
         self.signature = signature
         self.charts = list(charts)
         self.pairs = [tuple(p) for p in pairs]
@@ -203,14 +200,8 @@ class GradedBundleData:
             pair: {d: [list(row) for row in mat] for d, mat in per.items()}
             for pair, per in matrices.items()
         }
-        # missing base transitions default to the coordinate identity
-        self.base_transitions = {}
-        for pair in self.matrices:
-            given = (base_transitions or {}).get(pair, {})
-            self.base_transitions[pair] = {
-                bn: given[bn] if bn in given else CoeffExpr.var(bn)
-                for bn in signature.base_names
-            }
+        # base_transitions: (u, v) -> {base name: CoeffExpr}
+        self.base_transitions = {pair: dict(base_transitions[pair]) for pair in self.matrices}
 
     def __eq__(self, other):
         return (

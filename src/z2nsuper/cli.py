@@ -87,12 +87,8 @@ def cmd_jacobian(args):
     for tv in jac.rows:
         for sv in jac.cols:
             lines.append("d %s / d %s = %s" % (tv, sv, formats.print_series(jac.entry(tv, sv))))
-    ok = True
-    if args.check_blocks:
-        ok = jac.check_blocks()
-        lines.append("blocks %s" % ("pass" if ok else "fail"))
     _emit("\n".join(lines), args.output)
-    return 0 if ok else 1
+    return 0
 
 
 def cmd_template(args):
@@ -206,7 +202,6 @@ def build_parser():
 
     sp = add("jacobian", cmd_jacobian, help="graded Jacobian of a morphism")
     sp.add_argument("--morphism", required=True)
-    sp.add_argument("--check-blocks", action="store_true")
 
     sp = add("template", cmd_template, help="most general coordinate transformation")
     sp.add_argument("--sig", required=True)

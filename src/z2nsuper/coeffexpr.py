@@ -280,10 +280,8 @@ class CoeffExpr:
                 else:
                     rest = mono[:i] + mono[i + 1 :]
                 part[1][rest] = n * power
-        pairs = [(_lowest(rests, self._den), d, False) for d, rests in parts.values() if rests]
-        if len(pairs) == 1 and pairs[0][1] is ONE:
-            return pairs[0][0]  # only the coordinate itself: no product to take
-        return sum_of_products(pairs)
+        return sum_of_products([(_lowest(rests, self._den), d, False)
+                                for d, rests in parts.values() if rests])
 
     def evaluate(self, point, realizations=None):
         """Exact rational value at a point, with polynomial realizations for opaques.

@@ -139,7 +139,6 @@ class Signature:
         self.formal_blocks = {}
         for nm, d in formal:
             self.formal_blocks.setdefault(d, []).append(nm)
-        self.q = [len(self.formal_blocks.get(d, ())) for d in enumerate_nonzero_degrees(n)]
         # sign tables of the formal variables, read by the series kernel:
         # their degrees, self-odd flags and the q x q matrix of dot-product
         # parities <deg a, deg b> mod 2

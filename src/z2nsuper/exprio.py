@@ -31,10 +31,11 @@ class ParseError(ValueError):
 
 
 def positive_int(text):
-    """text as an integer >= 1; None when it is not one."""
+    """text as an integer >= 1; None when it is not one; a too long numeral is a ParseError."""
     try:
         value = int(text)
     except ValueError:
+        check_numerals(text, 0, None)
         return None
     return value if value >= 1 else None
 
@@ -52,6 +53,16 @@ POWER_BITS = 3000
 NUMERAL_DIGITS = 4300
 
 
+def check_numerals(text, pos, where):
+    """Refuse a numeral of text (at pos) over NUMERAL_DIGITS by its length, not its digits;
+    where, if not None, locates text as in ParseError."""
+    for m in re.finditer(r"\d+(?:_\d+)*", text):  # as int() reads it, skipping underscores
+        digits = len(m.group().replace("_", ""))
+        if digits > NUMERAL_DIGITS:
+            raise ParseError("numeral of %d digits exceeds the limit of %d digits"
+                             % (digits, NUMERAL_DIGITS), pos + m.start(), where)
+
+
 class Tokenizer:
     """Shared tokenizer for the expression and series languages; it carries
     the signature and the wording of `_check_name` through the descent."""
@@ -65,8 +76,7 @@ class Tokenizer:
             if m.lastgroup == "bad":
                 raise ParseError("unexpected character %r" % m.group("bad"), m.start())
             if m.lastgroup == "num" and len(m.group("num")) > NUMERAL_DIGITS:
-                raise ParseError("numeral of %d digits exceeds the limit of %d digits"
-                                 % (len(m.group("num")), NUMERAL_DIGITS), m.start())
+                check_numerals(m.group("num"), m.start(), None)
             self.tokens.append((m.lastgroup, m.group(m.lastgroup), m.start()))
         self.i = 0
 

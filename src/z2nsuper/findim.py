@@ -278,22 +278,8 @@ def search_degree_assignments(A, n):
 
 
 def quaternion_algebra():
-    """The quaternions over the rationals: basis (one, i, j, k)."""
-    labels = ["one", "i", "j", "k"]
-    one, i, j, k = range(4)
-    table = {}
-
-    def put(a, b, c, q):
-        table.setdefault((a, b), {})[c] = Fraction(q)
-
-    for t in range(4):
-        put(one, t, t, 1)
-        put(t, one, t, 1)
-    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-        put(a, a, one, -1)
-        put(a, b, c, 1)
-        put(b, a, c, -1)
-    return FinDimAlgebra(labels, one, table)
+    """The quaternions over the rationals: Cl(0, 2), basis (one, i, j, k), k = i j."""
+    return FinDimAlgebra(["one", "i", "j", "k"], 0, clifford_algebra(0, 2).table)
 
 
 def clifford_algebra(p, q):

@@ -20,7 +20,7 @@ A block header opens a block that runs to a line reading `end`:
     partition                   rows `chart = coefficient`
     embedding                   rows `chart name = series`
     bundle                      rows `... = coefficient`, kept as written
-    report                      data lines, kept as written
+    report                      data lines, not read
 
 Blank lines and lines starting with `#` are ignored everywhere, inside
 blocks too.  Unknown keywords, wrong field counts, blocks with no `end`,
@@ -39,7 +39,7 @@ from fractions import Fraction
 from .atlas import Atlas
 from .coeffexpr import CoeffExpr
 from .degrees import Degree, Signature
-from .exprio import ParseError, parse_coeff, parse_series, positive_int, print_coeff
+from .exprio import ParseError, check_numerals, parse_coeff, parse_series, positive_int, print_coeff
 from .findim import FinDimAlgebra
 from .gseries import mono_order
 from .morphisms import Morphism
@@ -282,6 +282,7 @@ def parse_algebra(text):
                 raise ParseError("algebra line `c %s`: zero denominator in %r"
                                  % (" ".join(fields), fields[3]), 0) from None
             except ValueError:
+                check_numerals(fields[3], 0, "in algebra line `c %s ...`" % " ".join(fields[:3]))
                 raise ParseError("algebra line `c %s`: %r is not a rational constant"
                                  % (" ".join(fields), fields[3]), 0) from None
             consts.append((fields, q))
@@ -393,14 +394,12 @@ def parse_atlas(text, path=None):
 class ResultDoc:
     """Parsed form of a serialized splitting result."""
 
-    def __init__(self, order, signature, charts, bundle_lines, embedding, iso, report_lines):
+    def __init__(self, order, signature, bundle_lines, embedding, iso):
         self.order = order
         self.signature = signature
-        self.charts = charts
         self.bundle_lines = bundle_lines
         self.embedding = embedding  # chart -> {base var -> GSeries}
         self.iso = iso              # chart -> Morphism
-        self.report_lines = report_lines
 
 
 def print_bundle(bundle):
@@ -438,14 +437,13 @@ def print_result(result):
 
 
 def parse_result(text, path=None):
-    """A result file; its bundle rows are kept as written once read."""
+    """A result file; bundle rows are kept as written once read, and the report is skipped."""
     order = None
     sig = None
     charts = []
     bundle = ("bundle", [], [], [])  # an empty block until one is read
     embedding = {}
     iso = {}
-    report_lines = []
     keywords = ("order", "signature", "charts", "bundle", "embedding", "iso", "report")
     for block in _sections(text.splitlines(), keywords, "result"):
         kw, fields, body, _ = block
@@ -457,15 +455,13 @@ def parse_result(text, path=None):
             charts = fields
         elif kw == "bundle":
             bundle = block
-        elif kw == "report":
-            report_lines = body
         elif kw == "embedding":
             _after(kw, sig, order)
             rows = _rows(block, "chart name",
                          lambda names, rhs: parse_series(rhs, sig, order), path)
             for (chart, name), s in rows.items():
                 embedding.setdefault(chart, {})[name] = s
-        else:
+        elif kw == "iso":
             _after(kw, sig, order)
             iso[fields[0]] = Morphism(sig, sig, _parse_images(block, sig, order, path), order)
     if order is None or sig is None or not charts or not iso:
@@ -479,4 +475,4 @@ def parse_result(text, path=None):
             raise ParseError("result `charts %s` lists %s, which has no `iso %s` block"
                              % (" ".join(charts), u, u), 0)
     _rows(bundle, None, lambda names, rhs: parse_coeff(rhs, sig), path)
-    return ResultDoc(order, sig, charts, bundle[2], embedding, iso, report_lines)
+    return ResultDoc(order, sig, bundle[2], embedding, iso)

@@ -230,7 +230,8 @@ def test_criterion_8_splitting_pipeline():
     images["x"] = images["x"] + xi12
     bad["U"] = Morphism(sig, sig, images, 3)
     neg = verify_result(atlas, bad)
-    neg_ok = (not neg.passed) and any("x" in c.detail for c in neg.failures() if c.detail)
+    neg_ok = (not neg.passed) and any("x" in c.detail for c in neg.checks
+                                      if not c.passed and c.detail)
     ok = ok and neg_ok
     details.append("negative control: localized residual" if neg_ok
                    else "negative control FAILED")
@@ -280,7 +281,8 @@ def test_criterion_9_bundle_round_trip():
                 if rank:
                     per[d] = rand_invertible(rank)
             matrices[pair] = per
-        bundle = GradedBundleData(sig, charts, pairs, matrices)
+        identity = {bn: CoeffExpr.var(bn) for bn in sig.base_names}
+        bundle = GradedBundleData(sig, charts, pairs, matrices, dict.fromkeys(pairs, identity))
         rebuilt = extract_bundle(build_split_model(bundle, 3))
         ok = ok and rebuilt == bundle
     report(9, ok, "extract_bundle(build_split_model(B)) == B on 20 randomized "

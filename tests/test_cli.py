@@ -1,6 +1,10 @@
 """CLI subcommands, file plumbing, and exit codes (0 pass, 1 fail, 2 input error)."""
 
+import os
 import re
+import resource
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -90,6 +94,47 @@ def test_normalize_refuses_a_long_numeral_or_a_large_constant_power_at_its_posit
     assert capsys.readouterr().err == "error: %s\n" % message
 
 
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize("kind", ["algebra-constant", "order-line", "order-option", "n-line"])
+def test_a_numeral_above_the_digit_limit_is_named_by_its_length(tmp_path, sig_file, capsys,
+                                                                kind):
+    series = write(tmp_path, "s.txt", "x")
+    algebra = print_algebra(quaternion_algebra()).replace(
+        "c one one one 1\n", "c one one one %s\n" % LONG, 1)
+    atlas = print_atlas(atlas_nonsplit_base_twist()).replace("order 3\n", "order %s\n" % LONG)
+    sig = print_signature(sig_n2()).replace("n 2\n", "n %s\n" % LONG)
+    asg = write(tmp_path, "asg.txt", "one 000\ni 011\nj 101\nk 110")
+    argv, where = {
+        "algebra-constant": (["check-findim", "--algebra", write(tmp_path, "alg.txt", algebra),
+                              "--assign", asg], ", in algebra line `c one one one ...`"),
+        "order-line": (["atlas-check", "--atlas", write(tmp_path, "atlas.txt", atlas)], ""),
+        "order-option": (["normalize", "--sig", sig_file, "--series", series, "--order", LONG], ""),
+        "n-line": (["normalize", "--sig", write(tmp_path, "sig-long.txt", sig), "--series", series,
+                    "--order", "2"], ""),
+    }[kind]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: numeral of 5000 digits exceeds the limit of 4300 digits " \
+        "(at position 0)%s\n" % where
+    assert len(err) < 300
+
+
+def test_normalize_over_an_n_64_signature_reads_only_the_degrees_present(tmp_path):
+    # a signature builds nothing over all 2^n - 1 nonzero degrees; the child
+    # runs under a 1 GiB address-space cap, so code that tries ends in a
+    # MemoryError rather than taking the machine's memory
+    sig = write(tmp_path, "sig.txt", "n 64\nvar x %s\nvar xi %s" % ("0" * 64, "0" * 63 + "1"))
+    series = write(tmp_path, "s.txt", "xi * xi + 2 * x * xi")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    run = subprocess.run(
+        [sys.executable, "-m", "z2nsuper.cli", "normalize", "--sig", sig, "--series", series,
+         "--order", "2"], env=env, capture_output=True, text=True, timeout=10,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+    assert (run.returncode, run.stdout, run.stderr) == (0, "2*x * xi\n", "")
+
+
 def test_input_errors_lists_each_error_once():
     assert not [(a, b) for a in INPUT_ERRORS for b in INPUT_ERRORS
                 if a is not b and issubclass(a, b)]
@@ -134,24 +179,26 @@ def test_invert_singular_n2_is_an_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_jacobian_check_blocks(tmp_path, capsys):
+def test_jacobian_prints_only_the_entries(tmp_path, capsys):
     m = base_shift_morphism(sig_n2(), 3)
     mfile = write(tmp_path, "m.txt", print_morphism(m))
-    assert main(["jacobian", "--morphism", mfile, "--check-blocks"]) == 0
-    out = capsys.readouterr().out
-    assert "blocks pass" in out
-    assert "d x / d y" in out
-
-
-def test_jacobian_without_check_blocks_prints_only_the_entries(tmp_path, capsys):
-    m = base_shift_morphism(sig_n2(), 3)
-    mfile = write(tmp_path, "m.txt", print_morphism(m))
-    assert main(["jacobian", "--morphism", mfile, "--check-blocks"]) == 0
-    checked = capsys.readouterr().out.splitlines()
     assert main(["jacobian", "--morphism", mfile]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out and all(re.fullmatch(r"d \S+ / d \S+ = .+", line) for line in out)
-    assert checked == out + ["blocks pass"]
+    assert any(line.startswith("d x / d y = ") for line in out)
+
+
+def test_jacobian_check_blocks_is_a_usage_error(tmp_path, capsys):
+    # the Morphism constructor holds every image to its degree, so the block
+    # law always held and the flag that checked it is gone
+    mfile = write(tmp_path, "m.txt", print_morphism(base_shift_morphism(sig_n2(), 3)))
+    with pytest.raises(SystemExit) as exc:
+        main(["jacobian", "--morphism", mfile, "--check-blocks"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --check-blocks" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_template(tmp_path, sig_file, capsys):
@@ -306,6 +353,19 @@ def test_a_split_below_the_atlas_order_verifies_against_the_atlas(tmp_path, caps
     assert "[FAIL]" not in capsys.readouterr().out
 
 
+def test_split_at_order_one_and_its_verify_pass(tmp_path, capsys):
+    afile = str(Path(__file__).parent / "golden" / "nonsplit_n2_k4.atlas.txt")
+    rfile = str(tmp_path / "result.txt")
+    assert main(["split", "--atlas", afile, "--order", "1", "-o", rfile]) == 0
+    text = Path(rfile).read_text()
+    assert parse_result(text).order == 1
+    report = text.split("\nreport\n", 1)[1].splitlines()[:-1]
+    assert report and all(line.startswith("pass ") for line in report)
+    assert main(["verify", "--atlas", afile, "--result", rfile]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out and all(line.startswith("[pass] ") for line in out)
+
+
 def _golden_n2(tmp_path, edit):
     """The committed n = 2 atlas, and its golden result after `edit`."""
     golden = Path(__file__).parent / "golden"
@@ -376,7 +436,7 @@ def test_a_one_chart_atlas_splits_to_the_identity(tmp_path, capsys):
     text = Path(rfile).read_text()
     assert "embedding order" not in text and "frame lift order" not in text
     doc = parse_result(text)
-    assert doc.charts == ["U"]
+    assert list(doc.iso) == ["U"]
     assert doc.iso["U"] == Morphism.identity(sig_n2(), 3)
     assert main(["verify", "--atlas", afile, "--result", rfile]) == 0
     assert "[FAIL]" not in capsys.readouterr().out

@@ -120,7 +120,8 @@ def test_signature_canonical_formal_order():
     assert sig.base_names == ["x"]
     # lex over nonzero degrees: 01 block first (declaration order), then 10, then 11
     assert sig.formal_names == ["b", "d", "c", "a"]
-    assert sig.q == [2, 1, 1]
+    assert {d: len(vs) for d, vs in sig.formal_blocks.items()} == {
+        Degree.parse("01"): 2, Degree.parse("10"): 1, Degree.parse("11"): 1}
     assert sig.p == 1 and sig.nformal == 4
     assert sig.formal_index("d") == 1
     assert sig.degree_of("a") == Degree.parse("11")

@@ -277,12 +277,11 @@ def test_result_round_trip():
     doc = parse_result(text)
     assert doc.order == 3
     assert doc.signature == atlas.signature
-    assert doc.charts == atlas.charts
+    assert list(doc.iso) == atlas.charts
     assert doc.iso == result.iso
     for u in atlas.charts:
         for bn in atlas.signature.base_names:
             assert doc.embedding[u][bn] == result.iso[u].images[bn]
-    assert all(ln.startswith("pass") for ln in doc.report_lines)
     # a second print/parse cycle is stable
     doc2 = parse_result(text)
     assert doc2.iso == doc.iso
