@@ -11,6 +11,7 @@ import sys
 
 from . import formats
 from .atlas import validate_atlas
+from .exprio import ParseError, check_numerals
 from .findim import (
     BudgetExceeded,
     GradingError,
@@ -125,9 +126,19 @@ def cmd_check_findim(args):
     return 0 if ok else 1
 
 
+def _degree_bits(text):
+    """The `--n` value as an int; a numeral over the digit limit is refused by
+    its length, without echoing it."""
+    check_numerals(text, 0, None)
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError("degree search needs an integer n, got %r" % text, 0) from None
+
+
 def cmd_search_degrees(args):
     A = formats.parse_algebra(_read(args.algebra))
-    found = search_degree_assignments(A, args.n)
+    found = search_degree_assignments(A, _degree_bits(args.n))
     lines = []
     for asg in found:
         lines.append(" ".join("%s:%s" % (lb, asg[lb]) for lb in A.labels))
@@ -213,7 +224,7 @@ def build_parser():
 
     sp = add("search-degrees", cmd_search_degrees, help="search degree assignments")
     sp.add_argument("--algebra", required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", required=True)
 
     sp = add("atlas-check", cmd_atlas_check, help="validate atlas gluing data")
     sp.add_argument("--atlas", required=True)

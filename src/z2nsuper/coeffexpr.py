@@ -17,15 +17,16 @@ coefficient back as a Fraction.  Atoms are interned, one object per symbol
 name or per application, so atom equality is identity and monomial tuples
 hash and compare without calling back into Python.  An expression computes
 its hash on first use and its sorted structural key() on first request (for
-App keys, the monomial order and the print order), then caches both.
-Expressions are immutable, so operations return an operand unchanged where
-the result is equal to it (adding zero, scaling by one, substituting
-nothing).
+App keys, the monomial order and the print order), then caches both, and it
+keeps each derivative diff(name) it has computed.  Expressions are
+immutable, so operations return an operand unchanged where the result is
+equal to it (adding zero, scaling by one, substituting nothing).
 
 Arithmetic.  sum_of_products is the one accumulation loop: +, -, *, diff,
-substitution and every series product go through it.  It multiplies and
-adds plain ints over the lcm of the factors' denominators and brings the
-result to lowest terms with one gcd pass.  A lone product with a constant
+substitution and every series product go through it (the reader in exprio
+adds up the terms it reads itself, before they are expressions).  It
+multiplies and adds plain ints over the lcm of the factors' denominators
+and brings the result to lowest terms with one gcd pass.  A lone product with a constant
 factor scales the numerators of the other factor and takes the same pass.
 """
 
@@ -111,7 +112,7 @@ class CoeffExpr:
     in lowest terms, so == is the engine's equality test.
     """
 
-    __slots__ = ("_terms", "_den", "_key", "_hash")
+    __slots__ = ("_terms", "_den", "_key", "_hash", "_diffs")
 
     def __init__(self, terms, den=None):
         """terms: dict mono -> rational over canonical monomials; zero
@@ -126,6 +127,7 @@ class CoeffExpr:
         self._den = den
         self._key = None
         self._hash = None
+        self._diffs = None
 
     # -- constructors -----------------------------------------------------
 
@@ -138,14 +140,12 @@ class CoeffExpr:
 
     @staticmethod
     def var(name):
-        return _atom_expr(Var(name))
+        return _atom_expr(_atom(name))
 
     @staticmethod
     def app(func, args, alpha=None):
-        args = tuple(a if isinstance(a, CoeffExpr) else CoeffExpr.rational(a) for a in args)
-        if alpha is None:
-            alpha = (0,) * len(args)
-        return _atom_expr(App(func, alpha, args))
+        args = [a if isinstance(a, CoeffExpr) else CoeffExpr.rational(a) for a in args]
+        return _atom_expr(_atom(func, args, alpha))
 
     # -- basic structure --------------------------------------------------
 
@@ -262,7 +262,13 @@ class CoeffExpr:
     # -- calculus ---------------------------------------------------------
 
     def diff(self, name):
-        """Formal partial derivative with respect to the base coordinate `name`."""
+        """Formal partial derivative with respect to the base coordinate `name`,
+        memoised per name on the expression."""
+        diffs = self._diffs
+        if diffs is None:
+            diffs = self._diffs = {}
+        elif name in diffs:
+            return diffs[name]
         # per atom: its derivative and the terms it multiplies, {rest: n}, where
         # rest is a monomial of self with one power of the atom taken off
         # (distinct monomials give distinct rests, so no entry is summed); the
@@ -280,8 +286,9 @@ class CoeffExpr:
                 else:
                     rest = mono[:i] + mono[i + 1 :]
                 part[1][rest] = n * power
-        return sum_of_products([(_lowest(rests, self._den), d, False)
-                                for d, rests in parts.values() if rests])
+        out = diffs[name] = sum_of_products([(_lowest(rests, self._den), d, False)
+                                             for d, rests in parts.values() if rests])
+        return out
 
     def evaluate(self, point, realizations=None):
         """Exact rational value at a point, with polynomial realizations for opaques.
@@ -366,9 +373,20 @@ _SCALARS = (CoeffExpr, int, Fraction)
 def _coerce(x):
     if isinstance(x, CoeffExpr):
         return x
-    if isinstance(x, (int, Fraction)):
-        return CoeffExpr.rational(x)
+    if isinstance(x, int):
+        return CoeffExpr({(): x}, 1) if x else ZERO
+    if isinstance(x, Fraction):
+        return CoeffExpr({(): x.numerator}, x.denominator) if x else ZERO
     raise TypeError("cannot coerce %r to CoeffExpr" % (x,))
+
+
+def _atom(name, args=None, alpha=None):
+    """The atom of a name: the base-coordinate symbol, or with args (a list
+    of CoeffExprs) the application name[alpha](args), alpha all zero when
+    None."""
+    if args is None:
+        return Var(name)
+    return App(name, (0,) * len(args) if alpha is None else alpha, args)
 
 
 def _atom_expr(atom):

@@ -4,19 +4,22 @@ Coefficients: rationals like `3/2`, coordinate names, opaque applications
 `f[1,0](x0, x1)` (the bracket is the derivative multi-index, omitted when all
 zero), `+`, `-`, `*`, integer powers `^`, parentheses.  A series is a sum of
 terms `coeff * v^k w ...` whose formal powers make the term's monomial.  One
-recursive descent reads both languages: a term is a sign and its factors,
-and a sum is one accumulation call.  Printing a canonical coefficient and
-re-parsing it gives back the identical expression.
+reader reads both languages.  A term is read in one pass into its sign and
+rational factor (int numerator and denominator), the power product of its
+atoms and its formal monomial; the terms of a sum are then added per formal
+monomial over the lcm of their denominators and brought to lowest terms
+once.  Only parentheses, their powers and application arguments are read by
+a nested call.  Printing a canonical coefficient and re-parsing it gives
+back the identical expression; the printer writes integers of any length.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
-from .coeffexpr import ONE, CoeffExpr, Var, _mono_key, sum_of_products
-from .gseries import GSeries, combine, mul_monomials
+from .coeffexpr import ZERO, CoeffExpr, Var, _atom, _lowest, _mono_key, _mono_mul
+from .gseries import GSeries, mul_monomials
 
 
 class ParseError(ValueError):
@@ -65,28 +68,28 @@ def check_numerals(text, pos, where):
 
 class Tokenizer:
     """Shared tokenizer for the expression and series languages; it carries
-    the signature and the wording of `_check_name` through the descent."""
+    the signature and the wording of `_check_name` through the descent.
+    Tokens are (kind, value, position) triples, and the list ends with two
+    end-of-text tokens, so a look one token ahead is a plain index."""
 
     def __init__(self, text, sig, what):
-        self.text = text
         self.sig = sig
         self.what = what
-        self.tokens = []
+        tokens = []
         for m in _TOKEN_RE.finditer(text):
-            if m.lastgroup == "bad":
+            kind = m.lastgroup
+            if kind == "bad":
                 raise ParseError("unexpected character %r" % m.group("bad"), m.start())
-            if m.lastgroup == "num" and len(m.group("num")) > NUMERAL_DIGITS:
-                check_numerals(m.group("num"), m.start(), None)
-            self.tokens.append((m.lastgroup, m.group(m.lastgroup), m.start()))
+            value = m.group(kind)
+            if kind == "num" and len(value) > NUMERAL_DIGITS:
+                check_numerals(value, m.start(), None)
+            tokens.append((kind, value, m.start()))
+        eof = ("eof", "", len(text))
+        self.tokens = tokens + [eof, eof]
         self.i = 0
 
-    def peek(self, ahead=0):
-        if self.i + ahead < len(self.tokens):
-            return self.tokens[self.i + ahead]
-        return ("eof", "", len(self.text))
-
     def next(self):
-        tok = self.peek()
+        tok = self.tokens[self.i]
         self.i += 1
         return tok
 
@@ -97,11 +100,8 @@ class Tokenizer:
         return tok
 
     def at_sym(self, value):
-        tok = self.peek()
-        return tok[0] == "sym" and tok[1] == value
-
-    def done(self):
-        return self.i >= len(self.tokens)
+        # no name, numeral or end token has a symbol's text
+        return self.tokens[self.i][1] == value
 
 
 def parse_coeff(text, sig=None, what="coefficient"):
@@ -120,134 +120,185 @@ def parse_series(text, sig, order):
 def _parse_all(tz, order):
     """All of `tz`'s text as one sum (`_parse_expr`)."""
     e = _parse_expr(tz, order)
-    if not tz.done():
-        tok = tz.peek()
-        raise ParseError("trailing input %r" % tok[1], tok[2])
+    kind, value, pos = tz.tokens[tz.i]
+    if kind != "eof":
+        raise ParseError("trailing input %r" % value, pos)
     return e
 
 
 def _parse_expr(tz, order):
     """A sum of terms: a coefficient when order is None, else a series at
-    `order`.  Every term is read first, so a parse error is raised at the
-    token where it is met; then the terms are summed in one call, one
-    `sum_of_products` for a coefficient and one `combine` for a series.  A
-    lone term is its own sum."""
-    terms = [(_parse_term(tz, order), False)]
-    while tz.at_sym("+") or tz.at_sym("-"):
-        negate = tz.next()[1] == "-"
-        terms.append((_parse_term(tz, order), negate))
-    if len(terms) == 1:
-        return terms[0][0]
+    `order`.  Every term is read first (`_parse_term`), so a parse error is
+    raised at the token where it is met; then the terms are summed per
+    formal monomial, each sum in one pass (`_sum_terms`)."""
+    terms = [_parse_term(tz, order, 1)]
+    tokens = tz.tokens
+    while tokens[tz.i][1] in ("+", "-"):
+        terms.append(_parse_term(tz, order, -1 if tz.next()[1] == "-" else 1))
     if order is None:
-        return sum_of_products([(t, ONE, negate) for t, negate in terms])
-    return combine(tz.sig, order, [(t, -1 if negate else 1) for t, negate in terms])
+        return _sum_terms(terms)
+    groups = {}
+    for term in terms:
+        if term is not None:
+            groups.setdefault(term[0], []).append(term)
+    out = {}
+    for mu, group in groups.items():
+        c = _sum_terms(group)
+        if c._terms:
+            out[mu] = c
+    return GSeries.canonical(tz.sig, order, out)
 
 
-def _parse_term(tz, order):
-    """A product term: its sign, then its factors, juxtaposed or joined by
-    `*`.  The coefficient factors are multiplied in order.  In a series
-    (order given) each formal power `v^k`, a formal name that opens no
-    application, is folded into the term's monomial with its reordering
-    sign; a square of a self-odd variable kills the term, and reading goes
-    on, so a later bad factor still raises its error."""
-    sign = 1
-    while tz.at_sym("-"):
+def _parse_term(tz, order, sign):
+    """A product term after its `+` or `-` (sign): more signs, then its
+    factors, juxtaposed or joined by `*`, read in one pass into
+    (mu, num, den, mono, expr), the term num/den * mono * expr * mu.
+
+    num/den is the rational factor, as ints with den > 0, and mono the power
+    product of the atoms read (names, applications, their powers).  expr is
+    the product of the parenthesised factors, each read by `_parse_expr`, or
+    None when there is none.  mu is the formal monomial: in a series (order
+    given) each formal power `v^k`, a formal name that opens no application,
+    is folded into it with its reordering sign; in a coefficient it is None.
+    A square of a self-odd variable kills the term, and reading goes on, so
+    a later bad factor still raises its error; a killed term, or one above
+    the order, is None."""
+    tokens = tz.tokens
+    while tokens[tz.i][1] == "-":
         tz.next()
         sign = -sign
-    sig, coeff, killed = tz.sig, None, False
+    sig = tz.sig
+    formal = () if order is None else sig.formal_names
     mu = None if order is None else (0,) * sig.nformal
+    num, den, mono, expr, killed = sign, 1, (), None, False
     while True:
-        tok = tz.peek()
-        if mu is not None and tok[0] == "name" and tok[1] in sig.formal_names \
-                and tz.peek(1)[1] not in ("(", "["):
+        kind, value, pos = tokens[tz.i]
+        if kind == "name" and value in formal and tokens[tz.i + 1][1] not in ("(", "["):
             tz.next()
             k = 1
-            if tz.at_sym("^"):
+            if tokens[tz.i][1] == "^":
                 tz.next()
                 k = int(tz.expect("num")[1])
-            hit = None if killed else mul_monomials(sig, mu, sig.formal_unit(tok[1], k))
+            hit = None if killed else mul_monomials(sig, mu, sig.formal_unit(value, k))
             if hit is None:
                 killed = True
             else:
                 s, mu = hit
-                sign *= s
-        else:
-            f = _parse_factor(tz)
-            coeff = f if coeff is None else coeff * f
-        tok = tz.peek()
-        if tz.at_sym("*"):
+                num *= s
+        elif kind == "num":
             tz.next()
-        elif not (tok[0] in ("num", "name") or tz.at_sym("(")):
+            n, d = int(value), 1
+            if tokens[tz.i][1] == "/":
+                tz.next()
+                d = int(tz.expect("num")[1])
+                if d == 0:
+                    raise ParseError("zero denominator in %d/0" % n, pos)
+                g = gcd(n, d)
+                n, d = n // g, d // g
+            while tokens[tz.i][1] == "^":
+                k = _exponent(tz, 1, (max(abs(n), d) - 1).bit_length())
+                n, d = n ** k, d ** k
+            num, den = num * n, den * d
+        elif kind == "name":
+            atom = _parse_atom(tz)
+            power = 1
+            while tokens[tz.i][1] == "^":
+                power *= _exponent(tz, 1, 0)
+            if power:
+                mono = _mono_mul(mono, ((atom, power),))
+        elif value == "(":
+            tz.next()
+            e = _parse_expr(tz, None)
+            tz.expect("sym", ")")
+            while tokens[tz.i][1] == "^":
+                coeffs = e.terms().values()
+                bits = max(((max(abs(q.numerator), q.denominator) - 1).bit_length()
+                            for q in coeffs), default=0)
+                e = e ** _exponent(tz, len(coeffs) or 1, bits)
+            expr = e if expr is None else expr * e
+        else:
+            raise ParseError("unexpected token %r" % value, pos)
+        kind, value, _ = tokens[tz.i]
+        if value == "*":
+            tz.next()
+        elif not (kind == "num" or kind == "name" or value == "("):
             break
-    if order is None:
-        return coeff * sign
-    if killed:
-        return GSeries.zero(sig, order)
-    return GSeries.monomial(sig, order, mu, sign if coeff is None else coeff * sign)
+    if killed or mu is not None and sum(mu) > order:
+        return None
+    return mu, num, den, mono, expr
 
 
-def _parse_factor(tz):
-    e = _parse_atom(tz)
-    while tz.at_sym("^"):
-        pos = tz.next()[2]
-        k = int(tz.expect("num")[1])
-        terms = e.terms().values()
-        t = len(terms) or 1
-        if comb(k + t - 1, t - 1) > POWER_CAP:
-            raise ParseError("power ^%d of a %d-term coefficient can exceed the cap of %d terms"
-                             % (k, t, POWER_CAP), pos)
-        bits = max(((max(abs(q.numerator), q.denominator) - 1).bit_length() for q in terms),
-                   default=0)
-        if k * bits > POWER_BITS:
-            raise ParseError("power ^%d of a coefficient of %d-bit numbers can exceed the cap "
-                             "of %d bits" % (k, bits, POWER_BITS), pos)
-        e = e ** k
-    return e
+def _exponent(tz, t, bits):
+    """The k of the `^k` at tz, a power of a t-term base whose largest
+    numerator or denominator has ceil(log2) `bits`; refused when the power
+    can exceed POWER_CAP terms or POWER_BITS bits."""
+    pos = tz.next()[2]
+    k = int(tz.expect("num")[1])
+    if comb(k + t - 1, t - 1) > POWER_CAP:
+        raise ParseError("power ^%d of a %d-term coefficient can exceed the cap of %d terms"
+                         % (k, t, POWER_CAP), pos)
+    if k * bits > POWER_BITS:
+        raise ParseError("power ^%d of a coefficient of %d-bit numbers can exceed the cap "
+                         "of %d bits" % (k, bits, POWER_BITS), pos)
+    return k
+
+
+def _sum_terms(terms):
+    """The CoeffExpr of the sum of terms (mu, num, den, mono, expr) from
+    `_parse_term`: numerators over the lcm of the denominators, summed per
+    monomial in one pass and brought to lowest terms once.  A lone
+    parenthesised factor is its own sum."""
+    if len(terms) == 1:
+        _, num, den, mono, expr = terms[0]
+        if expr is None:
+            g = gcd(num, den)
+            return CoeffExpr({mono: num // g}, den // g) if num else ZERO
+        if num == den and not mono:
+            return expr
+    D = lcm(*(den if expr is None else den * expr._den for _, _, den, _, expr in terms))
+    out = {}
+    for _, num, den, mono, expr in terms:
+        if expr is None:
+            out[mono] = out.get(mono, 0) + num * (D // den)
+            continue
+        s = num * (D // (den * expr._den))
+        for m, n in expr._terms.items():
+            m = _mono_mul(mono, m)
+            out[m] = out.get(m, 0) + s * n
+    out = {m: n for m, n in out.items() if n}
+    return _lowest(out, D) if out else ZERO
 
 
 def _parse_atom(tz):
+    """The atom of the name at tz: a base coordinate, or an application
+    `f(...)`, `f[1,0](...)` whose arguments are each read by `_parse_expr`."""
     tok = tz.next()
-    if tok[0] == "num":
-        num = int(tok[1])
-        if tz.at_sym("/"):
+    _check_name(tz, tok)
+    alpha = None
+    if tz.at_sym("["):
+        tz.next()
+        alpha = [int(tz.expect("num")[1])]
+        while tz.at_sym(","):
             tz.next()
-            den = int(tz.expect("num")[1])
-            if den == 0:
-                raise ParseError("zero denominator in %d/0" % num, tok[2])
-            return CoeffExpr.rational(Fraction(num, den))
-        return CoeffExpr.rational(num)
-    if tok[0] == "name":
-        _check_name(tz, tok)
-        alpha = None
-        if tz.at_sym("["):
+            alpha.append(int(tz.expect("num")[1]))
+        tz.expect("sym", "]")
+    if tz.at_sym("("):
+        tz.next()
+        args = [_parse_expr(tz, None)]
+        while tz.at_sym(","):
             tz.next()
-            alpha = [int(tz.expect("num")[1])]
-            while tz.at_sym(","):
-                tz.next()
-                alpha.append(int(tz.expect("num")[1]))
-            tz.expect("sym", "]")
-        if tz.at_sym("("):
-            tz.next()
-            args = [_parse_expr(tz, None)]
-            while tz.at_sym(","):
-                tz.next()
-                args.append(_parse_expr(tz, None))
-            tz.expect("sym", ")")
-            if alpha is not None and len(alpha) != len(args):
-                raise ParseError(
-                    "derivative index has %d slots for %d arguments"
-                    % (len(alpha), len(args)),
-                    tok[2],
-                )
-            return CoeffExpr.app(tok[1], args, alpha)
-        if alpha is not None:
-            raise ParseError("derivative index without argument list", tok[2])
-        return CoeffExpr.var(tok[1])
-    if tok[0] == "sym" and tok[1] == "(":
-        e = _parse_expr(tz, None)
+            args.append(_parse_expr(tz, None))
         tz.expect("sym", ")")
-        return e
-    raise ParseError("unexpected token %r" % tok[1], tok[2])
+        if alpha is not None and len(alpha) != len(args):
+            raise ParseError(
+                "derivative index has %d slots for %d arguments"
+                % (len(alpha), len(args)),
+                tok[2],
+            )
+        return _atom(tok[1], args, alpha)
+    if alpha is not None:
+        raise ParseError("derivative index without argument list", tok[2])
+    return _atom(tok[1])
 
 
 def _check_name(tz, tok):
@@ -282,29 +333,41 @@ def _atom_str(atom):
     return s
 
 
+# Python's str() refuses ints of more than 4 300 digits; a longer one is
+# printed in chunks of this many digits
+_CHUNK_DIGITS = 4000
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def _digits(n):
+    """The decimal digits of the int n >= 0, whatever its length."""
+    if n < _CHUNK:
+        return str(n)
+    chunks = []
+    while n:
+        n, r = divmod(n, _CHUNK)
+        chunks.append(r)
+    return str(chunks.pop()) + "".join("%0*d" % (_CHUNK_DIGITS, r) for r in reversed(chunks))
+
+
 def print_coeff(e):
     """Canonical text form; parse_coeff(print_coeff(e)) == e."""
-    if e.is_zero():
+    if not e._terms:
         return "0"
-    pieces = []
-    for mono, coeff in sorted(e.terms().items(), key=lambda t: _mono_key(t[0])):
-        factors = []
-        for atom, power in mono:
-            s = _atom_str(atom)
-            if power > 1:
-                s += "^%d" % power
-            factors.append(s)
-        if not factors:
-            body = str(abs(coeff))
-        elif abs(coeff) == 1:
-            body = "*".join(factors)
-        else:
-            body = str(abs(coeff)) + "*" + "*".join(factors)
-        pieces.append((coeff < 0, body))
+    den = e._den
     out = ""
-    for i, (neg, body) in enumerate(pieces):
-        if i == 0:
-            out = ("-" if neg else "") + body
+    for mono, n in sorted(e._terms.items(), key=lambda t: _mono_key(t[0])):
+        g = gcd(n, den)
+        num, d = abs(n) // g, den // g
+        q = _digits(num) if d == 1 else "%s/%s" % (_digits(num), _digits(d))
+        body = "*".join(_atom_str(atom) + ("^" + _digits(power) if power > 1 else "")
+                        for atom, power in mono)
+        if not body:
+            body = q
+        elif q != "1":
+            body = q + "*" + body
+        if out:
+            out += (" - " if n < 0 else " + ") + body
         else:
-            out += (" - " if neg else " + ") + body
+            out = ("-" if n < 0 else "") + body
     return out

@@ -11,17 +11,18 @@ Invariants.  A series is its canonical term dict: keys are exponent tuples of
 length nformal, of order <= K, with self-odd exponents at most 1, and every
 stored coefficient is a nonzero CoeffExpr.  Outside values enter only through
 `GSeries.monomial`, which coerces the coefficient and drops a monomial that
-is zero in the truncated ring; every other operation builds a canonical dict
-from canonical parts, and the constructor stores it, dropping only zero
-coefficients.
+is zero in the truncated ring, and the constructor, which drops zero
+coefficients; every other operation builds a canonical dict from canonical
+parts with no zero coefficient, and `GSeries.canonical` adopts it as it is.
 
 Arithmetic.  `combine(sig, order, pairs)` is the one series accumulation
 pass: it forms a linear combination sum a*b of series times series or
 scalars, collecting every coefficient product of an output monomial and
-summing them with one `sum_of_products` call.  A product is `combine` over
-one pair and a sum or difference over two, with the scalars 1 and -1; the
-Taylor expansion, the pullback and the Čech correction combine all their
-terms at once instead of adding them up one by one.
+summing them with one `sum_of_products` call; a sum that cancels is dropped
+in the same pass.  A product is `combine` over one pair and a sum or
+difference over two, with the scalars 1 and -1; the Taylor expansion, the
+pullback and the Čech correction combine all their terms at once instead of
+adding them up one by one.
 """
 
 from __future__ import annotations
@@ -110,7 +111,12 @@ def combine(sig, order, pairs):
                     continue
                 sign, rho = hit
                 acc.setdefault(rho, []).append((cmu, cnu, sign < 0))
-    return GSeries(sig, order, {rho: sum_of_products(ps) for rho, ps in acc.items()})
+    terms = {}
+    for rho, ps in acc.items():
+        c = sum_of_products(ps)
+        if c._terms:
+            terms[rho] = c
+    return GSeries.canonical(sig, order, terms)
 
 
 def _check_factor(sig, order, s):
@@ -135,6 +141,14 @@ class GSeries:
         self.terms = {mu: c for mu, c in terms.items() if not c.is_zero()}
 
     # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def canonical(cls, sig, order, terms):
+        """The series of a canonical term dict with no zero coefficient,
+        which it adopts as it is."""
+        s = cls.__new__(cls)
+        s.sig, s.order, s.terms = sig, order, terms
+        return s
 
     @classmethod
     def zero(cls, sig, order):
@@ -185,12 +199,13 @@ class GSeries:
             raise OrderError(
                 "cannot raise truncation order from %d to %d" % (self.order, k)
             )
-        return GSeries(self.sig, k, {mu: c for mu, c in self.terms.items() if mono_order(mu) <= k})
+        return GSeries.canonical(self.sig, k, {mu: c for mu, c in self.terms.items()
+                                               if mono_order(mu) <= k})
 
     def at_order(self, k):
         """The same series at truncation order k: truncated when k is lower,
         the same terms when it is higher."""
-        return self.truncate(k) if k <= self.order else GSeries(self.sig, k, self.terms)
+        return self.truncate(k) if k <= self.order else GSeries.canonical(self.sig, k, self.terms)
 
     def is_homogeneous(self, d):
         d = Degree(d)
@@ -265,7 +280,7 @@ class GSeries:
             if mu[iu]:
                 rest = mu[:iu] + (mu[iu] - 1,) + mu[iu + 1 :]
                 out[rest] = c * (mul_monomials(self.sig, unit, rest)[0] * mu[iu])
-        return GSeries(self.sig, self.order, out)
+        return GSeries.canonical(self.sig, self.order, out)
 
     # -- printing ---------------------------------------------------------
 

@@ -60,22 +60,29 @@ def taylor(expr, sig, order, amap, shifts, powers=None):
     shifts maps base coordinate names to GSeries over sig with j_order >= 1
     (so the sum is finite) and amap substitutes the differentiated
     coordinates ({} keeps them).  powers memoises the products shifts^a by
-    multi-index prefix; expansions with the same shifts and order may share
-    one dict.
+    multi-index prefix, the empty prefix () holding the seed 1; expansions
+    with the same shifts and order may share one dict.
     """
     base = list(shifts)
     powers = {} if powers is None else powers
+    if () not in powers:
+        powers[()] = GSeries.one(sig, order)
+    # depth first over the multi-indices a in lexicographic order, from a
+    # stack of (i, d^a expr, a, shifts^a, a!) with a fixed below slot i; no
+    # closure, so no reference cycle keeps the expansion's values alive
     leaves = []
-
-    def rec(i, deriv, key, prod, fact):
+    stack = [(0, expr, (), powers[()], 1)]
+    while stack:
+        i, deriv, key, prod, fact = stack.pop()
         if i == len(base):
             coeff = deriv.substitute_vars(amap)
             leaves.append((prod, coeff if fact == 1 else coeff * Fraction(1, fact)))
-            return
+            continue
         bn = base[i]
         k = 0
+        level = []
         while True:
-            rec(i + 1, deriv, key + (k,), prod, fact)
+            level.append((i + 1, deriv, key + (k,), prod, fact))
             k += 1
             nxt = key + (k,)
             if nxt not in powers:
@@ -87,8 +94,7 @@ def taylor(expr, sig, order, amap, shifts, powers=None):
             if deriv.is_zero():
                 break
             fact = fact * k
-
-    rec(0, expr, (), GSeries.one(sig, order), 1)
+        stack += reversed(level)
     return combine(sig, order, leaves)
 
 
@@ -197,7 +203,8 @@ class Morphism:
             order = min(self.order, f.order)
             if order not in shared:
                 cut = {v: img.truncate(order) for v, img in self.images.items()}
-                nil = {bn: GSeries(self.source, order, {mu: c for mu, c in cut[bn].terms.items() if any(mu)})
+                nil = {bn: GSeries.canonical(self.source, order,
+                                             {mu: c for mu, c in cut[bn].terms.items() if any(mu)})
                        for bn in self.target.base_names}
                 shared[order] = (nil, {}, {}, [cut[v] for v in self.target.formal_names])
             nil, powers, monos, formal = shared[order]

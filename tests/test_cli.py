@@ -33,6 +33,7 @@ from conftest import (
     sig_n2,
     without_partition,
 )
+from test_exprio import join_digit_chunks
 from test_morphisms import base_shift_morphism, zero_xi_block_morphism
 
 
@@ -92,6 +93,16 @@ def test_normalize_refuses_a_long_numeral_or_a_large_constant_power_at_its_posit
     assert main(["normalize", "--sig", sig_file, "--series", series, "--order", "3"]) == 2
     assert time.perf_counter() - start < 0.5
     assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_normalize_prints_a_product_of_two_4000_digit_numerals(tmp_path, sig_file, capsys):
+    nines = "9" * 4000
+    series = write(tmp_path, "s.txt", "%s * %s * x * xi" % (nines, nines))
+    assert main(["normalize", "--sig", sig_file, "--series", series, "--order", "2"]) == 0
+    out = capsys.readouterr().out
+    digits, _, rest = out.partition("*")
+    assert rest == "x * xi\n"
+    assert join_digit_chunks(digits) == int(nines) ** 2
 
 
 LONG = "9" * 5000
@@ -305,6 +316,20 @@ def test_search_degrees_rejects_n_below_one(tmp_path, capsys, n):
     err = capsys.readouterr().err
     assert err.startswith("error: degree search needs n >= 1, got n = %s" % n)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n, message", [
+    ("9" * 5000, "numeral of 5000 digits exceeds the limit of 4300 digits (at position 0)"),
+    ("-" + "9" * 5000, "numeral of 5000 digits exceeds the limit of 4300 digits (at position 1)"),
+    ("two", "degree search needs an integer n, got 'two' (at position 0)"),
+])
+def test_search_degrees_refuses_a_long_or_non_integer_n_without_echoing_it(tmp_path, capsys,
+                                                                          n, message):
+    afile = write(tmp_path, "alg.txt", print_algebra(quaternion_algebra()))
+    assert main(["search-degrees", "--algebra", afile, "--n", n]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: %s\n" % message
+    assert len(err.encode()) < 200
 
 
 def test_atlas_check(tmp_path, capsys):

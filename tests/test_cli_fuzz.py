@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from z2nsuper import atlas as atlas_module
-from z2nsuper import coeffexpr, exprio, gseries
+from z2nsuper import coeffexpr, gseries
 from z2nsuper.cli import main
 from z2nsuper.formats import print_atlas, print_result
 from z2nsuper.splitting import split
@@ -154,7 +154,7 @@ def _count_products(monkeypatch):
             raise WorkExceeded("%d monomial products" % work["products"])
         return real(pairs)
 
-    for module in (coeffexpr, exprio, gseries, atlas_module):
+    for module in (coeffexpr, gseries, atlas_module):
         monkeypatch.setattr(module, "sum_of_products", counted)
     return work
 

@@ -101,8 +101,13 @@ def test_a_large_exponent_takes_logarithmically_many_products(monkeypatch):
 
     monkeypatch.setattr(coeffexpr, "sum_of_products", counted)
     k = 1_000_000
-    assert parse_coeff("x^%d" % k).terms() == {((x.as_atom(), k),): 1}
+    power = x ** k
+    assert power.terms() == {((x.as_atom(), k),): 1}
     assert 0 < len(calls) <= 2 * k.bit_length()
+    # the reader folds a power of an atom into the term's monomial, no product
+    calls.clear()
+    assert parse_coeff("x^%d" % k) == power
+    assert calls == []
 
 
 def test_a_product_with_a_string_is_a_type_error():
@@ -292,6 +297,26 @@ def test_diff_and_substitution_match_the_fraction_oracle(rng):
         sub = e.substitute_vars(mapping)
         assert sub == naive_substitute_vars(e, mapping)
         assert_canonical(sub)
+
+
+def test_a_repeated_derivative_is_the_memoised_object():
+    e = f_of(x * y + 1) * x + y * y
+    d = e.diff("x")
+    assert e.diff("x") is d
+    assert e.diff("y") is e.diff("y")
+    assert e.diff("y") == naive_diff(e, "y") != d
+
+
+def test_memoised_derivatives_match_the_naive_oracle_on_nested_applications(rng):
+    # rand_opaque_coeff nests applications: h[a](g(x, x f(x) + 1) - f(x)); the
+    # interned atoms share their argument expressions, and with them the memo
+    for _ in range(40):
+        e = rand_opaque_coeff(rng, ["x", "y"]) * rand_opaque_coeff(rng, ["x", "y"])
+        for name in ("x", "y", "z"):
+            first = e.diff(name)
+            assert first == naive_diff(e, name)
+            assert e.diff(name) is first
+            assert first.diff(name) == naive_diff(naive_diff(e, name), name)
 
 
 def naive_sum(a, b, negate):

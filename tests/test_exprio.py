@@ -1,12 +1,15 @@
 """Coefficient parser / printer round trips and error reporting."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from z2nsuper import CoeffExpr, ParseError, Signature, exprio, parse_coeff, print_coeff
 from z2nsuper.coeffexpr import ONE
+from z2nsuper.formats import print_series
 
 from conftest import naive_sum_of_products
 
@@ -104,6 +107,31 @@ def test_a_numeral_at_the_digit_limit_parses():
     assert parse_coeff(top + "/2").as_rational() == Fraction(int(top), 2)
 
 
+def join_digit_chunks(digits):
+    """The int of a decimal string, read in 4 000-digit chunks, each under
+    Python's int() limit."""
+    value = 0
+    for i in range(0, len(digits), 4000):
+        chunk = digits[i:i + 4000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_an_integer_above_the_str_limit_prints_in_chunks():
+    nines = "9" * 4000
+    n = int(nines)
+    num, star, rest = print_coeff(parse_coeff("%s * %s * x" % (nines, nines))).partition("*")
+    assert (star, rest) == ("*", "x") and len(num) == 8000
+    assert join_digit_chunks(num) == n * n
+    text = print_coeff(parse_coeff("-1/%s * 1/%s * 7 * 10^3 * x^2" % (nines, nines)))
+    sign, slash, den = text.partition("*")[0].partition("/")
+    assert (sign, slash) == ("-7000", "/")
+    assert join_digit_chunks(den) == n * n
+    # a chunk keeps its leading zeros
+    ten = "1" + "0" * 4000
+    assert print_coeff(parse_coeff("%s * %s" % (ten, ten))) == "1" + "0" * 8000
+
+
 def test_a_power_above_the_bit_cap_is_refused_before_it_is_computed():
     assert exprio.POWER_BITS == 3000
     with pytest.raises(ParseError) as exc:
@@ -153,6 +181,44 @@ def count_sizes(monkeypatch, module, name):
 def test_a_long_sum_parses_to_the_term_by_term_sum_in_one_call(monkeypatch, n):
     text, terms = rand_sum_text(random.Random(n), n, rand_coeff_term)
     want = naive_sum_of_products([(parse_coeff(t), ONE, neg) for t, neg in terms])
-    sizes = count_sizes(monkeypatch, exprio, "sum_of_products")
+    sizes = count_sizes(monkeypatch, exprio, "_sum_terms")
     assert parse_coeff(text) == want
-    assert sizes == [n]
+    # one call sums the n terms; the others are the one-term application arguments
+    assert [k for k in sizes if k != 1] == [n]
+
+
+# Texts with the reader's answer, captured from the recursive-descent reader
+# at b7ec3fe: each ParseError's message and position, or the printed value.
+# Hand-written snippets, some of them errors, stand at the top level, inside
+# parentheses and inside application arguments, read as a coefficient (with
+# and without a signature), as a series and as `positive_int`; the rest are
+# random one- and two-character edits of generated atlas and result rows.
+# `{LONG}` stands for a numeral one digit over the limit.
+CORPUS = json.loads((Path(__file__).parent / "reader_corpus.json").read_text())
+
+
+def corpus_answer(mode, text):
+    sig = Signature(2, CORPUS["signature"])
+    text = text.replace("{LONG}", "9" * (exprio.NUMERAL_DIGITS + 1))
+    try:
+        if mode == "coeff":
+            value = print_coeff(parse_coeff(text))
+        elif mode == "coeff_sig":
+            value = print_coeff(parse_coeff(text, sig, CORPUS["what"]))
+        elif mode == "series":
+            value = print_series(exprio.parse_series(text, sig, CORPUS["order"]))
+        else:
+            value = repr(exprio.positive_int(text))
+    except ParseError as exc:
+        return {"error": [exc.message, exc.pos]}
+    return {"value": value}
+
+
+@pytest.mark.parametrize("mode", ["coeff", "coeff_sig", "series", "positive_int"])
+def test_the_reader_answers_every_corpus_text_as_captured(mode):
+    cases = [c for c in CORPUS["cases"] if c["mode"] == mode]
+    assert cases
+    wrong = [(c["text"], c, got) for c in cases
+             for got in [corpus_answer(mode, c["text"])]
+             if got != {k: v for k, v in c.items() if k in ("error", "value")}]
+    assert wrong == []

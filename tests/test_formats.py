@@ -34,6 +34,7 @@ from conftest import (
     rand_opaque_coeff,
     rand_series,
     rand_signature,
+    rand_wide_coeff,
     sig_n1,
     sig_n2,
 )
@@ -97,11 +98,23 @@ def test_a_long_series_parses_to_the_term_by_term_sum_in_one_call(monkeypatch, n
 
     text, terms = rand_sum_text(random.Random(n), n, term)
     want = GSeries.zero(sig, 4)
+    per_monomial = {}
     for t, neg in terms:
-        want = want - parse_series(t, sig, 4) if neg else want + parse_series(t, sig, 4)
-    sizes = count_sizes(monkeypatch, exprio, "combine")
+        one = parse_series(t, sig, 4)
+        for mu in one.terms:
+            per_monomial[mu] = per_monomial.get(mu, 0) + 1
+        want = want - one if neg else want + one
+    sums, real = [], exprio._sum_terms
+
+    def counted(group):
+        if group[0][0] is not None:  # not an application argument
+            sums.append((group[0][0], len(group)))
+        return real(group)
+
+    monkeypatch.setattr(exprio, "_sum_terms", counted)
     assert parse_series(text, sig, 4) == want
-    assert sizes == [n]
+    # one sum per formal monomial, over the terms of that monomial
+    assert sorted(sums) == sorted(per_monomial.items())
 
 
 def test_series_powers_parse_as_generator_powers_up_to_n4(rng):
@@ -120,6 +133,19 @@ def test_random_series_round_trip_up_to_n4(rng):
         order = rng.randint(1, 4)
         s = rand_series(rng, sig, order, max_terms=5, coeff=rand_opaque_coeff)
         assert parse_series(print_series(s), sig, order) == s
+
+
+def test_random_wide_series_over_two_base_coordinates_round_trip_up_to_n4(rng):
+    # numerators above 2**64, denominators up to 2**61 - 1, nested applications
+    for _ in range(40):
+        sig = rand_signature(rng, n_max=4, nbase=2)
+        order = rng.randint(1, 4)
+        s = rand_series(rng, sig, order, max_terms=6, coeff=rand_wide_coeff)
+        text = print_series(s)
+        assert parse_series(text, sig, order) == s
+        assert print_series(parse_series(text, sig, order)) == text
+        for c in s.terms.values():
+            assert parse_coeff(print_coeff(c), sig) == c
 
 
 def test_series_term_is_the_product_of_its_factors_in_order(rng):
@@ -163,12 +189,14 @@ def test_formal_names_inside_a_coefficient_are_parse_errors(text, pos):
 
 
 def _no_arithmetic(monkeypatch):
-    """Every binding of `sum_of_products` raises: nothing may be computed."""
+    """Every binding of `sum_of_products`, and the reader's own sum, raise:
+    nothing may be computed."""
     def refuse(pairs):
-        raise AssertionError("sum_of_products called before the name was refused")
+        raise AssertionError("a sum computed before the name was refused")
 
-    for module in (coeffexpr, exprio, gseries):
+    for module in (coeffexpr, gseries):
         monkeypatch.setattr(module, "sum_of_products", refuse)
+    monkeypatch.setattr(exprio, "_sum_terms", refuse)
 
 
 def _header_then_partition(rows):
