@@ -24,7 +24,7 @@ class AtlasError(ValueError):
 class CheckResult:
     """A single named verification outcome."""
 
-    def __init__(self, name, passed, detail=""):
+    def __init__(self, name, passed, detail):
         self.name = name
         self.passed = passed
         self.detail = detail

@@ -48,7 +48,9 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<sym>[-+*^()\[\],/=])|(?P<bad>\S))"
 )
 
-POWER_CAP = 1000  # most terms of base^k, at most C(k + t - 1, t - 1) for t terms in base
+# most terms of base^k, at most C(k + t - 1, t - 1) for t terms in base, and
+# of a product of parenthesised factors, at most the product of their terms
+POWER_CAP = 1000
 # most bits of base^k, estimated as k times ceil(log2) of the base's largest
 # numerator or denominator; a unit numerator grows nothing, so x^k is free
 POWER_BITS = 3000
@@ -157,9 +159,11 @@ def _parse_term(tz, order, sign):
     num/den is the rational factor, as ints with den > 0, and mono the power
     product of the atoms read (names, applications, their powers).  expr is
     the product of the parenthesised factors, each read by `_parse_expr`, or
-    None when there is none.  mu is the formal monomial: in a series (order
-    given) each formal power `v^k`, a formal name that opens no application,
-    is folded into it with its reordering sign; in a coefficient it is None.
+    None when there is none; the term is refused at the `(` of the factor
+    that takes the product of the factors' term counts over POWER_CAP.  mu
+    is the formal monomial: in a series (order given) each formal power
+    `v^k`, a formal name that opens no application, is folded into it with
+    its reordering sign; in a coefficient it is None.
     A square of a self-odd variable kills the term, and reading goes on, so
     a later bad factor still raises its error; a killed term, or one above
     the order, is None."""
@@ -171,6 +175,7 @@ def _parse_term(tz, order, sign):
     formal = () if order is None else sig.formal_names
     mu = None if order is None else (0,) * sig.nformal
     num, den, mono, expr, killed = sign, 1, (), None, False
+    count = 1  # most terms of expr
     while True:
         kind, value, pos = tokens[tz.i]
         if kind == "name" and value in formal and tokens[tz.i + 1][1] not in ("(", "["):
@@ -215,6 +220,10 @@ def _parse_term(tz, order, sign):
                 bits = max(((max(abs(q.numerator), q.denominator) - 1).bit_length()
                             for q in coeffs), default=0)
                 e = e ** _exponent(tz, len(coeffs) or 1, bits)
+            count *= len(e._terms)
+            if count > POWER_CAP:
+                raise ParseError("product of parenthesised factors can exceed the cap of %d "
+                                 "terms" % POWER_CAP, pos)
             expr = e if expr is None else expr * e
         else:
             raise ParseError("unexpected token %r" % value, pos)

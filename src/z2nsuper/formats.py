@@ -104,7 +104,7 @@ def _sections(lines, allowed, what):
         yield kw, fields, body, numbers
 
 
-def _rows(block, form, parse, path=None):
+def _rows(block, form, parse, path):
     """{left-hand names: parse(names, right-hand text)} over the `form = ...`
     rows of a block from `_sections` (any left-hand side when form is None);
     no two rows of a block have the same left-hand side.  A ParseError in a

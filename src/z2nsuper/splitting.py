@@ -28,12 +28,12 @@ order-k consistency residual and the next cocycle.  Stage 1 checks each
 cocycle and its coboundary in one pass, `check_cech`, with one
 `transport_derivation` (one base Jacobian, one pullback) per ordered pair.
 
-Each overlap's R_UV = compose(iso[V], T_UV) is composed once per command
-(in `split`, once more when order K is measured before its correction): in
-`split` the frame-lift stage reads its order-K mismatch through it, in
-`verify_result` both consistency lines do, and `verify_iso` reuses it for
-the intertwining check.  A split result holds each chart morphism once, as
-its iso: the embedding on the base coordinates, the frame lift on the
+Each stage takes the Report it writes to and returns only what it builds:
+the frame-lift stage returns with its lifts the R_UV = compose(iso[V], T_UV)
+through which it read its order-K mismatch, `verify_result` composes R_UV
+once per overlap for both consistency lines, and `verify_iso` reuses them
+for the intertwining check.  A split result holds each chart morphism once,
+as its iso: the embedding on the base coordinates, the frame lift on the
 formal variables.
 """
 
@@ -254,9 +254,9 @@ def _raise_order(atlas, values, mismatch, report, tag, check=None):
     mismatch(values, at, pair, k) gives the overlap mismatch {var -> GSeries}
     of the values at order `at`, checked to vanish below order k.  At each
     order k the mismatch, pure order k, is a cocycle, and the values are
-    corrected by its coboundary.  check(omegas, etas, k), when given, records
-    the checks on the cocycle and its coboundary; stage 1's is one
-    `check_cech` call.
+    corrected by its coboundary.  check(atlas, omegas, etas, k, report,
+    name), when given, records the checks on the cocycle and its coboundary
+    under name; stage 1's is `check_cech`.
 
     One mismatch per order: the corrected values are re-based at k + 1 and
     measured there once.  Truncation is a ring homomorphism and commutes with
@@ -281,7 +281,7 @@ def _raise_order(atlas, values, mismatch, report, tag, check=None):
             continue
         etas = solve_coboundary(atlas, omegas, k)
         if check is not None:
-            check(omegas, etas, k)
+            check(atlas, omegas, etas, k, report, name)
         at = min(k + 1, order)
         values = _at_order({
             u: {nm: s + etas[u][nm] for nm, s in per.items()} for u, per in values.items()
@@ -306,37 +306,28 @@ def _check_augmentation(atlas, images, report):
 # -- stage 1: the base embedding ------------------------------------------
 
 
-def build_base_embedding(atlas, report=None):
+def build_base_embedding(atlas, report):
     """The embedding family, raised order by order by the Cech loop."""
-    report = Report() if report is None else report
 
     def mismatch(values, at, pair, k):
         return cocycle_mismatch(EmbeddingFamily(atlas, values, at), pair, k)
 
-    def check(omegas, etas, k):
-        check_cech(atlas, omegas, etas, k, report, "embedding order %d" % k)
-
     identity = EmbeddingFamily.identity(atlas, 1)
-    values = _raise_order(atlas, identity.values, mismatch, report, "embedding", check)
+    values = _raise_order(atlas, identity.values, mismatch, report, "embedding", check_cech)
     _check_augmentation(atlas, values, report)
-    return EmbeddingFamily(atlas, values, atlas.order), report
+    return EmbeddingFamily(atlas, values, atlas.order)
 
 
 # -- stage 2: the module splitting ----------------------------------------
 
 
-def build_module_splitting(atlas, family, report=None, composed=None):
+def build_module_splitting(atlas, family, report):
     """A right inverse of J -> J/J^2 on the chart frames, raised order by
-    order by the Cech loop.
-
-    The mismatch at the atlas order is read through the composition
-    R_UV = compose(Phi_V, T_UV) of the chart morphisms, per overlap (U, V).
-    composed, when given, is the dict that receives them; the last R_UV
-    made for a pair is that of the returned lifts.  None is made when
-    the atlas order is reached with a mismatch already measured to vanish."""
-    report = Report() if report is None else report
-    composed = {} if composed is None else composed
-    sig = atlas.signature
+    order by the Cech loop, and per overlap (U, V) the composition R_UV =
+    compose(Phi_V, T_UV) of the returned lifts through which it read the
+    mismatch at the atlas order; there is none when the atlas order is
+    reached with a mismatch already measured to vanish."""
+    sig, composed = atlas.signature, {}
 
     def mismatch(values, at, pair, k):
         if k < atlas.order:
@@ -354,7 +345,7 @@ def build_module_splitting(atlas, family, report=None, composed=None):
             s.truncate(1) == GSeries.generator(sig, fa, 1) and s.is_homogeneous(sig.degree_of(fa))
             for fa, s in lifts[u].items()
         ))
-    return lifts, report
+    return lifts, composed
 
 
 # -- stage 3: assembly and verification -----------------------------------
@@ -369,15 +360,13 @@ class SplittingResult:
         self.report = report
 
 
-def verify_iso(atlas, split_atlas, iso, report=None, composed=None):
+def verify_iso(atlas, split_atlas, iso, report, composed):
     """Unitality, degree preservation, multiplicativity on generators,
     intertwining of the two atlases, and invertibility modulo J^(K+1).
 
-    composed, when given, holds per overlap (U, V) the composition
-    R_UV = compose(iso[V], T_UV) that the caller already made; an overlap it
-    lacks is composed here."""
-    report = Report() if report is None else report
-    composed = {} if composed is None else composed
+    composed holds per overlap (U, V) the composition R_UV =
+    compose(iso[V], T_UV) that the caller already made; an overlap it lacks
+    is composed here."""
     sig, order = atlas.signature, atlas.order
     one = GSeries.one(sig, order)
     names = [nm for nm, _ in sig.variables()]
@@ -419,7 +408,6 @@ def verify_iso(atlas, split_atlas, iso, report=None, composed=None):
         m.images[fa] == m.images[fa].truncate(1)
         for m in split_atlas.transitions.values() for fa in sig.formal_names
     ))
-    return report
 
 
 def verify_result(atlas, iso, embedding=None, bundle_lines=None):
@@ -466,7 +454,8 @@ def verify_result(atlas, iso, embedding=None, bundle_lines=None):
         bad = next((i for i, (got, exp) in pairs if got != exp), None)
         report.add("bundle block matches the atlas", bad is None,
                    "" if bad is None else "first difference at bundle line %d" % (bad + 1))
-    return verify_iso(atlas, build_split_model(bundle, atlas.order), iso, report, composed)
+    verify_iso(atlas, build_split_model(bundle, atlas.order), iso, report, composed)
+    return report
 
 
 def split(atlas):
@@ -474,11 +463,10 @@ def split(atlas):
     report = validate_atlas(atlas)
     if not report.passed:
         raise SplittingError("atlas gluing data is inconsistent:\n%s" % report)
-    family, report = build_base_embedding(atlas, report)
-    composed = {}
-    lifts, report = build_module_splitting(atlas, family, report, composed)
+    family = build_base_embedding(atlas, report)
+    lifts, composed = build_module_splitting(atlas, family, report)
     bundle = extract_bundle(atlas)
     split_atlas = build_split_model(bundle, atlas.order)
     iso = {u: family.as_morphism(u, lifts[u]) for u in atlas.charts}
-    report = verify_iso(atlas, split_atlas, iso, report, composed)
+    verify_iso(atlas, split_atlas, iso, report, composed)
     return SplittingResult(atlas, bundle, split_atlas, iso, report)

@@ -85,6 +85,20 @@ def test_a_power_above_the_cap_is_refused_and_one_at_the_cap_parses():
     assert parse_coeff("(x - x)^5000").is_zero()
 
 
+def test_a_product_above_the_term_cap_is_refused_at_the_factor_that_crosses_it():
+    with pytest.raises(ParseError) as exc:
+        parse_coeff("(x + 1)^300 * (y + 1)^300")
+    assert str(exc.value) == (
+        "product of parenthesised factors can exceed the cap of 1000 terms (at position 13)")
+    # ten two-term factors make 1 024 terms, nine make 512
+    with pytest.raises(ParseError, match=r"cap of 1000 terms \(at position 54\)$"):
+        parse_coeff("(x+1)*" * 9 + "(y+1) * 2")
+    assert len(parse_coeff("(x+1)" * 8 + "(y+1)").terms()) == 18
+    # at the cap it parses, and a zero factor bounds the product by 0
+    assert len(parse_coeff("(x + 1)^9 (y + 1)^99").terms()) == exprio.POWER_CAP
+    assert parse_coeff("(x - x) (x + 1)^999 (y + 1)^999").is_zero()
+
+
 LONG = "9" * (exprio.NUMERAL_DIGITS + 1)
 
 

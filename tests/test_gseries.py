@@ -14,6 +14,7 @@ from z2nsuper import (
     mul_monomials,
     normal_form,
 )
+from z2nsuper.atlas import Report
 from z2nsuper.gseries import INFINITY, combine, mono_order
 from z2nsuper.morphisms import compose, enumerate_monomials, invert
 from z2nsuper.splitting import build_base_embedding
@@ -425,7 +426,7 @@ def test_at_order_truncates_down_and_keeps_the_terms_up_to_n4(rng):
 
 
 def test_lowering_chart_values_truncates_them():
-    family, _ = build_base_embedding(atlas_nonsplit_base_twist(4))
+    family = build_base_embedding(atlas_nonsplit_base_twist(4), Report())
     lowered = family.at_order(1)
     for per in lowered.values.values():
         for s in per.values():

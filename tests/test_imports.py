@@ -10,8 +10,9 @@ builds a sum one term at a time (`v = v + ...`) instead of by one
 accumulation call; no package function imports, but the two printers
 `CoeffExpr.__str__` and `GSeries.__str__`, whose modules the printing
 modules import; no package function stores to an attribute of an object
-other than `self` or the one its own `__new__` call made; and no package
-code reads the process environment.  The statement scanner of
+other than `self` or the one its own `__new__` call made; every parameter
+default is passed by some call and left out by another; and no package code
+reads the process environment.  The statement scanner of
 `statement_trace.py`, which holds the unrun statements of a traced test
 run against an allow-list, is checked here on a small source."""
 
@@ -572,6 +573,48 @@ def test_every_optional_parameter_is_passed():
     users = [p.read_text() for d in ("src", "demos", "bench", "tests")
              for p in sorted((ROOT / d).rglob("*.py"))]
     assert unpassed_optional_parameters(package, users) == []
+
+
+def overridden_optional_parameters(package, users):
+    """(module, qualified name, parameter) of each parameter with a default in
+    a `package` module ({module: text}) that some call in `users` reaches and
+    every such call passes, by position or keyword: a default no call uses.
+    Calls match by name as in `unpassed_optional_parameters`; a call with
+    *args or **kwargs may leave the parameter out."""
+    calls = [c for text in users for c in calls_made(text)]
+    found = []
+    for module, text in sorted(package.items()):
+        for qual, param, pos in optional_parameters(text):
+            owner, _, name = qual.rpartition(".")
+            callee = owner if name == "__init__" else name
+            passes = [not star and None not in kws
+                      and (param in kws or pos is not None and npos > pos)
+                      for n, npos, star, kws in calls if n == callee]
+            if passes and all(passes):
+                found.append((module, qual, param))
+    return found
+
+
+def test_scanner_flags_a_default_every_call_overrides():
+    module = (
+        "def f(a, b=1, c=2, *, d=3): pass\n"
+        "def g(a=0): pass\n"
+        "def h(a=0): pass\n"
+        "class C:\n"
+        "    def __init__(self, x=None, y=None): pass\n"
+        "    @classmethod\n"
+        "    def make(cls): return cls(1, y=2)\n"
+    )
+    users = [module, "f(1, 2, d=4)\nf(0, 1, 2, d=5)\ng(*args)\ng(1)\nC(3)\n"]
+    assert overridden_optional_parameters({"a": module}, users) == [
+        ("a", "f", "b"), ("a", "f", "d"), ("a", "C.__init__", "x")]
+
+
+def test_no_default_is_overridden_by_every_call():
+    package = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    users = [p.read_text() for d in ("src", "demos", "bench", "tests")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    assert overridden_optional_parameters(package, users) == []
 
 
 ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}

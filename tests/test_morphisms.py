@@ -1,5 +1,7 @@
 """Morphisms: validation, pullbacks, composition, inversion, Jacobians."""
 
+import gc
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ from z2nsuper import (
     jacobian,
     transformation_template,
 )
+from z2nsuper.gseries import mono_degree
 
 from conftest import (
     naive_pullback,
@@ -88,6 +91,32 @@ def test_enumerate_monomials_caps_self_odd():
     # all y powers appear
     assert all(any(mu[sig.formal_index("y")] == k and sum(mu) == k for mu in monos)
                for k in range(5))
+
+
+def test_enumerate_monomials_is_the_filtered_product_in_its_order():
+    rng = random.Random(40)
+    for _ in range(60):
+        sig = rand_signature(rng, n_max=4)
+        order = rng.randint(0, 4)
+        caps = [1 if odd else order for odd in sig.formal_self_odd]
+        naive = [mu for mu in itertools.product(*(range(c + 1) for c in caps))
+                 if sum(mu) <= order]
+        assert enumerate_monomials(sig, order) == naive
+        for d in {sig.degree_of(nm) for nm in sig.formal_names}:
+            assert enumerate_monomials(sig, order, d) == [
+                mu for mu in naive if mono_degree(sig, mu) == d]
+
+
+def test_transformation_template_leaves_no_reference_cycle():
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        transformation_template(sig_n2(), 3)
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
 
 
 def test_pullback_of_smooth_function_is_taylor_expansion(sig2):

@@ -15,6 +15,7 @@ from z2nsuper import (
     Signature,
     SplittingError,
     cocycle_mismatch,
+    compose,
     split,
     verify_result,
 )
@@ -112,8 +113,8 @@ def test_frame_twist_lift_mismatch_at_order_two():
 @pytest.mark.parametrize("make", FIXTURES)
 def test_mismatches_agree_with_the_per_entry_oracle(make):
     atlas = make()
-    family3, _ = build_base_embedding(atlas)
-    lifts3, _ = build_module_splitting(atlas, family3)
+    family3 = build_base_embedding(atlas, Report())
+    lifts3, _ = build_module_splitting(atlas, family3, Report())
     data = [
         (EmbeddingFamily.identity(atlas, 2), identity_lifts(atlas, 2), 2),
         (family3.at_order(2), identity_lifts(atlas, 2), 2),
@@ -258,9 +259,10 @@ def test_verify_result_negative_control_frame_lift():
 
 def test_stagewise_builders_agree_with_pipeline():
     atlas = atlas_nonsplit_base_twist()
-    family, rep1 = build_base_embedding(atlas)
+    rep1, rep2 = Report(), Report()
+    family = build_base_embedding(atlas, rep1)
     assert rep1.passed, str(rep1)
-    lifts, rep2 = build_module_splitting(atlas, family)
+    lifts, composed = build_module_splitting(atlas, family, rep2)
     assert rep2.passed, str(rep2)
     result = split(atlas)
     for u in atlas.charts:
@@ -268,6 +270,10 @@ def test_stagewise_builders_agree_with_pipeline():
             assert family.values[u][bn] == result.iso[u].images[bn]
         for fa in atlas.signature.formal_names:
             assert lifts[u][fa] == result.iso[u].images[fa]
+    # the returned compositions are those of the returned lifts
+    assert set(composed) == set(atlas.overlaps)
+    for (u, v), r_uv in composed.items():
+        assert r_uv == compose(result.iso[v], atlas.transition(u, v))
 
 
 def test_failing_coboundary_check_names_its_residual():
@@ -296,7 +302,8 @@ def test_iso_invertibility_reads_the_whole_linear_block(a, b, invertible):
     sig = Signature(1, [("x", "0"), ("a", "1"), ("b", "1")])
     atlas = Atlas(sig, 2, ["U"], [], [], {})
     images = {nm: parse_series(text, sig, 2) for nm, text in (("x", "x"), ("a", a), ("b", b))}
-    report = verify_iso(atlas, atlas, {"U": Morphism(sig, sig, images, 2)})
+    report = Report()
+    verify_iso(atlas, atlas, {"U": Morphism(sig, sig, images, 2)}, report, {})
     check = {c.name: c for c in report.checks}["iso U: invertible modulo J^3"]
     assert check.passed is invertible
 
@@ -313,13 +320,14 @@ def test_block_diagonal_check_fails_on_an_order_two_formal_term():
     m = bent[("U", "V")]
     bent[("U", "V")] = Morphism(sig, sig, {**m.images, "xi": m.images["xi"] + yeta}, 3)
     split_atlas = Atlas(sig, 3, atlas.charts, atlas.pairs, [], bent, atlas.partition)
-    report = verify_iso(atlas, split_atlas, result.iso)
+    report = Report()
+    verify_iso(atlas, split_atlas, result.iso, report, {})
     assert {c.name: c.passed for c in report.checks}[name] is False
 
 
 def test_frame_lift_check_fails_on_a_wrong_linear_row(monkeypatch):
     atlas = atlas_split_two_charts(order=2)
-    family, _ = build_base_embedding(atlas)
+    family = build_base_embedding(atlas, Report())
     sig = atlas.signature
     raise_order = splitting._raise_order
 
@@ -331,7 +339,8 @@ def test_frame_lift_check_fails_on_a_wrong_linear_row(monkeypatch):
         return lifts
 
     monkeypatch.setattr(splitting, "_raise_order", bent)
-    _, report = build_module_splitting(atlas, family)
+    report = Report()
+    build_module_splitting(atlas, family, report)
     checks = {c.name: c.passed for c in report.checks}
     assert checks["frame lift on U projects to the identity on J/J^2"] is False
     assert checks["frame lift on V projects to the identity on J/J^2"] is True
@@ -385,7 +394,7 @@ def test_a_bent_embedding_correction_fails_consistency_and_then_raises(monkeypat
 def test_a_bent_frame_lift_correction_fails_consistency_and_then_raises(monkeypatch):
     atlas = atlas_nonsplit_frame_twist(3)
     sig = atlas.signature
-    family, _ = build_base_embedding(atlas)
+    family = build_base_embedding(atlas, Report())
     handed = drop_first_chart_eta_at_order_two(monkeypatch)
     report = Report()
     with pytest.raises(SplittingError) as err:
