@@ -159,8 +159,9 @@ def _parse_term(tz, order, sign):
     num/den is the rational factor, as ints with den > 0, and mono the power
     product of the atoms read (names, applications, their powers).  expr is
     the product of the parenthesised factors, each read by `_parse_expr`, or
-    None when there is none; the term is refused at the `(` of the factor
-    that takes the product of the factors' term counts over POWER_CAP.  mu
+    None when there is none; the term is refused at the `(` of a second or
+    later factor that takes the product of the factors' term counts over
+    POWER_CAP, so a lone factor of any length, as printed, reads back.  mu
     is the formal monomial: in a series (order given) each formal power
     `v^k`, a formal name that opens no application, is folded into it with
     its reordering sign; in a coefficient it is None.
@@ -221,7 +222,7 @@ def _parse_term(tz, order, sign):
                             for q in coeffs), default=0)
                 e = e ** _exponent(tz, len(coeffs) or 1, bits)
             count *= len(e._terms)
-            if count > POWER_CAP:
+            if expr is not None and count > POWER_CAP:
                 raise ParseError("product of parenthesised factors can exceed the cap of %d "
                                  "terms" % POWER_CAP, pos)
             expr = e if expr is None else expr * e

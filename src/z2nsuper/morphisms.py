@@ -18,6 +18,7 @@ coefficients have degree 0, so they commute with everything.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .coeffexpr import ONE, CoeffExpr
@@ -37,21 +38,8 @@ def enumerate_monomials(sig, max_order, degree=None):
     """All canonical exponent vectors of order <= max_order, optionally of a
     fixed total Z2^n degree.  Self-odd variables are capped at exponent 1."""
     caps = [1 if odd else max_order for odd in sig.formal_self_odd]
-    # an odometer in lexicographic order, the last slot turning fastest: a
-    # slot at its cap, or any slot once the order is max_order, turns over to
-    # 0 and carries; no closure, so no reference cycle outlives the call
-    mu, total, out = [0] * len(caps), 0, []
-    while True:
-        out.append(tuple(mu))
-        i = len(mu) - 1
-        while i >= 0 and (mu[i] == caps[i] or total == max_order):
-            total -= mu[i]
-            mu[i] = 0
-            i -= 1
-        if i < 0:
-            break
-        mu[i] += 1
-        total += 1
+    out = [mu for mu in itertools.product(*(range(c + 1) for c in caps))
+           if sum(mu) <= max_order]
     if degree is not None:
         degree = Degree(degree)
         out = [mu for mu in out if mono_degree(sig, mu) == degree]

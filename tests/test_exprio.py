@@ -99,6 +99,17 @@ def test_a_product_above_the_term_cap_is_refused_at_the_factor_that_crosses_it()
     assert parse_coeff("(x - x) (x + 1)^999 (y + 1)^999").is_zero()
 
 
+def test_a_printed_coefficient_above_the_term_cap_reads_back():
+    # a lone parenthesised factor is no product: the printer's form of a
+    # long coefficient, on a formal monomial and as the constant term, parses
+    sig = Signature(1, [("x", "0"), ("y", "0"), ("xi", "1")])
+    s = exprio.parse_series("(x + 1)^999 * xi + y * xi + (x + 1)^999 + y", sig, 2)
+    assert all(len(c.terms()) == exprio.POWER_CAP + 1 for c in s.terms.values())
+    text = print_series(s)
+    assert text.startswith("(") and " * xi" in text
+    assert exprio.parse_series(text, sig, 2) == s
+
+
 LONG = "9" * (exprio.NUMERAL_DIGITS + 1)
 
 

@@ -1,7 +1,6 @@
 """Morphisms: validation, pullbacks, composition, inversion, Jacobians."""
 
 import gc
-import itertools
 import random
 from fractions import Fraction
 
@@ -21,7 +20,6 @@ from z2nsuper import (
     jacobian,
     transformation_template,
 )
-from z2nsuper.gseries import mono_degree
 
 from conftest import (
     naive_pullback,
@@ -93,18 +91,13 @@ def test_enumerate_monomials_caps_self_odd():
                for k in range(5))
 
 
-def test_enumerate_monomials_is_the_filtered_product_in_its_order():
-    rng = random.Random(40)
-    for _ in range(60):
-        sig = rand_signature(rng, n_max=4)
-        order = rng.randint(0, 4)
-        caps = [1 if odd else order for odd in sig.formal_self_odd]
-        naive = [mu for mu in itertools.product(*(range(c + 1) for c in caps))
-                 if sum(mu) <= order]
-        assert enumerate_monomials(sig, order) == naive
-        for d in {sig.degree_of(nm) for nm in sig.formal_names}:
-            assert enumerate_monomials(sig, order, d) == [
-                mu for mu in naive if mono_degree(sig, mu) == d]
+def test_enumerate_monomials_keeps_its_lexicographic_order():
+    # generated atlases draw from this list, so their digests pin its order
+    sig = Signature(2, [("x", "00"), ("y", "11"), ("xi", "10")])
+    assert sig.formal_names == ["xi", "y"]
+    assert enumerate_monomials(sig, 2) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
+    assert enumerate_monomials(sig, 2, "00") == [(0, 0), (0, 2)]
+    assert enumerate_monomials(sig, 2, "01") == [(1, 1)]
 
 
 def test_transformation_template_leaves_no_reference_cycle():
