@@ -54,6 +54,8 @@ POWER_CAP = 1000
 # most bits of base^k, estimated as k times ceil(log2) of the base's largest
 # numerator or denominator; a unit numerator grows nothing, so x^k is free
 POWER_BITS = 3000
+# most bits of a term: ceil(log2) summed over its numerals and parenthesised factors
+TERM_BITS = 30000
 # longest numeral; Python's default limit for int() of a string
 NUMERAL_DIGITS = 4300
 
@@ -161,13 +163,13 @@ def _parse_term(tz, order, sign):
     the product of the parenthesised factors, each read by `_parse_expr`, or
     None when there is none; the term is refused at the `(` of a second or
     later factor that takes the product of the factors' term counts over
-    POWER_CAP, so a lone factor of any length, as printed, reads back.  mu
-    is the formal monomial: in a series (order given) each formal power
-    `v^k`, a formal name that opens no application, is folded into it with
-    its reordering sign; in a coefficient it is None.
-    A square of a self-odd variable kills the term, and reading goes on, so
-    a later bad factor still raises its error; a killed term, or one above
-    the order, is None."""
+    POWER_CAP, so a lone factor of any length, as printed, reads back, and
+    at the factor that takes its numbers' bits over TERM_BITS.  mu is the
+    formal monomial: in a series (order given) each formal power `v^k`, a
+    formal name that opens no application, is folded into it with its
+    reordering sign; in a coefficient it is None.  A square of a self-odd
+    variable kills the term, and reading goes on, so a later bad factor
+    still raises its error; a killed term, or one above the order, is None."""
     tokens = tz.tokens
     while tokens[tz.i][1] == "-":
         tz.next()
@@ -176,7 +178,7 @@ def _parse_term(tz, order, sign):
     formal = () if order is None else sig.formal_names
     mu = None if order is None else (0,) * sig.nformal
     num, den, mono, expr, killed = sign, 1, (), None, False
-    count = 1  # most terms of expr
+    count, bits = 1, 0  # most terms of expr, and bits of the term's numbers
     while True:
         kind, value, pos = tokens[tz.i]
         if kind == "name" and value in formal and tokens[tz.i + 1][1] not in ("(", "["):
@@ -205,6 +207,7 @@ def _parse_term(tz, order, sign):
                 k = _exponent(tz, 1, (max(abs(n), d) - 1).bit_length())
                 n, d = n ** k, d ** k
             num, den = num * n, den * d
+            bits += (max(abs(n), d) - 1).bit_length()
         elif kind == "name":
             atom = _parse_atom(tz)
             power = 1
@@ -216,11 +219,14 @@ def _parse_term(tz, order, sign):
             tz.next()
             e = _parse_expr(tz, None)
             tz.expect("sym", ")")
-            while tokens[tz.i][1] == "^":
+            while True:
                 coeffs = e.terms().values()
-                bits = max(((max(abs(q.numerator), q.denominator) - 1).bit_length()
-                            for q in coeffs), default=0)
-                e = e ** _exponent(tz, len(coeffs) or 1, bits)
+                ebits = max(((max(abs(q.numerator), q.denominator) - 1).bit_length()
+                             for q in coeffs), default=0)
+                if tokens[tz.i][1] != "^":
+                    break
+                e = e ** _exponent(tz, len(coeffs) or 1, ebits)
+            bits += ebits
             count *= len(e._terms)
             if expr is not None and count > POWER_CAP:
                 raise ParseError("product of parenthesised factors can exceed the cap of %d "
@@ -228,6 +234,8 @@ def _parse_term(tz, order, sign):
             expr = e if expr is None else expr * e
         else:
             raise ParseError("unexpected token %r" % value, pos)
+        if bits > TERM_BITS:
+            raise ParseError("a term's numbers can exceed the cap of %d bits" % TERM_BITS, pos)
         kind, value, _ = tokens[tz.i]
         if value == "*":
             tz.next()

@@ -10,7 +10,8 @@ series share lives in dicts local to that call, so a morphism holds no cache.
 Sums of series go through `gseries.combine`, the one series accumulation
 pass, `+` and `-` included: a Taylor expansion combines its leaves once, a
 pullback combines each term's expansion times its monomial's image once per
-series, and an `invert` sweep row or a template image combines its terms once.
+series, a sweep row or a template image combines its terms once, and `invert`
+combines once each part by order of the products it builds order by order.
 Regrouping the products this way cannot change a result: the arithmetic is
 exact and canonical, truncation is a ring homomorphism, and pulled-back
 coefficients have degree 0, so they commute with everything.
@@ -46,49 +47,62 @@ def enumerate_monomials(sig, max_order, degree=None):
     return out
 
 
+def _taylor_walk(expr, base, amap, extend):
+    """The terms (a, (d^a expr)(amap) / a!) of a Taylor expansion in the
+    coordinates base, over exponent vectors a in lexicographic order, from a
+    stack without closures.  A slot's exponent rises to q while extend(q)
+    says the shift power at q may be nonzero and the derivative does not
+    vanish."""
+    leaves = []
+    stack = [(0, expr, (0,) * len(base), 1)]
+    while stack:
+        i, deriv, a, fact = stack.pop()
+        if i == len(base):
+            coeff = deriv.substitute_vars(amap)
+            leaves.append((a, coeff if fact == 1 else coeff * Fraction(1, fact)))
+            continue
+        level = []
+        while True:
+            level.append((i + 1, deriv, a, fact))
+            a = a[:i] + (a[i] + 1,) + a[i + 1 :]
+            if not extend(a):
+                break
+            deriv = deriv.diff(base[i])
+            if deriv.is_zero():
+                break
+            fact = fact * a[i]
+        stack += reversed(level)
+    return leaves
+
+
 def taylor(expr, sig, order, amap, shifts, powers=None):
     """Taylor-expand a coefficient function around shifted base coordinates.
 
     The sum over multi-indices a of (d^a expr)(amap) * shifts^a / a!, where
     shifts maps base coordinate names to GSeries over sig with j_order >= 1
     (so the sum is finite) and amap substitutes the differentiated
-    coordinates ({} keeps them).  powers memoises the products shifts^a by
-    multi-index prefix, the empty prefix () holding the seed 1; expansions
-    with the same shifts and order may share one dict.
+    coordinates ({} keeps them).  powers memoises shifts^a by exponent
+    vector; expansions with the same shifts and order may share one dict.
     """
-    base = list(shifts)
+    base, factors = list(shifts), list(shifts.values())
     powers = {} if powers is None else powers
-    if () not in powers:
-        powers[()] = GSeries.one(sig, order)
-    # depth first over the multi-indices a in lexicographic order, from a
-    # stack of (i, d^a expr, a, shifts^a, a!) with a fixed below slot i; no
-    # closure, so no reference cycle keeps the expansion's values alive
-    leaves = []
-    stack = [(0, expr, (), powers[()], 1)]
-    while stack:
-        i, deriv, key, prod, fact = stack.pop()
-        if i == len(base):
-            coeff = deriv.substitute_vars(amap)
-            leaves.append((prod, coeff if fact == 1 else coeff * Fraction(1, fact)))
-            continue
-        bn = base[i]
-        k = 0
-        level = []
-        while True:
-            level.append((i + 1, deriv, key + (k,), prod, fact))
-            k += 1
-            nxt = key + (k,)
-            if nxt not in powers:
-                powers[nxt] = prod * shifts[bn]
-            prod = powers[nxt]
-            if prod.is_zero():
-                break
-            deriv = deriv.diff(bn)
-            if deriv.is_zero():
-                break
-            fact = fact * k
-        stack += reversed(level)
-    return combine(sig, order, leaves)
+    if not powers:
+        powers[(0,) * len(base)] = GSeries.one(sig, order)
+
+    def extend(q):
+        if q not in powers:
+            rest, last = _split_last(q)
+            powers[q] = powers[rest] * factors[last]
+        return not powers[q].is_zero()
+
+    return combine(sig, order, [(powers[a], c)
+                                for a, c in _taylor_walk(expr, base, amap, extend)])
+
+
+def _split_last(mu):
+    """(mu - e_last, last) for the last slot of mu with a nonzero entry."""
+    last = max(a for a, k in enumerate(mu) if k)
+    return mu[:last] + (mu[last] - 1,) + mu[last + 1 :], last
 
 
 def _monomial_image(cache, formal, mu):
@@ -97,8 +111,7 @@ def _monomial_image(cache, formal, mu):
     cache."""
     img = cache.get(mu)
     if img is None:
-        last = max(a for a, k in enumerate(mu) if k)
-        rest = mu[:last] + (mu[last] - 1,) + mu[last + 1 :]
+        rest, last = _split_last(mu)
         img = formal[last] if not any(rest) else _monomial_image(cache, formal, rest) * formal[last]
         cache[mu] = img
     return img
@@ -253,7 +266,7 @@ def block_inverse(m, d, tvars, svars):
 
 
 def invert(m, base_inverse=None):
-    """Formal inverse of a morphism by filtered fixed-point iteration.
+    """Formal inverse of a morphism, built order by order, checked by a sweep.
 
     The linear part of the formal-variable images must be rational per degree
     block.  When the base map is not the identity, a symbolic inverse must be
@@ -262,15 +275,14 @@ def invert(m, base_inverse=None):
 
     Write each forward image as its base or linear part plus a nonlinear part
     h.  A sweep sets psi(x) = base_inverse(x' - psi*(h_x)) and
-    psi(xi) = M^-1 (xi' - psi*(h_xi)), with M the linear blocks.  Every h
-    has order >= 2, so each sweep is correct to one more order than the one
-    before, and by the K-th sweep the input comes back unchanged: a fixed
-    point.  At a fixed point, pulling m's images back through psi gives
+    psi(xi) = M^-1 (xi' - psi*(h_xi)), with M the linear blocks, and
+    `_inverse_by_orders` builds its fixed point psi one order at a time.
+    At a fixed point, pulling m's images back through psi gives
     base_map(base_inverse(x' - psi*(h_x))) + psi*(h_x) = x' and
     M M^-1 (xi' - psi*(h_xi)) + psi*(h_xi) = xi', that is
     compose(m, psi) == id, provided base_map(base_inverse(x')) = x'.  Both
     conditions are checked: MorphismError if base_inverse does not invert the
-    base map symbolically, or if K sweeps end without a fixed point.
+    base map symbolically, or if one full sweep does not give psi back.
     """
     src, tgt, K = m.source, m.target, m.order
     if base_inverse is None:
@@ -308,27 +320,87 @@ def invert(m, base_inverse=None):
     def sweep(pulled):
         """The next inverse, given the nonlinear parts pulled back through
         the current one."""
-        images = {}
         # base coordinates: b_i evaluated at (x' - psi*(n_i)) via Taylor shift
         shift = {tn: -pulled[tn] for tn in tgt.base_names}
-        for sn in src.base_names:
-            images[sn] = taylor(base_inverse[sn], tgt, K, {}, shift)
-        for d, (tvars, svars) in blocks.items():
-            inv = Minv[d]
-            rhs = {tv: GSeries.generator(tgt, tv, K) - pulled[tv] for tv in tvars}
-            for i, sv in enumerate(svars):
-                images[sv] = combine(tgt, K, [(rhs[tv], inv[i][j])
-                                              for j, tv in enumerate(tvars) if inv[i][j] != 0])
+        images = {sn: taylor(base_inverse[sn], tgt, K, {}, shift) for sn in src.base_names}
+        images.update(_solve_blocks(tgt, K, blocks, Minv, {
+            tv: GSeries.generator(tgt, tv, K) - pulled[tv] for tv in tgt.formal_names}))
         return Morphism(tgt, src, images, K)
 
     # the linear guess: the sweep with the nonlinear parts pulled back to zero
-    psi = sweep(dict.fromkeys(h, GSeries.zero(tgt, K)))
-    for _ in range(K):
-        new_psi = sweep(dict(zip(h, psi.pullbacks(list(h.values())))))
-        if new_psi == psi:
-            return psi
-        psi = new_psi
-    raise MorphismError("no fixed point after %d sweeps; the inverse did not converge" % K)
+    linear = sweep(dict.fromkeys(h, GSeries.zero(tgt, K)))
+    psi = Morphism(tgt, src, _inverse_by_orders(linear, h, base_inverse, blocks, Minv), K)
+    if sweep(dict(zip(h, psi.pullbacks(list(h.values()))))) != psi:
+        raise MorphismError("the inverse built order by order is not a fixed point of a sweep")
+    return psi
+
+
+def _solve_blocks(sig, order, blocks, Minv, rhs):
+    """M^-1 rhs per degree block, from rhs: target formal variable -> series."""
+    return {sv: combine(sig, order, [(rhs[tv], x) for tv, x in zip(tvars, Minv[d][i]) if x != 0])
+            for d, (tvars, svars) in blocks.items() for i, sv in enumerate(svars)}
+
+
+def _add_powers(table, steps, keys, factors, zero):
+    """Make room in table for the parts by order of prod factors[i] ** a[i]
+    for each a in keys and the shorter products it is built from, as in
+    `_monomial_image`; steps gets (parts, table, shorter key, factor)."""
+    for a in keys:
+        while any(a) and a not in table:
+            rest, last = _split_last(a)
+            table[a] = [zero] * len(factors[last]) if any(rest) else factors[last]
+            if any(rest):
+                steps.append((table[a], table, rest, factors[last]))
+            a = rest
+
+
+def _inverse_by_orders(linear, h, base_inverse, blocks, Minv):
+    """The images of `invert`'s psi, built from the linear guess one order at
+    a time: as every h has order >= 2, the order-k part of psi*(h) needs
+    psi's parts below k only.  Each part of a product is combined once."""
+    tgt, src, K = linear.source, linear.target, linear.order
+    zero = GSeries.zero(tgt, K)
+    # the parts by order of psi's images less their base map, and of -psi*(h)
+    parts = {v: [zero, zero if src.is_base(v) else img] + [zero] * (K - 1)
+             for v, img in linear.images.items()}
+    neg = {v: [zero] * (K + 1) for v in h}
+    monos, base_powers, neg_powers, steps = {}, {}, {}, []
+    _add_powers(monos, steps, [mu for img in h.values() for mu in img.terms],
+                [parts[sv] for sv in src.formal_names], zero)
+    # h's coefficients' negated Taylor terms around psi's base map, and their
+    # parts by order to K - 2 (shifts and monomial images have order >= 2)
+    amap = linear.base_map()
+    expansions = {c: [(a, -x) for a, x in _taylor_walk(c, src.base_names, amap,
+                                                       lambda q: 2 * sum(q) <= K - 2)]
+                  for c in dict.fromkeys(c for img in h.values() for c in img.terms.values())}
+    _add_powers(base_powers, steps, [a for terms in expansions.values() for a, _ in terms[1:]],
+                [parts[sn] for sn in src.base_names], zero)
+    taylor_parts = {c: [terms[0][1]] + [zero] * (K - 2) for c, terms in expansions.items()}
+    base_terms = {sn: _taylor_walk(base_inverse[sn], tgt.base_names, {},
+                                   lambda q: 2 * sum(q) <= K)[1:] for sn in src.base_names}
+    _add_powers(neg_powers, steps, [a for terms in base_terms.values() for a, _ in terms],
+                [neg[tn] for tn in tgt.base_names], zero)
+    # psi's base parts, then the Taylor parts that they shift
+    sums = ([(parts[sn], neg_powers, terms) for sn, terms in base_terms.items()]
+            + [(taylor_parts[c], base_powers, terms[1:]) for c, terms in expansions.items()])
+    for k in range(2, K + 1):
+        for ps, table, rest, factor in steps:
+            ps[k] = combine(tgt, K, [(table[rest][j], factor[k - j]) for j in range(k + 1)
+                                     if table[rest][j].terms and factor[k - j].terms])
+        for v, img in h.items():
+            neg[v][k] = combine(tgt, K, [(monos[mu][k - j], taylor_parts[c][j])
+                                         for mu, c in img.terms.items() for j in range(k - 1)
+                                         if monos[mu][k - j].terms])
+        for ps, table, terms in sums:
+            if k < len(ps):
+                ps[k] = combine(tgt, K, [(table[a][k], x) for a, x in terms
+                                         if table[a][k].terms])
+        rhs = {tv: neg[tv][k] for tv in tgt.formal_names}
+        for sv, part in _solve_blocks(tgt, K, blocks, Minv, rhs).items():
+            parts[sv][k] = part
+    return {v: GSeries.canonical(tgt, K, {mu: c for part in [linear.images[v]] + ps[2:]
+                                          for mu, c in part.terms.items()})
+            for v, ps in parts.items()}
 
 
 # -- Jacobian -------------------------------------------------------------

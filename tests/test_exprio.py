@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -172,6 +173,26 @@ def test_a_power_above_the_bit_cap_is_refused_before_it_is_computed():
             parse_coeff(text)
     # a unit numerator adds no bits
     assert parse_coeff("(-x)^4001") == -(x ** 4001)
+
+
+def test_a_term_above_the_bit_cap_is_refused_at_the_factor_that_crosses_it():
+    assert exprio.TERM_BITS == 30000
+    # 3^1500 has 2 378 bits, so the 13th factor crosses the cap; a token's
+    # position is that of the blanks before it
+    text = " * ".join(["3^1500"] * 500) + " * x"
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as exc:
+        parse_coeff(text)
+    assert time.perf_counter() - start < 0.1
+    assert str(exc.value) == ("a term's numbers can exceed the cap of 30000 bits "
+                              "(at position %d)" % (12 * len("3^1500 * ") - 1))
+    x = CoeffExpr.var("x")
+    assert parse_coeff("3^1500 * 3^1500 * x") == x * 3 ** 3000
+    assert parse_coeff(" * ".join(["3^1500"] * 12)) == CoeffExpr.rational(3 ** 18000)
+    # a parenthesised factor counts its largest number, 3 000 bits here
+    assert parse_coeff(" * ".join(["(2^3000)"] * 10)) == CoeffExpr.rational(2 ** 30000)
+    with pytest.raises(ParseError, match=r"cap of 30000 bits \(at position 109\)$"):
+        parse_coeff(" * ".join(["(2^3000)"] * 11))
 
 
 def rand_sum_text(rng, n, term):

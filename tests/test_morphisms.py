@@ -18,8 +18,10 @@ from z2nsuper import (
     enumerate_monomials,
     invert,
     jacobian,
+    morphisms,
     transformation_template,
 )
+from z2nsuper.degrees import enumerate_nonzero_degrees
 
 from conftest import (
     naive_pullback,
@@ -269,6 +271,86 @@ def test_invert_round_trip_up_to_n4():
         assert compose(minv, m) == ident
 
 
+def invertible_morphism(rng, sig, order, base_map):
+    """An endomorphism with the given base map (base coordinate ->
+    CoeffExpr), each formal variable scaled and mixed with the later ones of
+    its degree, and two terms of order 2-3 with base-dependent coefficients
+    on every image."""
+    images = {}
+    for name, deg in sig.variables():
+        if sig.is_base(name):
+            img = GSeries.from_coeff(sig, order, base_map[name])
+        else:
+            block = sig.formal_blocks[deg]
+            img = GSeries.generator(sig, name, order) * rng.choice([2, -3, Fraction(1, 5)])
+            for later in block[block.index(name) + 1:]:
+                img = img + GSeries.generator(sig, later, order) * rng.randint(-2, 2)
+        monos = [mu for mu in enumerate_monomials(sig, 3, degree=deg) if sum(mu) >= 2]
+        for mu in rng.sample(monos, min(2, len(monos))):
+            img = img + GSeries.monomial(sig, order, mu, rand_poly(rng, sig.base_names, 1, 2))
+        images[name] = img
+    return Morphism(sig, sig, images, order)
+
+
+def test_invert_round_trip_at_the_benchmark_orders():
+    rng = random.Random(57)
+    for _ in range(12):
+        n = rng.randint(2, 4)
+        # one self-even, non-nilpotent degree, and one or two random ones
+        degrees = ["11" + "0" * (n - 2)] + [str(d) for d in rng.sample(
+            enumerate_nonzero_degrees(n), rng.randint(1, 2))]
+        nbase = rng.randint(1, 2)
+        bases = ["x", "z"][:nbase]
+        sig = Signature(n, [(b, "0" * n) for b in bases]
+                        + [("w%d" % i, d) for i, d in enumerate(degrees)])
+        order = rng.randint(5, 7)
+        x = CoeffExpr.var("x")
+        if nbase == 1:
+            # x -> 2x + 3, inverted by x -> (x - 3) / 2
+            base_map = {"x": x * 2 + 3}
+            base_inverse = {"x": (x - 3) * Fraction(1, 2)}
+        else:
+            # (x, z) -> (2x + z^2, z), inverted by (x, z) -> ((x - z^2) / 2, z)
+            z = CoeffExpr.var("z")
+            base_map = {"x": x * 2 + z * z, "z": z}
+            base_inverse = {"x": (x - z * z) * Fraction(1, 2), "z": z}
+        m = invertible_morphism(rng, sig, order, base_map)
+        minv = invert(m, base_inverse=base_inverse)
+        ident = Morphism.identity(sig, order)
+        assert compose(m, minv) == ident
+        assert compose(minv, m) == ident
+
+
+def test_invert_refuses_a_corrupted_construction(sig2, monkeypatch):
+    built = morphisms._inverse_by_orders
+
+    def corrupted(*args):
+        images = built(*args)
+        # a term of xi's degree, 01 = 10 + 11, off the inverse
+        eta_y = GSeries.generator(sig2, "eta", 4) * GSeries.generator(sig2, "y", 4)
+        images["xi"] = images["xi"] + eta_y * 5
+        return images
+
+    m = base_shift_morphism(sig2, 4)
+    assert compose(m, invert(m)) == Morphism.identity(sig2, 4)
+    monkeypatch.setattr(morphisms, "_inverse_by_orders", corrupted)
+    with pytest.raises(MorphismError, match="not a fixed point of a sweep"):
+        invert(m)
+
+
+def test_invert_leaves_no_reference_cycle():
+    m = invertible_morphism(random.Random(5), sig_n2(), 6, {"x": CoeffExpr.var("x")})
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        invert(m)
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
 def test_invert_singular_block(sig1):
     images = {
         "x": GSeries.generator(sig1, "x", 3),
@@ -347,9 +429,9 @@ def test_invert_rejects_a_base_inverse_that_does_not_invert(sig1):
 
 def test_invert_raises_when_the_sweeps_find_no_fixed_point(sig2, monkeypatch):
     m = base_shift_morphism(sig2, 3)
-    # no two sweeps compare equal, so the iteration never settles
+    # the check sweep's morphism never compares equal to the one it checks
     monkeypatch.setattr(Morphism, "__eq__", lambda self, other: False)
-    with pytest.raises(MorphismError, match="no fixed point after 3 sweeps"):
+    with pytest.raises(MorphismError, match="not a fixed point of a sweep"):
         invert(m)
 
 

@@ -1,26 +1,32 @@
 """Work pins: how many morphisms `split` and `verify_result` compose and how
-many series they pull back, on committed atlases.
+many series they pull back, on committed atlases, and how many series and
+monomial pairs `invert` pulls back and multiplies, on fixed morphisms.
 
 A pullback's cost grows with the series pulled back, so the summed lengths
 of the lists handed to `Morphism.pullbacks` (a composition's own pullback
-included) and the number of `compose` calls are the work of a run, read
-without a profiler and the same on every machine.  Each pin is the count the
-code made when it was set, asserted as an upper bound: a change that does
-more work fails here, one that does less may lower the pin.
+included), the number of `compose` calls and the number of
+`gseries.mul_monomials` calls are the work of a run, read without a
+profiler and the same on every machine.  Each pin is the count the code made
+when it was set, asserted as an upper bound: a change that does more work
+fails here, one that does less may lower the pin.
 """
 
 import importlib
 import pkgutil
+import random
 from pathlib import Path
 
 import pytest
 
 import z2nsuper
+from z2nsuper import GSeries, Signature, invert
 from z2nsuper import atlas as atlas_module
-from z2nsuper import morphisms, splitting
+from z2nsuper import gseries, morphisms, splitting
 from z2nsuper.formats import parse_atlas
-from z2nsuper.morphisms import Morphism
+from z2nsuper.morphisms import Morphism, compose, enumerate_monomials
 from z2nsuper.splitting import split, verify_result
+
+from conftest import rand_poly, sig_n2
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -41,14 +47,18 @@ def test_a_compose_call_from_any_package_module_is_counted(monkeypatch):
 
 
 def count_work(monkeypatch, run, *args):
-    """run(*args), and {"compose": calls, "pulled": series pulled back} while
-    it ran."""
-    counts = {"compose": 0, "pulled": 0}
-    compose, pullbacks = morphisms.compose, Morphism.pullbacks
+    """run(*args), and {"compose": calls, "pulled": series pulled back,
+    "mul_monomials": monomial pairs multiplied} while it ran."""
+    counts = {"compose": 0, "pulled": 0, "mul_monomials": 0}
+    compose, pullbacks, mul = morphisms.compose, Morphism.pullbacks, gseries.mul_monomials
 
     def counted_compose(m2, m1):
         counts["compose"] += 1
         return compose(m2, m1)
+
+    def counted_mul(sig, mu, nu):
+        counts["mul_monomials"] += 1
+        return mul(sig, mu, nu)
 
     def counted_pullbacks(self, fs):
         counts["pulled"] += len(fs)
@@ -60,6 +70,8 @@ def count_work(monkeypatch, run, *args):
         for module in package_modules():
             if getattr(module, "compose", None) is compose:
                 m.setattr(module, "compose", counted_compose)
+            if getattr(module, "mul_monomials", None) is mul:
+                m.setattr(module, "mul_monomials", counted_mul)
         m.setattr(Morphism, "pullbacks", counted_pullbacks)
         out = run(*args)
     return out, counts
@@ -84,3 +96,46 @@ def test_split_and_verify_do_no_more_work_than_pinned(monkeypatch, name, order,
     assert result.report.passed and report.passed
     assert all(split_work[k] <= n for k, n in split_pin.items()), split_work
     assert all(verify_work[k] <= n for k, n in verify_pin.items()), verify_work
+
+
+def base_shift_n2_k6():
+    """x' = x + y^2 on the four-variable n = 2 signature, at order 6."""
+    sig = sig_n2()
+    y2 = GSeries.generator(sig, "y", 6) ** 2
+    images = {nm: GSeries.generator(sig, nm, 6) for nm, _ in sig.variables()}
+    images["x"] = images["x"] + y2
+    return Morphism(sig, sig, images, 6)
+
+
+def seeded_n3_k7():
+    """A seeded n = 3 morphism at order 7: identity base map, a distinct
+    prime scale on each formal variable (of degrees 011, 101, 111 and 001)
+    and three terms of order 2-3 with polynomial coefficients per image."""
+    sig = Signature(3, [("x", "000"), ("u", "011"), ("v", "101"), ("w", "111"),
+                        ("th", "001")])
+    rng = random.Random(7)
+    scales = dict(zip(sig.formal_names, (2, -3, 5, -7)))
+    images = {}
+    for name, deg in sig.variables():
+        img = GSeries.generator(sig, name, 7) * scales.get(name, 1)
+        monos = [mu for mu in enumerate_monomials(sig, 3, degree=deg) if sum(mu) >= 2]
+        for mu in rng.sample(monos, min(3, len(monos))):
+            img = img + GSeries.monomial(sig, 7, mu, rand_poly(rng, sig.base_names, 1, 1))
+        images[name] = img
+    return Morphism(sig, sig, images, 7)
+
+
+# morphism, then the invert pin
+INVERT_PINS = [
+    (base_shift_n2_k6, {"pulled": 4, "mul_monomials": 6}),
+    (seeded_n3_k7, {"pulled": 5, "mul_monomials": 881}),
+]
+
+
+@pytest.mark.parametrize("build, pin", INVERT_PINS, ids=lambda x: getattr(x, "__name__", ""))
+def test_invert_does_no_more_work_than_pinned(monkeypatch, build, pin):
+    m = build()
+    psi, work = count_work(monkeypatch, invert, m)
+    ident = Morphism.identity(m.source, m.order)
+    assert compose(m, psi) == ident and compose(psi, m) == ident
+    assert all(work[k] <= n for k, n in pin.items()), work
