@@ -7,6 +7,10 @@ degree-0 images; pulling back a formal variable substitutes its image.
 
 `Morphism.pullbacks` pulls a list of series back at once.  The work the
 series share lives in dicts local to that call, so a morphism holds no cache.
+Each term c * xi^mu is expanded only as far as its product keeps: every
+formal variable has a nonzero degree, so xi^mu pulls back to a series of
+j_order >= |mu|, and at order K the expansion of c is needed only to order
+K - |mu|; a constant c needs none.
 Sums of series go through `gseries.combine`, the one series accumulation
 pass, `+` and `-` included: a Taylor expansion combines its leaves once, a
 pullback combines each term's expansion times its monomial's image once per
@@ -58,7 +62,7 @@ def _taylor_walk(expr, base, amap, extend):
     while stack:
         i, deriv, a, fact = stack.pop()
         if i == len(base):
-            coeff = deriv.substitute_vars(amap)
+            coeff = deriv.substitute_vars(amap) if amap else deriv
             leaves.append((a, coeff if fact == 1 else coeff * Fraction(1, fact)))
             continue
         level = []
@@ -79,10 +83,14 @@ def taylor(expr, sig, order, amap, shifts, powers=None):
     """Taylor-expand a coefficient function around shifted base coordinates.
 
     The sum over multi-indices a of (d^a expr)(amap) * shifts^a / a!, where
-    shifts maps base coordinate names to GSeries over sig with j_order >= 1
-    (so the sum is finite) and amap substitutes the differentiated
-    coordinates ({} keeps them).  powers memoises shifts^a by exponent
-    vector; expansions with the same shifts and order may share one dict.
+    shifts maps base coordinate names to GSeries over sig at truncation
+    order `order` with j_order >= 1 (so the sum is finite) and amap
+    substitutes the differentiated coordinates ({} keeps them).  powers
+    memoises shifts^a by exponent vector, a first power being the shift
+    itself; expansions with the same shifts and order may share one dict.
+    Truncation is a ring homomorphism, so the expansion at a lower order
+    is this one truncated: a caller that multiplies it by a series of
+    j_order m and keeps order K needs it only to order K - m.
     """
     base, factors = list(shifts), list(shifts.values())
     powers = {} if powers is None else powers
@@ -92,7 +100,7 @@ def taylor(expr, sig, order, amap, shifts, powers=None):
     def extend(q):
         if q not in powers:
             rest, last = _split_last(q)
-            powers[q] = powers[rest] * factors[last]
+            powers[q] = powers[rest] * factors[last] if any(rest) else factors[last]
         return not powers[q].is_zero()
 
     return combine(sig, order, [(powers[a], c)
@@ -105,10 +113,15 @@ def _split_last(mu):
     return mu[:last] + (mu[last] - 1,) + mu[last + 1 :], last
 
 
+def _moved(base_map):
+    """A base map without its identity entries v -> v."""
+    return {bn: e for bn, e in base_map.items() if e != CoeffExpr.var(bn)}
+
+
 def _monomial_image(cache, formal, mu):
-    """The product of formal[a] ** mu[a] in canonical variable order, for a
-    nonzero exponent vector: image(mu - e_last) * formal[last], memoised in
-    cache."""
+    """The product of formal[a] ** mu[a] in canonical variable order:
+    image(mu - e_last) * formal[last], memoised in cache, which holds the
+    zero vector's image."""
     img = cache.get(mu)
     if img is None:
         rest, last = _split_last(mu)
@@ -194,32 +207,51 @@ class Morphism:
     def pullbacks(self, fs):
         """Pull back a list of series over the target, in order.
 
-        Per truncation order the shifts (the base images' terms of nonzero
-        exponent vector) are cut once, the Taylor expansions share their
-        shift products, and each formal monomial's image is built once from
-        a shorter one's.  Each term pulls back to its coefficient's expansion
-        around the base map times its monomial's image.
+        A term c * xi^mu of a series pulled back at order K is c's Taylor
+        expansion around the base map times the image of xi^mu.  Every
+        formal variable has a nonzero degree, so its image has j_order >= 1
+        and xi^mu's has j_order >= |mu|: only the expansion to order
+        K - |mu| reaches the product, and as truncation is a ring
+        homomorphism that is the expansion at order K - |mu|.  A constant c
+        is its own expansion and scales the image, and so does c at the base
+        map when no shift reaches that order.  The shifts (the base images'
+        terms of nonzero exponent vector) and their powers are cut once per
+        Taylor order, on first use; each formal monomial's image is built
+        once per K from a shorter one's.  Identity entries of the base map
+        are dropped once, so an identity base map substitutes nothing.
         """
         if any(f.sig != self.target for f in fs):
             raise SignatureMismatch("series is not over the morphism target")
-        amap = self.base_map()
-        shared = {}
-        out = []
+        src, zero = self.source, (0,) * self.source.nformal
+        amap = _moved(self.base_map())
+        base = {bn: self.images[bn] for bn in self.target.base_names}
+        shifts, monos, out = {}, {}, []
         for f in fs:
             order = min(self.order, f.order)
-            if order not in shared:
-                cut = {v: img.truncate(order) for v, img in self.images.items()}
-                nil = {bn: GSeries.canonical(self.source, order,
-                                             {mu: c for mu, c in cut[bn].terms.items() if any(mu)})
-                       for bn in self.target.base_names}
-                shared[order] = (nil, {}, {}, [cut[v] for v in self.target.formal_names])
-            nil, powers, monos, formal = shared[order]
+            if order not in monos:
+                monos[order] = ({zero: GSeries.canonical(src, order, {zero: ONE})},
+                                [self.images[v].truncate(order) for v in self.target.formal_names])
+            cache, formal = monos[order]
             pairs = []
             for mu, c in f.terms.items():
-                part = taylor(c, self.source, order, amap, nil, powers)
-                if not part.is_zero():
-                    pairs.append((part, _monomial_image(monos, formal, mu) if any(mu) else ONE))
-            out.append(combine(self.source, order, pairs))
+                k = order - mono_order(mu)
+                if k < 0:
+                    continue  # xi^mu pulls back to zero at this order
+                img = _monomial_image(cache, formal, mu)
+                if c.as_rational() is None:
+                    if k not in shifts:
+                        cut = {bn: GSeries.canonical(src, k, {nu: x for nu, x in b.terms.items()
+                                                              if any(nu) and mono_order(nu) <= k})
+                               for bn, b in base.items()}
+                        shifts[k] = (cut, {}) if any(b.terms for b in cut.values()) else None
+                    if shifts[k] is not None:
+                        part = taylor(c, src, k, amap, *shifts[k]).at_order(order)
+                        pairs.append((part, img if any(mu) else ONE))
+                        continue
+                    # no shift reaches order k: the expansion is c at the base map
+                    c = c.substitute_vars(amap) if amap else c
+                pairs.append((img, c))
+            out.append(combine(src, order, pairs))
         return out
 
 
@@ -341,14 +373,15 @@ def _solve_blocks(sig, order, blocks, Minv, rhs):
             for d, (tvars, svars) in blocks.items() for i, sv in enumerate(svars)}
 
 
-def _add_powers(table, steps, keys, factors, zero):
-    """Make room in table for the parts by order of prod factors[i] ** a[i]
-    for each a in keys and the shorter products it is built from, as in
-    `_monomial_image`; steps gets (parts, table, shorter key, factor)."""
+def _add_powers(table, steps, keys, factors, zero, orders):
+    """Make room in table for the parts of order below `orders` of
+    prod factors[i] ** a[i] for each a in keys and the shorter products it is
+    built from, as in `_monomial_image`; steps gets (parts, table, shorter
+    key, factor)."""
     for a in keys:
         while any(a) and a not in table:
             rest, last = _split_last(a)
-            table[a] = [zero] * len(factors[last]) if any(rest) else factors[last]
+            table[a] = [zero] * orders if any(rest) else factors[last]
             if any(rest):
                 steps.append((table[a], table, rest, factors[last]))
             a = rest
@@ -366,27 +399,28 @@ def _inverse_by_orders(linear, h, base_inverse, blocks, Minv):
     neg = {v: [zero] * (K + 1) for v in h}
     monos, base_powers, neg_powers, steps = {}, {}, {}, []
     _add_powers(monos, steps, [mu for img in h.values() for mu in img.terms],
-                [parts[sv] for sv in src.formal_names], zero)
+                [parts[sv] for sv in src.formal_names], zero, K + 1)
     # h's coefficients' negated Taylor terms around psi's base map, and their
     # parts by order to K - 2 (shifts and monomial images have order >= 2)
-    amap = linear.base_map()
+    amap = _moved(linear.base_map())
     expansions = {c: [(a, -x) for a, x in _taylor_walk(c, src.base_names, amap,
                                                        lambda q: 2 * sum(q) <= K - 2)]
                   for c in dict.fromkeys(c for img in h.values() for c in img.terms.values())}
     _add_powers(base_powers, steps, [a for terms in expansions.values() for a, _ in terms[1:]],
-                [parts[sn] for sn in src.base_names], zero)
+                [parts[sn] for sn in src.base_names], zero, K - 1)
     taylor_parts = {c: [terms[0][1]] + [zero] * (K - 2) for c, terms in expansions.items()}
     base_terms = {sn: _taylor_walk(base_inverse[sn], tgt.base_names, {},
                                    lambda q: 2 * sum(q) <= K)[1:] for sn in src.base_names}
     _add_powers(neg_powers, steps, [a for terms in base_terms.values() for a, _ in terms],
-                [neg[tn] for tn in tgt.base_names], zero)
+                [neg[tn] for tn in tgt.base_names], zero, K + 1)
     # psi's base parts, then the Taylor parts that they shift
     sums = ([(parts[sn], neg_powers, terms) for sn, terms in base_terms.items()]
             + [(taylor_parts[c], base_powers, terms[1:]) for c, terms in expansions.items()])
     for k in range(2, K + 1):
         for ps, table, rest, factor in steps:
-            ps[k] = combine(tgt, K, [(table[rest][j], factor[k - j]) for j in range(k + 1)
-                                     if table[rest][j].terms and factor[k - j].terms])
+            if k < len(ps):
+                ps[k] = combine(tgt, K, [(table[rest][j], factor[k - j]) for j in range(k + 1)
+                                         if table[rest][j].terms and factor[k - j].terms])
         for v, img in h.items():
             neg[v][k] = combine(tgt, K, [(monos[mu][k - j], taylor_parts[c][j])
                                          for mu, c in img.terms.items() for j in range(k - 1)

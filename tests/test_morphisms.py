@@ -176,6 +176,50 @@ def test_pullbacks_of_opaque_coefficients_match_one_series_batches():
         assert m.pullbacks(fs) == [m.pullbacks([f])[0] for f in fs]
 
 
+def top_opaque_series(rng, sig, order):
+    """A series whose monomials of the top two orders carry opaque
+    coefficients with a nonzero base derivative, through k(x), and whose
+    lower monomials carry nonzero constants."""
+    monos = enumerate_monomials(sig, order)
+    terms = {}
+    for mu in rng.sample(monos, min(5, len(monos))):
+        if sum(mu) >= order - 1:
+            x = CoeffExpr.var(rng.choice(sig.base_names))
+            terms[mu] = rand_opaque_coeff(rng, sig.base_names) + CoeffExpr.app("k", [x])
+        else:
+            terms[mu] = CoeffExpr.rational(rng.choice([-2, Fraction(1, 3), 5]))
+    return GSeries(sig, order, terms)
+
+
+def test_pullbacks_expand_each_term_to_the_order_its_monomial_leaves():
+    """Each coefficient is expanded only to order K - |mu|, a constant not at
+    all: pullbacks of series with opaque top terms and constant lower ones,
+    in batches of mixed orders, match the oracle through morphisms with an
+    identity base map and with x -> 2x + nilpotent terms."""
+    rng = random.Random(48)
+    for trial in range(16):
+        # two formal variables of one degree make w0 w1 of degree 0, so every
+        # base image gets a nilpotent shift
+        n = rng.randint(1, 4)
+        d, e = rng.sample(enumerate_nonzero_degrees(n) * 2, 2)
+        variables = [("x", "0" * n), ("x1", "0" * n)][:rng.randint(1, 2)]
+        sig = Signature(n, variables + [("w0", d), ("w1", d), ("w2", e)][:rng.randint(2, 3)])
+        order = rng.randint(2, 6)
+        m = rand_morphism(rng, sig, order, max_terms=2)
+        w01 = tuple(int(v in ("w0", "w1")) for v in sig.formal_names)
+        images = dict(m.images)
+        for bn in sig.base_names:
+            c = rand_poly(rng, [bn], 1, 2) * CoeffExpr.var(bn) + 1
+            images[bn] = images[bn] + GSeries.monomial(sig, order, w01, c)
+        if trial % 2:
+            images["x"] = images["x"] + GSeries.generator(sig, "x", order)
+        m = Morphism(sig, sig, images, order)
+        assert m.is_base_identity() == (trial % 2 == 0)
+        orders = [order, order - 1, order + 1, rng.randint(1, order)]
+        fs = [top_opaque_series(rng, sig, k) for k in orders]
+        assert m.pullbacks(fs) == [naive_pullback(m, f) for f in fs]
+
+
 def test_pullback_coeff_matches_the_oracle_up_to_n4():
     rng = random.Random(44)
     shifted = 0
