@@ -45,12 +45,18 @@ def mono_order(mu):
     return sum(mu)
 
 
-def mono_degree(sig, mu):
+def mono_mask(sig, mu):
+    """The degree mask of a monomial, as an int: the XOR of the formal
+    degrees over its odd exponents."""
     mask = 0
     for k, d in zip(mu, sig.formal_degrees()):
         if k & 1:
             mask ^= d
-    return Degree.from_mask(mask, sig.n)
+    return mask
+
+
+def mono_degree(sig, mu):
+    return Degree.from_mask(mono_mask(sig, mu), sig.n)
 
 
 def mul_monomials(sig, mu, nu):
@@ -209,7 +215,8 @@ class GSeries:
 
     def is_homogeneous(self, d):
         d = Degree(d)
-        return all(mono_degree(self.sig, mu) == d for mu in self.terms)
+        return not self.terms or d.n == self.sig.n and all(
+            mono_mask(self.sig, mu) == int(d) for mu in self.terms)
 
     def map_coeffs(self, fn):
         return GSeries(self.sig, self.order, {mu: fn(c) for mu, c in self.terms.items()})

@@ -14,8 +14,9 @@ K - |mu|; a constant c needs none.
 Sums of series go through `gseries.combine`, the one series accumulation
 pass, `+` and `-` included: a Taylor expansion combines its leaves once, a
 pullback combines each term's expansion times its monomial's image once per
-series, a sweep row or a template image combines its terms once, and `invert`
-combines once each part by order of the products it builds order by order.
+series, a template image combines its terms once, and `invert` combines once
+each part by order of the products it builds order by order.  `invert`
+checks its result by composing it with the morphism it inverts.
 Regrouping the products this way cannot change a result: the arithmetic is
 exact and canonical, truncation is a ring homomorphism, and pulled-back
 coefficients have degree 0, so they commute with everything.
@@ -28,7 +29,7 @@ from fractions import Fraction
 
 from .coeffexpr import ONE, CoeffExpr
 from .degrees import Degree
-from .gseries import GSeries, SignatureMismatch, combine, mono_degree, mono_order
+from .gseries import GSeries, SignatureMismatch, combine, mono_degree, mono_mask, mono_order
 
 
 class MorphismError(ValueError):
@@ -79,32 +80,25 @@ def _taylor_walk(expr, base, amap, extend):
     return leaves
 
 
-def taylor(expr, sig, order, amap, shifts, powers=None):
+def taylor(expr, sig, order, amap, shifts, powers):
     """Taylor-expand a coefficient function around shifted base coordinates.
 
     The sum over multi-indices a of (d^a expr)(amap) * shifts^a / a!, where
     shifts maps base coordinate names to GSeries over sig at truncation
     order `order` with j_order >= 1 (so the sum is finite) and amap
     substitutes the differentiated coordinates ({} keeps them).  powers
-    memoises shifts^a by exponent vector, a first power being the shift
-    itself; expansions with the same shifts and order may share one dict.
-    Truncation is a ring homomorphism, so the expansion at a lower order
-    is this one truncated: a caller that multiplies it by a series of
+    memoises shifts^a by exponent vector through `_power_product`;
+    expansions with the same shifts and order share one dict, empty at the
+    first.  Truncation is a ring homomorphism, so the expansion at a lower
+    order is this one truncated: a caller that multiplies it by a series of
     j_order m and keeps order K needs it only to order K - m.
     """
     base, factors = list(shifts), list(shifts.values())
-    powers = {} if powers is None else powers
     if not powers:
         powers[(0,) * len(base)] = GSeries.one(sig, order)
-
-    def extend(q):
-        if q not in powers:
-            rest, last = _split_last(q)
-            powers[q] = powers[rest] * factors[last] if any(rest) else factors[last]
-        return not powers[q].is_zero()
-
-    return combine(sig, order, [(powers[a], c)
-                                for a, c in _taylor_walk(expr, base, amap, extend)])
+    leaves = _taylor_walk(expr, base, amap,
+                          lambda q: not _power_product(powers, factors, q).is_zero())
+    return combine(sig, order, [(powers[a], c) for a, c in leaves])
 
 
 def _split_last(mu):
@@ -118,16 +112,16 @@ def _moved(base_map):
     return {bn: e for bn, e in base_map.items() if e != CoeffExpr.var(bn)}
 
 
-def _monomial_image(cache, formal, mu):
-    """The product of formal[a] ** mu[a] in canonical variable order:
-    image(mu - e_last) * formal[last], memoised in cache, which holds the
-    zero vector's image."""
-    img = cache.get(mu)
-    if img is None:
-        rest, last = _split_last(mu)
-        img = formal[last] if not any(rest) else _monomial_image(cache, formal, rest) * formal[last]
-        cache[mu] = img
-    return img
+def _power_product(table, factors, a):
+    """The product of factors[i] ** a[i] in canonical order:
+    table[a - e_last] * factors[last], a first power being the factor
+    itself, memoised in table, which holds the zero vector's product."""
+    out = table.get(a)
+    if out is None:
+        rest, last = _split_last(a)
+        out = table[a] = (_power_product(table, factors, rest) * factors[last] if any(rest)
+                          else factors[last])
+    return out
 
 
 class Morphism:
@@ -156,7 +150,7 @@ class Morphism:
                     % (name, img.order, order)
                 )
             for mu in img.terms:
-                if mono_degree(source, mu) != deg:
+                if mono_mask(source, mu) != int(deg):
                     raise MorphismError(
                         "image of %r (degree %s) has off-degree monomial %r"
                         % (name, deg, mu)
@@ -237,7 +231,7 @@ class Morphism:
                 k = order - mono_order(mu)
                 if k < 0:
                     continue  # xi^mu pulls back to zero at this order
-                img = _monomial_image(cache, formal, mu)
+                img = _power_product(cache, formal, mu)
                 if c.as_rational() is None:
                     if k not in shifts:
                         cut = {bn: GSeries.canonical(src, k, {nu: x for nu, x in b.terms.items()
@@ -245,7 +239,8 @@ class Morphism:
                                for bn, b in base.items()}
                         shifts[k] = (cut, {}) if any(b.terms for b in cut.values()) else None
                     if shifts[k] is not None:
-                        part = taylor(c, src, k, amap, *shifts[k]).at_order(order)
+                        cut, powers = shifts[k]
+                        part = taylor(c, src, k, amap, cut, powers).at_order(order)
                         pairs.append((part, img if any(mu) else ONE))
                         continue
                     # no shift reaches order k: the expansion is c at the base map
@@ -298,7 +293,7 @@ def block_inverse(m, d, tvars, svars):
 
 
 def invert(m, base_inverse=None):
-    """Formal inverse of a morphism, built order by order, checked by a sweep.
+    """Formal inverse of a morphism, built order by order, checked by composing.
 
     The linear part of the formal-variable images must be rational per degree
     block.  When the base map is not the identity, a symbolic inverse must be
@@ -306,15 +301,12 @@ def invert(m, base_inverse=None):
     target base coordinates.
 
     Write each forward image as its base or linear part plus a nonlinear part
-    h.  A sweep sets psi(x) = base_inverse(x' - psi*(h_x)) and
-    psi(xi) = M^-1 (xi' - psi*(h_xi)), with M the linear blocks, and
-    `_inverse_by_orders` builds its fixed point psi one order at a time.
-    At a fixed point, pulling m's images back through psi gives
-    base_map(base_inverse(x' - psi*(h_x))) + psi*(h_x) = x' and
-    M M^-1 (xi' - psi*(h_xi)) + psi*(h_xi) = xi', that is
-    compose(m, psi) == id, provided base_map(base_inverse(x')) = x'.  Both
-    conditions are checked: MorphismError if base_inverse does not invert the
-    base map symbolically, or if one full sweep does not give psi back.
+    h.  The inverse psi has psi(x) = base_inverse(x' - psi*(h_x)) and
+    psi(xi) = M^-1 (xi' - psi*(h_xi)), with M the linear blocks: its parts
+    of order <= 1 are base_inverse and M^-1, and `_inverse_by_orders` builds
+    the rest one order at a time.  MorphismError if base_inverse does not
+    invert the base map symbolically, or if compose(m, psi) is not the
+    identity.
     """
     src, tgt, K = m.source, m.target, m.order
     if base_inverse is None:
@@ -349,21 +341,14 @@ def invert(m, base_inverse=None):
     # base map of a base image and the linear row of a formal one
     h = {nm: img - img.truncate(1).at_order(K) for nm, img in m.images.items()}
 
-    def sweep(pulled):
-        """The next inverse, given the nonlinear parts pulled back through
-        the current one."""
-        # base coordinates: b_i evaluated at (x' - psi*(n_i)) via Taylor shift
-        shift = {tn: -pulled[tn] for tn in tgt.base_names}
-        images = {sn: taylor(base_inverse[sn], tgt, K, {}, shift) for sn in src.base_names}
-        images.update(_solve_blocks(tgt, K, blocks, Minv, {
-            tv: GSeries.generator(tgt, tv, K) - pulled[tv] for tv in tgt.formal_names}))
-        return Morphism(tgt, src, images, K)
-
-    # the linear guess: the sweep with the nonlinear parts pulled back to zero
-    linear = sweep(dict.fromkeys(h, GSeries.zero(tgt, K)))
-    psi = Morphism(tgt, src, _inverse_by_orders(linear, h, base_inverse, blocks, Minv), K)
-    if sweep(dict(zip(h, psi.pullbacks(list(h.values()))))) != psi:
-        raise MorphismError("the inverse built order by order is not a fixed point of a sweep")
+    # psi's parts of order <= 1
+    linear = {sn: GSeries.from_coeff(tgt, K, base_inverse[sn]) for sn in src.base_names}
+    linear.update(_solve_blocks(tgt, K, blocks, Minv, {
+        tv: GSeries.generator(tgt, tv, K) for tv in tgt.formal_names}))
+    psi = Morphism(tgt, src, _inverse_by_orders(tgt, src, K, linear, h, base_inverse,
+                                                blocks, Minv), K)
+    if compose(m, psi) != Morphism.identity(tgt, K):
+        raise MorphismError("the inverse built order by order does not compose to the identity")
     return psi
 
 
@@ -376,8 +361,8 @@ def _solve_blocks(sig, order, blocks, Minv, rhs):
 def _add_powers(table, steps, keys, factors, zero, orders):
     """Make room in table for the parts of order below `orders` of
     prod factors[i] ** a[i] for each a in keys and the shorter products it is
-    built from, as in `_monomial_image`; steps gets (parts, table, shorter
-    key, factor)."""
+    built from, in `_power_product`'s order; steps gets (parts, table,
+    shorter key, factor)."""
     for a in keys:
         while any(a) and a not in table:
             rest, last = _split_last(a)
@@ -387,22 +372,22 @@ def _add_powers(table, steps, keys, factors, zero, orders):
             a = rest
 
 
-def _inverse_by_orders(linear, h, base_inverse, blocks, Minv):
-    """The images of `invert`'s psi, built from the linear guess one order at
-    a time: as every h has order >= 2, the order-k part of psi*(h) needs
-    psi's parts below k only.  Each part of a product is combined once."""
-    tgt, src, K = linear.source, linear.target, linear.order
+def _inverse_by_orders(tgt, src, K, linear, h, base_inverse, blocks, Minv):
+    """The images over tgt of `invert`'s psi, built from its parts of order
+    <= 1 (linear: source variable -> series) one order at a time: as every h
+    has order >= 2, the order-k part of psi*(h) needs psi's parts below k
+    only.  Each part of a product is combined once."""
     zero = GSeries.zero(tgt, K)
     # the parts by order of psi's images less their base map, and of -psi*(h)
     parts = {v: [zero, zero if src.is_base(v) else img] + [zero] * (K - 1)
-             for v, img in linear.images.items()}
+             for v, img in linear.items()}
     neg = {v: [zero] * (K + 1) for v in h}
     monos, base_powers, neg_powers, steps = {}, {}, {}, []
     _add_powers(monos, steps, [mu for img in h.values() for mu in img.terms],
                 [parts[sv] for sv in src.formal_names], zero, K + 1)
     # h's coefficients' negated Taylor terms around psi's base map, and their
     # parts by order to K - 2 (shifts and monomial images have order >= 2)
-    amap = _moved(linear.base_map())
+    amap = _moved({sn: linear[sn].epsilon() for sn in src.base_names})
     expansions = {c: [(a, -x) for a, x in _taylor_walk(c, src.base_names, amap,
                                                        lambda q: 2 * sum(q) <= K - 2)]
                   for c in dict.fromkeys(c for img in h.values() for c in img.terms.values())}
@@ -432,7 +417,7 @@ def _inverse_by_orders(linear, h, base_inverse, blocks, Minv):
         rhs = {tv: neg[tv][k] for tv in tgt.formal_names}
         for sv, part in _solve_blocks(tgt, K, blocks, Minv, rhs).items():
             parts[sv][k] = part
-    return {v: GSeries.canonical(tgt, K, {mu: c for part in [linear.images[v]] + ps[2:]
+    return {v: GSeries.canonical(tgt, K, {mu: c for part in [linear[v]] + ps[2:]
                                           for mu, c in part.terms.items()})
             for v, ps in parts.items()}
 

@@ -108,6 +108,8 @@ def test_homogeneity(sig2):
     assert (y + xi * eta).is_homogeneous("11")
     assert not any((y + xi).is_homogeneous(d) for d in ("00", "01", "10", "11"))
     assert all(GSeries.zero(sig2, 3).is_homogeneous(d) for d in ("00", "01", "10", "11"))
+    # the same mask at another n is another degree
+    assert not (xi * eta).is_homogeneous("011")
 
 
 def test_signature_mismatch(sig1, sig2):

@@ -22,6 +22,7 @@ from z2nsuper import (
     transformation_template,
 )
 from z2nsuper.degrees import enumerate_nonzero_degrees
+from z2nsuper.gseries import normal_form
 
 from conftest import (
     naive_pullback,
@@ -365,20 +366,26 @@ def test_invert_round_trip_at_the_benchmark_orders():
         assert compose(minv, m) == ident
 
 
-def test_invert_refuses_a_corrupted_construction(sig2, monkeypatch):
+@pytest.mark.parametrize("name, word", [
+    # a term of xi's degree, 01 = 10 + 11, off the inverse
+    ("xi", ["eta", "y"]),
+    # a term of degree 00 on the base image
+    ("x", ["y", "y"]),
+    # a term of eta's degree, 10 = 01 + 3 * 11, at order K only
+    ("eta", ["xi", "y", "y", "y"]),
+], ids=["formal", "base", "order_K"])
+def test_invert_refuses_a_corrupted_construction(sig2, monkeypatch, name, word):
     built = morphisms._inverse_by_orders
 
     def corrupted(*args):
         images = built(*args)
-        # a term of xi's degree, 01 = 10 + 11, off the inverse
-        eta_y = GSeries.generator(sig2, "eta", 4) * GSeries.generator(sig2, "y", 4)
-        images["xi"] = images["xi"] + eta_y * 5
+        images[name] = images[name] + normal_form(word + [5], sig2, 4)
         return images
 
     m = base_shift_morphism(sig2, 4)
     assert compose(m, invert(m)) == Morphism.identity(sig2, 4)
     monkeypatch.setattr(morphisms, "_inverse_by_orders", corrupted)
-    with pytest.raises(MorphismError, match="not a fixed point of a sweep"):
+    with pytest.raises(MorphismError, match="does not compose to the identity"):
         invert(m)
 
 
@@ -471,11 +478,11 @@ def test_invert_rejects_a_base_inverse_that_does_not_invert(sig1):
     assert compose(minv, m) == ident
 
 
-def test_invert_raises_when_the_sweeps_find_no_fixed_point(sig2, monkeypatch):
+def test_invert_raises_when_its_composition_is_not_the_identity(sig2, monkeypatch):
     m = base_shift_morphism(sig2, 3)
-    # the check sweep's morphism never compares equal to the one it checks
+    # the composition never compares equal to the identity
     monkeypatch.setattr(Morphism, "__eq__", lambda self, other: False)
-    with pytest.raises(MorphismError, match="not a fixed point of a sweep"):
+    with pytest.raises(MorphismError, match="does not compose to the identity"):
         invert(m)
 
 

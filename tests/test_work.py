@@ -99,6 +99,9 @@ PINS = [
     ("nonsplit_n2_k4", 3,
      {"compose": 5, "pulled": 100, "mul_monomials": 184, "mono_mul": 612},
      {"compose": 4, "pulled": 54, "mul_monomials": 138, "mono_mul": 382}),
+    ("nonsplit_4charts_k4", None,
+     {"compose": 54, "pulled": 768, "mul_monomials": 4186, "mono_mul": 131722},
+     {"compose": 24, "pulled": 204, "mul_monomials": 1168, "mono_mul": 89199}),
 ]
 
 
