@@ -41,11 +41,14 @@ class Report:
     def add(self, name, passed, detail=""):
         self.checks.append(CheckResult(name, passed, detail))
 
-    def residual(self, name, named):
-        """A check that every value is zero.  named yields (label, value)
-        pairs and is read lazily, up to the first nonzero value, which the
-        failing check names as "label: value"."""
-        detail = next(("%s: %s" % (label, v) for label, v in named if not v.is_zero()), "")
+    def equal(self, name, rows, reduce):
+        """A check that lhs = rhs on each (label, lhs, rhs) of rows, modulo
+        `reduce`: the atlas's `reduce_series` on series, `partition_reduce`
+        on coefficients.  Rows are read lazily.  A row with lhs == rhs
+        passes at once; only an unequal row is subtracted and reduced, and
+        the first nonzero difference fails the line as "label: difference"."""
+        detail = next(("%s: %s" % (label, d) for label, lhs, rhs in rows
+                       if lhs != rhs and not (d := reduce(lhs - rhs)).is_zero()), "")
         self.add(name, not detail, detail)
 
     @property
@@ -154,14 +157,11 @@ def validate_atlas(atlas):
     report = Report()
     ident = Morphism.identity(atlas.signature, atlas.order)
     names = [nm for nm, _ in atlas.signature.variables()]
-
-    def differences(lhs, rhs):
-        return ((nm, atlas.reduce_series(lhs.images[nm] - rhs.images[nm])) for nm in names)
-
     for (u, v), m in sorted(atlas.transitions.items()):
         if u == v:
-            report.residual("identity-transition %s%s" % (u, v),
-                            ((nm, m.images[nm] - ident.images[nm]) for nm in names))
+            report.equal("identity-transition %s%s" % (u, v),
+                         ((nm, m.images[nm], ident.images[nm]) for nm in names),
+                         atlas.reduce_series)
     done = set()
     for (u, v) in sorted(atlas.overlaps):
         if (v, u) in done:
@@ -175,11 +175,13 @@ def validate_atlas(atlas):
             )
             continue
         c = compose(atlas.transition(v, u), atlas.transition(u, v))
-        report.residual("inverse-condition %s<->%s" % (u, v), differences(c, ident))
+        report.equal("inverse-condition %s<->%s" % (u, v),
+                     ((nm, c.images[nm], ident.images[nm]) for nm in names), atlas.reduce_series)
     for u, v, w in atlas.triples:
         lhs = compose(atlas.transition(v, w), atlas.transition(u, v))
-        report.residual("triple-cocycle %s,%s,%s" % (u, v, w),
-                        differences(lhs, atlas.transition(u, w)))
+        rhs = atlas.transition(u, w)
+        report.equal("triple-cocycle %s,%s,%s" % (u, v, w),
+                     ((nm, lhs.images[nm], rhs.images[nm]) for nm in names), atlas.reduce_series)
     return report
 
 

@@ -17,16 +17,17 @@ R_UV^* = T_UV^* Phi_V^* and T_VU mod J^2 the split-model transition.  R_UV^*
 is read as two pullbacks, or through the composition R_UV = compose(Phi_V,
 T_UV) when that is made anyway.  Stage 1 reads the mismatch on the base
 coordinates (`cocycle_mismatch`), stage 2 on the formal variables
-(`lift_mismatch`), `verify_result` on both through the result's isos.  Both
-stages run the one order-raising Cech loop, `_raise_order`.  At order k the
-chart values agree on overlaps below order k, so the mismatch on each ordered
-pair is pure order k: a Cech 1-cocycle, which the partition of unity makes a
-coboundary (eta_U = -sum_W rho_W omega_UW).  Adding eta to the values makes
-them agree on overlaps up to order k.  The loop measures the mismatch once
-per order: the one of the corrected values at order k + 1 gives both the
-order-k consistency residual and the next cocycle.  Stage 1 checks each
-cocycle and its coboundary in one pass, `check_cech`, with one
-`transport_derivation` (one base Jacobian, one pullback) per ordered pair.
+(`lift_mismatch`); `verify_result` compares the result's isos with the
+pulled-back side, `overlap_pullback`, on both.  Both stages run the one
+order-raising Cech loop, `_raise_order`.  At order k the chart values agree
+on overlaps below order k, so the mismatch on each ordered pair is pure
+order k: a Cech 1-cocycle, which the partition of unity makes a coboundary
+(eta_U = -sum_W rho_W omega_UW).  Adding eta to the values makes them agree
+on overlaps up to order k.  The loop measures the mismatch once per order:
+the one of the corrected values at order k + 1 gives both the order-k
+consistency line and the next cocycle.  Stage 1 checks each cocycle and its
+coboundary in one pass, `check_cech`, with one `transport_derivation` (one
+base Jacobian, one pullback) per ordered pair.
 
 Each stage takes the Report it writes to and returns only what it builds:
 the frame-lift stage returns with its lifts the R_UV = compose(iso[V], T_UV)
@@ -34,7 +35,8 @@ through which it read its order-K mismatch, `verify_result` composes R_UV
 once per overlap for both consistency lines, and `verify_iso` reuses them
 for the intertwining check.  A split result holds each chart morphism once,
 as its iso: the embedding on the base coordinates, the frame lift on the
-formal variables.
+formal variables.  Every line that compares values states lhs = rhs per row
+through `Report.equal`, decided modulo J^(K+1) and the partition relation.
 """
 
 from __future__ import annotations
@@ -112,38 +114,37 @@ def _identity_frame(sig, order):
 # -- the overlap mismatch -------------------------------------------------
 
 
-def overlap_mismatch(atlas, phi_u, through, pair, names):
-    """Phi_U(y) - R_UV^*(T_VU(y) mod J^2), per variable y in names.
+def overlap_pullback(atlas, order, through, pair, names):
+    """{y -> R_UV^*(T_VU(y) mod J^2) at `order`}, per variable y in names.
 
-    phi_u is chart U's morphism (chart values on the base coordinates, frame
-    lifts on the formal variables) and R_UV^* = T_UV^* Phi_V^*.  `through`
+    R_UV^* = T_UV^* Phi_V^*, with Phi_V chart V's morphism (chart values on
+    the base coordinates, frame lifts on the formal variables).  `through`
     holds the morphisms pulled back through in turn: (phi_v, T_UV), two
     pullbacks, or (R_UV,), the composition compose(phi_v, T_UV) made once.
     Exact pullbacks are associative, so both read the same series.  T_VU mod
     J^2 is the split-model transition: a base image keeps its base map, a
-    formal image its linear rows.  Returns {name -> GSeries over chart U} at
-    the chart order, reduced by the partition relation.
+    formal image its linear rows.
     """
     u, v = pair
-    order = phi_u.order
     t_vu = atlas.transition(v, u)
     rights = [t_vu.images[y].truncate(1).at_order(order) for y in names]
     for m in through:
         rights = m.pullbacks(rights)
-    return {
-        y: atlas.reduce_series(phi_u.images[y] - right.truncate(order))
-        for y, right in zip(names, rights)
-    }
+    return {y: right.truncate(order) for y, right in zip(names, rights)}
 
 
-def _pure_order(mismatch, pair, order, what):
-    """The mismatch itself, after checking that each variable's value is pure
-    order `order`."""
+def overlap_mismatch(atlas, phi_u, through, pair, names, k, what):
+    """{y -> Phi_U(y) - R_UV^*(T_VU(y) mod J^2)} over chart U, per variable y
+    in names, reduced by the partition relation, with phi_u chart U's
+    morphism and R_UV^* read as in `overlap_pullback`; a `what` mismatch
+    with a term below order k is inconsistent input."""
+    rights = overlap_pullback(atlas, phi_u.order, through, pair, names)
+    mismatch = {y: atlas.reduce_series(phi_u.images[y] - r) for y, r in rights.items()}
     for name, d in mismatch.items():
-        if any(mono_order(mu) < order for mu in d.terms):
+        if any(mono_order(mu) < k for mu in d.terms):
             raise SplittingError(
                 "%s mismatch on %s for pair %s has terms below order %d; "
-                "input is inconsistent" % (what, name, pair, order)
+                "input is inconsistent" % (what, name, pair, k)
             )
     return mismatch
 
@@ -155,8 +156,7 @@ def cocycle_mismatch(family, pair, order):
     frame = _identity_frame(sig, family.order)
     phi_u, phi_v = (family.as_morphism(c, frame) for c in pair)
     through = (phi_v, family.atlas.transition(*pair))
-    mismatch = overlap_mismatch(family.atlas, phi_u, through, pair, sig.base_names)
-    return _pure_order(mismatch, pair, order, "embedding")
+    return overlap_mismatch(family.atlas, phi_u, through, pair, sig.base_names, order, "embedding")
 
 
 def lift_mismatch(family, lifts, pair, order):
@@ -165,8 +165,8 @@ def lift_mismatch(family, lifts, pair, order):
     sig = family.atlas.signature
     phi_u, phi_v = (family.as_morphism(c, lifts[c]) for c in pair)
     through = (phi_v, family.atlas.transition(*pair))
-    mismatch = overlap_mismatch(family.atlas, phi_u, through, pair, sig.formal_names)
-    return _pure_order(mismatch, pair, order, "frame-lift")
+    return overlap_mismatch(family.atlas, phi_u, through, pair, sig.formal_names, order,
+                            "frame-lift")
 
 
 def transport_derivation(atlas, u, v, derivations, order):
@@ -229,19 +229,17 @@ def check_cech(atlas, omegas, etas, order, report, tag):
         derivations = [omegas[(v, w)] for _, _, w in keys] + [etas[v]]
         on_u.update(zip(keys + [(u, v)], transport_derivation(atlas, u, v, derivations, order)))
     for (u, v) in omegas:
-        report.residual("%s antisymmetry %s%s" % (tag, u, v), (
-            (bn, atlas.reduce_series(omegas[(u, v)][bn] + on_u[(u, v, u)][bn])) for bn in names
-        ))
+        report.equal("%s antisymmetry %s%s" % (tag, u, v), (
+            (bn, omegas[(u, v)][bn], -on_u[(u, v, u)][bn]) for bn in names
+        ), atlas.reduce_series)
     for (u, v, w) in triples:
-        report.residual("%s triple-cocycle %s,%s,%s" % (tag, u, v, w), (
-            (bn, atlas.reduce_series(omegas[(u, v)][bn] + on_u[(u, v, w)][bn] - omegas[(u, w)][bn]))
-            for bn in names
-        ))
+        report.equal("%s triple-cocycle %s,%s,%s" % (tag, u, v, w), (
+            (bn, omegas[(u, v)][bn] + on_u[(u, v, w)][bn], omegas[(u, w)][bn]) for bn in names
+        ), atlas.reduce_series)
     for (u, v) in omegas:
-        report.residual("%s coboundary %s%s" % (tag, u, v), (
-            (bn, atlas.reduce_series(omegas[(u, v)][bn] - (on_u[(u, v)][bn] - etas[u][bn])))
-            for bn in names
-        ))
+        report.equal("%s coboundary %s%s" % (tag, u, v), (
+            (bn, omegas[(u, v)][bn], on_u[(u, v)][bn] - etas[u][bn]) for bn in names
+        ), atlas.reduce_series)
 
 
 # -- the order-raising Cech loop -----------------------------------------
@@ -261,7 +259,7 @@ def _raise_order(atlas, values, mismatch, report, tag, check=None):
     One mismatch per order: the corrected values are re-based at k + 1 and
     measured there once.  Truncation is a ring homomorphism and commutes with
     the Taylor expansion, so that mismatch truncated to k is the order-k
-    "consistency after correction" residual; when it vanishes, the mismatch
+    "consistency after correction" line; when it vanishes, the mismatch
     is the cocycle of order k + 1.  When it does not, order k + 1 measures
     again, which raises on the terms below it.
     Returns the values at the atlas order, consistent on every overlap.
@@ -287,10 +285,12 @@ def _raise_order(atlas, values, mismatch, report, tag, check=None):
             u: {nm: s + etas[u][nm] for nm, s in per.items()} for u, per in values.items()
         }, at)
         omegas = {pair: mismatch(values, at, pair, k) for pair in pairs}
-        below = [("(%s, %s) %s" % (u, v, nm), s.truncate(k))
-                 for (u, v), per in omegas.items() for nm, s in per.items()]
-        report.residual("%s: consistency after correction" % name, below)
-        if not all(s.is_zero() for _, s in below):
+        zero = GSeries.zero(atlas.signature, k)
+        report.equal("%s: consistency after correction" % name, (
+            ("(%s, %s) %s" % (u, v, nm), s.truncate(k), zero)
+            for (u, v), per in omegas.items() for nm, s in per.items()
+        ), atlas.reduce_series)
+        if not report.checks[-1].passed:
             omegas = None
     return values
 
@@ -298,9 +298,9 @@ def _raise_order(atlas, values, mismatch, report, tag, check=None):
 def _check_augmentation(atlas, images, report):
     """epsilon o phi = id on every chart; images: chart -> {var -> GSeries}."""
     for u in atlas.charts:
-        report.residual("epsilon o phi = id on %s" % u, (
-            (bn, images[u][bn].epsilon() - CoeffExpr.var(bn)) for bn in atlas.signature.base_names
-        ))
+        report.equal("epsilon o phi = id on %s" % u, (
+            (bn, images[u][bn].epsilon(), CoeffExpr.var(bn)) for bn in atlas.signature.base_names
+        ), atlas.partition_reduce)
 
 
 # -- stage 1: the base embedding ------------------------------------------
@@ -334,9 +334,8 @@ def build_module_splitting(atlas, family, report):
             return lift_mismatch(family.at_order(at), values, pair, k)
         u, v = pair
         r_uv = composed[pair] = compose(family.as_morphism(v, values[v]), atlas.transition(u, v))
-        got = overlap_mismatch(atlas, family.as_morphism(u, values[u]), (r_uv,), pair,
-                               sig.formal_names)
-        return _pure_order(got, pair, k, "frame-lift")
+        return overlap_mismatch(atlas, family.as_morphism(u, values[u]), (r_uv,), pair,
+                                sig.formal_names, k, "frame-lift")
 
     identity = {u: _identity_frame(sig, 1) for u in atlas.charts}
     lifts = _raise_order(atlas, identity, mismatch, report, "frame lift")
@@ -376,15 +375,15 @@ def verify_iso(atlas, split_atlas, iso, report, composed):
         m = iso[u]
         out = m.pullbacks([one] + gens + [gens[i] * gens[j] for i, j in pairs])
         pulled, lhs = out[1:len(gens) + 1], out[len(gens) + 1:]
-        report.residual("iso %s: unital" % u, [("1", out[0] - one)])
+        report.equal("iso %s: unital" % u, [("1", out[0], one)], atlas.reduce_series)
         ok = all(
             m.images[nm].is_homogeneous(d) for nm, d in sig.variables()
         )
         report.add("iso %s: degree-preserving" % u, ok)
-        report.residual("iso %s: multiplicative on generators" % u, (
-            ("(%s, %s)" % (names[i], names[j]), atlas.reduce_series(prod - pulled[i] * pulled[j]))
+        report.equal("iso %s: multiplicative on generators" % u, (
+            ("(%s, %s)" % (names[i], names[j]), prod, pulled[i] * pulled[j])
             for (i, j), prod in zip(pairs, lhs)
-        ))
+        ), atlas.reduce_series)
         try:
             for d, vs in sig.formal_blocks.items():
                 block_inverse(m, d, vs, vs)
@@ -398,10 +397,9 @@ def verify_iso(atlas, split_atlas, iso, report, composed):
         # the overlap square must agree
         lhs = compose(split_atlas.transition(u, v), iso[u])
         rhs = composed.get((u, v)) or compose(iso[v], atlas.transition(u, v))
-        report.residual("iso intertwines transitions on (%s, %s)" % (u, v), (
-            (nm, atlas.reduce_series(lhs.images[nm] - rhs.images[nm]))
-            for nm, _ in sig.variables()
-        ))
+        report.equal("iso intertwines transitions on (%s, %s)" % (u, v), (
+            (nm, lhs.images[nm], rhs.images[nm]) for nm in names
+        ), atlas.reduce_series)
     # the split side is in block-diagonal normal form by construction: every
     # formal image is linear (Morphism already holds each to its degree)
     report.add("split-model transitions are block diagonal", all(
@@ -441,12 +439,12 @@ def verify_result(atlas, iso, embedding=None, bundle_lines=None):
             report.add("embedding block chart %s is in the atlas" % u, False)
     _check_augmentation(atlas, {u: iso[u].images for u in atlas.charts}, report)
     composed = {(u, v): compose(iso[v], atlas.transition(u, v)) for (u, v) in atlas.overlaps}
+    names = sig.base_names + sig.formal_names
     for (u, v), r_uv in composed.items():
-        mismatch = overlap_mismatch(atlas, iso[u], (r_uv,), (u, v),
-                                    sig.base_names + sig.formal_names)
-        for what, names in (("embedding", sig.base_names), ("frame-lift", sig.formal_names)):
-            report.residual("%s consistency on (%s, %s)" % (what, u, v),
-                            ((y, mismatch[y]) for y in names))
+        rights = overlap_pullback(atlas, iso[u].order, (r_uv,), (u, v), names)
+        for what, ys in (("embedding", sig.base_names), ("frame-lift", sig.formal_names)):
+            report.equal("%s consistency on (%s, %s)" % (what, u, v),
+                         ((y, iso[u].images[y], rights[y]) for y in ys), atlas.reduce_series)
     bundle = extract_bundle(atlas)
     if bundle_lines is not None:
         want = print_bundle(bundle).splitlines()

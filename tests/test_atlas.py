@@ -278,18 +278,33 @@ def test_linear_blocks_match_the_per_entry_oracle_up_to_n4(rng):
     assert offdiagonal  # the draws reach entries off the diagonal
 
 
-def test_residual_reads_up_to_the_first_nonzero_value():
-    sig = sig_n1()
+def test_equal_subtracts_and_reduces_only_unequal_rows_up_to_the_first_failing_one(
+        monkeypatch):
+    atlas = atlas_split_two_charts()
+    xi = GSeries.generator(atlas.signature, "xi1", 3)
+    by_rho_v, by_rho_u = xi * rho("V"), xi * (1 - rho("U"))  # equal modulo the partition
+    failing = xi * (rho("V") + CoeffExpr.var("x"))
+    want = "c: %s" % atlas.reduce_series(failing - xi)
+    assert "rho_V" in str(failing - xi) and "rho_V" not in want
+    subtracted, sub = [], GSeries.__sub__
 
-    def named():
-        yield "a", GSeries.zero(sig, 2)
-        yield "b", GSeries.generator(sig, "xi1", 2) * 3
-        raise AssertionError("read past the first nonzero value")
+    def spied_sub(lhs, rhs):
+        subtracted.append((lhs, rhs))
+        return sub(lhs, rhs)
 
+    def rows():
+        yield "a", xi, xi * 1
+        yield "b", by_rho_v, by_rho_u
+        yield "c", failing, xi
+        raise AssertionError("read past the first failing row")
+
+    monkeypatch.setattr(GSeries, "__sub__", spied_sub)
     report = Report()
-    report.residual("zeros", [("a", GSeries.zero(sig, 2))])
-    report.residual("family", named())
+    report.equal("equal", [("a", xi, xi * 1)], atlas.reduce_series)
+    assert subtracted == []
+    report.equal("rows", rows(), atlas.reduce_series)
+    assert subtracted == [(by_rho_v, by_rho_u), (failing, xi)]
     assert [(c.name, c.passed, c.detail) for c in report.checks] == [
-        ("zeros", True, ""),
-        ("family", False, "b: 3 * xi1"),
+        ("equal", True, ""),
+        ("rows", False, want),
     ]

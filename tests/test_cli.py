@@ -344,6 +344,18 @@ def test_atlas_check(tmp_path, capsys):
     assert "[FAIL]" in capsys.readouterr().out
 
 
+def test_atlas_check_decides_the_identity_transition_modulo_the_partition(tmp_path, capsys):
+    # T_UU moves x by (rho_U + rho_V - 1) y^2, which sum(rho) = 1 makes zero
+    text = (Path(__file__).parent / "golden" / "nonsplit_n2_k4.atlas.txt").read_text()
+    text = text.replace("pair U V\n", "pair U U\npair U V\n").replace(
+        "transition U V\n", "transition U U\nx = x + (rho_U(x) + rho_V(x) - 1) * y^2\n"
+        "y = y\nxi = xi\neta = eta\nend\ntransition U V\n")
+    afile = write(tmp_path, "atlas.txt", text)
+    assert main(["atlas-check", "--atlas", afile]) == 0
+    assert capsys.readouterr().out == ("[pass] identity-transition UU\n"
+                                       "[pass] inverse-condition U<->V\n")
+
+
 def test_split_then_verify_round_trip(tmp_path, capsys):
     atlas = atlas_nonsplit_base_twist()
     afile = write(tmp_path, "atlas.txt", print_atlas(atlas))

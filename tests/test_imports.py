@@ -11,10 +11,12 @@ accumulation call; no package function imports, but the two printers
 `CoeffExpr.__str__` and `GSeries.__str__`, whose modules the printing
 modules import; no package function stores to an attribute of an object
 other than `self` or the one its own `__new__` call made; every parameter
-default is passed by some call and left out by another; and no package code
-reads the process environment.  The statement scanner of
-`statement_trace.py`, which holds the unrun statements of a traced test
-run against an allow-list, is checked here on a small source."""
+default is passed by some call and left out by another; no package code
+reads the process environment; and no check line reduces or tests for zero
+inside its own arguments, since `Report.equal` decides every row.  The
+statement scanner of `statement_trace.py`, which holds the unrun statements
+of a traced test run against an allow-list, is checked here on a small
+source."""
 
 import ast
 from pathlib import Path
@@ -615,6 +617,50 @@ def test_no_default_is_overridden_by_every_call():
     users = [p.read_text() for d in ("src", "demos", "bench", "tests")
              for p in sorted((ROOT / d).rglob("*.py"))]
     assert overridden_optional_parameters(package, users) == []
+
+
+REDUCING_CALLS = {"reduce_series", "partition_reduce", "is_zero"}
+
+
+def reductions_in_check_lines(source):
+    """Lines of each `reduce_series(...)`, `partition_reduce(...)` or
+    `.is_zero()` call inside the arguments of a `report.add(...)` or
+    `report.equal(...)` call: a check line that subtracts, reduces or tests
+    for zero itself, instead of handing both sides of each row to
+    `Report.equal`, which alone decides a row that way."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        fn = getattr(node, "func", None)
+        if not (isinstance(fn, ast.Attribute) and fn.attr in ("add", "equal")
+                and isinstance(fn.value, ast.Name) and fn.value.id == "report"):
+            continue
+        for arg in node.args + [k.value for k in node.keywords]:
+            for inner in ast.walk(arg):
+                callee = getattr(inner, "func", None)
+                name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+                if isinstance(inner, ast.Call) and name in REDUCING_CALLS:
+                    found.add(inner.lineno)
+    return sorted(found)
+
+
+def test_scanner_flags_a_reduction_inside_a_check_line():
+    source = (
+        "def lines(atlas, report, rows, s, seen):\n"
+        "    report.add('zero', s.is_zero())\n"
+        "    report.equal('rows', ((n, atlas.reduce_series(a - b), 0) for n, a, b in rows),\n"
+        "                 atlas.reduce_series)\n"
+        "    report.add('coeff', passed=partition_reduce(s) == 0)\n"
+        "    report.equal('sides', rows, atlas.partition_reduce)\n"
+        "    ok = s.is_zero()\n"
+        "    report.add('ok', ok)\n"
+        "    seen.add(atlas.reduce_series(s))\n"
+    )
+    assert reductions_in_check_lines(source) == [2, 3, 5]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_check_lines_hand_both_sides_to_report_equal(path):
+    assert reductions_in_check_lines(path.read_text()) == []
 
 
 ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}

@@ -91,17 +91,17 @@ def count_work(monkeypatch, run, *args):
 # verify_result pins
 PINS = [
     ("nonsplit_3charts_k3", None,
-     {"compose": 21, "pulled": 360, "mul_monomials": 1512, "mono_mul": 20595},
-     {"compose": 12, "pulled": 153, "mul_monomials": 685, "mono_mul": 13647}),
+     {"compose": 21, "pulled": 360, "mul_monomials": 1512, "mono_mul": 15377},
+     {"compose": 12, "pulled": 153, "mul_monomials": 685, "mono_mul": 6959}),
     ("nonsplit_n2_k4", None,
-     {"compose": 5, "pulled": 120, "mul_monomials": 415, "mono_mul": 1558},
-     {"compose": 4, "pulled": 54, "mul_monomials": 248, "mono_mul": 950}),
+     {"compose": 5, "pulled": 120, "mul_monomials": 415, "mono_mul": 1106},
+     {"compose": 4, "pulled": 54, "mul_monomials": 248, "mono_mul": 460}),
     ("nonsplit_n2_k4", 3,
-     {"compose": 5, "pulled": 100, "mul_monomials": 184, "mono_mul": 612},
-     {"compose": 4, "pulled": 54, "mul_monomials": 138, "mono_mul": 382}),
+     {"compose": 5, "pulled": 100, "mul_monomials": 184, "mono_mul": 378},
+     {"compose": 4, "pulled": 54, "mul_monomials": 138, "mono_mul": 136}),
     ("nonsplit_4charts_k4", None,
-     {"compose": 54, "pulled": 768, "mul_monomials": 4186, "mono_mul": 131722},
-     {"compose": 24, "pulled": 204, "mul_monomials": 1168, "mono_mul": 89199}),
+     {"compose": 54, "pulled": 768, "mul_monomials": 4186, "mono_mul": 91044},
+     {"compose": 24, "pulled": 204, "mul_monomials": 1168, "mono_mul": 30657}),
 ]
 
 
