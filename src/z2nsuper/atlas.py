@@ -40,16 +40,18 @@ class Report:
 
     def add(self, name, passed, detail=""):
         self.checks.append(CheckResult(name, passed, detail))
+        return passed
 
     def equal(self, name, rows, reduce):
         """A check that lhs = rhs on each (label, lhs, rhs) of rows, modulo
         `reduce`: the atlas's `reduce_series` on series, `partition_reduce`
         on coefficients.  Rows are read lazily.  A row with lhs == rhs
         passes at once; only an unequal row is subtracted and reduced, and
-        the first nonzero difference fails the line as "label: difference"."""
+        the first nonzero difference fails the line as "label: difference".
+        Returns the line's verdict."""
         detail = next(("%s: %s" % (label, d) for label, lhs, rhs in rows
                        if lhs != rhs and not (d := reduce(lhs - rhs)).is_zero()), "")
-        self.add(name, not detail, detail)
+        return self.add(name, not detail, detail)
 
     @property
     def passed(self):
@@ -98,9 +100,15 @@ class Atlas:
         self.transitions = dict(transitions)
         self.partition = dict(partition) if partition else None
         names = set(self.charts)
+        for i, u in enumerate(self.charts):
+            if u in self.charts[:i]:
+                raise AtlasError("charts lists %s more than once" % u)
         for u, v in self.pairs:
             if u not in names or v not in names:
                 raise AtlasError("pair (%s, %s) names an unknown chart" % (u, v))
+        for t in self.triples:
+            if not names.issuperset(t):
+                raise AtlasError("triple (%s) names an unknown chart" % ", ".join(t))
         for pair in self.transitions:
             if tuple(pair) not in self.pairs:
                 raise AtlasError("transition for undeclared pair %s" % (pair,))

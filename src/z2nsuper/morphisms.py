@@ -10,7 +10,9 @@ series share lives in dicts local to that call, so a morphism holds no cache.
 Each term c * xi^mu is expanded only as far as its product keeps: every
 formal variable has a nonzero degree, so xi^mu pulls back to a series of
 j_order >= |mu|, and at order K the expansion of c is needed only to order
-K - |mu|; a constant c needs none.
+K - |mu|; a constant c needs none.  One Taylor walk, `_taylor_walk`, serves
+`pullbacks` and `invert`; it ends by J-adic order, and `pullbacks` forms a
+shift power only where a term of the expansion reads it.
 Sums of series go through `gseries.combine`, the one series accumulation
 pass, `+` and `-` included: a Taylor expansion combines its leaves once, a
 pullback combines each term's expansion times its monomial's image once per
@@ -52,11 +54,15 @@ def enumerate_monomials(sig, max_order, degree=None):
     return out
 
 
-def _taylor_walk(expr, base, amap, extend):
+def _taylor_walk(expr, base, amap, top):
     """The terms (a, (d^a expr)(amap) / a!) of a Taylor expansion in the
-    coordinates base, over exponent vectors a in lexicographic order, from a
-    stack without closures.  A slot's exponent rises to q while extend(q)
-    says the shift power at q may be nonzero and the derivative does not
+    coordinates base, over exponent vectors a with |a| <= top in
+    lexicographic order, from a stack without closures.
+
+    The expansion ends by J-adic order, not by nilpotency: y of degree 11
+    has y^k != 0.  A shift of a base coordinate has degree 0, so each of its
+    monomials has order >= 2, as every formal variable has a nonzero degree:
+    shifts^a lies in J^(2|a|), and at order k the terms past top = k // 2
     vanish."""
     leaves = []
     stack = [(0, expr, (0,) * len(base), 1)]
@@ -66,39 +72,16 @@ def _taylor_walk(expr, base, amap, extend):
             coeff = deriv.substitute_vars(amap) if amap else deriv
             leaves.append((a, coeff if fact == 1 else coeff * Fraction(1, fact)))
             continue
-        level = []
-        while True:
-            level.append((i + 1, deriv, a, fact))
+        level = [(i + 1, deriv, a, fact)]
+        while sum(a) < top:
             a = a[:i] + (a[i] + 1,) + a[i + 1 :]
-            if not extend(a):
-                break
             deriv = deriv.diff(base[i])
             if deriv.is_zero():
                 break
             fact = fact * a[i]
+            level.append((i + 1, deriv, a, fact))
         stack += reversed(level)
     return leaves
-
-
-def taylor(expr, sig, order, amap, shifts, powers):
-    """Taylor-expand a coefficient function around shifted base coordinates.
-
-    The sum over multi-indices a of (d^a expr)(amap) * shifts^a / a!, where
-    shifts maps base coordinate names to GSeries over sig at truncation
-    order `order` with j_order >= 1 (so the sum is finite) and amap
-    substitutes the differentiated coordinates ({} keeps them).  powers
-    memoises shifts^a by exponent vector through `_power_product`;
-    expansions with the same shifts and order share one dict, empty at the
-    first.  Truncation is a ring homomorphism, so the expansion at a lower
-    order is this one truncated: a caller that multiplies it by a series of
-    j_order m and keeps order K needs it only to order K - m.
-    """
-    base, factors = list(shifts), list(shifts.values())
-    if not powers:
-        powers[(0,) * len(base)] = GSeries.one(sig, order)
-    leaves = _taylor_walk(expr, base, amap,
-                          lambda q: not _power_product(powers, factors, q).is_zero())
-    return combine(sig, order, [(powers[a], c) for a, c in leaves])
 
 
 def _split_last(mu):
@@ -209,16 +192,19 @@ class Morphism:
         homomorphism that is the expansion at order K - |mu|.  A constant c
         is its own expansion and scales the image, and so does c at the base
         map when no shift reaches that order.  The shifts (the base images'
-        terms of nonzero exponent vector) and their powers are cut once per
-        Taylor order, on first use; each formal monomial's image is built
-        once per K from a shorter one's.  Identity entries of the base map
-        are dropped once, so an identity base map substitutes nothing.
+        terms of nonzero exponent vector) are cut once per Taylor order k,
+        on first use, with a memo of their powers that `_power_product`
+        fills only at the exponents the walk to k // 2 reads; each formal
+        monomial's image is built once per K from a shorter one's.  Identity
+        entries of the base map are dropped once, so an identity base map
+        substitutes nothing.
         """
         if any(f.sig != self.target for f in fs):
             raise SignatureMismatch("series is not over the morphism target")
         src, zero = self.source, (0,) * self.source.nformal
         amap = _moved(self.base_map())
-        base = {bn: self.images[bn] for bn in self.target.base_names}
+        names = self.target.base_names
+        base, origin = [self.images[bn] for bn in names], (0,) * len(names)
         shifts, monos, out = {}, {}, []
         for f in fs:
             order = min(self.order, f.order)
@@ -234,14 +220,16 @@ class Morphism:
                 img = _power_product(cache, formal, mu)
                 if c.as_rational() is None:
                     if k not in shifts:
-                        cut = {bn: GSeries.canonical(src, k, {nu: x for nu, x in b.terms.items()
-                                                              if any(nu) and mono_order(nu) <= k})
-                               for bn, b in base.items()}
-                        shifts[k] = (cut, {}) if any(b.terms for b in cut.values()) else None
+                        cut = [GSeries.canonical(src, k, {nu: x for nu, x in b.terms.items()
+                                                          if any(nu) and mono_order(nu) <= k})
+                               for b in base]
+                        shifts[k] = ((cut, {origin: GSeries.one(src, k)})
+                                     if any(b.terms for b in cut) else None)
                     if shifts[k] is not None:
                         cut, powers = shifts[k]
-                        part = taylor(c, src, k, amap, cut, powers).at_order(order)
-                        pairs.append((part, img if any(mu) else ONE))
+                        part = combine(src, k, [(_power_product(powers, cut, a), x) for a, x
+                                                in _taylor_walk(c, names, amap, k // 2)])
+                        pairs.append((part.at_order(order), img if any(mu) else ONE))
                         continue
                     # no shift reaches order k: the expansion is c at the base map
                     c = c.substitute_vars(amap) if amap else c
@@ -388,14 +376,13 @@ def _inverse_by_orders(tgt, src, K, linear, h, base_inverse, blocks, Minv):
     # h's coefficients' negated Taylor terms around psi's base map, and their
     # parts by order to K - 2 (shifts and monomial images have order >= 2)
     amap = _moved({sn: linear[sn].epsilon() for sn in src.base_names})
-    expansions = {c: [(a, -x) for a, x in _taylor_walk(c, src.base_names, amap,
-                                                       lambda q: 2 * sum(q) <= K - 2)]
+    expansions = {c: [(a, -x) for a, x in _taylor_walk(c, src.base_names, amap, (K - 2) // 2)]
                   for c in dict.fromkeys(c for img in h.values() for c in img.terms.values())}
     _add_powers(base_powers, steps, [a for terms in expansions.values() for a, _ in terms[1:]],
                 [parts[sn] for sn in src.base_names], zero, K - 1)
     taylor_parts = {c: [terms[0][1]] + [zero] * (K - 2) for c, terms in expansions.items()}
-    base_terms = {sn: _taylor_walk(base_inverse[sn], tgt.base_names, {},
-                                   lambda q: 2 * sum(q) <= K)[1:] for sn in src.base_names}
+    base_terms = {sn: _taylor_walk(base_inverse[sn], tgt.base_names, {}, K // 2)[1:]
+                  for sn in src.base_names}
     _add_powers(neg_powers, steps, [a for terms in base_terms.values() for a, _ in terms],
                 [neg[tn] for tn in tgt.base_names], zero, K + 1)
     # psi's base parts, then the Taylor parts that they shift

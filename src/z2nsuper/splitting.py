@@ -286,11 +286,10 @@ def _raise_order(atlas, values, mismatch, report, tag, check=None):
         }, at)
         omegas = {pair: mismatch(values, at, pair, k) for pair in pairs}
         zero = GSeries.zero(atlas.signature, k)
-        report.equal("%s: consistency after correction" % name, (
+        if not report.equal("%s: consistency after correction" % name, (
             ("(%s, %s) %s" % (u, v, nm), s.truncate(k), zero)
             for (u, v), per in omegas.items() for nm, s in per.items()
-        ), atlas.reduce_series)
-        if not report.checks[-1].passed:
+        ), atlas.reduce_series):
             omegas = None
     return values
 

@@ -641,6 +641,20 @@ def test_partition_that_does_not_sum_to_one_is_an_input_error(tmp_path, capsys, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["atlas-check", "split"])
+@pytest.mark.parametrize("old, new, message", [
+    ("charts U V W", "charts U V W U", "charts lists U more than once"),
+    ("triple U V W", "triple U V Z", "triple (U, V, Z) names an unknown chart"),
+], ids=["repeated-chart", "unknown-triple-chart"])
+def test_a_repeated_chart_or_an_unknown_triple_chart_is_an_input_error(tmp_path, capsys, command,
+                                                                      old, new, message):
+    text = (Path(__file__).parent / "golden" / "nonsplit_3charts_k3.atlas.txt").read_text()
+    lines = text.splitlines()
+    lines[lines.index(old)] = new
+    assert main([command, "--atlas", write(tmp_path, "atlas.txt", "\n".join(lines))]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
 def test_input_error_exit_code(tmp_path, capsys):
     missing = str(tmp_path / "nope.txt")
     assert main(["normalize", "--sig", missing, "--series", missing, "--order", "2"]) == 2
