@@ -30,8 +30,6 @@ from __future__ import annotations
 from .coeffexpr import CoeffExpr, ZERO, _coerce, sum_of_products
 from .degrees import Degree
 
-INFINITY = float("inf")
-
 
 class SignatureMismatch(ValueError):
     pass
@@ -195,18 +193,18 @@ class GSeries:
         return self.terms.get((0,) * self.sig.nformal, ZERO)
 
     def j_order(self):
-        """Minimal monomial order over nonzero terms; +inf for the zero series."""
-        if not self.terms:
-            return INFINITY
-        return min(mono_order(mu) for mu in self.terms)
+        """The least order of a term; order + 1 for the zero series, which
+        lies in J^(order+1)."""
+        return min((mono_order(mu) for mu in self.terms), default=self.order + 1)
 
-    def truncate(self, k):
+    def truncate(self, k, low=0):
+        """The terms of order low..k, at truncation order k."""
         if k > self.order:
             raise OrderError(
                 "cannot raise truncation order from %d to %d" % (self.order, k)
             )
         return GSeries.canonical(self.sig, k, {mu: c for mu, c in self.terms.items()
-                                               if mono_order(mu) <= k})
+                                               if low <= mono_order(mu) <= k})
 
     def at_order(self, k):
         """The same series at truncation order k: truncated when k is lower,

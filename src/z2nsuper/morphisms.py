@@ -220,9 +220,7 @@ class Morphism:
                 img = _power_product(cache, formal, mu)
                 if c.as_rational() is None:
                     if k not in shifts:
-                        cut = [GSeries.canonical(src, k, {nu: x for nu, x in b.terms.items()
-                                                          if any(nu) and mono_order(nu) <= k})
-                               for b in base]
+                        cut = [b.truncate(k, 1) for b in base]
                         shifts[k] = ((cut, {origin: GSeries.one(src, k)})
                                      if any(b.terms for b in cut) else None)
                     if shifts[k] is not None:
@@ -327,7 +325,7 @@ def invert(m, base_inverse=None):
     # nonlinear parts of the forward images, by target variable: every
     # formal variable has a nonzero degree, so the terms of order <= 1 are the
     # base map of a base image and the linear row of a formal one
-    h = {nm: img - img.truncate(1).at_order(K) for nm, img in m.images.items()}
+    h = {nm: img.truncate(K, 2) for nm, img in m.images.items()}
 
     # psi's parts of order <= 1
     linear = {sn: GSeries.from_coeff(tgt, K, base_inverse[sn]) for sn in src.base_names}

@@ -15,7 +15,7 @@ from z2nsuper import (
     normal_form,
 )
 from z2nsuper.atlas import Report
-from z2nsuper.gseries import INFINITY, combine, mono_order
+from z2nsuper.gseries import combine, mono_order
 from z2nsuper.morphisms import compose, enumerate_monomials, invert
 from z2nsuper.splitting import build_base_embedding
 
@@ -94,7 +94,7 @@ def test_truncation(sig2):
 
 def test_j_order_and_epsilon(sig1):
     z = GSeries.zero(sig1, 3)
-    assert z.j_order() == INFINITY
+    assert z.j_order() == z.order + 1 == 4
     xi = GSeries.generator(sig1, "xi1", 3)
     assert xi.j_order() == 1 and xi.epsilon().is_zero()
     assert (xi * GSeries.generator(sig1, "xi2", 3)).j_order() == 2
@@ -425,6 +425,22 @@ def test_at_order_truncates_down_and_keeps_the_terms_up_to_n4(rng):
                 assert (back.order, back.terms) == (order, s.terms)
                 # arithmetic runs at the raised order
                 assert (t * t).order == k and (t * t).truncate(order) == s * s
+
+
+def test_truncate_and_j_order_match_a_naive_filter_up_to_n4(rng):
+    for _ in range(40):
+        sig = rand_signature(rng, n_max=4)
+        order = rng.randint(1, 4)
+        for s in (rand_series(rng, sig, order, max_terms=5), GSeries.zero(sig, order)):
+            orders = [sum(mu) for mu in s.terms]
+            assert s.j_order() == (min(orders) if orders else order + 1)
+            for k in range(order + 1):
+                for low in range(k + 2):
+                    t = s.truncate(k, low)
+                    assert_canonical(t)
+                    assert t.order == k and t.terms == {
+                        mu: c for mu, c in s.terms.items() if low <= sum(mu) <= k}
+                    assert t.j_order() >= low
 
 
 def test_lowering_chart_values_truncates_them():

@@ -12,11 +12,11 @@ accumulation call; no package function imports, but the two printers
 modules import; no package function stores to an attribute of an object
 other than `self` or the one its own `__new__` call made; every parameter
 default is passed by some call and left out by another; no package code
-reads the process environment; and no check line reduces or tests for zero
-inside its own arguments, since `Report.equal` decides every row.  The
-statement scanner of `statement_trace.py`, which holds the unrun statements
-of a traced test run against an allow-list, is checked here on a small
-source."""
+reads the process environment or holds a float; and no check line reduces
+or tests for zero inside its own arguments, since `Report.equal` decides
+every row.  The statement scanner of `statement_trace.py`, which holds the
+unrun statements of a traced test run against an allow-list, is checked
+here on a small source."""
 
 import ast
 from pathlib import Path
@@ -709,6 +709,44 @@ def test_scanner_flags_an_environment_read():
 def test_no_package_code_reads_the_environment():
     found = [(p.stem, qual, line) for p in sorted(PACKAGE.glob("*.py"))
              for qual, line in environment_reads(p.read_text())]
+    assert found == []
+
+
+def float_uses(source):
+    """(qualified name, line) of each float in source: a float literal, a
+    `float(...)` call or `math.inf`; the qualified name is that of the
+    innermost function around it, or "" at module level.  The local model
+    is exact, so no value in it may be a float."""
+    tree = ast.parse(source)
+    spans = [(fn.lineno, fn.end_lineno, qual) for qual, fn in _functions(tree)]
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, float)
+                or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float"
+                or isinstance(node, ast.Attribute) and node.attr == "inf"
+                and getattr(node.value, "id", None) == "math"):
+            around = [qual for first, last, qual in spans if first <= node.lineno <= last]
+            found.append((around[-1] if around else "", node.lineno))
+    return sorted(found)
+
+
+def test_scanner_flags_a_float():
+    source = (
+        "import math\n"
+        'INFINITY = float("inf")\n'
+        'VERSION = "1.0.0"\n'
+        "def j_order(terms):\n"
+        "    return min(terms, default=math.inf)\n"
+        "class C:\n"
+        "    def half(self, x):\n"
+        "        return x * 0.5 + self.inf + len(x) // 2\n"
+    )
+    assert float_uses(source) == [("", 2), ("C.half", 8), ("j_order", 5)]
+
+
+def test_no_package_code_holds_a_float():
+    found = [(p.stem, qual, line) for p in sorted(PACKAGE.glob("*.py"))
+             for qual, line in float_uses(p.read_text())]
     assert found == []
 
 

@@ -99,17 +99,17 @@ def count_work(monkeypatch, run, *args):
 # verify_result pins
 PINS = [
     ("nonsplit_3charts_k3", None,
-     {"compose": 21, "pulled": 360, "products": 395, "mul_monomials": 1512, "mono_mul": 15377},
-     {"compose": 12, "pulled": 153, "products": 191, "mul_monomials": 685, "mono_mul": 6959}),
+     {"compose": 21, "pulled": 360, "products": 365, "mul_monomials": 1482, "mono_mul": 15375},
+     {"compose": 12, "pulled": 153, "products": 161, "mul_monomials": 655, "mono_mul": 6957}),
     ("nonsplit_n2_k4", None,
-     {"compose": 5, "pulled": 120, "products": 125, "mul_monomials": 402, "mono_mul": 1018},
-     {"compose": 4, "pulled": 54, "products": 72, "mul_monomials": 242, "mono_mul": 412}),
+     {"compose": 5, "pulled": 120, "products": 115, "mul_monomials": 392, "mono_mul": 1017},
+     {"compose": 4, "pulled": 54, "products": 62, "mul_monomials": 232, "mono_mul": 411}),
     ("nonsplit_n2_k4", 3,
-     {"compose": 5, "pulled": 100, "products": 84, "mul_monomials": 184, "mono_mul": 378},
-     {"compose": 4, "pulled": 54, "products": 60, "mul_monomials": 138, "mono_mul": 136}),
+     {"compose": 5, "pulled": 100, "products": 74, "mul_monomials": 174, "mono_mul": 377},
+     {"compose": 4, "pulled": 54, "products": 50, "mul_monomials": 128, "mono_mul": 135}),
     ("nonsplit_4charts_k4", None,
-     {"compose": 54, "pulled": 768, "products": 904, "mul_monomials": 4084, "mono_mul": 89448},
-     {"compose": 24, "pulled": 204, "products": 244, "mul_monomials": 1132, "mono_mul": 29673}),
+     {"compose": 54, "pulled": 768, "products": 874, "mul_monomials": 4054, "mono_mul": 89445},
+     {"compose": 24, "pulled": 204, "products": 214, "mul_monomials": 1102, "mono_mul": 29670}),
 ]
 
 
