@@ -61,10 +61,7 @@ from .splitting import (
     EmbeddingFamily,
     MissingPartition,
     SplittingError,
-    build_base_embedding,
-    build_module_splitting,
     cocycle_mismatch,
-    solve_coboundary,
     split,
     verify_result,
 )
@@ -85,7 +82,6 @@ __all__ = [
     "Atlas", "AtlasError", "GradedBundleData", "build_split_model",
     "extract_bundle", "validate_atlas",
     "EmbeddingFamily", "MissingPartition", "SplittingError",
-    "build_base_embedding", "build_module_splitting",
-    "cocycle_mismatch", "solve_coboundary", "split", "verify_result",
+    "cocycle_mismatch", "split", "verify_result",
     "formats",
 ]

@@ -1,42 +1,42 @@
 """Constructive splitting of a supermanifold atlas into its graded-bundle model.
 
-The pipeline builds, order by order up to the atlas order K (a splitting at a
-lower order k is that of `atlas.truncate(k)`, the atlas modulo J^(k+1)):
+The pipeline corrects one family of chart morphisms Phi_U, starting from the
+identity, order by order up to the atlas order K (a splitting at a lower
+order k is that of `atlas.truncate(k)`, the atlas modulo J^(k+1)):
 
-  1. an embedding of the smooth functions into the structure algebra,
-     chartwise;
-  2. a lift of the degree-shifted frame (a right inverse of J -> J/J^2 as
-     modules over the embedded smooth functions);
-  3. the per-chart isomorphism onto the split model assembled from the two,
-     together with a verification report.
+  1. on the base coordinates, to an embedding of the smooth functions into
+     the structure algebra, chartwise;
+  2. on the formal variables, to a right inverse of J -> J/J^2 on the
+     degree-shifted frame, as modules over the embedded smooth functions;
+  3. the corrected Phi_U is the per-chart isomorphism onto the split model,
+     checked in a verification report.
 
 Stages 1 and 2 measure one overlap mismatch, `overlap_mismatch`:
-Phi_U(y) - R_UV^*(T_VU(y) mod J^2), with Phi the chart morphisms (chart
-values on the base coordinates, frame lifts on the formal variables),
-R_UV^* = T_UV^* Phi_V^* and T_VU mod J^2 the split-model transition.  R_UV^*
-is read as two pullbacks, or through the composition R_UV = compose(Phi_V,
-T_UV) when that is made anyway.  Stage 1 reads the mismatch on the base
-coordinates (`cocycle_mismatch`), stage 2 on the formal variables
-(`lift_mismatch`); `verify_result` compares the result's isos with the
-pulled-back side, `overlap_pullback`, on both.  Both stages run the one
-order-raising Cech loop, `_raise_order`.  At order k the chart values agree
-on overlaps below order k, so the mismatch on each ordered pair is pure
-order k: a Cech 1-cocycle, which the partition of unity makes a coboundary
-(eta_U = -sum_W rho_W omega_UW).  Adding eta to the values makes them agree
-on overlaps up to order k.  The loop measures the mismatch once per order:
-the one of the corrected values at order k + 1 gives both the order-k
-consistency line and the next cocycle.  Stage 1 checks each cocycle and its
-coboundary in one pass, `check_cech`, with one `transport_derivation` (one
-base Jacobian, one pullback) per ordered pair.
+Phi_U(y) - R_UV^*(T_VU(y) mod J^2), with R_UV^* = T_UV^* Phi_V^* and
+T_VU mod J^2 the split-model transition.  R_UV^* is read as two pullbacks,
+or through the composition R_UV = compose(Phi_V, T_UV) when that is made
+anyway.  Stage 1 reads the mismatch on the base coordinates
+(`cocycle_mismatch`), stage 2 on the formal variables (`lift_mismatch`);
+`verify_result` compares the result's isos with the pulled-back side,
+`overlap_pullback`, on both.  Both stages run the one order-raising Cech
+loop, `_raise_order`, which corrects only the variables its mismatch reads.
+At order k the chart morphisms agree on overlaps below order k, so the
+mismatch on each ordered pair is pure order k: a Cech 1-cocycle, which the
+partition of unity makes a coboundary (eta_U = -sum_W rho_W omega_UW).
+Adding eta to the images makes them agree on overlaps up to order k.  The
+loop measures the mismatch once per order: the one of the corrected family
+at order k + 1 gives both the order-k consistency line and the next
+cocycle.  Stage 1 checks each cocycle and its coboundary in one pass,
+`check_cech`, with one `transport_derivation` (one base Jacobian, one
+pullback) per ordered pair.
 
 Each stage takes the Report it writes to and returns only what it builds:
-the frame-lift stage returns with its lifts the R_UV = compose(iso[V], T_UV)
-through which it read its order-K mismatch, `verify_result` composes R_UV
-once per overlap for both consistency lines, and `verify_iso` reuses them
-for the intertwining check.  A split result holds each chart morphism once,
-as its iso: the embedding on the base coordinates, the frame lift on the
-formal variables.  Every line that compares values states lhs = rhs per row
-through `Report.equal`, decided modulo J^(K+1) and the partition relation.
+stage 2 returns with its family the R_UV = compose(Phi_V, T_UV) through
+which it read its order-K mismatch, `verify_result` composes R_UV once per
+overlap for both consistency lines, and `verify_iso` reuses them for the
+intertwining check.  A split result holds each chart morphism once, as its
+iso.  Every line that compares series states lhs = rhs per row through
+`Report.equal`, decided modulo J^(K+1) and the partition relation.
 """
 
 from __future__ import annotations
@@ -58,57 +58,38 @@ class MissingPartition(SplittingError):
     """The coboundary step needs a partition of unity on the atlas."""
 
 
-# -- the embedding family -------------------------------------------------
+# -- the family of chart morphisms ----------------------------------------
 
 
 class EmbeddingFamily:
-    """Per chart, a degree-0 unital algebra morphism from smooth functions,
-    represented by its values on the chart's base coordinates."""
+    """Per chart, the chart morphism Phi_U, held as its images on every
+    variable: on the base coordinates a degree-0 unital algebra morphism
+    from smooth functions, the embedding.  Read at an order below that of
+    its images, a family reads them truncated, since `Morphism` does."""
 
-    def __init__(self, atlas, values, order):
+    def __init__(self, atlas, images, order):
         self.atlas = atlas
-        self.values = values  # chart -> {base var -> GSeries}
+        self.images = images  # chart -> {var -> GSeries}
         self.order = order
 
     @classmethod
     def identity(cls, atlas, order):
         sig = atlas.signature
-        values = {
-            u: {bn: GSeries.generator(sig, bn, order) for bn in sig.base_names}
+        images = {
+            u: {nm: GSeries.generator(sig, nm, order) for nm, _ in sig.variables()}
             for u in atlas.charts
         }
-        return cls(atlas, values, order)
+        return cls(atlas, images, order)
 
-    def as_morphism(self, chart, lifts):
-        """The chart morphism Phi_U: the chart values on the base coordinates,
-        the frame lifts {formal var -> GSeries} on the formal variables.  With
-        the identity frame its pullback of a coefficient function is the
-        embedding itself."""
+    def as_morphism(self, chart):
+        """The chart morphism Phi_U.  Its pullback of a coefficient function
+        reads only the base images: it is the embedding."""
         sig = self.atlas.signature
-        return Morphism(sig, sig, {**self.values[chart], **lifts}, self.order)
+        return Morphism(sig, sig, self.images[chart], self.order)
 
     def apply(self, chart, expr):
         """The embedding of a coefficient function into the chart algebra."""
-        frame = _identity_frame(self.atlas.signature, self.order)
-        return self.as_morphism(chart, frame).pullback_coeff(expr)
-
-    def at_order(self, order):
-        """Reinterpret the family at a different truncation order.
-
-        Raising the order is the canonical extension of the underlying
-        morphisms (values are reused verbatim); lowering truncates.
-        """
-        return EmbeddingFamily(self.atlas, _at_order(self.values, order), order)
-
-
-def _at_order(values, order):
-    """Chart values chart -> {var -> GSeries} reinterpreted at `order`."""
-    return {u: {nm: s.at_order(order) for nm, s in per.items()} for u, per in values.items()}
-
-
-def _identity_frame(sig, order):
-    """The frame lifts xi_a -> xi_a."""
-    return {fa: GSeries.generator(sig, fa, order) for fa in sig.formal_names}
+        return self.as_morphism(chart).pullback_coeff(expr)
 
 
 # -- the overlap mismatch -------------------------------------------------
@@ -117,8 +98,7 @@ def _identity_frame(sig, order):
 def overlap_pullback(atlas, order, through, pair, names):
     """{y -> R_UV^*(T_VU(y) mod J^2) at `order`}, per variable y in names.
 
-    R_UV^* = T_UV^* Phi_V^*, with Phi_V chart V's morphism (chart values on
-    the base coordinates, frame lifts on the formal variables).  `through`
+    R_UV^* = T_UV^* Phi_V^*, with Phi_V chart V's morphism.  `through`
     holds the morphisms pulled back through in turn: (phi_v, T_UV), two
     pullbacks, or (R_UV,), the composition compose(phi_v, T_UV) made once.
     Exact pullbacks are associative, so both read the same series.  T_VU mod
@@ -149,23 +129,22 @@ def overlap_mismatch(atlas, phi_u, through, pair, names, k, what):
     return mismatch
 
 
+def _family_mismatch(family, pair, order, names, what):
+    """The overlap mismatch of the family's chart morphisms on names, read
+    through two pullbacks; must be pure order `order`."""
+    phi_u, phi_v = (family.as_morphism(c) for c in pair)
+    through = (phi_v, family.atlas.transition(*pair))
+    return overlap_mismatch(family.atlas, phi_u, through, pair, names, order, what)
+
+
 def cocycle_mismatch(family, pair, order):
-    """The overlap mismatch of the base coordinates, with the identity frame;
-    must be pure order `order`."""
-    sig = family.atlas.signature
-    frame = _identity_frame(sig, family.order)
-    phi_u, phi_v = (family.as_morphism(c, frame) for c in pair)
-    through = (phi_v, family.atlas.transition(*pair))
-    return overlap_mismatch(family.atlas, phi_u, through, pair, sig.base_names, order, "embedding")
+    """The overlap mismatch of the base coordinates."""
+    return _family_mismatch(family, pair, order, family.atlas.signature.base_names, "embedding")
 
 
-def lift_mismatch(family, lifts, pair, order):
-    """The overlap mismatch of the formal variables, with the frame lifts
-    {chart -> {formal var -> GSeries}}; must be pure order `order`."""
-    sig = family.atlas.signature
-    phi_u, phi_v = (family.as_morphism(c, lifts[c]) for c in pair)
-    through = (phi_v, family.atlas.transition(*pair))
-    return overlap_mismatch(family.atlas, phi_u, through, pair, sig.formal_names, order,
+def lift_mismatch(family, pair, order):
+    """The overlap mismatch of the formal variables."""
+    return _family_mismatch(family, pair, order, family.atlas.signature.formal_names,
                             "frame-lift")
 
 
@@ -245,34 +224,34 @@ def check_cech(atlas, omegas, etas, order, report, tag):
 # -- the order-raising Cech loop -----------------------------------------
 
 
-def _raise_order(atlas, values, mismatch, report, tag, check=None):
-    """The order-raising Cech loop, from order 2 up to the atlas order.
+def _raise_order(atlas, images, mismatch, report, tag, check=None):
+    """The order-raising Cech loop, from order 2 up to the atlas order K.
 
-    values: chart -> {var -> GSeries}, consistent on overlaps below order 2.
-    mismatch(values, at, pair, k) gives the overlap mismatch {var -> GSeries}
-    of the values at order `at`, checked to vanish below order k.  At each
-    order k the mismatch, pure order k, is a cocycle, and the values are
-    corrected by its coboundary.  check(atlas, omegas, etas, k, report,
-    name), when given, records the checks on the cocycle and its coboundary
-    under name; stage 1's is `check_cech`.
+    images: chart -> {var -> GSeries} at order K, consistent on overlaps
+    below order 2.  mismatch(images, at, pair, k) gives the overlap mismatch
+    {var -> GSeries} of the images read at order `at`, checked to vanish
+    below order k.  At each order k the mismatch, pure order k, is a
+    cocycle, and the variables it names are corrected by its coboundary.
+    check(atlas, omegas, etas, k, report, name), when given, records the
+    checks on the cocycle and its coboundary under name; stage 1's is
+    `check_cech`.
 
-    One mismatch per order: the corrected values are re-based at k + 1 and
+    One mismatch per order: the corrected images are read at k + 1 and
     measured there once.  Truncation is a ring homomorphism and commutes with
     the Taylor expansion, so that mismatch truncated to k is the order-k
     "consistency after correction" line; when it vanishes, the mismatch
     is the cocycle of order k + 1.  When it does not, order k + 1 measures
     again, which raises on the terms below it.
-    Returns the values at the atlas order, consistent on every overlap.
+    Returns the images, consistent on every overlap.
     """
     pairs, order = atlas.overlaps, atlas.order
-    omegas = None  # the mismatch of the values at order k, once measured
+    if not pairs:
+        return images
+    omegas = None  # the mismatch of the images at order k, once measured
     for k in range(2, order + 1):
-        values = _at_order(values, k)
-        if not pairs:
-            continue
         name = "%s order %d" % (tag, k)
         if omegas is None:
-            omegas = {pair: mismatch(values, k, pair, k) for pair in pairs}
+            omegas = {pair: mismatch(images, k, pair, k) for pair in pairs}
         if all(s.is_zero() for per in omegas.values() for s in per.values()):
             report.add("%s: no mismatch" % name, True)
             omegas = None
@@ -280,18 +259,18 @@ def _raise_order(atlas, values, mismatch, report, tag, check=None):
         etas = solve_coboundary(atlas, omegas, k)
         if check is not None:
             check(atlas, omegas, etas, k, report, name)
-        at = min(k + 1, order)
-        values = _at_order({
-            u: {nm: s + etas[u][nm] for nm, s in per.items()} for u, per in values.items()
-        }, at)
-        omegas = {pair: mismatch(values, at, pair, k) for pair in pairs}
+        images = {
+            u: {**per, **{nm: per[nm] + eta.at_order(order) for nm, eta in etas[u].items()}}
+            for u, per in images.items()
+        }
+        omegas = {pair: mismatch(images, min(k + 1, order), pair, k) for pair in pairs}
         zero = GSeries.zero(atlas.signature, k)
         if not report.equal("%s: consistency after correction" % name, (
             ("(%s, %s) %s" % (u, v, nm), s.truncate(k), zero)
             for (u, v), per in omegas.items() for nm, s in per.items()
         ), atlas.reduce_series):
             omegas = None
-    return values
+    return images
 
 
 def _check_augmentation(atlas, images, report):
@@ -306,44 +285,46 @@ def _check_augmentation(atlas, images, report):
 
 
 def build_base_embedding(atlas, report):
-    """The embedding family, raised order by order by the Cech loop."""
+    """The identity family with its base images raised order by order by the
+    Cech loop to an embedding."""
 
-    def mismatch(values, at, pair, k):
-        return cocycle_mismatch(EmbeddingFamily(atlas, values, at), pair, k)
+    def mismatch(images, at, pair, k):
+        return cocycle_mismatch(EmbeddingFamily(atlas, images, at), pair, k)
 
-    identity = EmbeddingFamily.identity(atlas, 1)
-    values = _raise_order(atlas, identity.values, mismatch, report, "embedding", check_cech)
-    _check_augmentation(atlas, values, report)
-    return EmbeddingFamily(atlas, values, atlas.order)
+    identity = EmbeddingFamily.identity(atlas, atlas.order)
+    images = _raise_order(atlas, identity.images, mismatch, report, "embedding", check_cech)
+    _check_augmentation(atlas, images, report)
+    return EmbeddingFamily(atlas, images, atlas.order)
 
 
 # -- stage 2: the module splitting ----------------------------------------
 
 
 def build_module_splitting(atlas, family, report):
-    """A right inverse of J -> J/J^2 on the chart frames, raised order by
-    order by the Cech loop, and per overlap (U, V) the composition R_UV =
-    compose(Phi_V, T_UV) of the returned lifts through which it read the
-    mismatch at the atlas order; there is none when the atlas order is
-    reached with a mismatch already measured to vanish."""
+    """The family with its formal images raised order by order by the Cech
+    loop to a right inverse of J -> J/J^2 on the chart frames, and per
+    overlap (U, V) the composition R_UV = compose(Phi_V, T_UV) of the
+    returned family through which it read the mismatch at the atlas order;
+    there is none when the atlas order is reached with a mismatch already
+    measured to vanish."""
     sig, composed = atlas.signature, {}
 
-    def mismatch(values, at, pair, k):
+    def mismatch(images, at, pair, k):
+        read = EmbeddingFamily(atlas, images, at)
         if k < atlas.order:
-            return lift_mismatch(family.at_order(at), values, pair, k)
+            return lift_mismatch(read, pair, k)
         u, v = pair
-        r_uv = composed[pair] = compose(family.as_morphism(v, values[v]), atlas.transition(u, v))
-        return overlap_mismatch(atlas, family.as_morphism(u, values[u]), (r_uv,), pair,
-                                sig.formal_names, k, "frame-lift")
+        r_uv = composed[pair] = compose(read.as_morphism(v), atlas.transition(u, v))
+        return overlap_mismatch(atlas, read.as_morphism(u), (r_uv,), pair, sig.formal_names, k,
+                                "frame-lift")
 
-    identity = {u: _identity_frame(sig, 1) for u in atlas.charts}
-    lifts = _raise_order(atlas, identity, mismatch, report, "frame lift")
+    images = _raise_order(atlas, family.images, mismatch, report, "frame lift")
     for u in atlas.charts:
         report.add("frame lift on %s projects to the identity on J/J^2" % u, all(
-            s.truncate(1) == GSeries.generator(sig, fa, 1) and s.is_homogeneous(sig.degree_of(fa))
-            for fa, s in lifts[u].items()
+            images[u][fa].truncate(1) == GSeries.generator(sig, fa, 1)
+            and images[u][fa].is_homogeneous(sig.degree_of(fa)) for fa in sig.formal_names
         ))
-    return lifts, composed
+    return EmbeddingFamily(atlas, images, atlas.order), composed
 
 
 # -- stage 3: assembly and verification -----------------------------------
@@ -462,9 +443,9 @@ def split(atlas):
     if not report.passed:
         raise SplittingError("atlas gluing data is inconsistent:\n%s" % report)
     family = build_base_embedding(atlas, report)
-    lifts, composed = build_module_splitting(atlas, family, report)
+    family, composed = build_module_splitting(atlas, family, report)
     bundle = extract_bundle(atlas)
     split_atlas = build_split_model(bundle, atlas.order)
-    iso = {u: family.as_morphism(u, lifts[u]) for u in atlas.charts}
+    iso = {u: family.as_morphism(u) for u in atlas.charts}
     verify_iso(atlas, split_atlas, iso, report, composed)
     return SplittingResult(atlas, bundle, split_atlas, iso, report)

@@ -241,19 +241,19 @@ def naive_pullback(m, f):
     return out
 
 
-def naive_overlap_mismatch(atlas, values, lifts, pair, order):
+def naive_overlap_mismatch(atlas, images, pair, order):
     """The overlap mismatch on (U, V) at `order`, entry by entry through
-    naive pullbacks; values and lifts map chart -> {var -> GSeries}.
+    naive pullbacks; images maps chart -> {var -> GSeries}, the chart
+    morphisms phi.
 
     Per base coordinate x: phi_U(x) - T_UV^* phi_V(x as a function on V).
-    Per formal variable xi_a: lift_U(xi_a) - T_UV^* sum_b lift_V(xi_b)
-    phi_V(h_ab), with h the linear block of T_VU.  phi_V is the pullback
-    through the V chart values and lifts.
+    Per formal variable xi_a: phi_U(xi_a) - T_UV^* sum_b phi_V(xi_b)
+    phi_V(h_ab), with h the linear block of T_VU.
     """
     sig = atlas.signature
     u, v = pair
     t_uv, t_vu = atlas.transition(u, v), atlas.transition(v, u)
-    phi_v = Morphism(sig, sig, {**values[v], **lifts[v]}, order)
+    phi_v = Morphism(sig, sig, images[v], order)
 
     def phi_v_of(c):
         return naive_pullback(phi_v, GSeries.from_coeff(sig, order, c))
@@ -261,13 +261,13 @@ def naive_overlap_mismatch(atlas, values, lifts, pair, order):
     out = {}
     for bn in sig.base_names:
         right = phi_v_of(t_vu.images[bn].epsilon())
-        out[bn] = values[u][bn].truncate(order) - naive_pullback(t_uv, right)
+        out[bn] = images[u][bn].truncate(order) - naive_pullback(t_uv, right)
     for fa in sig.formal_names:
         acc = GSeries.zero(sig, order)
         for b, fb in enumerate(sig.formal_names):
             mu = tuple(int(i == b) for i in range(sig.nformal))
-            acc = acc + lifts[v][fb].truncate(order) * phi_v_of(t_vu.images[fa].coeff_of(mu))
-        out[fa] = lifts[u][fa].truncate(order) - naive_pullback(t_uv, acc)
+            acc = acc + images[v][fb].truncate(order) * phi_v_of(t_vu.images[fa].coeff_of(mu))
+        out[fa] = images[u][fa].truncate(order) - naive_pullback(t_uv, acc)
     return {y: atlas.reduce_series(s) for y, s in out.items()}
 
 

@@ -17,7 +17,7 @@ from z2nsuper import (
 from z2nsuper.atlas import Report
 from z2nsuper.gseries import combine, mono_order
 from z2nsuper.morphisms import compose, enumerate_monomials, invert
-from z2nsuper.splitting import build_base_embedding
+from z2nsuper.splitting import EmbeddingFamily, build_base_embedding
 
 from conftest import (
     atlas_nonsplit_base_twist,
@@ -444,10 +444,11 @@ def test_truncate_and_j_order_match_a_naive_filter_up_to_n4(rng):
 
 
 def test_lowering_chart_values_truncates_them():
-    family = build_base_embedding(atlas_nonsplit_base_twist(4), Report())
-    lowered = family.at_order(1)
-    for per in lowered.values.values():
-        for s in per.values():
+    atlas = atlas_nonsplit_base_twist(4)
+    family = build_base_embedding(atlas, Report())
+    for u in atlas.charts:
+        lowered = EmbeddingFamily(atlas, family.images, 1).as_morphism(u).images
+        for s in lowered.values():
             assert s.order == 1
             assert_canonical(s)
-    assert lowered.values["U"]["x"] == family.values["U"]["x"].truncate(1)
+        assert lowered == {nm: s.truncate(1) for nm, s in family.images[u].items()}

@@ -1,6 +1,7 @@
 """Every top-level import in the package modules is used (`__init__` re-exports),
 every private function or method is referenced somewhere in the package,
-every name the package exports is used by a demo, a test or the CLI, and
+every name the package exports is imported from the package root by a
+demo, a test, the benchmark or the CLI, and
 every public function or method is used by the package, a demo or the
 benchmark, or else by more than one test file; exponent vectors come from
 `Signature.formal_unit`, only `coeffexpr` builds a `Var` or an `App`, so
@@ -199,14 +200,13 @@ def test_no_orphaned_private_functions():
 
 
 def unused_exports(exports, sources):
-    """The names in exports that no source imports from a z2nsuper module
-    (or, inside the package, from a relative one) or reads as `z2nsuper.X`."""
+    """The names in exports that no source imports from the package root
+    (`from z2nsuper import X`) or reads as `z2nsuper.X`; an import from a
+    package module, relative or not, does not count."""
     used = set()
     for text in sources:
         for node in ast.walk(ast.parse(text)):
-            if isinstance(node, ast.ImportFrom) and (
-                node.level or (node.module or "").split(".")[0] == "z2nsuper"
-            ):
+            if isinstance(node, ast.ImportFrom) and not node.level and node.module == "z2nsuper":
                 used.update(alias.name for alias in node.names)
             elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id == "z2nsuper"):
@@ -218,14 +218,17 @@ def test_scanner_flags_an_unused_export():
     sources = [
         "from z2nsuper import a as z\nimport z2nsuper\nz2nsuper.b\n",
         "from .formats import c\nfrom other import d\ntext.e()\n",
+        "from z2nsuper.splitting import f\nfrom z2nsuper import splitting\nsplitting.g\n",
     ]
-    assert unused_exports(["e", "d", "c", "b", "a"], sources) == ["d", "e"]
+    assert unused_exports(["g", "f", "e", "d", "c", "b", "a", "splitting"], sources) == [
+        "c", "d", "e", "f", "g"]
 
 
 def test_every_export_is_used_by_a_demo_a_test_or_the_cli():
     import z2nsuper
 
-    users = [*ROOT.glob("demos/*.py"), *ROOT.glob("tests/*.py"), PACKAGE / "cli.py"]
+    users = [*ROOT.glob("demos/*.py"), *ROOT.glob("tests/*.py"), *ROOT.glob("bench/*.py"),
+             PACKAGE / "cli.py"]
     assert unused_exports(z2nsuper.__all__, [p.read_text() for p in users]) == []
 
 

@@ -5,6 +5,10 @@ atlas text that leaves the supermanifold the same leaves its isos the same.
 - Shuffling the `pair` and `triple` lines and the `transition` blocks gives
   equal isos.  The isos are compared as morphisms, not as printed text,
   since the printed result follows the declaration order.
+- Swapping the two degree coordinates of an n = 2 atlas gives the same
+  isos.  The swap reorders the formal variables, so each iso image is
+  printed and read back over the swapped signature; the reader orders the
+  factors of a monomial under the sign rule.
 
 Each relation has a negative control: the same edit of an atlas whose
 `order` numeral is bumped down by one, which drops the terms of the top
@@ -17,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from z2nsuper.formats import parse_atlas
+from z2nsuper.formats import parse_atlas, parse_series, print_series
 from z2nsuper.splitting import split
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -90,3 +94,27 @@ def test_shuffling_the_declarations_keeps_the_isos(name, seed):
     assert isos(shuffled) == isos(text)
     # negative control: the shuffled atlas one order lower
     assert isos(shuffle_declarations(bump_order(text), random.Random(seed))) != isos(text)
+
+
+def swap_degree_coordinates(text):
+    """The atlas text with the two coordinates of every `var` degree swapped."""
+    return re.sub(r"^(var \S+) (\d)(\d)$", r"\1 \3\2", text, flags=re.M)
+
+
+def test_swapping_the_degree_coordinates_keeps_the_isos():
+    text = atlas_text("nonsplit_n2_k4")
+    swapped = swap_degree_coordinates(text)
+    assert "var xi 10" in swapped and "var eta 01" in swapped
+    want, got = isos(text), isos(swapped)
+    sig, order = got["U"].source, got["U"].order
+    assert sig.formal_names != want["U"].source.formal_names
+
+    def read_back(iso):
+        """The isos printed and read over the swapped signature."""
+        return {u: {nm: parse_series(print_series(s), sig, order) for nm, s in m.images.items()}
+                for u, m in iso.items()}
+
+    assert read_back(want) == {u: m.images for u, m in got.items()}
+    # negative control: the swapped atlas one order lower
+    lowered = isos(swap_degree_coordinates(bump_order(text)))
+    assert read_back(want) != {u: m.images for u, m in lowered.items()}

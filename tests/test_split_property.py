@@ -126,8 +126,7 @@ def test_the_mismatch_through_the_composition_is_the_two_step_and_the_naive_one(
     clean = split(atlas).iso
     names = sig.base_names + sig.formal_names
     for iso in (clean, with_one_more_term(rng, clean, sig, order)):
-        values = {u: {bn: iso[u].images[bn] for bn in sig.base_names} for u in iso}
-        lifts = {u: {fa: iso[u].images[fa] for fa in sig.formal_names} for u in iso}
+        images = {c: m.images for c, m in iso.items()}
         for u, v in atlas.overlaps:
             # the added term has order 1 or more, so no mismatch term is below order 1
             t_uv = atlas.transition(u, v)
@@ -135,7 +134,7 @@ def test_the_mismatch_through_the_composition_is_the_two_step_and_the_naive_one(
                                         1, "iso")
             assert composed == overlap_mismatch(atlas, iso[u], (iso[v], t_uv), (u, v), names,
                                                 1, "iso")
-            assert composed == naive_overlap_mismatch(atlas, values, lifts, (u, v), order)
+            assert composed == naive_overlap_mismatch(atlas, images, (u, v), order)
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -1,6 +1,7 @@
 """The splitting pipeline on split and nonsplit fixtures, with negative controls."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +22,7 @@ from z2nsuper import (
 )
 from z2nsuper import splitting
 from z2nsuper.atlas import Report
-from z2nsuper.formats import parse_series
+from z2nsuper.formats import parse_atlas, parse_series
 from z2nsuper.splitting import (
     build_base_embedding,
     build_module_splitting,
@@ -47,12 +48,14 @@ from conftest import (
 )
 
 FIXTURES = (atlas_split_two_charts, atlas_nonsplit_base_twist, atlas_nonsplit_frame_twist)
+GOLDEN = Path(__file__).parent / "golden"
 
 
-def identity_lifts(atlas, order):
-    sig = atlas.signature
-    return {u: {fa: GSeries.generator(sig, fa, order) for fa in sig.formal_names}
-            for u in atlas.charts}
+def with_etas(images, etas):
+    """chart -> {var -> GSeries}: the images with each chart's eta added on
+    the variables it names."""
+    return {u: {**per, **{nm: per[nm] + eta for nm, eta in etas[u].items()}}
+            for u, per in images.items()}
 
 
 def test_split_model_atlas_splits_trivially():
@@ -73,14 +76,16 @@ def test_embedding_apply_is_the_pullback_through_the_chart_morphism_up_to_n4():
         sig = rand_signature(rng, n_max=4, q_max=4, nbase=rng.randint(1, 2))
         order = rng.randint(1, 4)
         atlas = Atlas(sig, order, ["U", "V"], [], [], {})
-        values = {u: {bn: rand_morphism(rng, sig, order, max_terms=4).images[bn]
-                      for bn in sig.base_names} for u in atlas.charts}
-        family = EmbeddingFamily(atlas, values, order)
+        images = {u: {**{bn: rand_morphism(rng, sig, order, max_terms=4).images[bn]
+                         for bn in sig.base_names},
+                      **{fa: GSeries.generator(sig, fa, order) for fa in sig.formal_names}}
+                  for u in atlas.charts}
+        family = EmbeddingFamily(atlas, images, order)
         for u in atlas.charts:
             c = rng.choice([rand_poly, rand_opaque_coeff])(rng, sig.base_names)
             f = GSeries.from_coeff(sig, order, c)
             got = family.apply(u, c)
-            assert got == naive_pullback(family.as_morphism(u, splitting._identity_frame(sig, order)), f)
+            assert got == naive_pullback(family.as_morphism(u), f)
             shifted += got != f
     assert shifted >= 15
 
@@ -101,8 +106,7 @@ def test_base_twist_mismatch_is_a_pure_order_two_derivation():
 def test_frame_twist_lift_mismatch_at_order_two():
     atlas = atlas_nonsplit_frame_twist()
     family = EmbeddingFamily.identity(atlas, 2)
-    lifts = identity_lifts(atlas, 2)
-    got = {p: {fa: str(s) for fa, s in lift_mismatch(family, lifts, p, 2).items()}
+    got = {p: {fa: str(s) for fa, s in lift_mismatch(family, p, 2).items()}
            for p in [("U", "V"), ("V", "U")]}
     assert got == {
         ("U", "V"): {"xi": "h(x) * eta y", "eta": "0", "y": "0"},
@@ -113,19 +117,19 @@ def test_frame_twist_lift_mismatch_at_order_two():
 @pytest.mark.parametrize("make", FIXTURES)
 def test_mismatches_agree_with_the_per_entry_oracle(make):
     atlas = make()
-    family3 = build_base_embedding(atlas, Report())
-    lifts3, _ = build_module_splitting(atlas, family3, Report())
+    embedding = build_base_embedding(atlas, Report())
+    family3, _ = build_module_splitting(atlas, embedding, Report())
     data = [
-        (EmbeddingFamily.identity(atlas, 2), identity_lifts(atlas, 2), 2),
-        (family3.at_order(2), identity_lifts(atlas, 2), 2),
-        (family3, lifts3, 3),
+        (EmbeddingFamily.identity(atlas, 2), 2),
+        (EmbeddingFamily(atlas, embedding.images, 2), 2),
+        (family3, 3),
     ]
     pairs = atlas.overlaps
     assert pairs
-    for family, lifts, k in data:
+    for family, k in data:
         for pair in pairs:
-            got = {**cocycle_mismatch(family, pair, k), **lift_mismatch(family, lifts, pair, k)}
-            assert got == naive_overlap_mismatch(atlas, family.values, lifts, pair, k), pair
+            got = {**cocycle_mismatch(family, pair, k), **lift_mismatch(family, pair, k)}
+            assert got == naive_overlap_mismatch(atlas, family.images, pair, k), pair
 
 
 def test_mismatches_agree_with_the_oracle_over_a_scaled_base_map():
@@ -135,12 +139,12 @@ def test_mismatches_agree_with_the_oracle_over_a_scaled_base_map():
     sig = atlas.signature
     x, y, xi, eta = (GSeries.generator(sig, nm, 2) for nm in ("x", "y", "xi", "eta"))
     f = {u: CoeffExpr.app("f_" + u, [CoeffExpr.var("x")]) for u in atlas.charts}
-    values = {u: {"x": x + y * y * f[u]} for u in atlas.charts}
-    lifts = {u: {"xi": xi + y * eta * f[u], "eta": eta, "y": y} for u in atlas.charts}
-    family = EmbeddingFamily(atlas, values, 2)
+    images = {u: {"x": x + y * y * f[u], "xi": xi + y * eta * f[u], "eta": eta, "y": y}
+              for u in atlas.charts}
+    family = EmbeddingFamily(atlas, images, 2)
     for pair in [("U", "V"), ("V", "U")]:
-        got = {**cocycle_mismatch(family, pair, 2), **lift_mismatch(family, lifts, pair, 2)}
-        assert got == naive_overlap_mismatch(atlas, values, lifts, pair, 2)
+        got = {**cocycle_mismatch(family, pair, 2), **lift_mismatch(family, pair, 2)}
+        assert got == naive_overlap_mismatch(atlas, images, pair, 2)
         assert not got["x"].is_zero() and not got["xi"].is_zero()
 
 
@@ -150,10 +154,7 @@ def test_coboundary_solves_the_base_twist():
     pairs = [("U", "V"), ("V", "U")]
     omegas = {p: cocycle_mismatch(family, p, 2) for p in pairs}
     etas = solve_coboundary(atlas, omegas, 2)
-    corrected = EmbeddingFamily(atlas, {
-        u: {bn: s + etas[u][bn] for bn, s in per.items()}
-        for u, per in family.values.items()
-    }, 2)
+    corrected = EmbeddingFamily(atlas, with_etas(family.images, etas), 2)
     for p in pairs:
         resid = cocycle_mismatch(corrected, p, 2)
         assert all(s.is_zero() for s in resid.values())
@@ -262,15 +263,15 @@ def test_stagewise_builders_agree_with_pipeline():
     rep1, rep2 = Report(), Report()
     family = build_base_embedding(atlas, rep1)
     assert rep1.passed, str(rep1)
-    lifts, composed = build_module_splitting(atlas, family, rep2)
+    lifted, composed = build_module_splitting(atlas, family, rep2)
     assert rep2.passed, str(rep2)
     result = split(atlas)
     for u in atlas.charts:
         for bn in atlas.signature.base_names:
-            assert family.values[u][bn] == result.iso[u].images[bn]
+            assert family.images[u][bn] == result.iso[u].images[bn]
         for fa in atlas.signature.formal_names:
-            assert lifts[u][fa] == result.iso[u].images[fa]
-    # the returned compositions are those of the returned lifts
+            assert lifted.images[u][fa] == result.iso[u].images[fa]
+    # the returned compositions are those of the returned family
     assert set(composed) == set(atlas.overlaps)
     for (u, v), r_uv in composed.items():
         assert r_uv == compose(result.iso[v], atlas.transition(u, v))
@@ -292,6 +293,31 @@ def test_failing_coboundary_check_names_its_residual():
     check = {c.name: c for c in report.checks}["t coboundary UV"]
     assert not check.passed
     assert check.detail.startswith("x: ")
+
+
+def test_stage_one_cech_lines_fail_on_a_bent_cocycle():
+    # the antisymmetry and triple-cocycle lines hold on every consistent
+    # atlas; a cocycle bent on one entry of one pair fails exactly the lines
+    # that read it, directly or through the coboundary solved from it
+    atlas = parse_atlas((GOLDEN / "nonsplit_3charts_k3.atlas.txt").read_text())
+    family = EmbeddingFamily.identity(atlas, 2)
+    omegas = {pair: cocycle_mismatch(family, pair, 2) for pair in atlas.overlaps}
+
+    def failing(omegas):
+        report = Report()
+        check_cech(atlas, omegas, solve_coboundary(atlas, omegas, 2), 2, report, "t")
+        assert len(report.checks) == 18
+        return {c.name for c in report.checks if not c.passed}
+
+    assert failing(omegas) == set()
+    sig = atlas.signature
+    xi12 = GSeries.generator(sig, "xi1", 2) * GSeries.generator(sig, "xi2", 2)
+    uv = omegas[("U", "V")]
+    assert failing({**omegas, ("U", "V"): {**uv, "x": uv["x"] + xi12}}) == {
+        "t antisymmetry UV", "t antisymmetry VU",
+        "t triple-cocycle U,V,W", "t triple-cocycle U,W,V", "t triple-cocycle W,U,V",
+        "t coboundary UV", "t coboundary UW", "t coboundary VU", "t coboundary WU",
+    }
 
 
 @pytest.mark.parametrize("a, b, invertible", [
@@ -363,11 +389,11 @@ def drop_first_chart_eta_at_order_two(monkeypatch):
     return handed
 
 
-def first_nonzero_naive_mismatch(atlas, values, lifts, names):
+def first_nonzero_naive_mismatch(atlas, images, names):
     """"(U, V) y: value" of the first nonzero entry of the naive overlap
     mismatch at order 2, over the pairs and then the names in order."""
     for u, v in atlas.overlaps:
-        got = naive_overlap_mismatch(atlas, values, lifts, (u, v), 2)
+        got = naive_overlap_mismatch(atlas, images, (u, v), 2)
         for y in names:
             if not got[y].is_zero():
                 return "(%s, %s) %s: %s" % (u, v, y, got[y])
@@ -383,11 +409,10 @@ def test_a_bent_embedding_correction_fails_consistency_and_then_raises(monkeypat
         build_base_embedding(atlas, report)
     assert str(err.value) == ("embedding mismatch on x for pair ('U', 'V') has terms "
                               "below order 3; input is inconsistent")
-    identity = EmbeddingFamily.identity(atlas, 2).values
-    values = {u: {bn: s + handed[2][u][bn] for bn, s in identity[u].items()} for u in atlas.charts}
+    images = with_etas(EmbeddingFamily.identity(atlas, 2).images, handed[2])
     check = {c.name: c for c in report.checks}["embedding order 2: consistency after correction"]
     assert not check.passed
-    detail = first_nonzero_naive_mismatch(atlas, values, identity_lifts(atlas, 2), sig.base_names)
+    detail = first_nonzero_naive_mismatch(atlas, images, sig.base_names)
     assert detail is not None and check.detail == detail
 
 
@@ -401,12 +426,10 @@ def test_a_bent_frame_lift_correction_fails_consistency_and_then_raises(monkeypa
         build_module_splitting(atlas, family, report)
     assert str(err.value) == ("frame-lift mismatch on xi for pair ('U', 'V') has terms "
                               "below order 3; input is inconsistent")
-    lifts = {u: {fa: s + handed[2][u][fa] for fa, s in per.items()}
-             for u, per in identity_lifts(atlas, 2).items()}
+    images = with_etas(family.images, handed[2])
     check = {c.name: c for c in report.checks}["frame lift order 2: consistency after correction"]
     assert not check.passed
-    detail = first_nonzero_naive_mismatch(atlas, family.at_order(2).values, lifts,
-                                          sig.formal_names)
+    detail = first_nonzero_naive_mismatch(atlas, images, sig.formal_names)
     assert detail is not None and check.detail == detail
 
 
